@@ -26,7 +26,6 @@ from .interferometer import (GaussianPortState, SensitivityReport, SensorSpec,
                              intensity_difference_stats_generic, mzi_input_state,
                              mzi_transform, phase_sensitivity_coherent,
                              phase_sensitivity_numeric, phase_sensitivity_squeezed,
-                             pole_coherent_amplitude, sensitivity_vs_phase,
-                             shot_noise_limit)
+                             pole_coherent_amplitude, shot_noise_limit)
 from .errors import (ConfigError, ConvergenceError, DivergenceError, DomainError,
                      PoleError, ThresholdError)

@@ -273,12 +273,13 @@ def jsi(rates: CavityRates, injection: Injection, delta_ws, delta_wi):
     return float(value) if value.ndim == 0 else value
 
 
-def quadrature_variance(rates: CavityRates, injection: Injection, phi_lo: float) -> float:
+def quadrature_variance(rates: CavityRates, injection: Injection, phi_lo):
     """Joint-quadrature noise power at local-oscillator phase phi_lo.
 
     V(phi_lo) = 1 + 2*n_s + 2*Re(m_si * e^(2i*phi_lo)), vacuum = 1, at zero
     detuning (frequency-integrated convention). Squeezing at phi_lo = pi/2,
-    anti-squeezing at phi_lo = 0 for a real positive drive.
+    anti-squeezing at phi_lo = 0 for a real positive drive. Accepts a scalar
+    or an array of phases.
 
     Evaluated through the equivalent grouping V = V_sq + 4*m_si*cos^2(phi_lo)
     with V_sq = 1 - 4*kappa*sigma/(Gamma+sigma)^2, which stays accurate when
@@ -291,9 +292,10 @@ def quadrature_variance(rates: CavityRates, injection: Injection, phi_lo: float)
     m_si = anomalous_moment(rates, injection)
     # m_si e^(2i phi) averaged with its conjugate pair: 2 Re(m e^(2i phi));
     # for the drive phase rotated into m_si the grouping below is exact.
-    rotated = (m_si * cmath.exp(2j * phi_lo)).real
+    rotated = (m_si * np.exp(2j * np.asarray(phi_lo, dtype=float))).real
     aligned = abs(m_si)
-    return v_squeezed + 2.0 * (aligned + rotated)
+    value = v_squeezed + 2.0 * (aligned + rotated)
+    return float(value) if value.ndim == 0 else value
 
 
 def variance_extrema(rates: CavityRates, injection: Injection) -> tuple[float, float]:

@@ -12,8 +12,9 @@ import argparse
 import hashlib
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -58,6 +59,9 @@ _DEFAULT_SWEEPS = {
     "improvement": ("sensor_length", 1e-3, 1e2, 181, "log"),
 }
 
+# Rows formatted per write; bounds the text held in memory for large tables.
+_WRITE_BLOCK_ROWS = 4096
+
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -70,6 +74,8 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.points < 2:
             raise ConfigError(f"sweep.points must be >= 2, got {self.points}")
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ConfigError("sweep.start and sweep.stop must be finite")
         if self.scale not in ("linear", "log"):
             raise ConfigError(f"sweep.scale must be linear or log, got {self.scale!r}")
         if self.scale == "log" and (self.start <= 0 or self.stop <= 0):
@@ -113,16 +119,22 @@ class RunConfig:
 
 @dataclass
 class ResultTable:
-    """Rectangular numeric table with provenance metadata."""
+    """Rectangular numeric table with provenance metadata.
+
+    ``rows`` is a list of rows or, for an all-numeric table, a 2-D array.
+    """
 
     columns: list[str]
-    rows: list[list]
+    rows: list[list] | np.ndarray
     meta: dict[str, str]
 
     def __post_init__(self) -> None:
-        for row in self.rows:
-            if len(row) != len(self.columns):
-                raise ConfigError("result rows must match the column count")
+        if isinstance(self.rows, np.ndarray):
+            rectangular = self.rows.ndim == 2 and self.rows.shape[1] == len(self.columns)
+        else:
+            rectangular = all(len(row) == len(self.columns) for row in self.rows)
+        if not rectangular:
+            raise ConfigError("result rows must match the column count")
 
 
 def _parse_lines(text: str, first_lineno: int = 1) -> list[tuple[int, str, str]]:
@@ -145,14 +157,17 @@ def _parse_lines(text: str, first_lineno: int = 1) -> list[tuple[int, str, str]]
 
 def _to_float(key: str, value: str, lineno: int) -> float:
     try:
-        return float(value)
-    except ValueError as exc:
-        raise ConfigError(f"line {lineno}: {key} expects a number, got {value!r}") from exc
+        number = float(value)
+    except ValueError:
+        number = math.nan
+    if math.isnan(number):
+        raise ConfigError(f"line {lineno}: {key} expects a number, got {value!r}")
+    return number
 
 
 def _to_int(key: str, value: str, lineno: int) -> int:
     number = _to_float(key, value, lineno)
-    if number != int(number):
+    if not math.isfinite(number) or number != int(number):
         raise ConfigError(f"line {lineno}: {key} expects an integer, got {value!r}")
     return int(number)
 
@@ -256,6 +271,10 @@ def parse_config(text: str, command: str = "") -> RunConfig:
             scale=values.get("sweep.scale", (base_scale, 0))[0],
         )
 
+    jsi_points = take_int("jsi.points", 200)
+    if jsi_points < 2:
+        raise ConfigError(f"jsi.points must be >= 2, got {jsi_points}")
+
     config = RunConfig(
         command=command,
         geometry=geometry,
@@ -270,7 +289,7 @@ def parse_config(text: str, command: str = "") -> RunConfig:
         sensor_alpha_loss=sensor_alpha_loss,
         sweep=sweep,
         jsi_span=take_float("jsi.span"),
-        jsi_points=take_int("jsi.points", 200),
+        jsi_points=jsi_points,
         decay_ratio=take_float("improvement.decay_ratio"),
         t_max_factor=take_float_default("meanfield.t_max_factor", 3e6),
     )
@@ -314,14 +333,6 @@ def _sweep_for(cfg: RunConfig) -> SweepSpec:
                 f"command {cfg.command!r} sweeps one of {allowed}, got {cfg.sweep.variable!r}")
         return cfg.sweep
     return SweepSpec(*_DEFAULT_SWEEPS[cfg.command])
-
-
-def _map_ordered(fn, items):
-    items = list(items)
-    if len(items) < 2:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=min(8, len(items))) as pool:
-        return list(pool.map(fn, items))
 
 
 def _resolve_drive(cfg: RunConfig, rates: CavityRates, gain: float):
@@ -387,16 +398,13 @@ def _run_rates(cfg: RunConfig, rates: CavityRates, gain: float):
 
 def _run_squeezing(cfg: RunConfig, rates: CavityRates, gain: float):
     injection, _, _ = _resolve_drive(cfg, rates, gain)
-    sweep = _sweep_for(cfg)
-
-    def point(phi_lo: float):
-        try:
-            variance = quadrature_variance(rates, injection, phi_lo)
-            return [phi_lo, variance, to_db(variance), ""]
-        except ThresholdError:
-            return [phi_lo, math.inf, math.inf, "threshold"]
-
-    return ["phi_lo", "variance", "variance_db", "flag"], _map_ordered(point, sweep.grid())
+    phi_lo = _sweep_for(cfg).grid()
+    columns = ["phi_lo", "variance", "variance_db", "flag"]
+    try:
+        variance = quadrature_variance(rates, injection, phi_lo).tolist()
+    except ThresholdError:  # the injection, and so the flag, is fixed per table
+        return columns, [[phi, math.inf, math.inf, "threshold"] for phi in phi_lo.tolist()]
+    return columns, [[phi, v, to_db(v), ""] for phi, v in zip(phi_lo.tolist(), variance)]
 
 
 def _run_jsi(cfg: RunConfig, rates: CavityRates, gain: float):
@@ -405,8 +413,7 @@ def _run_jsi(cfg: RunConfig, rates: CavityRates, gain: float):
     axis = np.linspace(-span, span, cfg.jsi_points)
     grid_s, grid_i = np.meshgrid(axis, axis, indexing="ij")
     values = jsi_density(rates, injection, grid_s, grid_i)
-    rows = [[float(ws), float(wi), float(val)]
-            for ws, wi, val in zip(grid_s.ravel(), grid_i.ravel(), values.ravel())]
+    rows = np.column_stack([grid_s.ravel(), grid_i.ravel(), values.ravel()])
     return ["delta_ws", "delta_wi", "value"], rows
 
 
@@ -434,6 +441,9 @@ def _run_sensitivity(cfg: RunConfig, rates: CavityRates, gain: float):
         return shot_noise_limit(spec, state)
 
     if sweep.variable == "p_c":
+        if min(sweep.start, sweep.stop) < 0:
+            raise ConfigError(f"a p_c sweep needs powers >= 0 W, got {sweep.start} .. {sweep.stop}")
+
         def point(p_c: float):
             a_c = math.sqrt(p_c / (HBAR * omega_p))
             spec = _sensor_spec(cfg, a_c, pump_power)
@@ -449,23 +459,26 @@ def _run_sensitivity(cfg: RunConfig, rates: CavityRates, gain: float):
                 return [p_c, a_c, math.inf, math.inf, math.inf, flag]
 
         columns = ["p_c", "alpha_c", "dphi_squeezed", "dphi_coherent", "dphi_snl", "flag"]
-        return columns, _map_ordered(point, sweep.grid())
+        return columns, [point(p_c) for p_c in sweep.grid().tolist()]
 
     def point(phi: float):
         spec = _sensor_spec(cfg, alpha_c, pump_power, phi=phi)
         try:
             if moments is None:
                 raise ThresholdError("above threshold")
+            # Coherent probe with a vacuum port: 1/(sqrt(eta) alpha_c |sin phi|).
+            sine = abs(math.sin(phi))
+            coherent = phase_sensitivity_coherent(spec) / sine if sine else math.inf
             report = phase_sensitivity_numeric(spec, moments)
-            return [phi, report.dphi, phase_sensitivity_coherent(spec), report.snl, ""]
+            return [phi, report.dphi, coherent, report.snl, ""]
         except PoleError:
-            return [phi, math.inf, phase_sensitivity_coherent(spec), snl_at(spec), "pole"]
+            return [phi, math.inf, coherent, snl_at(spec), "pole"]
         except (ThresholdError, DomainError) as exc:
             flag = "threshold" if isinstance(exc, ThresholdError) else "domain"
             return [phi, math.inf, math.inf, math.inf, flag]
 
     columns = ["phi", "dphi_squeezed", "dphi_coherent", "dphi_snl", "flag"]
-    return columns, _map_ordered(point, sweep.grid())
+    return columns, [point(phi) for phi in sweep.grid().tolist()]
 
 
 def _run_pole(cfg: RunConfig, rates: CavityRates, gain: float):
@@ -481,7 +494,7 @@ def _run_pole(cfg: RunConfig, rates: CavityRates, gain: float):
         except ThresholdError:
             return [alpha_c, math.inf, "threshold"]
 
-    return ["alpha_c", "dphi_squeezed", "flag"], _map_ordered(point, sweep.grid())
+    return ["alpha_c", "dphi_squeezed", "flag"], [point(a_c) for a_c in sweep.grid().tolist()]
 
 
 def _run_improvement(cfg: RunConfig, rates: CavityRates, gain: float):
@@ -503,38 +516,30 @@ def _run_improvement(cfg: RunConfig, rates: CavityRates, gain: float):
         except ThresholdError:
             return [length, spec.eta_value, math.inf, "threshold"]
 
-    return ["sensor_length", "eta", "improvement", "flag"], _map_ordered(point, sweep.grid())
-
-
-def _format_cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return str(int(value))
-    number = float(value)
-    if math.isinf(number):
-        return "inf" if number > 0 else "-inf"
-    if math.isnan(number):
-        return "nan"
-    return format(number, ".17e")
+    columns = ["sensor_length", "eta", "improvement", "flag"]
+    return columns, [point(length) for length in sweep.grid().tolist()]
 
 
 def write_table(table: ResultTable, path: str | None) -> None:
     """Write the table as CSV with '#'-prefixed metadata lines.
 
-    Output bytes are a pure function of the table contents, so identical
-    configurations produce identical files.
+    Numbers are written '%.17e' (which spells 'inf' and 'nan' as such), the
+    flag column as is. Output bytes are a pure function of the table
+    contents, so identical configurations produce identical files.
     """
-    lines = [f"# {key}={table.meta[key]}" for key in sorted(table.meta)]
-    lines.append(",".join(table.columns))
-    for row in table.rows:
-        lines.append(",".join(_format_cell(cell) for cell in row))
-    payload = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(payload)
-        return
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(payload)
+    header = [f"# {key}={table.meta[key]}" for key in sorted(table.meta)]
+    header.append(",".join(table.columns))
+    line = ",".join("%s" if name == "flag" else "%.17e" for name in table.columns) + "\n"
+    with (nullcontext(sys.stdout) if path is None
+          else open(path, "w", encoding="utf-8", newline="\n")) as handle:
+        handle.write("\n".join(header) + "\n")
+        for start in range(0, len(table.rows), _WRITE_BLOCK_ROWS):
+            block = table.rows[start:start + _WRITE_BLOCK_ROWS]
+            if isinstance(block, np.ndarray):
+                cells = tuple(block.ravel().tolist())
+            else:
+                cells = tuple(chain.from_iterable(block))
+            handle.write(line * len(block) % cells)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -18,7 +18,7 @@ detectable phase is dphi = sqrt(Var ID)/|d<ID>/dphi|.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,6 +29,7 @@ from .errors import DomainError, PoleError, ThresholdError
 from .params import CavityRates, Injection
 
 _PHYSICALITY_SLACK = 1e-9
+_BEAM_SPLITTER = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
 
 @dataclass(frozen=True)
@@ -153,7 +154,7 @@ def mzi_input_state(alpha_c: complex, squeezed: OutputMoments | None = None,
 
 
 def _mzi_maps(phi: float, eta: float) -> tuple[np.ndarray, np.ndarray]:
-    bs = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+    bs = _BEAM_SPLITTER
     ps = np.diag([np.exp(1j * phi / 2), np.exp(-1j * phi / 2)])
     return math.sqrt(eta) * bs @ ps @ bs, math.sqrt(1.0 - eta) * bs
 
@@ -279,25 +280,29 @@ class SensitivityReport:
 
 
 def phase_sensitivity_numeric(spec: SensorSpec,
-                              squeezed_port: OutputMoments | None = None,
-                              fd_step: float = 1e-6) -> SensitivityReport:
+                              squeezed_port: OutputMoments | None = None) -> SensitivityReport:
     """Minimum detectable phase from the Gaussian moment pipeline.
 
-    dphi = sqrt(Var ID)/|d<ID>/dphi| with the derivative taken by a central
-    finite difference of step ``fd_step`` (the mean varies on O(1) rad
-    scales, so the default 1e-6 rad is far inside the quadratic regime).
+    dphi = sqrt(Var ID)/|d<ID>/dphi|. The slope is exact: the derivative of
+    the signal map, dS/dphi = sqrt(eta) BS dPS BS, carried through the output
+    mean and number moments (the loss map does not depend on phi). A slope
+    of at most 1e-9 * eta * N, N the input photons, is a pole: the relative
+    rule :func:`phase_sensitivity_squeezed` applies to its gap.
     """
     state = mzi_input_state(spec.alpha_c, squeezed_port)
-
-    def mean_at(phi: float) -> float:
-        return intensity_difference_stats(mzi_transform(state, replace(spec, phi=phi)))[0]
-
+    eta = spec.eta_value
     output = mzi_transform(state, spec)
     mean_id, var_id = intensity_difference_stats(output)
-    derivative = (mean_at(spec.phi + fd_step) - mean_at(spec.phi - fd_step)) / (2 * fd_step)
-    if abs(derivative) < 1e-30:
+    signal_map, _ = _mzi_maps(spec.phi, eta)
+    d_ps = np.diag([0.5j * np.exp(1j * spec.phi / 2), -0.5j * np.exp(-1j * spec.phi / 2)])
+    d_map = math.sqrt(eta) * _BEAM_SPLITTER @ d_ps @ _BEAM_SPLITTER
+    # number is Hermitian, so d(number)_pp = 2 Re[(conj(dS) number S^T)_pp].
+    d_number = (np.conj(d_map) @ state.number @ signal_map.T).diagonal()
+    d_photons = 2.0 * (np.conj(output.mean) * (d_map @ state.mean) + d_number).real
+    slope = float(d_photons[0] - d_photons[1])
+    if abs(slope) <= 1e-9 * eta * state.total_photons():
         raise PoleError(f"signal slope vanishes at phi={spec.phi}")
-    dphi = math.sqrt(max(var_id, 0.0)) / abs(derivative)
+    dphi = math.sqrt(max(var_id, 0.0)) / abs(slope)
     snl = shot_noise_limit(spec, output)
     improvement = phase_sensitivity_coherent(spec) / dphi if spec.alpha_c > 0 else math.nan
     return SensitivityReport(dphi=dphi, mean_id=mean_id, var_id=var_id, snl=snl,
@@ -386,20 +391,3 @@ def pole_coherent_amplitude(rates: CavityRates, injection: Injection) -> float:
     alpha_c^2 = 2 n_s.
     """
     return math.sqrt(2.0 * photon_flux(rates, injection))
-
-
-def sensitivity_vs_phase(spec: SensorSpec, squeezed_port: OutputMoments | None,
-                         phi_values, fd_step: float = 1e-6):
-    """dphi over a phase grid; pole points are flagged instead of aborting.
-
-    Returns a list of (phi, dphi, flag) tuples with flag '' or 'pole'.
-    """
-    rows = []
-    for phi in phi_values:
-        point = replace(spec, phi=float(phi))
-        try:
-            report = phase_sensitivity_numeric(point, squeezed_port, fd_step=fd_step)
-            rows.append((float(phi), report.dphi, ""))
-        except PoleError:
-            rows.append((float(phi), math.inf, "pole"))
-    return rows

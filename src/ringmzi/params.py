@@ -178,14 +178,12 @@ class Injection:
 
     sigma_th equals the total cavity decay rate Gamma; the normalized
     injection sigma_n = sigma_mag/sigma_th is 1 exactly at threshold.
-    phi_sigma and delta_sigma track the drive phase and four-wave-mixing
-    detuning; both default to zero and are carried for completeness.
+    phi_sigma is the drive phase; it defaults to zero.
     """
 
     sigma_mag: float
     sigma_th: float
     phi_sigma: float = 0.0
-    delta_sigma: float = 0.0
 
     def __post_init__(self) -> None:
         if self.sigma_mag < 0:

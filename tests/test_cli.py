@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ringmzi import REFERENCE_GEOMETRY
+from ringmzi import REFERENCE_GEOMETRY, SensorSpec, phase_sensitivity_numeric
 from ringmzi.cli import (ConfigError, ResultTable, main, parse_config, run_command,
                          write_table)
 
@@ -63,6 +63,10 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="scale"):
             parse_config("sweep.variable = phi_lo\nsweep.start = 0\n"
                          "sweep.stop = 1\nsweep.scale = cubic", command="squeezing")
+        with pytest.raises(ConfigError, match="finite"):
+            parse_config("sweep.start = -inf", command="squeezing")
+        with pytest.raises(ConfigError, match="line 1: sweep.points expects an integer"):
+            parse_config("sweep.points = inf", command="squeezing")
 
     def test_sweep_for_sweepless_command(self):
         with pytest.raises(ConfigError, match="does not take a sweep"):
@@ -152,6 +156,44 @@ class TestCommands:
         strong = run("improvement", "improvement.decay_ratio = 1000\n"
                                     "sweep.start = 1e-3\nsweep.stop = 1e-2\nsweep.points = 2")
         assert strong.rows[0][2] > base.rows[0][2]
+        lossless = run("improvement", "improvement.decay_ratio = inf\n"
+                                      "sweep.start = 1e-3\nsweep.stop = 1e-2\nsweep.points = 2")
+        assert lossless.rows[0][2] > strong.rows[0][2]
+
+
+class TestPhaseSweep:
+    """Phase sweeps of the sensitivity command."""
+
+    @staticmethod
+    def sweep(start, stop, points, extra=""):
+        return run("sensitivity", f"sweep.variable = phi\nsweep.start = {start!r}\n"
+                                  f"sweep.stop = {stop!r}\nsweep.points = {points}\n{extra}")
+
+    def test_coherent_minimum_at_half_pi(self):
+        table = self.sweep(0.2, math.pi - 0.2, 101, "pump.alpha_c = 1e4")
+        best = min(table.rows, key=lambda row: row[2])
+        step = table.rows[1][0] - table.rows[0][0]
+        assert best[0] == pytest.approx(math.pi / 2, abs=step)
+
+    def test_symmetry_about_pi(self):
+        left = self.sweep(math.pi - 0.3, math.pi - 1.2, 7, "pump.sigma_n = 0.9")
+        right = self.sweep(math.pi + 0.3, math.pi + 1.2, 7, "pump.sigma_n = 0.9")
+        for row_l, row_r in zip(left.rows, right.rows):
+            assert row_l[1] == pytest.approx(row_r[1], rel=1e-9)
+
+    def test_poles_flagged_not_raised(self):
+        table = self.sweep(0.0, math.pi, 3, "pump.alpha_c = 1e4")
+        assert [row[-1] for row in table.rows] == ["pole", "", "pole"]
+        assert math.isinf(table.rows[0][1])
+        assert math.isinf(table.rows[0][2])  # sin(0) == 0: no coherent slope either
+
+    def test_coherent_column_follows_phase(self):
+        """dphi_coherent is the vacuum-port probe 1/(sqrt(eta) alpha_c |sin phi|)."""
+        table = self.sweep(0.3, 2.8, 6)
+        assert table.rows[0][2] == pytest.approx(3.38e-5, abs=5e-8)
+        for row in table.rows:
+            spec = SensorSpec(phi=row[0], alpha_c=1e5, eta=1.0)
+            assert row[2] == pytest.approx(phase_sensitivity_numeric(spec, None).dphi, rel=1e-9)
 
 
 class TestPresetRuntime:
@@ -180,6 +222,22 @@ class TestWriteTable:
     def test_rectangular_enforced(self):
         with pytest.raises(ConfigError):
             ResultTable(columns=["a", "b"], rows=[[1.0]], meta={})
+        with pytest.raises(ConfigError):
+            ResultTable(columns=["a", "b"], rows=np.zeros((4, 3)), meta={})
+
+    def test_array_rows_write_like_lists(self, tmp_path):
+        """A 2-D array table writes the bytes of its list form, across write blocks."""
+        values = np.linspace(-1.0, 1.0, 3 * 5000).reshape(-1, 3) * 1e9
+        values[7] = [math.inf, -math.inf, math.nan]
+        paths = tmp_path / "array.csv", tmp_path / "list.csv"
+        for rows, path in zip((values, values.tolist()), paths):
+            write_table(ResultTable(columns=["a", "b", "c"], rows=rows, meta={}), str(path))
+        text = paths[0].read_text()
+        assert text == paths[1].read_text()
+        lines = text.splitlines()
+        assert len(lines) == 5001
+        assert lines[8] == "inf,-inf,nan"
+        assert lines[1] == ",".join(format(v, ".17e") for v in values[0])
 
     def test_deterministic_bytes(self, tmp_path):
         args = ["squeezing", "--set", "sweep.points=7", "--set", "pump.sigma_n=0.9"]
@@ -205,6 +263,23 @@ class TestMain:
     def test_config_error_exit_code(self, capsys):
         assert main(["rates", "--set", "geometry.cross_coupling=1.5"]) == 2
         assert "cross_coupling" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,setting", [("squeezing", "pump.sigma_n=nan"),
+                                                 ("squeezing", "sweep.start=nan")])
+    def test_nan_is_config_error(self, command, setting, capsys):
+        assert main([command, "--set", setting]) == 2
+        key = setting.split("=")[0]
+        assert f"line 2: {key} expects a number" in capsys.readouterr().err
+
+    def test_negative_power_sweep_is_config_error(self, capsys):
+        assert main(["sensitivity", "--set", "sweep.variable=p_c", "--set", "sweep.scale=linear",
+                     "--set", "sweep.start=-1", "--set", "sweep.stop=1"]) == 2
+        assert "p_c" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("points", ["0", "1", "-3"])
+    def test_jsi_points_below_two_is_config_error(self, points, capsys):
+        assert main(["jsi", "--set", f"jsi.points={points}"]) == 2
+        assert "jsi.points must be >= 2" in capsys.readouterr().err
 
     def test_unknown_key_exit_code(self, capsys):
         assert main(["rates", "--set", "geometry.nope=1"]) == 2
