@@ -17,9 +17,8 @@ from .cavity_io import (Detunings, OutputMoments, SeedAmplitudes, TransferMatric
                         jsi, output_moments, output_transfer, photon_flux,
                         quadrature_variance, squeezing_parameter, static_moments, to_db,
                         transfer_moments, variance_extrema)
-from .meanfield import (MomentState, SolverConfig, VACUUM, comparison_curve,
-                        drive_for_sigma, lin_derivatives, lin_steady_state,
-                        mf_derivatives, mf_steady_state, steady_state, validity_bound)
+from .meanfield import (MomentState, VACUUM, comparison_curve, drive_for_sigma,
+                        lin_steady_state, mf_derivatives, mf_steady_state, validity_bound)
 from .interferometer import (GaussianPortState, SensitivityReport, SensorSpec,
                              critical_length, decay_ratio, gaussian_moment,
                              improvement_factor, intensity_difference_stats,
@@ -27,5 +26,4 @@ from .interferometer import (GaussianPortState, SensitivityReport, SensorSpec,
                              mzi_transform, phase_sensitivity_coherent,
                              phase_sensitivity_numeric, phase_sensitivity_squeezed,
                              pole_coherent_amplitude, shot_noise_limit)
-from .errors import (ConfigError, ConvergenceError, DivergenceError, DomainError,
-                     PoleError, ThresholdError)
+from .errors import ConfigError, ConvergenceError, DomainError, PoleError, ThresholdError

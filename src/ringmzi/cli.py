@@ -26,7 +26,7 @@ from .errors import ConfigError, DomainError, PoleError, ThresholdError
 from .interferometer import (SensorSpec, improvement_factor, mzi_input_state, mzi_transform,
                              phase_sensitivity_coherent, phase_sensitivity_numeric,
                              phase_sensitivity_squeezed, shot_noise_limit)
-from .meanfield import SolverConfig, comparison_curve
+from .meanfield import comparison_curve
 from .params import (CavityRates, Injection, REFERENCE_GEOMETRY, RingGeometry, derive_rates,
                      fwm_gain, sigma_from_power, threshold_power)
 
@@ -40,7 +40,7 @@ KNOWN_KEYS = (
     + ("pump.sigma_n", "pump.p_l", "pump.p_c", "pump.alpha_c", "pump.delta_p",
        "sensor.phi", "sensor.eta", "sensor.length", "sensor.alpha_loss",
        "sweep.variable", "sweep.start", "sweep.stop", "sweep.points", "sweep.scale",
-       "jsi.span", "jsi.points", "improvement.decay_ratio", "meanfield.t_max_factor")
+       "jsi.span", "jsi.points", "improvement.decay_ratio")
 )
 
 _SWEEP_VARIABLES = {
@@ -108,7 +108,6 @@ class RunConfig:
     jsi_span: float | None
     jsi_points: int
     decay_ratio: float | None
-    t_max_factor: float
     resolved: dict[str, str] = field(default_factory=dict)
 
     def config_sha256(self) -> str:
@@ -274,6 +273,10 @@ def parse_config(text: str, command: str = "") -> RunConfig:
     jsi_points = take_int("jsi.points", 200)
     if jsi_points < 2:
         raise ConfigError(f"jsi.points must be >= 2, got {jsi_points}")
+    jsi_span = take_float("jsi.span")
+    if jsi_span is not None and not (math.isfinite(jsi_span) and jsi_span > 0):
+        raise ConfigError(f"line {values['jsi.span'][1]}: jsi.span must be positive and finite, "
+                          f"got {values['jsi.span'][0]!r}")
 
     config = RunConfig(
         command=command,
@@ -288,10 +291,9 @@ def parse_config(text: str, command: str = "") -> RunConfig:
         sensor_length=sensor_length,
         sensor_alpha_loss=sensor_alpha_loss,
         sweep=sweep,
-        jsi_span=take_float("jsi.span"),
+        jsi_span=jsi_span,
         jsi_points=jsi_points,
         decay_ratio=take_float("improvement.decay_ratio"),
-        t_max_factor=take_float_default("meanfield.t_max_factor", 3e6),
     )
     config.resolved = _resolve_for_hash(config)
     return config
@@ -312,7 +314,6 @@ def _resolve_for_hash(cfg: RunConfig) -> dict[str, str]:
         "jsi.span": repr(cfg.jsi_span),
         "jsi.points": repr(cfg.jsi_points),
         "improvement.decay_ratio": repr(cfg.decay_ratio),
-        "meanfield.t_max_factor": repr(cfg.t_max_factor),
     })
     if cfg.sweep is not None:
         resolved.update({
@@ -418,9 +419,7 @@ def _run_jsi(cfg: RunConfig, rates: CavityRates, gain: float):
 
 
 def _run_meanfield(cfg: RunConfig, rates: CavityRates, gain: float):
-    sweep = _sweep_for(cfg)
-    solver = SolverConfig.for_rates(rates, t_max=cfg.t_max_factor / rates.gamma_total)
-    records = comparison_curve(rates, gain, sweep.grid(), solver)
+    records = comparison_curve(rates, gain, _sweep_for(cfg).grid())
     rows = [[rec["sigma_n"], rec["ns_lin"], rec["ns_mf"], rec["np_lin"], rec["np_mf"],
              "threshold" if not math.isfinite(rec["ns_lin"]) else ""] for rec in records]
     return ["sigma_n", "ns_lin", "ns_mf", "np_lin", "np_mf", "flag"], rows
@@ -466,9 +465,10 @@ def _run_sensitivity(cfg: RunConfig, rates: CavityRates, gain: float):
         try:
             if moments is None:
                 raise ThresholdError("above threshold")
-            # Coherent probe with a vacuum port: 1/(sqrt(eta) alpha_c |sin phi|).
+            # Coherent probe with a vacuum port: 1/(sqrt(eta) alpha_c |sin phi|),
+            # a pole where its slope eta N |sin phi| is within 1e-9 eta N of zero.
             sine = abs(math.sin(phi))
-            coherent = phase_sensitivity_coherent(spec) / sine if sine else math.inf
+            coherent = phase_sensitivity_coherent(spec) / sine if sine > 1e-9 else math.inf
             report = phase_sensitivity_numeric(spec, moments)
             return [phi, report.dphi, coherent, report.snl, ""]
         except PoleError:

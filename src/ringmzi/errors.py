@@ -14,11 +14,7 @@ class PoleError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """The moment integrator reached its time horizon without settling."""
-
-
-class DivergenceError(RuntimeError):
-    """A tracked moment grew without bound during integration."""
+    """A steady-state solve missed its stop rule."""
 
 
 class ConfigError(ValueError):

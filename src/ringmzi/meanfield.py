@@ -15,21 +15,44 @@ depletion at threshold, while the signal/idler sector stays linear:
 The linearized counterpart replaces 2 g <a_p^2> by the externally fixed
 injection sigma and drops the pump equations; its steady state
 n_s = sigma^2/(2(Gamma^2 - sigma^2)) exists only below threshold.
+
+The steady state is solved directly. With y = 2 g |<a_p^2>|/G the
+signal/idler equations give n_s = n_i = y^2/(2(1-y^2)) and
+|<a_s a_i>| = y/(2(1-y^2)). Pair emission damps the pump amplitude by the
+factor 1 + d, d = 4 g |<a_s a_i>|/G, so in the frame where a_l is real
+<a_p> = 2 sqrt(k) |a_l|/(G(1+d)), and the <n_p> and <a_p^2> equations
+follow. What is left is one residual, G y/(2g) - <a_p^2>, which equals
+(1-d)/(1+d) (N(d) - N_0) with N_0 = 4 k |a_l|^2/G^2 the empty-cavity pump
+number and
+
+    N(d) = C y (1+d)^2 + d(1+d)/(2(1-d)),    C = G/(2g),    y = y(d).
+
+N(d) rises from 0 to infinity on 0 <= d < 1, so the first root reached from
+vacuum (the smallest y) is the unique root with d < 1; the residual has a
+second root at d > 1. The root is bracketed in r = d/(1-d), which keeps
+both a small d (about y/C below threshold) and a small 1 - d (far above
+it) precise. A complex a_l rotates <a_p> by its phase and <a_p^2>,
+<a_s a_i> by twice it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .errors import ConvergenceError, DivergenceError, DomainError, ThresholdError
+from .errors import ConvergenceError, DomainError, ThresholdError
 from .params import CavityRates
 
-DIVERGENCE_LIMIT = 1e30
+# Stop rule every returned steady state meets: each moment (real and
+# imaginary parts apart) changes by less than CONVERGENCE_TOL of
+# max(|moment|, 1e-6) per 1/Gamma.
+CONVERGENCE_TOL = 1e-9
+# Grid points with 1 - sigma_n at or below this count as at threshold, the
+# 1e12 conditioning limit cavity_io.output_transfer also applies; float
+# rounding of a grid cannot then decide the flag.
+THRESHOLD_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -47,63 +70,6 @@ class MomentState:
 VACUUM = MomentState()
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Integration settings for the steady-state search.
-
-    rate_scale sets the time unit for the convergence test: the solver is
-    converged when every moment changes relatively less than
-    convergence_tol per 1/rate_scale of integration time.
-    """
-
-    dt: float
-    t_max: float
-    convergence_tol: float = 1e-9
-    method: str = "adaptive"
-    rate_scale: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.dt <= 0:
-            raise DomainError(f"dt must be positive, got {self.dt}")
-        if self.t_max <= 0:
-            raise DomainError(f"t_max must be positive, got {self.t_max}")
-        if self.convergence_tol <= 0:
-            raise DomainError(f"convergence_tol must be positive, got {self.convergence_tol}")
-        if self.method not in ("adaptive", "fixed"):
-            raise DomainError(f"method must be 'adaptive' or 'fixed', got {self.method!r}")
-        if self.rate_scale <= 0:
-            raise DomainError(f"rate_scale must be positive, got {self.rate_scale}")
-
-    @classmethod
-    def for_rates(cls, rates: CavityRates, **overrides) -> "SolverConfig":
-        """Defaults tied to the only relevant timescale 1/Gamma."""
-        gamma_total = rates.gamma_total
-        settings = {"dt": 0.01 / gamma_total, "t_max": 200.0 / gamma_total,
-                    "rate_scale": gamma_total}
-        settings.update(overrides)
-        return cls(**settings)
-
-
-def _pack(state: MomentState) -> np.ndarray:
-    return np.array([
-        state.a_p.real, state.a_p.imag,
-        state.a_pp.real, state.a_pp.imag,
-        state.n_p, state.n_s, state.n_i,
-        state.m_si.real, state.m_si.imag,
-    ])
-
-
-def _unpack(y: np.ndarray) -> MomentState:
-    return MomentState(
-        a_p=complex(y[0], y[1]),
-        a_pp=complex(y[2], y[3]),
-        n_p=float(y[4]),
-        n_s=float(y[5]),
-        n_i=float(y[6]),
-        m_si=complex(y[7], y[8]),
-    )
-
-
 def mf_derivatives(state: MomentState, rates: CavityRates, gain: float,
                    alpha_l: complex) -> MomentState:
     """Time derivative of the mean-field moment set."""
@@ -119,91 +85,6 @@ def mf_derivatives(state: MomentState, rates: CavityRates, gain: float,
         n_i=pair_rate - gamma_total * state.n_i,
         m_si=gain * state.a_pp * (state.n_s + state.n_i + 1) - gamma_total * state.m_si,
     )
-
-
-def lin_derivatives(state: MomentState, rates: CavityRates, sigma: complex) -> MomentState:
-    """Time derivative of the linearized signal/idler moments (pump frozen)."""
-    gamma_total = rates.gamma_total
-    pair_rate = (np.conj(sigma) * state.m_si).real
-    return MomentState(
-        a_p=0.0,
-        a_pp=0.0,
-        n_p=0.0,
-        n_s=pair_rate - gamma_total * state.n_s,
-        n_i=pair_rate - gamma_total * state.n_i,
-        m_si=sigma / 2 * (state.n_s + state.n_i + 1) - gamma_total * state.m_si,
-    )
-
-
-def _max_rel_rate(y: np.ndarray, dy: np.ndarray, rate_scale: float) -> float:
-    scale = np.maximum(np.abs(y), 1e-6)
-    return float(np.max(np.abs(dy) / scale)) / rate_scale
-
-
-def steady_state(derivative_fn: Callable[[MomentState], MomentState],
-                 initial: MomentState, cfg: SolverConfig) -> MomentState:
-    """Integrate the moment equations until a fixed point is reached.
-
-    Raises
-    ------
-    DivergenceError
-        When any moment exceeds the divergence limit (no steady state).
-    ConvergenceError
-        When t_max is reached before the convergence criterion is met.
-    """
-
-    def rhs(_t: float, y: np.ndarray) -> np.ndarray:
-        return _pack(derivative_fn(_unpack(y)))
-
-    y0 = _pack(initial)
-    if _max_rel_rate(y0, rhs(0.0, y0), cfg.rate_scale) < cfg.convergence_tol:
-        return initial
-
-    if cfg.method == "fixed":
-        return _steady_state_fixed(rhs, y0, cfg)
-
-    def converged(_t: float, y: np.ndarray) -> float:
-        return _max_rel_rate(y, rhs(0.0, y), cfg.rate_scale) - cfg.convergence_tol
-
-    converged.terminal = True
-    converged.direction = -1
-
-    def diverged(_t: float, y: np.ndarray) -> float:
-        return float(np.max(np.abs(y))) - DIVERGENCE_LIMIT
-
-    diverged.terminal = True
-    diverged.direction = 1
-
-    sol = solve_ivp(rhs, (0.0, cfg.t_max), y0, method="LSODA",
-                    events=(converged, diverged), rtol=1e-10, atol=1e-12,
-                    first_step=min(cfg.dt, cfg.t_max / 100))
-    if sol.status == 1:
-        if len(sol.t_events[1]):
-            raise DivergenceError("moments grew beyond the divergence limit")
-        return _unpack(sol.y[:, -1])
-    if sol.status == 0:
-        raise ConvergenceError(f"no steady state within t_max={cfg.t_max}")
-    raise ConvergenceError(f"integration failed: {sol.message}")
-
-
-def _steady_state_fixed(rhs, y0: np.ndarray, cfg: SolverConfig) -> MomentState:
-    """Classic RK4 with step dt; convergence checked once per 1/rate_scale."""
-    steps_per_check = max(1, int(round(1.0 / (cfg.rate_scale * cfg.dt))))
-    y = y0.copy()
-    t = 0.0
-    while t < cfg.t_max:
-        for _ in range(steps_per_check):
-            k1 = rhs(t, y)
-            k2 = rhs(t, y + cfg.dt / 2 * k1)
-            k3 = rhs(t, y + cfg.dt / 2 * k2)
-            k4 = rhs(t, y + cfg.dt * k3)
-            y = y + cfg.dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            t += cfg.dt
-        if np.max(np.abs(y)) > DIVERGENCE_LIMIT:
-            raise DivergenceError("moments grew beyond the divergence limit")
-        if _max_rel_rate(y, rhs(t, y), cfg.rate_scale) < cfg.convergence_tol:
-            return _unpack(y)
-    raise ConvergenceError(f"no steady state within t_max={cfg.t_max}")
 
 
 def lin_steady_state(rates: CavityRates, sigma: complex) -> MomentState:
@@ -230,73 +111,133 @@ def drive_for_sigma(rates: CavityRates, gain: float, sigma_mag: float) -> float:
     return math.sqrt(sigma_mag * rates.gamma_total**2 / (8.0 * gain * rates.kappa))
 
 
-def mf_steady_state(rates: CavityRates, gain: float, alpha_l: complex,
-                    cfg: SolverConfig | None = None) -> MomentState:
+def _bisect(excess, lo, hi, midpoint):
+    """Narrow the brackets [lo, hi] of excess(lo) <= 0 < excess(hi) to adjacent floats.
+
+    ``excess`` is evaluated on every bracket at once; returns (lo, hi).
+    """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    while True:
+        mid = midpoint(lo, hi)
+        inside = (lo < mid) & (mid < hi)
+        if not inside.any():
+            return lo, hi
+        above = excess(mid) > 0
+        lo, hi = np.where(inside & ~above, mid, lo), np.where(inside & above, mid, hi)
+
+
+def _pair_moments(depletion: np.ndarray, clamp: float):
+    """(d, 2|<a_s a_i>|, y) at r = d/(1-d), clamp C = G/(2g)."""
+    d = depletion / (1.0 + depletion)
+    twice_m = clamp * d
+    return d, twice_m, 2.0 * twice_m / (1.0 + np.hypot(1.0, 2.0 * twice_m))
+
+
+def _depletion(n_empty: np.ndarray, clamp: float) -> np.ndarray:
+    """r = d/(1-d) of the first steady state for each empty-cavity pump number."""
+
+    def excess(depletion):
+        d, _, y = _pair_moments(depletion, clamp)
+        return (clamp * y * (1.0 + d) ** 2
+                + depletion * (1.0 + 2.0 * depletion) / (2.0 * (1.0 + depletion)) - n_empty)
+
+    # excess(r) >= r/2 - n_empty, so hi brackets the root.
+    lo = np.full_like(n_empty, np.finfo(float).tiny)
+    _, hi = _bisect(excess, lo, 2.0 * n_empty + 1.0, lambda lo, hi: np.sqrt(lo) * np.sqrt(hi))
+    return np.where(n_empty > 0, hi, 0.0)
+
+
+def _max_relative_rate(state: MomentState, rate: MomentState) -> np.ndarray:
+    """Largest |d moment/dt|/max(|moment|, 1e-6) per point, parts apart."""
+    worst = 0.0
+    for name in (f.name for f in fields(MomentState)):
+        value, change = getattr(state, name), getattr(rate, name)
+        for part in (np.real, np.imag):
+            worst = np.maximum(worst, np.abs(part(change)) / np.maximum(np.abs(part(value)), 1e-6))
+    return worst
+
+
+def _steady_states(rates: CavityRates, gain: float, alpha_l) -> MomentState:
+    """Steady states reached from vacuum, one per drive; fields are arrays.
+
+    Raises ConvergenceError when a state misses the stop rule against
+    mf_derivatives; the rule is checked where a_l is real, since a
+    phase rotation maps steady states onto steady states exactly.
+    """
+    if gain < 0:
+        raise DomainError(f"gain must be non-negative, got {gain}")
+    gamma_total = rates.gamma_total
+    drive = np.asarray(alpha_l, dtype=complex)
+    amplitude = np.abs(drive)
+    empty_pump = 2.0 * math.sqrt(rates.kappa) * amplitude / gamma_total
+    n_empty = empty_pump**2
+    if gain > 0:
+        clamp = gamma_total / (2.0 * gain)
+        d, twice_m, y = _pair_moments(_depletion(n_empty, clamp), clamp)
+    else:
+        d = twice_m = y = np.zeros_like(n_empty)
+    pump = n_empty / (1.0 + d)
+    n_p = pump - y * twice_m
+    state = MomentState(a_p=empty_pump / (1.0 + d) + 0j, a_pp=pump - d * (n_p + 0.5) + 0j,
+                        n_p=n_p, n_s=y * twice_m / 2, n_i=y * twice_m / 2,
+                        m_si=twice_m / 2 + 0j)
+    rate = _max_relative_rate(state, mf_derivatives(state, rates, gain, amplitude)) / gamma_total
+    missed = np.flatnonzero(~(rate < CONVERGENCE_TOL))
+    if len(missed):
+        k = missed[0]
+        raise ConvergenceError(f"steady state at drive {drive.flat[k]} changes at relative rate "
+                               f"{rate.flat[k]:.3g} per 1/Gamma (limit {CONVERGENCE_TOL})")
+    phase = np.exp(1j * np.angle(drive))
+    return MomentState(a_p=state.a_p * phase, a_pp=state.a_pp * phase**2, n_p=state.n_p,
+                       n_s=state.n_s, n_i=state.n_i, m_si=state.m_si * phase**2)
+
+
+def mf_steady_state(rates: CavityRates, gain: float, alpha_l: complex) -> MomentState:
     """Mean-field steady state reached from vacuum under a constant drive."""
-    if cfg is None:
-        cfg = SolverConfig.for_rates(rates, t_max=3e6 / rates.gamma_total)
-    return steady_state(lambda s: mf_derivatives(s, rates, gain, alpha_l), VACUUM, cfg)
+    states = _steady_states(rates, gain, alpha_l)
+    return MomentState(**{f.name: getattr(states, f.name).item() for f in fields(MomentState)})
 
 
-def validity_bound(rates: CavityRates, gain: float, error_tol: float,
-                   cfg: SolverConfig | None = None) -> float:
+def validity_bound(rates: CavityRates, gain: float, error_tol: float) -> float:
     """Largest sigma_n at which the linearized n_s stays within error_tol of mean field.
 
-    Bisects the relative deviation |n_s,lin - n_s,MF|/n_s,MF, which grows
-    monotonically towards threshold as pump depletion sets in.
+    Brackets the root of the relative deviation |n_s,lin - n_s,MF|/n_s,MF
+    minus error_tol in (0, 1 - 1e-9]; the deviation grows monotonically
+    towards threshold as pump depletion sets in.
     """
     if not 0.0 < error_tol <= 0.5:
         raise DomainError(f"error_tol must lie in (0, 0.5], got {error_tol}")
-    if cfg is None:
-        cfg = SolverConfig.for_rates(rates, t_max=5e6 / rates.gamma_total)
     gamma_total = rates.gamma_total
 
-    def deviation(sigma_n: float) -> float:
-        if sigma_n == 0.0:
-            return 0.0
-        sigma = sigma_n * gamma_total
+    def excess(sigma_n) -> float:
+        sigma = float(sigma_n) * gamma_total
         ns_lin = lin_steady_state(rates, sigma).n_s
-        ns_mf = steady_state(
-            lambda s: mf_derivatives(s, rates, gain, drive_for_sigma(rates, gain, sigma)),
-            VACUUM, cfg).n_s
-        return abs(ns_lin - ns_mf) / ns_mf
+        ns_mf = mf_steady_state(rates, gain, drive_for_sigma(rates, gain, sigma)).n_s
+        return abs(ns_lin - ns_mf) / ns_mf - error_tol
 
-    lo, hi = 0.0, 1.0 - 1e-9
-    if deviation(hi) <= error_tol:
+    hi = 1.0 - 1e-9
+    if excess(hi) <= 0:
         return hi
-    while hi - lo > 1e-6:
-        mid = 0.5 * (lo + hi)
-        if deviation(mid) <= error_tol:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    lo, _ = _bisect(excess, 0.0, hi, lambda lo, hi: 0.5 * (lo + hi))
+    return float(lo)
 
 
-def comparison_curve(rates: CavityRates, gain: float, sigma_ns, cfg: SolverConfig | None = None):
+def comparison_curve(rates: CavityRates, gain: float, sigma_ns):
     """Linearized vs mean-field steady-state records over a sigma_n grid.
 
     Returns one dict per grid point with keys sigma_n, ns_lin, ns_mf,
-    np_lin, np_mf; above threshold the linearized entries are inf.
+    np_lin, np_mf; at threshold (1 - sigma_n <= THRESHOLD_MARGIN) and above
+    it ns_lin is inf.
     """
-    if cfg is None:
-        cfg = SolverConfig.for_rates(rates, t_max=3e6 / rates.gamma_total)
     gamma_total = rates.gamma_total
-    records = []
-    for sigma_n in sigma_ns:
-        sigma = sigma_n * gamma_total
-        alpha_l = drive_for_sigma(rates, gain, sigma)
-        np_lin = 4.0 * rates.kappa * alpha_l**2 / gamma_total**2
-        if sigma_n < 1.0:
-            ns_lin = lin_steady_state(rates, sigma).n_s
-        else:
-            ns_lin = math.inf
-        mf = steady_state(lambda s: mf_derivatives(s, rates, gain, alpha_l), VACUUM, cfg)
-        records.append({
-            "sigma_n": sigma_n,
-            "ns_lin": ns_lin,
-            "ns_mf": mf.n_s,
-            "np_lin": np_lin,
-            "np_mf": mf.n_p,
-        })
-    return records
+    sigma_ns = list(sigma_ns)
+    drives = [drive_for_sigma(rates, gain, sigma_n * gamma_total) for sigma_n in sigma_ns]
+    states = _steady_states(rates, gain, drives)
+    return [{"sigma_n": sigma_n,
+             "ns_lin": (lin_steady_state(rates, sigma_n * gamma_total).n_s
+                        if 1.0 - sigma_n > THRESHOLD_MARGIN else math.inf),
+             "ns_mf": ns_mf,
+             "np_lin": 4.0 * rates.kappa * alpha_l**2 / gamma_total**2,
+             "np_mf": np_mf}
+            for sigma_n, alpha_l, ns_mf, np_mf
+            in zip(sigma_ns, drives, states.n_s.tolist(), states.n_p.tolist())]

@@ -1,0 +1,175 @@
+"""Time-marching oracle for the mean-field steady state (tests only).
+
+Integrates ringmzi.meanfield.mf_derivatives from vacuum with LSODA (or a
+fixed-step RK4) until every moment changes relatively less than
+convergence_tol per 1/rate_scale of integration time. The direct solve in
+ringmzi.meanfield is checked against it; its stop rule leaves an error of
+about convergence_tol/(1 - sigma_n) below threshold.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
+from scipy.integrate import solve_ivp
+
+from ringmzi import (CavityRates, ConvergenceError, DomainError, MomentState, VACUUM,
+                     mf_derivatives)
+
+DIVERGENCE_LIMIT = 1e30
+
+
+class DivergenceError(RuntimeError):
+    """A tracked moment grew without bound during integration."""
+
+
+@dataclass(frozen=True)
+class SolverConfig:
+    """Integration settings for the steady-state search.
+
+    rate_scale sets the time unit for the convergence test: the solver is
+    converged when every moment changes relatively less than
+    convergence_tol per 1/rate_scale of integration time.
+    """
+
+    dt: float
+    t_max: float
+    convergence_tol: float = 1e-9
+    method: str = "adaptive"
+    rate_scale: float = 1.0
+
+    def __post_init__(self) -> None:
+        if self.dt <= 0:
+            raise DomainError(f"dt must be positive, got {self.dt}")
+        if self.t_max <= 0:
+            raise DomainError(f"t_max must be positive, got {self.t_max}")
+        if self.convergence_tol <= 0:
+            raise DomainError(f"convergence_tol must be positive, got {self.convergence_tol}")
+        if self.method not in ("adaptive", "fixed"):
+            raise DomainError(f"method must be 'adaptive' or 'fixed', got {self.method!r}")
+        if self.rate_scale <= 0:
+            raise DomainError(f"rate_scale must be positive, got {self.rate_scale}")
+
+    @classmethod
+    def for_rates(cls, rates: CavityRates, **overrides) -> "SolverConfig":
+        """Defaults tied to the only relevant timescale 1/Gamma."""
+        gamma_total = rates.gamma_total
+        settings = {"dt": 0.01 / gamma_total, "t_max": 200.0 / gamma_total,
+                    "rate_scale": gamma_total}
+        settings.update(overrides)
+        return cls(**settings)
+
+
+def _pack(state: MomentState) -> np.ndarray:
+    return np.array([
+        state.a_p.real, state.a_p.imag,
+        state.a_pp.real, state.a_pp.imag,
+        state.n_p, state.n_s, state.n_i,
+        state.m_si.real, state.m_si.imag,
+    ])
+
+
+def _unpack(y: np.ndarray) -> MomentState:
+    return MomentState(
+        a_p=complex(y[0], y[1]),
+        a_pp=complex(y[2], y[3]),
+        n_p=float(y[4]),
+        n_s=float(y[5]),
+        n_i=float(y[6]),
+        m_si=complex(y[7], y[8]),
+    )
+
+
+def lin_derivatives(state: MomentState, rates: CavityRates, sigma: complex) -> MomentState:
+    """Time derivative of the linearized signal/idler moments (pump frozen)."""
+    gamma_total = rates.gamma_total
+    pair_rate = (np.conj(sigma) * state.m_si).real
+    return MomentState(
+        a_p=0.0,
+        a_pp=0.0,
+        n_p=0.0,
+        n_s=pair_rate - gamma_total * state.n_s,
+        n_i=pair_rate - gamma_total * state.n_i,
+        m_si=sigma / 2 * (state.n_s + state.n_i + 1) - gamma_total * state.m_si,
+    )
+
+
+def _max_rel_rate(y: np.ndarray, dy: np.ndarray, rate_scale: float) -> float:
+    scale = np.maximum(np.abs(y), 1e-6)
+    return float(np.max(np.abs(dy) / scale)) / rate_scale
+
+
+def steady_state(derivative_fn: Callable[[MomentState], MomentState],
+                 initial: MomentState, cfg: SolverConfig) -> MomentState:
+    """Integrate the moment equations until a fixed point is reached.
+
+    Raises
+    ------
+    DivergenceError
+        When any moment exceeds the divergence limit (no steady state).
+    ConvergenceError
+        When t_max is reached before the convergence criterion is met.
+    """
+
+    def rhs(_t: float, y: np.ndarray) -> np.ndarray:
+        return _pack(derivative_fn(_unpack(y)))
+
+    y0 = _pack(initial)
+    if _max_rel_rate(y0, rhs(0.0, y0), cfg.rate_scale) < cfg.convergence_tol:
+        return initial
+
+    if cfg.method == "fixed":
+        return _steady_state_fixed(rhs, y0, cfg)
+
+    def converged(_t: float, y: np.ndarray) -> float:
+        return _max_rel_rate(y, rhs(0.0, y), cfg.rate_scale) - cfg.convergence_tol
+
+    converged.terminal = True
+    converged.direction = -1
+
+    def diverged(_t: float, y: np.ndarray) -> float:
+        return float(np.max(np.abs(y))) - DIVERGENCE_LIMIT
+
+    diverged.terminal = True
+    diverged.direction = 1
+
+    sol = solve_ivp(rhs, (0.0, cfg.t_max), y0, method="LSODA",
+                    events=(converged, diverged), rtol=1e-10, atol=1e-12,
+                    first_step=min(cfg.dt, cfg.t_max / 100))
+    if sol.status == 1:
+        if len(sol.t_events[1]):
+            raise DivergenceError("moments grew beyond the divergence limit")
+        return _unpack(sol.y[:, -1])
+    if sol.status == 0:
+        raise ConvergenceError(f"no steady state within t_max={cfg.t_max}")
+    raise ConvergenceError(f"integration failed: {sol.message}")
+
+
+def _steady_state_fixed(rhs, y0: np.ndarray, cfg: SolverConfig) -> MomentState:
+    """Classic RK4 with step dt; convergence checked once per 1/rate_scale."""
+    steps_per_check = max(1, int(round(1.0 / (cfg.rate_scale * cfg.dt))))
+    y = y0.copy()
+    t = 0.0
+    while t < cfg.t_max:
+        for _ in range(steps_per_check):
+            k1 = rhs(t, y)
+            k2 = rhs(t, y + cfg.dt / 2 * k1)
+            k3 = rhs(t, y + cfg.dt / 2 * k2)
+            k4 = rhs(t, y + cfg.dt * k3)
+            y = y + cfg.dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            t += cfg.dt
+        if np.max(np.abs(y)) > DIVERGENCE_LIMIT:
+            raise DivergenceError("moments grew beyond the divergence limit")
+        if _max_rel_rate(y, rhs(t, y), cfg.rate_scale) < cfg.convergence_tol:
+            return _unpack(y)
+    raise ConvergenceError(f"no steady state within t_max={cfg.t_max}")
+
+
+def marched_steady_state(rates: CavityRates, gain: float, alpha_l: complex,
+                         cfg: SolverConfig | None = None) -> MomentState:
+    """Mean-field steady state reached by time-marching from vacuum."""
+    if cfg is None:
+        cfg = SolverConfig.for_rates(rates, t_max=3e6 / rates.gamma_total)
+    return steady_state(lambda s: mf_derivatives(s, rates, gain, alpha_l), VACUUM, cfg)

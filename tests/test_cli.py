@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,6 +111,17 @@ class TestCommands:
             assert record["ns_lin"] == pytest.approx(record["ns_mf"], rel=0.01)
             assert record["flag"] == ""
 
+    def test_meanfield_row_at_threshold_is_flagged(self):
+        """Row 18 of the default grid is 1 - 2.2e-16 after linspace rounding: at threshold."""
+        table = run("meanfield")
+        row = dict(zip(table.columns, table.rows[18]))
+        assert row["sigma_n"] == 0.99999999999999978
+        assert row["flag"] == "threshold"
+        assert math.isinf(row["ns_lin"])
+        assert math.isfinite(row["ns_mf"]) and row["ns_mf"] > 0
+        flags = [r[-1] for r in table.rows]
+        assert flags == [""] * 18 + ["threshold"] * 4
+
     def test_sensitivity_power_sweep_ordering(self):
         text = "sweep.start = 1e-3\nsweep.stop = 1e-1\nsweep.points = 3\npump.p_l = 14.12e-3"
         table = run("sensitivity", text)
@@ -187,6 +201,16 @@ class TestPhaseSweep:
         assert math.isinf(table.rows[0][1])
         assert math.isinf(table.rows[0][2])  # sin(0) == 0: no coherent slope either
 
+    def test_float_pi_is_a_pole_in_both_columns(self):
+        """sin(float pi) = 1.2e-16: both columns apply the relative rule |sin phi| <= 1e-9."""
+        table = self.sweep(0.0, math.pi, 3)
+        last = table.rows[-1]
+        assert last[0] == math.pi
+        assert last[-1] == "pole"
+        assert math.isinf(last[1]) and math.isinf(last[2])
+        near = self.sweep(math.pi - 1e-6, math.pi - 2e-6, 2).rows[0]
+        assert math.isfinite(near[2])
+
     def test_coherent_column_follows_phase(self):
         """dphi_coherent is the vacuum-port probe 1/(sqrt(eta) alpha_c |sin phi|)."""
         table = self.sweep(0.3, 2.8, 6)
@@ -194,6 +218,17 @@ class TestPhaseSweep:
         for row in table.rows:
             spec = SensorSpec(phi=row[0], alpha_c=1e5, eta=1.0)
             assert row[2] == pytest.approx(phase_sensitivity_numeric(spec, None).dphi, rel=1e-9)
+
+
+class TestImport:
+    def test_cli_imports_no_scipy(self):
+        """A fresh interpreter loads the whole command line without scipy."""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import ringmzi.cli; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
+                             check=True).stdout
+        assert out.strip() == "[]"
 
 
 class TestPresetRuntime:
@@ -280,6 +315,16 @@ class TestMain:
     def test_jsi_points_below_two_is_config_error(self, points, capsys):
         assert main(["jsi", "--set", f"jsi.points={points}"]) == 2
         assert "jsi.points must be >= 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("span", ["inf", "-inf", "0", "-1e9"])
+    def test_jsi_span_must_be_positive_and_finite(self, span, capsys):
+        assert main(["jsi", "--set", f"jsi.span={span}", "--set", "jsi.points=3"]) == 2
+        assert "line 2: jsi.span must be positive and finite" in capsys.readouterr().err
+
+    def test_retired_time_horizon_key(self, capsys):
+        """The direct mean-field solve has no integration horizon to set."""
+        assert main(["meanfield", "--set", "meanfield.t_max_factor=3e6"]) == 2
+        assert "unknown key 'meanfield.t_max_factor'" in capsys.readouterr().err
 
     def test_unknown_key_exit_code(self, capsys):
         assert main(["rates", "--set", "geometry.nope=1"]) == 2

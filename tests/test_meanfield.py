@@ -1,12 +1,24 @@
+"""Tests of ringmzi.meanfield.
+
+The time-marching tests (TestLinearized integration cases, the fixed-step
+and dt-halving cases and SolverConfig validation) exercise the LSODA/RK4
+oracle in tests/mf_oracle.py, which TestOracleAgreement compares with the
+direct solve.
+"""
+
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ringmzi import (CavityRates, ConvergenceError, DivergenceError, DomainError, Injection,
-                     MomentState, SolverConfig, VACUUM, comparison_curve, drive_for_sigma,
-                     intracavity_pump, lin_derivatives, lin_steady_state, mf_derivatives,
-                     mf_steady_state, steady_state, ThresholdError)
+from mf_oracle import (DivergenceError, SolverConfig, _max_rel_rate, _pack, lin_derivatives,
+                       marched_steady_state, steady_state)
+from ringmzi import (CavityRates, ConvergenceError, DomainError, Injection,
+                     MomentState, VACUUM, comparison_curve, drive_for_sigma,
+                     intracavity_pump, lin_steady_state, mf_derivatives,
+                     mf_steady_state, validity_bound, ThresholdError)
 
 
 def solver_for(rates, **overrides):
@@ -21,8 +33,7 @@ class TestDerivatives:
     def test_pump_decouples_without_gain(self, rates):
         """g = 0 leaves a driven empty cavity: n_p -> 4 kappa |a_l|^2 / Gamma^2."""
         alpha_l = 1e7
-        state = steady_state(lambda s: mf_derivatives(s, rates, 0.0, alpha_l),
-                             VACUUM, solver_for(rates))
+        state = mf_steady_state(rates, 0.0, alpha_l)
         expected = 4 * rates.kappa * alpha_l**2 / rates.gamma_total**2
         assert state.n_p == pytest.approx(expected, rel=1e-6)
         assert state.a_p == pytest.approx(intracavity_pump(alpha_l, rates), rel=1e-6)
@@ -30,7 +41,7 @@ class TestDerivatives:
 
     def test_pair_symmetry(self, rates, gain):
         alpha_l = drive_for_sigma(rates, gain, 0.8 * rates.gamma_total)
-        state = mf_steady_state(rates, gain, alpha_l, solver_for(rates))
+        state = mf_steady_state(rates, gain, alpha_l)
         assert state.n_s == pytest.approx(state.n_i, rel=1e-9)
 
     def test_matches_linearized_below_threshold(self, rates, gain):
@@ -85,40 +96,38 @@ class TestLinearized:
 
 class TestSteadyState:
     def test_vacuum_trivial(self, rates, gain):
-        assert steady_state(lambda s: mf_derivatives(s, rates, gain, 0.0),
-                            VACUUM, solver_for(rates)) == VACUUM
+        assert mf_steady_state(rates, gain, 0.0) == VACUUM
 
     def test_converges_below_threshold(self, rates, gain):
         alpha_l = drive_for_sigma(rates, gain, 0.5 * rates.gamma_total)
-        state = mf_steady_state(rates, gain, alpha_l, solver_for(rates))
+        state = mf_steady_state(rates, gain, alpha_l)
         assert math.isfinite(state.n_s)
         assert state.n_s > 0
 
     def test_pump_clamps_above_threshold(self, rates, gain):
         """MF pump depletes: n_p stays pinned near Gamma/(2g) past threshold."""
-        cfg = solver_for(rates, t_max=3e6 / rates.gamma_total)
         clamp = rates.gamma_total / (2 * gain)
         values = {}
         for sigma_n in (1.05, 1.15):
             alpha_l = drive_for_sigma(rates, gain, sigma_n * rates.gamma_total)
-            values[sigma_n] = mf_steady_state(rates, gain, alpha_l, cfg).n_p
+            values[sigma_n] = mf_steady_state(rates, gain, alpha_l).n_p
             assert values[sigma_n] == pytest.approx(clamp, rel=0.05)
         # the linearized pump would grow by (1.15/1.05) between these points
         assert values[1.15] / values[1.05] < 1.02
 
     def test_fixed_step_agrees_with_adaptive(self, rates, gain):
         alpha_l = drive_for_sigma(rates, gain, 0.6 * rates.gamma_total)
-        adaptive = mf_steady_state(rates, gain, alpha_l, solver_for(rates))
-        fixed = mf_steady_state(rates, gain, alpha_l, solver_for(rates, method="fixed"))
+        adaptive = marched_steady_state(rates, gain, alpha_l, solver_for(rates))
+        fixed = marched_steady_state(rates, gain, alpha_l, solver_for(rates, method="fixed"))
         assert fixed.n_s == pytest.approx(adaptive.n_s, rel=1e-6)
 
     def test_invariant_under_dt_halving(self, rates, gain):
         alpha_l = drive_for_sigma(rates, gain, 0.6 * rates.gamma_total)
         gamma_total = rates.gamma_total
-        coarse = mf_steady_state(rates, gain, alpha_l,
-                                 solver_for(rates, method="fixed", dt=0.02 / gamma_total))
-        fine = mf_steady_state(rates, gain, alpha_l,
-                               solver_for(rates, method="fixed", dt=0.01 / gamma_total))
+        coarse = marched_steady_state(rates, gain, alpha_l,
+                                      solver_for(rates, method="fixed", dt=0.02 / gamma_total))
+        fine = marched_steady_state(rates, gain, alpha_l,
+                                    solver_for(rates, method="fixed", dt=0.01 / gamma_total))
         assert fine.n_s == pytest.approx(coarse.n_s, rel=1e-6)
         assert fine.n_p == pytest.approx(coarse.n_p, rel=1e-6)
 
@@ -175,3 +184,114 @@ class TestMomentInvariants:
             alpha_l = drive_for_sigma(rates, gain, sigma_n * rates.gamma_total)
             state = mf_steady_state(rates, gain, alpha_l)
             assert abs(state.a_p) ** 2 <= state.n_p * (1 + 1e-9)
+
+
+def _cavity(kappa_exp, gamma_exp, gain_exp):
+    return CavityRates(kappa=10.0**kappa_exp, gamma=10.0**gamma_exp), 10.0**gain_exp
+
+
+class TestDirectSolve:
+    @settings(max_examples=300, deadline=None)
+    @given(kappa_exp=st.floats(6, 11), gamma_exp=st.floats(5, 10), gain_exp=st.floats(-3, 3),
+           sigma_exp=st.floats(-3, 3), phase=st.floats(-math.pi, math.pi))
+    def test_invariants(self, kappa_exp, gamma_exp, gain_exp, sigma_exp, phase):
+        """Physical bounds and the stop rule over random cavities and drives.
+
+        The bounds allow 1e-12 relative for rounding: they are equalities
+        where depletion vanishes (|a_p|^2 = n_p at g -> 0).
+        """
+        rates, gain = _cavity(kappa_exp, gamma_exp, gain_exp)
+        sigma_n = 10.0**sigma_exp
+        amplitude = drive_for_sigma(rates, gain, sigma_n * rates.gamma_total)
+        state = mf_steady_state(rates, gain, amplitude * np.exp(1j * phase))
+        assert state.n_s >= 0 and state.n_i >= 0 and state.n_p >= 0
+        assert abs(state.a_p) ** 2 <= state.n_p * (1 + 1e-12)
+        assert abs(state.m_si) ** 2 <= state.n_s * (state.n_i + 1) * (1 + 1e-12)
+        if 1 - sigma_n > 1e-12:
+            ns_lin = lin_steady_state(rates, sigma_n * rates.gamma_total).n_s
+            assert state.n_s <= ns_lin * (1 + 1e-12)
+        # The old time-marching stop rule, in the frame where the drive is real.
+        frame = mf_steady_state(rates, gain, amplitude)
+        rate = mf_derivatives(frame, rates, gain, amplitude)
+        assert _max_rel_rate(_pack(frame), _pack(rate), rates.gamma_total) < 1e-9
+
+    def test_empty_cavity_without_gain(self, rates):
+        """g = 0: a_p = 2 sqrt(kappa) alpha_l/Gamma, n_p = |a_p|^2, no pairs."""
+        for alpha_l in (1e7, 3e6 * np.exp(2.1j)):
+            state = mf_steady_state(rates, 0.0, alpha_l)
+            a_p = 2 * math.sqrt(rates.kappa) * alpha_l / rates.gamma_total
+            assert state.a_p == pytest.approx(a_p, rel=1e-15)
+            assert state.a_pp == pytest.approx(a_p**2, rel=1e-14)
+            assert state.n_p == pytest.approx(abs(a_p) ** 2, rel=1e-14)
+            assert state.n_s == state.n_i == 0.0
+            assert state.m_si == 0.0
+
+    @pytest.mark.parametrize("sigma_n", [0.5, 0.999, 2.0, 10.0])
+    def test_complex_drive_rotates_phases(self, rates, gain, sigma_n):
+        amplitude = drive_for_sigma(rates, gain, sigma_n * rates.gamma_total)
+        phase = np.exp(0.7j)
+        real = mf_steady_state(rates, gain, amplitude)
+        rotated = mf_steady_state(rates, gain, amplitude * phase)
+        assert rotated.n_p == pytest.approx(real.n_p, rel=1e-14)
+        assert rotated.n_s == pytest.approx(real.n_s, rel=1e-12)
+        assert rotated.a_p == pytest.approx(real.a_p * phase, rel=1e-14)
+        assert rotated.a_pp == pytest.approx(real.a_pp * phase**2, rel=1e-12)
+        assert rotated.m_si == pytest.approx(real.m_si * phase**2, rel=1e-12)
+
+    def test_rejects_negative_gain(self, rates):
+        with pytest.raises(DomainError):
+            mf_steady_state(rates, -1.0, 1e7)
+
+    def test_curve_matches_pointwise_solve(self, rates, gain):
+        grid = [0.2, 0.99, 1.3]
+        for record in comparison_curve(rates, gain, grid):
+            sigma = record["sigma_n"] * rates.gamma_total
+            state = mf_steady_state(rates, gain, drive_for_sigma(rates, gain, sigma))
+            assert (record["ns_mf"], record["np_mf"]) == (state.n_s, state.n_p)
+
+    def test_threshold_margin(self, rates, gain):
+        """1 - sigma_n <= 1e-12 counts as threshold: ns_lin is inf there."""
+        grid = [1 - 2e-12, 1 - 1e-12, 1 - 2.2e-16, 1.0]
+        ns_lin = [record["ns_lin"] for record in comparison_curve(rates, gain, grid)]
+        assert math.isfinite(ns_lin[0])
+        assert all(math.isinf(value) for value in ns_lin[1:])
+
+
+# Grids on which the direct solve is compared with the time-marching oracle.
+ORACLE_GRIDS = {
+    "preset": np.linspace(0.1, 1.15, 22).tolist(),
+    "crowded": np.linspace(0.9, 0.999, 16).tolist(),
+    "above": [2.0, 10.0, 100.0],
+}
+
+
+class TestOracleAgreement:
+    @pytest.mark.parametrize("grid", sorted(ORACLE_GRIDS))
+    def test_matches_time_marching(self, rates, gain, grid):
+        """Every moment agrees with LSODA within 3e-9 (1 + 1/max(|1 - sigma_n|, 1e-4)).
+
+        The oracle stops at a relative rate of 1e-9 per 1/Gamma, which leaves
+        it about 1e-9/|1 - sigma_n| short of the fixed point (9.4e-6 at
+        sigma_n = 1, where relaxation is slowest).
+        """
+        for sigma_n in ORACLE_GRIDS[grid]:
+            drive = drive_for_sigma(rates, gain, sigma_n * rates.gamma_total)
+            direct = mf_steady_state(rates, gain, drive)
+            marched = marched_steady_state(rates, gain, drive)
+            tolerance = 3e-9 * (1 + 1 / max(abs(1 - sigma_n), 1e-4))
+            for name in ("a_p", "a_pp", "n_p", "n_s", "n_i", "m_si"):
+                assert getattr(direct, name) == pytest.approx(getattr(marched, name),
+                                                              rel=tolerance), (sigma_n, name)
+
+
+class TestValidityBoundRoot:
+    def test_bound_is_the_crossing(self, rates, gain):
+        """The bound is the last float at which the deviation stays within tolerance."""
+
+        def deviation(sigma_n):
+            sigma = sigma_n * rates.gamma_total
+            ns_mf = mf_steady_state(rates, gain, drive_for_sigma(rates, gain, sigma)).n_s
+            return abs(lin_steady_state(rates, sigma).n_s - ns_mf) / ns_mf
+
+        bound = validity_bound(rates, gain, 0.05)
+        assert deviation(bound) <= 0.05 < deviation(np.nextafter(bound, 1.0))
