@@ -14,7 +14,6 @@ import math
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -22,10 +21,9 @@ from . import __version__
 from .cavity_io import jsi as jsi_density
 from .cavity_io import output_moments, quadrature_variance, to_db
 from .constants import HBAR
-from .errors import ConfigError, DomainError, PoleError, ThresholdError
-from .interferometer import (SensorSpec, improvement_factor, mzi_input_state, mzi_transform,
-                             phase_sensitivity_coherent, phase_sensitivity_numeric,
-                             phase_sensitivity_squeezed, shot_noise_limit)
+from .errors import ConfigError, DomainError, ThresholdError
+from .interferometer import (POLE_TOLERANCE, SensorSpec, coherent_sensitivity, phase_readout,
+                             shot_noise_limit, squeezed_sensitivity)
 from .meanfield import comparison_curve
 from .params import (CavityRates, Injection, REFERENCE_GEOMETRY, RingGeometry, derive_rates,
                      fwm_gain, sigma_from_power, threshold_power)
@@ -50,6 +48,9 @@ _SWEEP_VARIABLES = {
     "pole": ("alpha_c",),
     "improvement": ("sensor_length",),
 }
+
+# Sweep variables whose negative values have no meaning.
+_NONNEGATIVE_SWEEPS = ("sigma_n", "p_c", "alpha_c", "sensor_length")
 
 _DEFAULT_SWEEPS = {
     "squeezing": ("phi_lo", 0.0, math.pi, 181, "linear"),
@@ -118,22 +119,26 @@ class RunConfig:
 
 @dataclass
 class ResultTable:
-    """Rectangular numeric table with provenance metadata.
+    """Columnar table with provenance metadata.
 
-    ``rows`` is a list of rows or, for an all-numeric table, a 2-D array.
+    ``data`` holds one 1-D array per entry of ``columns``, in order: a float
+    array per numeric column and a string array for ``flag``.
     """
 
     columns: list[str]
-    rows: list[list] | np.ndarray
+    data: list[np.ndarray]
     meta: dict[str, str]
 
     def __post_init__(self) -> None:
-        if isinstance(self.rows, np.ndarray):
-            rectangular = self.rows.ndim == 2 and self.rows.shape[1] == len(self.columns)
-        else:
-            rectangular = all(len(row) == len(self.columns) for row in self.rows)
-        if not rectangular:
-            raise ConfigError("result rows must match the column count")
+        self.data = [np.asarray(column) for column in self.data]
+        lengths = {column.shape for column in self.data}
+        if len(self.data) != len(self.columns) or len(lengths) != 1 or len(lengths.pop()) != 1:
+            raise ConfigError("result columns must match the column names and share one length")
+
+    @property
+    def rows(self) -> list[list]:
+        """The table row by row (Python floats and strings)."""
+        return [list(row) for row in zip(*(column.tolist() for column in self.data))]
 
 
 def _parse_lines(text: str, first_lineno: int = 1) -> list[tuple[int, str, str]]:
@@ -327,12 +332,16 @@ def _resolve_for_hash(cfg: RunConfig) -> dict[str, str]:
 
 
 def _sweep_for(cfg: RunConfig) -> SweepSpec:
-    if cfg.sweep is not None:
+    sweep = cfg.sweep
+    if sweep is not None:
         allowed = _SWEEP_VARIABLES[cfg.command]
-        if cfg.sweep.variable not in allowed:
+        if sweep.variable not in allowed:
             raise ConfigError(
-                f"command {cfg.command!r} sweeps one of {allowed}, got {cfg.sweep.variable!r}")
-        return cfg.sweep
+                f"command {cfg.command!r} sweeps one of {allowed}, got {sweep.variable!r}")
+        if sweep.variable in _NONNEGATIVE_SWEEPS and min(sweep.start, sweep.stop) < 0:
+            raise ConfigError(f"a {sweep.variable} sweep must not go below 0, "
+                              f"got {sweep.start} .. {sweep.stop}")
+        return sweep
     return SweepSpec(*_DEFAULT_SWEEPS[cfg.command])
 
 
@@ -351,18 +360,18 @@ def _resolve_drive(cfg: RunConfig, rates: CavityRates, gain: float):
     return injection, alpha_c, pump_power
 
 
-def _sensor_spec(cfg: RunConfig, alpha_c: float, pump_power: float, phi: float | None = None,
-                 eta: float | None = None, length: float | None = None) -> SensorSpec:
-    omega_p = cfg.geometry.pump_frequency()
-    kwargs = dict(phi=cfg.phi if phi is None else phi, alpha_c=alpha_c,
-                  alpha_l_power=pump_power, omega_p=omega_p)
-    if length is not None:
-        return SensorSpec(sensor_length=length, alpha_loss=cfg.sensor_alpha_loss, **kwargs)
-    if eta is not None:
-        return SensorSpec(eta=eta, **kwargs)
+def _sensor_spec(cfg: RunConfig, pump_power: float) -> SensorSpec:
+    """The configured sensor (probe left out); a sweep evaluates it over its grid."""
+    kwargs = dict(phi=cfg.phi, alpha_l_power=pump_power, omega_p=cfg.geometry.pump_frequency())
     if cfg.sensor_length is not None:
         return SensorSpec(sensor_length=cfg.sensor_length, alpha_loss=cfg.sensor_alpha_loss, **kwargs)
     return SensorSpec(eta=cfg.eta, **kwargs)
+
+
+def _flags(size: int, threshold=False, domain=False, pole=False) -> np.ndarray:
+    """Flag column from row masks: threshold outranks domain, domain outranks pole."""
+    flags = np.where(threshold, "threshold", np.where(domain, "domain", np.where(pole, "pole", "")))
+    return np.broadcast_to(flags, size)
 
 
 def run_command(cfg: RunConfig) -> ResultTable:
@@ -383,8 +392,8 @@ def run_command(cfg: RunConfig) -> ResultTable:
         "pole": _run_pole,
         "improvement": _run_improvement,
     }[cfg.command]
-    columns, rows = builder(cfg, rates, gain)
-    return ResultTable(columns=columns, rows=rows, meta=meta)
+    columns, data = builder(cfg, rates, gain)
+    return ResultTable(columns=columns, data=data, meta=meta)
 
 
 def _run_rates(cfg: RunConfig, rates: CavityRates, gain: float):
@@ -392,9 +401,9 @@ def _run_rates(cfg: RunConfig, rates: CavityRates, gain: float):
     strength = fwm_gain(cfg.geometry)
     p_th = threshold_power(rates, gain, omega_p, cfg.delta_p)
     columns = ["kappa", "gamma", "gamma_total", "t_round", "t_trans", "g", "gamma_nl", "p_th"]
-    rows = [[rates.kappa, rates.gamma, rates.gamma_total, rates.t_round, rates.t_trans,
-             strength.gain, strength.gamma_nl, p_th]]
-    return columns, rows
+    values = [rates.kappa, rates.gamma, rates.gamma_total, rates.t_round, rates.t_trans,
+              strength.gain, strength.gamma_nl, p_th]
+    return columns, [np.array([value]) for value in values]
 
 
 def _run_squeezing(cfg: RunConfig, rates: CavityRates, gain: float):
@@ -402,10 +411,11 @@ def _run_squeezing(cfg: RunConfig, rates: CavityRates, gain: float):
     phi_lo = _sweep_for(cfg).grid()
     columns = ["phi_lo", "variance", "variance_db", "flag"]
     try:
-        variance = quadrature_variance(rates, injection, phi_lo).tolist()
+        variance = quadrature_variance(rates, injection, phi_lo)
     except ThresholdError:  # the injection, and so the flag, is fixed per table
-        return columns, [[phi, math.inf, math.inf, "threshold"] for phi in phi_lo.tolist()]
-    return columns, [[phi, v, to_db(v), ""] for phi, v in zip(phi_lo.tolist(), variance)]
+        infinite = np.full(phi_lo.size, math.inf)
+        return columns, [phi_lo, infinite, infinite, _flags(phi_lo.size, threshold=True)]
+    return columns, [phi_lo, variance, to_db(variance), _flags(phi_lo.size)]
 
 
 def _run_jsi(cfg: RunConfig, rates: CavityRates, gain: float):
@@ -414,87 +424,66 @@ def _run_jsi(cfg: RunConfig, rates: CavityRates, gain: float):
     axis = np.linspace(-span, span, cfg.jsi_points)
     grid_s, grid_i = np.meshgrid(axis, axis, indexing="ij")
     values = jsi_density(rates, injection, grid_s, grid_i)
-    rows = np.column_stack([grid_s.ravel(), grid_i.ravel(), values.ravel()])
-    return ["delta_ws", "delta_wi", "value"], rows
+    return ["delta_ws", "delta_wi", "value"], [grid_s.ravel(), grid_i.ravel(), values.ravel()]
 
 
 def _run_meanfield(cfg: RunConfig, rates: CavityRates, gain: float):
     records = comparison_curve(rates, gain, _sweep_for(cfg).grid())
-    rows = [[rec["sigma_n"], rec["ns_lin"], rec["ns_mf"], rec["np_lin"], rec["np_mf"],
-             "threshold" if not math.isfinite(rec["ns_lin"]) else ""] for rec in records]
-    return ["sigma_n", "ns_lin", "ns_mf", "np_lin", "np_mf", "flag"], rows
+    columns = ["sigma_n", "ns_lin", "ns_mf", "np_lin", "np_mf"]
+    data = [np.array([record[name] for record in records]) for name in columns]
+    return columns + ["flag"], data + [_flags(len(records), threshold=np.isinf(data[1]))]
 
 
 def _run_sensitivity(cfg: RunConfig, rates: CavityRates, gain: float):
     injection, alpha_c, pump_power = _resolve_drive(cfg, rates, gain)
     sweep = _sweep_for(cfg)
-    omega_p = cfg.geometry.pump_frequency()
-    moments = None
+    grid = sweep.grid()
+    spec = _sensor_spec(cfg, pump_power)
+    eta = spec.eta_value
+    if sweep.variable == "p_c":
+        alpha_c, phi = np.sqrt(grid / (HBAR * cfg.geometry.pump_frequency())), cfg.phi
+        columns = ["p_c", "alpha_c", "dphi_squeezed", "dphi_coherent", "dphi_snl", "flag"]
+        leading = [grid, alpha_c]
+    else:
+        phi = grid
+        columns = ["phi", "dphi_squeezed", "dphi_coherent", "dphi_snl", "flag"]
+        leading = [grid]
     try:
         moments = output_moments(rates, injection)
-    except ThresholdError:
-        pass
-
-    def snl_at(spec: SensorSpec):
-        state = mzi_transform(mzi_input_state(spec.alpha_c, moments), spec)
-        return shot_noise_limit(spec, state)
-
+    except ThresholdError:  # the injection, and so the flag, is fixed per table
+        infinite = np.full(grid.size, math.inf)
+        return columns, leading + [infinite] * 3 + [_flags(grid.size, threshold=True)]
+    readout = phase_readout(alpha_c, phi, eta, moments)
+    # The coherent reference needs a probe: no probe is a domain row.
+    domain = (np.asarray(alpha_c) <= 0) | readout.domain
+    coherent = coherent_sensitivity(alpha_c, eta)
     if sweep.variable == "p_c":
-        if min(sweep.start, sweep.stop) < 0:
-            raise ConfigError(f"a p_c sweep needs powers >= 0 W, got {sweep.start} .. {sweep.stop}")
-
-        def point(p_c: float):
-            a_c = math.sqrt(p_c / (HBAR * omega_p))
-            spec = _sensor_spec(cfg, a_c, pump_power)
-            try:
-                if moments is None:
-                    raise ThresholdError("above threshold")
-                return [p_c, a_c, phase_sensitivity_squeezed(spec, rates, injection),
-                        phase_sensitivity_coherent(spec), snl_at(spec), ""]
-            except PoleError:
-                return [p_c, a_c, math.inf, phase_sensitivity_coherent(spec), snl_at(spec), "pole"]
-            except (ThresholdError, DomainError) as exc:
-                flag = "threshold" if isinstance(exc, ThresholdError) else "domain"
-                return [p_c, a_c, math.inf, math.inf, math.inf, flag]
-
-        columns = ["p_c", "alpha_c", "dphi_squeezed", "dphi_coherent", "dphi_snl", "flag"]
-        return columns, [point(p_c) for p_c in sweep.grid().tolist()]
-
-    def point(phi: float):
-        spec = _sensor_spec(cfg, alpha_c, pump_power, phi=phi)
-        try:
-            if moments is None:
-                raise ThresholdError("above threshold")
-            # Coherent probe with a vacuum port: 1/(sqrt(eta) alpha_c |sin phi|),
-            # a pole where its slope eta N |sin phi| is within 1e-9 eta N of zero.
-            sine = abs(math.sin(phi))
-            coherent = phase_sensitivity_coherent(spec) / sine if sine > 1e-9 else math.inf
-            report = phase_sensitivity_numeric(spec, moments)
-            return [phi, report.dphi, coherent, report.snl, ""]
-        except PoleError:
-            return [phi, math.inf, coherent, snl_at(spec), "pole"]
-        except (ThresholdError, DomainError) as exc:
-            flag = "threshold" if isinstance(exc, ThresholdError) else "domain"
-            return [phi, math.inf, math.inf, math.inf, flag]
-
-    columns = ["phi", "dphi_squeezed", "dphi_coherent", "dphi_snl", "flag"]
-    return columns, [point(phi) for phi in sweep.grid().tolist()]
+        squeezed, pole = squeezed_sensitivity(alpha_c, eta, rates, injection)
+    else:
+        # A coherent probe with a vacuum port reads 1/(sqrt(eta) alpha_c |sin phi|), a
+        # pole where its slope eta N |sin phi| is within POLE_TOLERANCE eta N of zero.
+        sine = np.abs(np.sin(grid))
+        with np.errstate(divide="ignore"):
+            coherent = np.where(sine > POLE_TOLERANCE, coherent / sine, math.inf)
+        squeezed, pole = readout.dphi, readout.pole
+    snl = shot_noise_limit(spec, readout.output)
+    return columns, leading + [np.where(domain | pole, math.inf, squeezed),
+                               np.where(domain, math.inf, coherent),
+                               np.where(domain, math.inf, snl),
+                               _flags(grid.size, domain=domain, pole=pole)]
 
 
 def _run_pole(cfg: RunConfig, rates: CavityRates, gain: float):
     injection, _, pump_power = _resolve_drive(cfg, rates, gain)
-    sweep = _sweep_for(cfg)
-
-    def point(alpha_c: float):
-        spec = _sensor_spec(cfg, alpha_c, pump_power)
-        try:
-            return [alpha_c, phase_sensitivity_squeezed(spec, rates, injection), ""]
-        except PoleError:
-            return [alpha_c, math.inf, "pole"]
-        except ThresholdError:
-            return [alpha_c, math.inf, "threshold"]
-
-    return ["alpha_c", "dphi_squeezed", "flag"], [point(a_c) for a_c in sweep.grid().tolist()]
+    alpha_c = _sweep_for(cfg).grid()
+    eta = _sensor_spec(cfg, pump_power).eta_value
+    columns = ["alpha_c", "dphi_squeezed", "flag"]
+    try:
+        dphi, pole = squeezed_sensitivity(alpha_c, eta, rates, injection)
+    except ThresholdError:
+        return columns, [alpha_c, np.full(alpha_c.size, math.inf),
+                         _flags(alpha_c.size, threshold=True)]
+    return columns, [alpha_c, dphi, _flags(alpha_c.size, pole=pole)]
 
 
 def _run_improvement(cfg: RunConfig, rates: CavityRates, gain: float):
@@ -505,19 +494,21 @@ def _run_improvement(cfg: RunConfig, rates: CavityRates, gain: float):
         raise ConfigError(f"improvement.decay_ratio must be positive, got {ratio}")
     ring = CavityRates(kappa=rates.kappa, gamma=rates.kappa / ratio)
     injection, alpha_c, pump_power = _resolve_drive(cfg, ring, gain)
-    sweep = _sweep_for(cfg)
-
-    def point(length: float):
-        spec = _sensor_spec(cfg, alpha_c, pump_power, length=length)
-        try:
-            return [length, spec.eta_value, improvement_factor(spec, ring, injection), ""]
-        except PoleError:
-            return [length, spec.eta_value, math.inf, "pole"]
-        except ThresholdError:
-            return [length, spec.eta_value, math.inf, "threshold"]
-
+    lengths = _sweep_for(cfg).grid()
     columns = ["sensor_length", "eta", "improvement", "flag"]
-    return columns, [point(length) for length in sweep.grid().tolist()]
+    # math.exp per row, as SensorSpec.eta_value: np.exp differs in the last bit.
+    eta = np.array([math.exp(-cfg.sensor_alpha_loss * length) for length in lengths.tolist()])
+    outside = ~((eta > 0) & (eta <= 1))
+    if alpha_c <= 0 or outside.any():
+        raise DomainError(f"the improvement needs alpha_c > 0 and eta in (0, 1], got "
+                          f"alpha_c = {alpha_c}, eta = {eta[outside][:1].tolist()}")
+    try:
+        squeezed, pole = squeezed_sensitivity(alpha_c, eta, ring, injection)
+    except ThresholdError:
+        return columns, [lengths, eta, np.full(lengths.size, math.inf),
+                         _flags(lengths.size, threshold=True)]
+    improvement = np.where(pole, math.inf, coherent_sensitivity(alpha_c, eta) / squeezed)
+    return columns, [lengths, eta, improvement, _flags(lengths.size, pole=pole)]
 
 
 def write_table(table: ResultTable, path: str | None) -> None:
@@ -530,16 +521,16 @@ def write_table(table: ResultTable, path: str | None) -> None:
     header = [f"# {key}={table.meta[key]}" for key in sorted(table.meta)]
     header.append(",".join(table.columns))
     line = ",".join("%s" if name == "flag" else "%.17e" for name in table.columns) + "\n"
+    size, width = len(table.data[0]), len(table.data)
     with (nullcontext(sys.stdout) if path is None
           else open(path, "w", encoding="utf-8", newline="\n")) as handle:
         handle.write("\n".join(header) + "\n")
-        for start in range(0, len(table.rows), _WRITE_BLOCK_ROWS):
-            block = table.rows[start:start + _WRITE_BLOCK_ROWS]
-            if isinstance(block, np.ndarray):
-                cells = tuple(block.ravel().tolist())
-            else:
-                cells = tuple(chain.from_iterable(block))
-            handle.write(line * len(block) % cells)
+        for start in range(0, size, _WRITE_BLOCK_ROWS):
+            rows = min(_WRITE_BLOCK_ROWS, size - start)
+            cells = [None] * (rows * width)
+            for j, column in enumerate(table.data):  # row-major: cell j of each row
+                cells[j::width] = column[start:start + rows].tolist()
+            handle.write(line * rows % tuple(cells))
 
 
 def main(argv: list[str] | None = None) -> int:

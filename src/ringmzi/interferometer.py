@@ -13,22 +13,27 @@ with population 2 n_s, anomalous moment 2 m_si and commutator weight 2
 intensity difference ID = d_0^+ d_0 - d_1^+ d_1; its mean and variance
 follow exactly from the Gaussian moment expansion, and the minimum
 detectable phase is dphi = sqrt(Var ID)/|d<ID>/dphi|.
+
+Each quantity has one array path over the points (alpha_c, phi, eta) of a
+sweep, which returns per-point failures as masks; the functions taking a
+:class:`SensorSpec` call it on one point and raise instead.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
 from .constants import CODATA2018
 from .cavity_io import OutputMoments, photon_flux
 from .errors import DomainError, PoleError, ThresholdError
-from .params import CavityRates, Injection
+from .params import CavityRates, Injection, require_finite
 
 _PHYSICALITY_SLACK = 1e-9
+# Relative gap (closed form) or slope (pipeline) at or below which a point is a pole.
+POLE_TOLERANCE = 1e-9
 _BEAM_SPLITTER = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
 
@@ -64,6 +69,7 @@ class SensorSpec:
     omega_p: float = 0.0
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.alpha_c < 0:
             raise DomainError(f"alpha_c must be non-negative (phase is pinned), got {self.alpha_c}")
         if self.alpha_l_power < 0:
@@ -93,14 +99,31 @@ class SensorSpec:
         return self.alpha_l_power / (CODATA2018.hbar * self.omega_p)
 
 
+def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Complex product rounded as on numpy scalars (the array loop may fuse multiply-adds)."""
+    a, b = np.asarray(a), np.asarray(b)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _abs_squared(z: np.ndarray) -> np.ndarray:
+    """abs(z)**2 per element as numpy scalars evaluate it (hypot, then pow)."""
+    z = np.asarray(z)
+    return np.float_power(np.hypot(z.real, z.imag), 2)
+
+
 @dataclass(frozen=True)
 class GaussianPortState:
-    """Gaussian state of the two spatial ports.
+    """Gaussian state of the two spatial ports, for one point or a batch.
 
-    mean[p] is the field amplitude of port p; number[p, q] = <da_p^+ da_q>
-    and anomalous[p, q] = <da_p da_q> are the fluctuation moments; comm[p, q]
-    is the commutator weight [a_p, a_q^+]. A port carrying both halves of a
-    frequency-paired field counts two elementary modes and has weight 2.
+    mean[..., p] is the field amplitude of port p; number[..., p, q] =
+    <da_p^+ da_q> and anomalous[..., p, q] = <da_p da_q> are the fluctuation
+    moments; comm[..., p, q] is the commutator weight [a_p, a_q^+]. A port
+    carrying both halves of a frequency-paired field counts two elementary
+    modes and has weight 2. Leading axes index a batch, whose full shape
+    ``mean`` carries; an unbatched state that is :meth:`unphysical` raises.
     """
 
     mean: np.ndarray
@@ -109,163 +132,121 @@ class GaussianPortState:
     comm: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("mean", "number", "anomalous", "comm"):
-            arr = getattr(self, name)
-            if not np.all(np.isfinite(np.asarray(arr, dtype=complex).view(float))):
-                raise DomainError(f"{name} must be finite")
-        for p in range(2):
-            n_pp = self.number[p, p].real
-            w_pp = self.comm[p, p].real
-            if n_pp < -_PHYSICALITY_SLACK:
-                raise DomainError(f"negative population on port {p}")
-            bound = n_pp * (n_pp + w_pp)
-            if abs(self.anomalous[p, p]) ** 2 > bound * (1 + 1e-6) + _PHYSICALITY_SLACK:
-                raise DomainError(f"anomalous moment on port {p} violates physicality")
+        if np.ndim(self.mean) == 1 and self.unphysical():
+            raise DomainError("port state is not finite or violates physicality "
+                              "(negative population or anomalous moment out of bound)")
 
-    def port_photons(self, port: int) -> float:
+    def unphysical(self) -> np.ndarray:
+        """Mask over the batch: a non-finite moment, a negative population or an
+        anomalous moment beyond |m|^2 <= n (n + w), each with a small slack."""
+        bad = ~np.isfinite(self.mean).all(axis=-1)
+        for arr in (self.number, self.anomalous, self.comm):
+            bad = bad | ~np.isfinite(arr).all(axis=(-2, -1))
+        with np.errstate(invalid="ignore", over="ignore"):  # rows already marked non-finite
+            for p in range(2):
+                n_pp = self.number[..., p, p].real
+                bound = n_pp * (n_pp + self.comm[..., p, p].real)
+                bad = bad | (n_pp < -_PHYSICALITY_SLACK)
+                bad = bad | (_abs_squared(self.anomalous[..., p, p])
+                             > bound * (1 + 1e-6) + _PHYSICALITY_SLACK)
+        return bad
+
+    def port_photons(self, port: int) -> np.ndarray:
         """Mean photon flux <a_p^+ a_p> including the displacement."""
-        return abs(self.mean[port]) ** 2 + self.number[port, port].real
+        return _abs_squared(self.mean[..., port]) + self.number[..., port, port].real
 
-    def total_photons(self) -> float:
+    def total_photons(self) -> np.ndarray:
         return self.port_photons(0) + self.port_photons(1)
 
 
-def mzi_input_state(alpha_c: complex, squeezed: OutputMoments | None = None,
+def mzi_input_state(alpha_c, squeezed: OutputMoments | None = None,
                     squeeze_phase: float = 0.0) -> GaussianPortState:
     """Input state: coherent probe on port a_0, pair field on port a_1.
 
-    With ``squeezed`` given, port a_1 is the composite two-band mode with
+    ``alpha_c`` may be an array; the state then has its batch shape. With
+    ``squeezed`` given, port a_1 is the composite two-band mode with
     population n_s + n_i, anomalous moment 2*m_si (rotated by
     e^(2i*squeeze_phase); zero keeps phi = pi/2 squeezing-aligned) and any
     static seed amplitude. Without it, port a_1 is a plain vacuum mode.
     """
-    mean = np.zeros(2, dtype=complex)
+    alpha_c = np.asarray(alpha_c)
+    mean = np.zeros(alpha_c.shape + (2,), dtype=complex)
     number = np.zeros((2, 2), dtype=complex)
     anomalous = np.zeros((2, 2), dtype=complex)
-    mean[0] = alpha_c
+    mean[..., 0] = alpha_c
     if squeezed is None:
         comm = np.diag([1.0, 1.0]).astype(complex)
     else:
         comm = np.diag([1.0, 2.0]).astype(complex)
         number[1, 1] = squeezed.n_s + squeezed.n_i
         anomalous[1, 1] = 2.0 * squeezed.m_si * np.exp(2j * squeeze_phase)
-        mean[1] = (squeezed.first_s + squeezed.first_i) * np.exp(1j * squeeze_phase)
+        mean[..., 1] = (squeezed.first_s + squeezed.first_i) * np.exp(1j * squeeze_phase)
     return GaussianPortState(mean=mean, number=number, anomalous=anomalous, comm=comm)
 
 
-def _mzi_maps(phi: float, eta: float) -> tuple[np.ndarray, np.ndarray]:
+def _phase_diagonal(phi: np.ndarray, plus: complex, minus: complex) -> np.ndarray:
+    """diag(plus e^{i phi/2}, minus e^{-i phi/2}) over the batch of phi."""
+    out = np.zeros(phi.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = plus * np.exp(1j * phi / 2)
+    out[..., 1, 1] = minus * np.exp(-1j * phi / 2)
+    return out
+
+
+def _mzi_maps(phi, eta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Signal map S, its phase derivative dS/dphi and the vacuum map, (..., 2, 2).
+
+    dS/dphi = sqrt(eta) BS dPS BS; the loss map does not depend on phi.
+    """
+    phi = np.asarray(phi, dtype=float)
+    eta = np.asarray(eta, dtype=float)
+    root = np.sqrt(eta)[..., None, None]
     bs = _BEAM_SPLITTER
-    ps = np.diag([np.exp(1j * phi / 2), np.exp(-1j * phi / 2)])
-    return math.sqrt(eta) * bs @ ps @ bs, math.sqrt(1.0 - eta) * bs
+    signal_map = root * bs @ _phase_diagonal(phi, 1.0, 1.0) @ bs
+    d_map = root * bs @ _phase_diagonal(phi, 0.5j, -0.5j) @ bs
+    return signal_map, d_map, np.sqrt(1.0 - eta)[..., None, None] * bs
+
+
+def _propagate(state: GaussianPortState, signal_map: np.ndarray,
+               vacuum_map: np.ndarray) -> GaussianPortState:
+    signal_t = signal_map.swapaxes(-1, -2)
+    mean = (signal_map @ state.mean[..., None])[..., 0]
+    number = np.conj(signal_map) @ state.number @ signal_t
+    anomalous = signal_map @ state.anomalous @ signal_t
+    comm = (signal_map @ state.comm @ np.conj(signal_t)
+            + vacuum_map @ np.conj(vacuum_map.swapaxes(-1, -2)))
+    return GaussianPortState(mean=mean, number=number, anomalous=anomalous, comm=comm)
 
 
 def mzi_transform(state: GaussianPortState, spec: SensorSpec) -> GaussianPortState:
     """Propagate the port state through BS, +/-phi/2, loss and the exit BS."""
-    signal_map, vacuum_map = _mzi_maps(spec.phi, spec.eta_value)
-    mean = signal_map @ state.mean
-    number = np.conj(signal_map) @ state.number @ signal_map.T
-    anomalous = signal_map @ state.anomalous @ signal_map.T
-    comm = (signal_map @ state.comm @ np.conj(signal_map.T)
-            + vacuum_map @ np.conj(vacuum_map.T))
-    return GaussianPortState(mean=mean, number=number, anomalous=anomalous, comm=comm)
+    signal_map, _, vacuum_map = _mzi_maps(spec.phi, spec.eta_value)
+    return _propagate(state, signal_map, vacuum_map)
 
 
-def gaussian_moment(means: Sequence[complex],
-                    pair_moments: Callable[[int, int], complex]) -> complex:
-    """Moment <X_1 X_2 ... X_n> of jointly Gaussian operators.
-
-    ``means[i]`` is <X_i> and ``pair_moments(i, j)`` the ordered second
-    moment <X_i X_j> for i < j. All cumulants beyond second order vanish
-    for a Gaussian state, so the moment is the sum over all partitions of
-    the index set into singletons and ordered pairs:
-
-        <X_1 .. X_n> = sum  prod <X_i>  prod (<X_j X_k> - <X_j><X_k>).
-
-    For n = 3 this reproduces the familiar reduction
-    <X1 X2 X3> = <X1 X2><X3> + <X1 X3><X2> + <X1><X2 X3> - 2<X1><X2><X3>.
-    """
-    idx = list(range(len(means)))
-
-    def covariance(i: int, j: int) -> complex:
-        return pair_moments(i, j) - means[i] * means[j]
-
-    def recurse(active: list[int]) -> complex:
-        if not active:
-            return 1.0 + 0.0j
-        head, tail = active[0], active[1:]
-        total = means[head] * recurse(tail)
-        for pos, partner in enumerate(tail):
-            total += covariance(head, partner) * recurse(tail[:pos] + tail[pos + 1:])
-        return total
-
-    return recurse(idx)
-
-
-def _ordered_pair_moment(state: GaussianPortState, op_a: tuple[int, bool],
-                         op_b: tuple[int, bool]) -> complex:
-    """Ordered fluctuation moment <dX_a dX_b>; op = (port, is_dagger)."""
-    (p, dag_a), (q, dag_b) = op_a, op_b
-    if dag_a and not dag_b:
-        return state.number[p, q]
-    if not dag_a and dag_b:
-        return state.comm[p, q] + state.number[q, p]
-    if not dag_a and not dag_b:
-        return state.anomalous[p, q]
-    return np.conj(state.anomalous[q, p])
-
-
-def intensity_difference_stats(state: GaussianPortState) -> tuple[float, float]:
-    """Mean and variance of ID = d_0^+ d_0 - d_1^+ d_1.
+def intensity_difference_stats(state: GaussianPortState) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and variance of ID = d_0^+ d_0 - d_1^+ d_1, per point of the batch.
 
     The variance is the Gaussian fourth-moment expansion (pair contractions
     of the fluctuations plus displacement cross terms), written in central
     form to avoid cancellation between large raw moments; the generic
-    :func:`gaussian_moment` reduction yields the identical expression.
+    moment expansion yields the identical expression.
     """
     mu, number, anomalous, comm = state.mean, state.number, state.anomalous, state.comm
 
-    def cov_ordered(p: int, q: int) -> float:
-        val = abs(anomalous[p, q]) ** 2 + number[p, q] * (comm[p, q] + number[q, p])
-        val += 2.0 * (np.conj(mu[p]) * np.conj(mu[q]) * anomalous[p, q]).real
-        val += 2.0 * (mu[p] * np.conj(mu[q]) * number[p, q]).real
-        val += np.conj(mu[p]) * mu[q] * comm[p, q]
-        return float(val.real)
+    def cov_ordered(p: int, q: int) -> np.ndarray:
+        mu_p, mu_q = mu[..., p], mu[..., q]
+        val = (_abs_squared(anomalous[..., p, q])
+               + _cmul(number[..., p, q], comm[..., p, q] + number[..., q, p]).real)
+        val = val + 2.0 * _cmul(_cmul(np.conj(mu_p), np.conj(mu_q)), anomalous[..., p, q]).real
+        val = val + 2.0 * _cmul(_cmul(mu_p, np.conj(mu_q)), number[..., p, q]).real
+        return val + _cmul(_cmul(np.conj(mu_p), mu_q), comm[..., p, q]).real
 
     mean_id = state.port_photons(0) - state.port_photons(1)
     var_id = 0.0
     for p, sign_p in ((0, 1.0), (1, -1.0)):
         for q, sign_q in ((0, 1.0), (1, -1.0)):
-            var_id += sign_p * sign_q * cov_ordered(p, q)
+            var_id = var_id + sign_p * sign_q * cov_ordered(p, q)
     return mean_id, var_id
-
-
-def intensity_difference_stats_generic(state: GaussianPortState) -> tuple[float, float]:
-    """Same statistics evaluated through the generic moment expander.
-
-    Exact but subject to cancellation at very large displacements; kept as
-    the reference implementation behind :func:`intensity_difference_stats`.
-    """
-    ops = [(0, True), (0, False), (1, True), (1, False)]
-
-    def mean_of(op: tuple[int, bool]) -> complex:
-        port, dag = op
-        return np.conj(state.mean[port]) if dag else state.mean[port]
-
-    def evaluate(op_list: list[tuple[int, bool]]) -> complex:
-        means = [mean_of(op) for op in op_list]
-
-        def pairs(i: int, j: int) -> complex:
-            return (_ordered_pair_moment(state, op_list[i], op_list[j])
-                    + means[i] * means[j])
-
-        return gaussian_moment(means, pairs)
-
-    mean_id = evaluate(ops[:2]).real - evaluate(ops[2:]).real
-    second = 0.0
-    for block_p, sign_p in ((ops[:2], 1.0), (ops[2:], -1.0)):
-        for block_q, sign_q in ((ops[:2], 1.0), (ops[2:], -1.0)):
-            second += sign_p * sign_q * evaluate(block_p + block_q).real
-    return mean_id, second - mean_id**2
 
 
 @dataclass(frozen=True)
@@ -279,45 +260,94 @@ class SensitivityReport:
     improvement: float
 
 
+@dataclass(frozen=True)
+class PhaseReadout:
+    """Intensity-difference readout over the broadcast of (alpha_c, phi, eta).
+
+    ``output`` is the detected port state; ``domain`` marks points SensorSpec
+    rejects or with an unphysical state; ``pole`` the others with |d<ID>/dphi|
+    <= POLE_TOLERANCE * eta * N, N the input photons. ``dphi`` is inf on both.
+    """
+
+    output: GaussianPortState
+    mean_id: np.ndarray
+    var_id: np.ndarray
+    slope: np.ndarray
+    dphi: np.ndarray
+    domain: np.ndarray
+    pole: np.ndarray
+
+
+def phase_readout(alpha_c, phi, eta,
+                  squeezed_port: OutputMoments | None = None) -> PhaseReadout:
+    """Gaussian-pipeline sensitivity over broadcast alpha_c, phi and eta arrays.
+
+    dphi = sqrt(Var ID)/|d<ID>/dphi| with the slope exact: the derivative of
+    the signal map carried through the output mean and number moments. With
+    0-d inputs the states are unbatched, so an unphysical one raises
+    DomainError instead of being masked.
+    """
+    alpha_c, phi, eta = (np.asarray(x, dtype=float) for x in (alpha_c, phi, eta))
+    # SensorSpec's rule as a mask; the maps are evaluated on every point regardless.
+    domain = ~(np.isfinite(alpha_c) & np.isfinite(phi) & np.isfinite(eta) & (alpha_c >= 0)
+               & (eta > 0) & (eta <= 1))
+    state = mzi_input_state(alpha_c, squeezed_port)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        signal_map, d_map, vacuum_map = _mzi_maps(phi, eta)
+        output = _propagate(state, signal_map, vacuum_map)
+        mean_id, var_id = intensity_difference_stats(output)
+        # number is Hermitian, so d(number)_pp = 2 Re[(conj(dS) number S^T)_pp].
+        d_number = np.diagonal(np.conj(d_map) @ state.number @ signal_map.swapaxes(-1, -2),
+                               axis1=-2, axis2=-1)
+        d_mean = (d_map @ state.mean[..., None])[..., 0]
+        d_photons = 2.0 * (np.conj(output.mean) * d_mean + d_number).real
+        slope = d_photons[..., 0] - d_photons[..., 1]
+        domain = domain | state.unphysical() | output.unphysical()
+        pole = ~domain & (np.abs(slope) <= POLE_TOLERANCE * eta * state.total_photons())
+        dphi = np.where(domain | pole, math.inf,
+                        np.sqrt(np.maximum(var_id, 0.0)) / np.abs(slope))
+    return PhaseReadout(output=output, mean_id=mean_id, var_id=var_id, slope=slope, dphi=dphi,
+                        domain=domain, pole=pole)
+
+
 def phase_sensitivity_numeric(spec: SensorSpec,
                               squeezed_port: OutputMoments | None = None) -> SensitivityReport:
-    """Minimum detectable phase from the Gaussian moment pipeline.
+    """Minimum detectable phase from the Gaussian moment pipeline at one point.
 
-    dphi = sqrt(Var ID)/|d<ID>/dphi|. The slope is exact: the derivative of
-    the signal map, dS/dphi = sqrt(eta) BS dPS BS, carried through the output
-    mean and number moments (the loss map does not depend on phi). A slope
-    of at most 1e-9 * eta * N, N the input photons, is a pole: the relative
-    rule :func:`phase_sensitivity_squeezed` applies to its gap.
+    :func:`phase_readout` on a single point: an unphysical state raises
+    DomainError, a slope of at most POLE_TOLERANCE * eta * N raises
+    PoleError (the relative rule :func:`phase_sensitivity_squeezed` applies
+    to its gap), and an empty photon budget raises DomainError.
     """
-    state = mzi_input_state(spec.alpha_c, squeezed_port)
-    eta = spec.eta_value
-    output = mzi_transform(state, spec)
-    mean_id, var_id = intensity_difference_stats(output)
-    signal_map, _ = _mzi_maps(spec.phi, eta)
-    d_ps = np.diag([0.5j * np.exp(1j * spec.phi / 2), -0.5j * np.exp(-1j * spec.phi / 2)])
-    d_map = math.sqrt(eta) * _BEAM_SPLITTER @ d_ps @ _BEAM_SPLITTER
-    # number is Hermitian, so d(number)_pp = 2 Re[(conj(dS) number S^T)_pp].
-    d_number = (np.conj(d_map) @ state.number @ signal_map.T).diagonal()
-    d_photons = 2.0 * (np.conj(output.mean) * (d_map @ state.mean) + d_number).real
-    slope = float(d_photons[0] - d_photons[1])
-    if abs(slope) <= 1e-9 * eta * state.total_photons():
+    readout = phase_readout(spec.alpha_c, spec.phi, spec.eta_value, squeezed_port)
+    if readout.pole:
         raise PoleError(f"signal slope vanishes at phi={spec.phi}")
-    dphi = math.sqrt(max(var_id, 0.0)) / abs(slope)
-    snl = shot_noise_limit(spec, output)
+    dphi = float(readout.dphi)
+    snl = shot_noise_limit(spec, readout.output)
     improvement = phase_sensitivity_coherent(spec) / dphi if spec.alpha_c > 0 else math.nan
-    return SensitivityReport(dphi=dphi, mean_id=mean_id, var_id=var_id, snl=snl,
-                             improvement=improvement)
+    return SensitivityReport(dphi=dphi, mean_id=float(readout.mean_id),
+                             var_id=float(readout.var_id), snl=snl, improvement=improvement)
+
+
+def coherent_sensitivity(alpha_c, eta):
+    """Coherent-probe sensitivity 1/(sqrt(eta)*alpha_c) at phi = pi/2.
+
+    Broadcasts over alpha_c and eta arrays; inf where alpha_c is zero.
+    """
+    with np.errstate(divide="ignore", over="ignore"):
+        value = 1.0 / (np.sqrt(eta) * np.asarray(alpha_c, dtype=float))
+    return float(value) if value.ndim == 0 else value
 
 
 def phase_sensitivity_coherent(spec: SensorSpec) -> float:
     """Coherent-probe sensitivity 1/(sqrt(eta)*alpha_c) at phi = pi/2."""
     if spec.alpha_c <= 0:
         raise DomainError("alpha_c must be positive for the coherent sensitivity")
-    return 1.0 / (math.sqrt(spec.eta_value) * spec.alpha_c)
+    return coherent_sensitivity(spec.alpha_c, spec.eta_value)
 
 
-def phase_sensitivity_squeezed(spec: SensorSpec, rates: CavityRates,
-                               injection: Injection) -> float:
+def squeezed_sensitivity(alpha_c, eta, rates: CavityRates,
+                         injection: Injection) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form sensitivity with the squeezed pair port, at phi = pi/2.
 
     Evaluates
@@ -326,28 +356,45 @@ def phase_sensitivity_squeezed(spec: SensorSpec, rates: CavityRates,
                      + a^2 (G^2-s^2)^2 + 8 kappa s^2 G )
                / [ sqrt(eta) (G^2-s^2) |a^2 - 8 s^2 kappa G/(G^2-s^2)^2| ]
 
-    with a = alpha_c, s = sigma, G = Gamma. Diverges on the pole
-    a^2 = 2 n_s where the slope of <ID> changes sign.
+    with a = alpha_c, s = sigma, G = Gamma, broadcast over alpha_c and eta
+    arrays. Returns (dphi, pole): the pole mask marks the points where
+    |a^2 - 2 n_s| <= POLE_TOLERANCE (a^2 + 2 n_s), the coherent flux matching
+    the squeezed flux, and dphi is inf there. Raises ThresholdError at or
+    above threshold, which holds for every point alike.
     """
     kappa, gamma = rates.kappa, rates.gamma
     gamma_total = rates.gamma_total
     sigma = injection.sigma_mag
     if sigma >= gamma_total:
         raise ThresholdError(f"at/above threshold: sigma={sigma} >= Gamma={gamma_total}")
-    eta = spec.eta_value
-    a2 = spec.alpha_c**2
+    eta = np.asarray(eta, dtype=float)
+    a2 = np.float_power(alpha_c, 2)  # pow, as the scalar alpha_c**2 rounds
     g2 = gamma_total**2
     s2 = sigma**2
-    num = math.sqrt(
-        eta * a2 * (gamma_total - sigma) ** 2 * (g2 + sigma * (2 * gamma - 6 * kappa) + s2)
-        + a2 * (g2 - s2) ** 2
-        + 8 * kappa * s2 * gamma_total
-    )
-    squeezed_flux = 8 * s2 * kappa * gamma_total / (g2 - s2) ** 2
-    gap = abs(a2 - squeezed_flux)
-    if gap <= 1e-9 * (a2 + squeezed_flux):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        num = np.sqrt(
+            eta * a2 * (gamma_total - sigma) ** 2 * (g2 + sigma * (2 * gamma - 6 * kappa) + s2)
+            + a2 * (g2 - s2) ** 2
+            + 8 * kappa * s2 * gamma_total
+        )
+        squeezed_flux = 8 * s2 * kappa * gamma_total / (g2 - s2) ** 2
+        gap = np.abs(a2 - squeezed_flux)
+        pole = gap <= POLE_TOLERANCE * (a2 + squeezed_flux)
+        dphi = np.where(pole, math.inf, num / (np.sqrt(eta) * (g2 - s2) * gap))
+    return dphi, pole
+
+
+def phase_sensitivity_squeezed(spec: SensorSpec, rates: CavityRates,
+                               injection: Injection) -> float:
+    """Closed-form sensitivity of :func:`squeezed_sensitivity` at one point.
+
+    Raises PoleError on the pole a^2 = 2 n_s, where the slope of <ID>
+    changes sign, and ThresholdError at or above threshold.
+    """
+    dphi, pole = squeezed_sensitivity(spec.alpha_c, spec.eta_value, rates, injection)
+    if pole:
         raise PoleError("coherent flux equals the squeezed flux (sensitivity pole)")
-    return num / (math.sqrt(eta) * (g2 - s2) * gap)
+    return float(dphi)
 
 
 def shot_noise_limit(spec: SensorSpec, output: GaussianPortState) -> float:
@@ -355,11 +402,14 @@ def shot_noise_limit(spec: SensorSpec, output: GaussianPortState) -> float:
 
     N counts the detected photons of both ports plus the pump flux
     spec.alpha_l_power/(hbar*omega_p) spent generating the pair field.
+    Broadcasts over a batched output state, with inf where N = 0; an
+    unbatched state without photons raises DomainError.
     """
     total = output.total_photons() + spec.pump_flux
-    if total <= 0:
+    if np.ndim(total) == 0 and total <= 0:
         raise DomainError("no photons in the budget; shot-noise limit undefined")
-    return 1.0 / math.sqrt(total)
+    with np.errstate(divide="ignore"):
+        return 1.0 / np.sqrt(total)
 
 
 def decay_ratio(rates: CavityRates) -> float:

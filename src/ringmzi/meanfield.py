@@ -50,8 +50,8 @@ from .params import CavityRates
 # max(|moment|, 1e-6) per 1/Gamma.
 CONVERGENCE_TOL = 1e-9
 # Grid points with 1 - sigma_n at or below this count as at threshold, the
-# 1e12 conditioning limit cavity_io.output_transfer also applies; float
-# rounding of a grid cannot then decide the flag.
+# 1e12 conditioning limit of the scattering solve; float rounding of a grid
+# cannot then decide the flag.
 THRESHOLD_MARGIN = 1e-12
 
 

@@ -25,6 +25,13 @@ from .constants import CODATA2018, PhysicalConstants
 from .errors import DomainError
 
 
+def require_finite(fields) -> None:
+    """Raise DomainError naming the first non-finite field of a dataclass (None passes)."""
+    for name, value in vars(fields).items():
+        if value is not None and not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class RingGeometry:
     """Physical description of the microring and its bus waveguide.
@@ -59,6 +66,7 @@ class RingGeometry:
     lambda_p: float
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.ring_length <= 0:
             raise DomainError(f"ring_length must be positive, got {self.ring_length}")
         if not 0.0 <= self.cross_coupling <= 1.0:
@@ -117,6 +125,7 @@ class CavityRates:
     t_trans: float = 0.0
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.kappa < 0 or self.gamma < 0:
             raise DomainError(f"rates must be non-negative, got kappa={self.kappa}, gamma={self.gamma}")
 
@@ -186,6 +195,7 @@ class Injection:
     phi_sigma: float = 0.0
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.sigma_mag < 0:
             raise DomainError(f"sigma_mag must be non-negative, got {self.sigma_mag}")
         if self.sigma_th < 0:

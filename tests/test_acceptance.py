@@ -13,13 +13,13 @@ import pytest
 from ringmzi import (CavityRates, Injection, SensorSpec, anomalous_moment, critical_length,
                      comparison_curve, derive_rates, drive_for_sigma, efficiency, fwm_gain,
                      improvement_factor, jsi, lin_steady_state, mf_steady_state,
-                     mzi_input_state, mzi_transform, output_moments, output_transfer,
+                     mzi_input_state, mzi_transform, output_moments,
                      phase_sensitivity_coherent, phase_sensitivity_numeric,
                      phase_sensitivity_squeezed, photon_flux, pole_coherent_amplitude,
                      shot_noise_limit, sigma_from_power, squeezing_parameter,
-                     threshold_power, to_db, transfer_moments, validity_bound,
-                     variance_extrema)
+                     threshold_power, to_db, validity_bound, variance_extrema)
 from ringmzi.cavity_io import Detunings
+from scattering_oracle import output_transfer, transfer_moments
 from ringmzi.cli import main as cli_main
 from ringmzi.constants import HBAR
 

@@ -6,9 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ringmzi import REFERENCE_GEOMETRY, SensorSpec, phase_sensitivity_numeric
-from ringmzi.cli import (ConfigError, ResultTable, main, parse_config, run_command,
-                         write_table)
+import mzi_oracle as oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from ringmzi import (REFERENCE_GEOMETRY, CavityRates, Injection, SensorSpec, derive_rates,
+                     fwm_gain, phase_sensitivity_numeric, pole_coherent_amplitude)
+from ringmzi.cli import (ConfigError, ResultTable, _resolve_drive, _sweep_for, main,
+                         parse_config, run_command, write_table)
+from ringmzi.constants import HBAR
 
 
 def run(command, text=""):
@@ -220,6 +225,102 @@ class TestPhaseSweep:
             assert row[2] == pytest.approx(phase_sensitivity_numeric(spec, None).dphi, rel=1e-9)
 
 
+def csv_cells(rows):
+    return [["%.17e" % cell if isinstance(cell, float) else cell for cell in row] for row in rows]
+
+
+class TestArrayTables:
+    """The array-built sweep tables against tables built row by row (tests/mzi_oracle.py)."""
+
+    @staticmethod
+    def oracle_rows(cfg):
+        rates = derive_rates(cfg.geometry)
+        gain = fwm_gain(cfg.geometry).gain
+        grid = _sweep_for(cfg).grid().tolist()
+        if cfg.command == "improvement":
+            ratio = cfg.decay_ratio if cfg.decay_ratio is not None else rates.kappa / rates.gamma
+            ring = CavityRates(kappa=rates.kappa, gamma=rates.kappa / ratio)
+            injection, alpha_c, power = _resolve_drive(cfg, ring, gain)
+            return oracle.improvement_rows(cfg, ring, injection, alpha_c, power, grid)
+        injection, alpha_c, power = _resolve_drive(cfg, rates, gain)
+        if cfg.command == "pole":
+            return oracle.pole_rows(cfg, rates, injection, power, grid)
+        return oracle.sensitivity_rows(cfg, rates, injection, alpha_c, power, grid)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sigma_n=st.floats(0.0, 1.2), eta=st.floats(0.01, 1.0),
+           alpha_c=st.floats(10.0, 1e6), power=st.booleans(), cross_coupling=st.floats(0.002, 0.1),
+           start=st.floats(-4.0, 4.0), width=st.floats(0.1, 7.0), points=st.integers(2, 40))
+    def test_phase_sweep(self, sigma_n, eta, alpha_c, power, cross_coupling, start, width,
+                         points):
+        probe = f"pump.p_c = {alpha_c * 1e-14!r}" if power else f"pump.alpha_c = {alpha_c!r}"
+        cfg = parse_config(f"pump.sigma_n = {sigma_n!r}\nsensor.eta = {eta!r}\n{probe}\n"
+                           f"geometry.cross_coupling = {cross_coupling!r}\n"
+                           f"sweep.variable = phi\nsweep.start = {start!r}\n"
+                           f"sweep.stop = {start + width!r}\nsweep.points = {points}\n"
+                           "sweep.scale = linear", command="sensitivity")
+        assert csv_cells(run_command(cfg).rows) == csv_cells(self.oracle_rows(cfg))
+
+    @settings(max_examples=60, deadline=None)
+    @given(sigma_n=st.floats(1e-6, 1.2), eta=st.floats(0.01, 1.0), stop=st.floats(1e-9, 1e-3),
+           points=st.integers(2, 60), on_pole=st.booleans(),
+           length=st.none() | st.floats(0.0, 8.0))
+    def test_power_sweep(self, sigma_n, eta, stop, points, on_pole, length):
+        """Linear from 0 W (a domain row), optionally through the pole power."""
+        sensor = f"sensor.eta = {eta!r}" if length is None else f"sensor.length = {length!r}"
+        text = f"pump.sigma_n = {sigma_n!r}\n{sensor}\nsweep.variable = p_c\n"
+        if on_pole and sigma_n < 0.999:
+            rates = derive_rates(REFERENCE_GEOMETRY)
+            pole = pole_coherent_amplitude(rates, Injection.from_sigma_n(sigma_n, rates))
+            stop = max(pole**2 * HBAR * REFERENCE_GEOMETRY.pump_frequency() * 2, 1e-30)
+            points = 2 * (points // 2) + 1  # the middle point lands on the pole power
+        cfg = parse_config(text + f"sweep.start = 0\nsweep.stop = {stop!r}\n"
+                                  f"sweep.points = {points}\nsweep.scale = linear",
+                           command="sensitivity")
+        assert csv_cells(run_command(cfg).rows) == csv_cells(self.oracle_rows(cfg))
+
+    @settings(max_examples=60, deadline=None)
+    @given(sigma_n=st.floats(0.0, 1.2), eta=st.floats(0.01, 1.0), ratio=st.floats(1.0, 1e4),
+           alpha_c=st.floats(1.0, 1e6), points=st.integers(1, 30), near=st.floats(0.1, 0.9))
+    def test_pole_and_improvement_sweeps(self, sigma_n, eta, ratio, alpha_c, points, near):
+        """A linear alpha_c sweep whose middle point sits on the pole, and a DR sweep."""
+        rates = derive_rates(REFERENCE_GEOMETRY)
+        pole = 1.0
+        if 0 < sigma_n < 0.999:
+            pole = max(pole_coherent_amplitude(rates, Injection.from_sigma_n(sigma_n, rates)),
+                       1e-3)
+        cfg = parse_config(f"pump.sigma_n = {sigma_n!r}\nsensor.eta = {eta!r}\n"
+                           f"sweep.start = {pole * near!r}\nsweep.stop = {pole * (2 - near)!r}\n"
+                           f"sweep.points = {2 * points + 1}\nsweep.scale = linear",
+                           command="pole")
+        assert csv_cells(run_command(cfg).rows) == csv_cells(self.oracle_rows(cfg))
+        cfg = parse_config(f"pump.sigma_n = {sigma_n!r}\npump.alpha_c = {alpha_c!r}\n"
+                           f"improvement.decay_ratio = {ratio!r}\nsweep.points = {points + 1}",
+                           command="improvement")
+        assert csv_cells(run_command(cfg).rows) == csv_cells(self.oracle_rows(cfg))
+
+    def test_no_probe_without_pair_photons_is_a_domain_row(self):
+        """sigma_n = 0 at 0 W: the closed form's gap is 0 (a pole), but there is no probe.
+
+        Row by row, the pole handler's coherent reference raised and aborted the run.
+        """
+        table = run("sensitivity", "pump.sigma_n = 0\nsweep.variable = p_c\nsweep.start = 0\n"
+                                   "sweep.stop = 1e-3\nsweep.points = 3\nsweep.scale = linear")
+        assert [row[-1] for row in table.rows] == ["domain", "", ""]
+        assert all(math.isinf(cell) for cell in table.rows[0][2:5])
+
+    def test_flags_across_write_blocks(self, tmp_path):
+        """Flags and values stay in their rows past the 4096-row write block."""
+        text = ("sweep.variable = phi\nsweep.start = 0\nsweep.stop = 6.283185307179586\n"
+                "sweep.points = 9001\nsweep.scale = linear")
+        path = tmp_path / "phase.csv"
+        write_table(run("sensitivity", text), str(path))
+        lines = path.read_text().splitlines()[3:]
+        assert [line.split(",")[-1] for line in lines].count("pole") >= 3
+        cfg = parse_config(text, command="sensitivity")
+        assert [line.split(",") for line in lines] == csv_cells(self.oracle_rows(cfg))
+
+
 class TestImport:
     def test_cli_imports_no_scipy(self):
         """A fresh interpreter loads the whole command line without scipy."""
@@ -243,7 +344,7 @@ class TestPresetRuntime:
 
 class TestWriteTable:
     def test_metadata_and_values(self, tmp_path):
-        table = ResultTable(columns=["x", "flag"], rows=[[1.5, ""], [math.inf, "pole"]],
+        table = ResultTable(columns=["x", "flag"], data=[[1.5, math.inf], ["", "pole"]],
                             meta={"tool_version": "0.1.0", "config_sha256": "ab"})
         path = tmp_path / "out.csv"
         write_table(table, str(path))
@@ -256,19 +357,21 @@ class TestWriteTable:
 
     def test_rectangular_enforced(self):
         with pytest.raises(ConfigError):
-            ResultTable(columns=["a", "b"], rows=[[1.0]], meta={})
+            ResultTable(columns=["a", "b"], data=[[1.0]], meta={})
         with pytest.raises(ConfigError):
-            ResultTable(columns=["a", "b"], rows=np.zeros((4, 3)), meta={})
+            ResultTable(columns=["a", "b"], data=np.zeros((3, 4)), meta={})
+        with pytest.raises(ConfigError):
+            ResultTable(columns=["a", "b"], data=[np.zeros(4), np.zeros(3)], meta={})
 
     def test_array_rows_write_like_lists(self, tmp_path):
-        """A 2-D array table writes the bytes of its list form, across write blocks."""
+        """Columns write the bytes of their rows formatted one by one, across write blocks."""
         values = np.linspace(-1.0, 1.0, 3 * 5000).reshape(-1, 3) * 1e9
         values[7] = [math.inf, -math.inf, math.nan]
-        paths = tmp_path / "array.csv", tmp_path / "list.csv"
-        for rows, path in zip((values, values.tolist()), paths):
-            write_table(ResultTable(columns=["a", "b", "c"], rows=rows, meta={}), str(path))
-        text = paths[0].read_text()
-        assert text == paths[1].read_text()
+        path = tmp_path / "columns.csv"
+        write_table(ResultTable(columns=["a", "b", "c"], data=list(values.T), meta={}), str(path))
+        text = path.read_text()
+        assert text == "a,b,c\n" + "".join("%.17e,%.17e,%.17e\n" % tuple(row)
+                                           for row in values.tolist())
         lines = text.splitlines()
         assert len(lines) == 5001
         assert lines[8] == "inf,-inf,nan"
@@ -310,6 +413,16 @@ class TestMain:
         assert main(["sensitivity", "--set", "sweep.variable=p_c", "--set", "sweep.scale=linear",
                      "--set", "sweep.start=-1", "--set", "sweep.stop=1"]) == 2
         assert "p_c" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,variable", [("meanfield", "sigma_n"), ("pole", "alpha_c"),
+                                                  ("improvement", "sensor_length")])
+    def test_negative_sweep_is_config_error(self, command, variable, capsys):
+        """A sigma_n below 0 has no drive amplitude: no math domain error traceback."""
+        assert main([command, "--set", "sweep.start=-0.5", "--set", "sweep.stop=0.5",
+                     "--set", "sweep.points=3", "--set", "sweep.scale=linear"]) == 2
+        err = capsys.readouterr().err
+        assert f"a {variable} sweep must not go below 0" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("points", ["0", "1", "-3"])
     def test_jsi_points_below_two_is_config_error(self, points, capsys):

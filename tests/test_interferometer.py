@@ -6,13 +6,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ringmzi import (CavityRates, DomainError, Injection, OutputMoments, PoleError,
-                     SensorSpec, ThresholdError, critical_length, decay_ratio, efficiency,
-                     gaussian_moment, improvement_factor, intensity_difference_stats,
-                     intensity_difference_stats_generic, mzi_input_state, mzi_transform,
-                     output_moments, phase_sensitivity_coherent, phase_sensitivity_numeric,
+import mzi_oracle as oracle
+from mzi_oracle import gaussian_moment, intensity_difference_stats_generic
+from ringmzi import (REFERENCE_GEOMETRY, CavityRates, DomainError, GaussianPortState,
+                     Injection, OutputMoments, PoleError, SensorSpec, ThresholdError,
+                     coherent_sensitivity, critical_length, decay_ratio, derive_rates,
+                     efficiency, improvement_factor, intensity_difference_stats,
+                     mzi_input_state, mzi_transform, output_moments, phase_readout,
+                     phase_sensitivity_coherent, phase_sensitivity_numeric,
                      phase_sensitivity_squeezed, photon_flux, pole_coherent_amplitude,
-                     SeedAmplitudes, shot_noise_limit, variance_extrema)
+                     SeedAmplitudes, shot_noise_limit, squeezed_sensitivity, variance_extrema)
 
 HALF_PI = math.pi / 2
 
@@ -86,6 +89,14 @@ class TestSensorSpec:
             SensorSpec(phi=0.0, eta=1.5)
         with pytest.raises(DomainError):
             SensorSpec(phi=0.0, eta=0.0)
+
+    @pytest.mark.parametrize("fields", [dict(phi=math.nan, alpha_c=math.nan, eta=1.0),
+                                        dict(phi=0.0, alpha_c=math.inf, eta=1.0),
+                                        dict(phi=0.0, sensor_length=math.inf, alpha_loss=0.2),
+                                        dict(phi=0.0, eta=1.0, alpha_l_power=math.nan)])
+    def test_rejects_non_finite_fields(self, fields):
+        with pytest.raises(DomainError, match="must be finite"):
+            SensorSpec(**fields)
 
     def test_pump_flux_needs_frequency(self):
         spec = SensorSpec(phi=0.0, eta=1.0, alpha_l_power=1e-3)
@@ -377,3 +388,167 @@ class TestSensitivityVsPhase:
         snl_plain = 1.0 / math.sqrt(1e10 + moments.n_s + moments.n_i)
         assert report.dphi < snl_plain / 2
         assert report.dphi < phase_sensitivity_coherent(spec)
+
+
+def bits(value):
+    """Bytes of a float array: equal only when every element is bit-identical."""
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def ring_rates(cross_coupling, alpha_loss, radius):
+    geometry = replace(REFERENCE_GEOMETRY, cross_coupling=cross_coupling, alpha_loss=alpha_loss,
+                       ring_length=2 * math.pi * radius)
+    return derive_rates(geometry)
+
+
+# Phases on and next to the poles of the readout (0, pi and float pi) besides random ones.
+SPECIAL_PHASES = [0.0, math.pi, 2 * math.pi, HALF_PI, math.nextafter(math.pi, 0.0),
+                  math.nextafter(0.0, 1.0), 1e-9, math.pi - 1e-9, -HALF_PI]
+GEOMETRIES = dict(cross_coupling=st.floats(1e-3, 0.2), alpha_loss=st.floats(0.01, 20.0),
+                  radius=st.floats(20e-6, 1e-3))
+
+
+class TestArrayPath:
+    """The array path against the per-point pipeline of tests/mzi_oracle.py, bit for bit."""
+
+    @staticmethod
+    def oracle_row(spec, moments):
+        """Readout fields of one point, or the exception the point raised."""
+        try:
+            point = oracle.point_readout(spec, moments)
+        except (PoleError, DomainError) as exc:
+            return type(exc)
+        return point
+
+    @settings(max_examples=150, deadline=None)
+    @given(**GEOMETRIES, sigma_n=st.floats(0.0, 0.9999), eta=st.floats(1e-3, 1.0),
+           alpha_c=st.floats(0.0, 1e6), on_pole=st.booleans(), power=st.floats(0.0, 1e-2),
+           phases=st.lists(st.sampled_from(SPECIAL_PHASES) | st.floats(-7.0, 7.0),
+                           min_size=1, max_size=6),
+           seed=st.none() | st.complex_numbers(max_magnitude=1e4))
+    def test_phase_batch_equals_pointwise(self, cross_coupling, alpha_loss, radius, sigma_n,
+                                          eta, alpha_c, on_pole, power, phases, seed):
+        rates = ring_rates(cross_coupling, alpha_loss, radius)
+        injection = inj(rates, sigma_n)
+        seeds = None if seed is None else SeedAmplitudes(alpha_s=seed)
+        moments = output_moments(rates, injection, seeds=seeds)
+        if on_pole:  # phi = pi/2 is then a pole of the squeezed readout
+            alpha_c = pole_coherent_amplitude(rates, injection)
+        base = spec_at(alpha_c=alpha_c, eta=eta, alpha_l_power=power, omega_p=1.2e15)
+        readout = phase_readout(alpha_c, np.array(phases), eta, moments)
+        snl = shot_noise_limit(base, readout.output)
+        for k, phi in enumerate(phases):
+            point = self.oracle_row(replace(base, phi=phi), moments)
+            assert readout.pole[k] == (point is PoleError)
+            assert readout.domain[k] == (point is DomainError)
+            assert bits(readout.mean_id[k]) == bits(oracle_stats(base, phi, moments)[0])
+            if isinstance(point, oracle.PointReadout):
+                assert bits(readout.var_id[k]) == bits(point.var_id)
+                assert bits(readout.slope[k]) == bits(point.slope)
+                assert bits(readout.dphi[k]) == bits(point.dphi)
+                assert bits(snl[k]) == bits(point.snl)
+            else:
+                assert math.isinf(readout.dphi[k])
+
+    @settings(max_examples=150, deadline=None)
+    @given(**GEOMETRIES, sigma_n=st.floats(0.0, 0.9999), eta=st.floats(1e-3, 1.0),
+           phi=st.sampled_from(SPECIAL_PHASES) | st.floats(-7.0, 7.0),
+           amplitudes=st.lists(st.just(0.0) | st.floats(1e-3, 1e6), min_size=1, max_size=6),
+           near_pole=st.sampled_from([0.0, 1.0, 1 - 1e-10, 1 + 1e-10, 1 + 1e-8]),
+           seed=st.none() | st.complex_numbers(max_magnitude=1e4))
+    def test_probe_batch_equals_pointwise(self, cross_coupling, alpha_loss, radius, sigma_n,
+                                          eta, phi, amplitudes, near_pole, seed):
+        """A batch over alpha_c, with points on and next to the pole a^2 = 2 n_s."""
+        rates = ring_rates(cross_coupling, alpha_loss, radius)
+        injection = inj(rates, sigma_n)
+        seeds = None if seed is None else SeedAmplitudes(alpha_s=seed)
+        moments = output_moments(rates, injection, seeds=seeds)
+        amplitudes = amplitudes + [near_pole * pole_coherent_amplitude(rates, injection)]
+        alpha_c = np.array(amplitudes)
+        readout = phase_readout(alpha_c, phi, eta, moments)
+        closed, pole = squeezed_sensitivity(alpha_c, eta, rates, injection)
+        coherent = coherent_sensitivity(alpha_c, eta)
+        snl = shot_noise_limit(spec_at(phi=phi, eta=eta), readout.output)
+        for k, a_c in enumerate(amplitudes):
+            spec = spec_at(phi=phi, alpha_c=a_c, eta=eta)
+            point = self.oracle_row(spec, moments)
+            assert readout.pole[k] == (point is PoleError)
+            assert readout.domain[k] == (point is DomainError)
+            if isinstance(point, oracle.PointReadout):
+                assert bits([readout.mean_id[k], readout.var_id[k], readout.slope[k],
+                             readout.dphi[k], snl[k]]) == bits([point.mean_id, point.var_id,
+                                                                point.slope, point.dphi,
+                                                                point.snl])
+            try:
+                expected = oracle.phase_sensitivity_squeezed(spec, rates, injection)
+            except PoleError:
+                assert pole[k] and math.isinf(closed[k])
+            else:
+                assert not pole[k] and bits(closed[k]) == bits(expected)
+            if a_c > 0:
+                assert bits(coherent[k]) == bits(oracle.phase_sensitivity_coherent(spec))
+            # The scalar functions are the same path on one point.
+            if pole[k]:
+                with pytest.raises(PoleError):
+                    phase_sensitivity_squeezed(spec, rates, injection)
+            else:
+                assert bits(phase_sensitivity_squeezed(spec, rates, injection)) == bits(closed[k])
+
+    @settings(max_examples=100, deadline=None)
+    @given(n_pair=st.floats(0.0, 1e8), excess=st.floats(0.5, 2.0), phi=st.floats(-7.0, 7.0),
+           eta=st.floats(1e-3, 1.0))
+    def test_domain_mask_equals_state_exceptions(self, n_pair, excess, phi, eta):
+        """An anomalous moment beyond the bound, or a probe SensorSpec rejects, is a domain row."""
+        bound = (2 * n_pair) * (2 * n_pair + 2)
+        port = OutputMoments(n_s=n_pair, n_i=n_pair, m_si=excess * math.sqrt(bound) / 2)
+        amplitudes = [1e4, 0.0, math.nan, math.inf, -1.0]
+        readout = phase_readout(np.array(amplitudes), phi, eta, port)
+        for k, a_c in enumerate(amplitudes):
+            try:
+                raised = self.oracle_row(spec_at(phi=phi, alpha_c=a_c, eta=eta), port)
+            except DomainError:
+                raised = DomainError
+            assert readout.domain[k] == (raised is DomainError)
+            assert readout.pole[k] == (raised is PoleError)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), size=st.integers(1, 5))
+    def test_unphysical_mask_equals_constructor_exceptions(self, data, size):
+        """The batched state checks raise, point by point, exactly where the mask is set."""
+        def entries(shape, scale):
+            values = st.sampled_from([0.0, -1e-3, -2e-9, math.nan, math.inf]) | st.floats(
+                -scale, scale)
+            real, imag = (np.array(data.draw(st.lists(values, min_size=int(np.prod(shape)),
+                                                      max_size=int(np.prod(shape)))))
+                          for _ in range(2))
+            return (real + 1j * np.where(np.isfinite(imag), imag, 0.0)).reshape(shape)
+
+        fields = dict(mean=entries((size, 2), 1e3), number=entries((size, 2, 2), 10.0),
+                      anomalous=entries((size, 2, 2), 10.0), comm=entries((size, 2, 2), 2.0))
+        mask = GaussianPortState(**fields).unphysical()
+        for k in range(size):
+            try:
+                oracle.GaussianPortState(**{name: value[k] for name, value in fields.items()})
+            except DomainError:
+                assert mask[k]
+            else:
+                assert not mask[k]
+                GaussianPortState(**{name: value[k] for name, value in fields.items()})
+
+    @settings(max_examples=200, deadline=None)
+    @given(**GEOMETRIES, sigma_n=st.floats(0.0, 0.9999), eta=st.floats(1e-3, 1.0),
+           alpha_c=st.floats(1.0, 1e6), phi=st.floats(-7.0, 7.0), power=st.floats(0.0, 1.0))
+    def test_photon_conservation(self, cross_coupling, alpha_loss, radius, sigma_n, eta,
+                                 alpha_c, phi, power):
+        """The signal map is sqrt(eta) times a unitary and the loss adds no photons."""
+        rates = ring_rates(cross_coupling, alpha_loss, radius)
+        moments = output_moments(rates, inj(rates, sigma_n))
+        spec = spec_at(phi=phi, alpha_c=alpha_c, eta=eta, alpha_l_power=power, omega_p=1.2e15)
+        readout = phase_readout(np.array([alpha_c]), phi, eta, moments)
+        expected = 1 / math.sqrt(eta * (alpha_c**2 + 2 * moments.n_s) + spec.pump_flux)
+        assert shot_noise_limit(spec, readout.output)[0] == pytest.approx(expected, rel=1e-12)
+
+
+def oracle_stats(spec, phi, moments):
+    state = oracle.mzi_input_state(spec.alpha_c, moments)
+    return oracle.intensity_difference_stats(oracle.mzi_transform(state, replace(spec, phi=phi)))

@@ -299,3 +299,27 @@ class TestResonanceFrequency:
 def test_reference_geometry_is_validated():
     assert REFERENCE_GEOMETRY.cross_coupling == 0.01
     assert REFERENCE_GEOMETRY.ring_length == pytest.approx(RING_LENGTH)
+
+
+class TestNonFiniteFields:
+    """NaN passes every range comparison, so each field is also required to be finite."""
+
+    @pytest.mark.parametrize("field", ["ring_length", "alpha_loss", "n_eff", "cross_coupling"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_ring_geometry(self, field, value):
+        with pytest.raises(DomainError, match=f"{field} must be finite"):
+            make_geometry(**{field: value})
+
+    @pytest.mark.parametrize("fields", [dict(kappa=math.nan, gamma=1.0),
+                                        dict(kappa=1.0, gamma=math.inf),
+                                        dict(kappa=1.0, gamma=1.0, t_round=math.nan)])
+    def test_cavity_rates(self, fields):
+        with pytest.raises(DomainError, match="must be finite"):
+            CavityRates(**fields)
+
+    @pytest.mark.parametrize("fields", [dict(sigma_mag=math.nan, sigma_th=1.0),
+                                        dict(sigma_mag=1.0, sigma_th=math.inf),
+                                        dict(sigma_mag=0.5, sigma_th=1.0, phi_sigma=math.nan)])
+    def test_injection(self, fields):
+        with pytest.raises(DomainError, match="must be finite"):
+            Injection(**fields)
