@@ -12,8 +12,9 @@ import argparse
 import hashlib
 import math
 import sys
+from collections.abc import Callable, Iterable
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -117,28 +118,45 @@ class RunConfig:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+class LazyBlocks:
+    """Re-iterable table blocks, each computed when reached: block k is ``make(k)``."""
+
+    def __init__(self, count: int, make: Callable[[int], list]) -> None:
+        self.count, self.make = count, make
+
+    def __iter__(self):
+        return map(self.make, range(self.count))
+
+
 @dataclass
 class ResultTable:
-    """Columnar table with provenance metadata.
+    """Table with provenance metadata: a re-iterable sequence of column blocks.
 
-    ``data`` holds one 1-D array per entry of ``columns``, in order: a float
-    array per numeric column and a string array for ``flag``.
+    A block holds one column per entry of ``columns``, all of one length. A
+    numeric column is a float array or a list of its values already
+    formatted ``%.17e``; ``flag`` is a string array. ``data`` is either the
+    whole table as one block of columns or a LazyBlocks.
     """
 
     columns: list[str]
-    data: list[np.ndarray]
+    data: InitVar[list | LazyBlocks]
     meta: dict[str, str]
+    blocks: Iterable[list] = field(init=False)
 
-    def __post_init__(self) -> None:
-        self.data = [np.asarray(column) for column in self.data]
-        lengths = {column.shape for column in self.data}
-        if len(self.data) != len(self.columns) or len(lengths) != 1 or len(lengths.pop()) != 1:
-            raise ConfigError("result columns must match the column names and share one length")
+    def __post_init__(self, data) -> None:
+        if not isinstance(data, LazyBlocks):
+            data = [np.asarray(column) for column in data]
+            lengths = {column.shape for column in data}
+            if len(data) != len(self.columns) or len(lengths) != 1 or len(lengths.pop()) != 1:
+                raise ConfigError("result columns must match the column names and share one length")
+            data = (data,)
+        self.blocks = data
 
     @property
     def rows(self) -> list[list]:
-        """The table row by row (Python floats and strings)."""
-        return [list(row) for row in zip(*(column.tolist() for column in self.data))]
+        """The table row by row (Python floats and strings; text is read back with float())."""
+        return [list(row) for block in self.blocks for row in zip(*(
+            list(map(float, c)) if isinstance(c, list) else c.tolist() for c in block))]
 
 
 def _parse_lines(text: str, first_lineno: int = 1) -> list[tuple[int, str, str]]:
@@ -246,6 +264,9 @@ def parse_config(text: str, command: str = "") -> RunConfig:
     sensor_alpha_loss = take_float("sensor.alpha_loss")
     if sensor_alpha_loss is None:
         sensor_alpha_loss = geometry.alpha_loss
+    elif not 0 <= sensor_alpha_loss < math.inf:
+        raise ConfigError(f"line {values['sensor.alpha_loss'][1]}: sensor.alpha_loss must be "
+                          f"finite and >= 0, got {values['sensor.alpha_loss'][0]!r}")
 
     sweep = None
     if any(key.startswith("sweep.") for key in values):
@@ -256,15 +277,10 @@ def parse_config(text: str, command: str = "") -> RunConfig:
             variable = default[0]
         else:
             raise ConfigError(f"command {command!r} does not take a sweep")
-        if default is not None and variable == default[0]:
-            base_start, base_stop, base_points, base_scale = default[1:]
-        else:
-            base_start = base_stop = None
-            base_points, base_scale = 101, "linear"
-        start = take_float_default("sweep.start", base_start) if base_start is not None \
-            else take_float("sweep.start")
-        stop = take_float_default("sweep.stop", base_stop) if base_stop is not None \
-            else take_float("sweep.stop")
+        base = default[1:] if default is not None and variable == default[0] else None
+        base_start, base_stop, base_points, base_scale = base or (None, None, 101, "linear")
+        start = take_float_default("sweep.start", base_start)
+        stop = take_float_default("sweep.stop", base_stop)
         if start is None or stop is None:
             raise ConfigError("sweep.start and sweep.stop are required")
         sweep = SweepSpec(
@@ -420,11 +436,13 @@ def _run_squeezing(cfg: RunConfig, rates: CavityRates, gain: float):
 
 def _run_jsi(cfg: RunConfig, rates: CavityRates, gain: float):
     injection, _, _ = _resolve_drive(cfg, rates, gain)
+    if injection.sigma_mag >= rates.gamma_total:  # before any row, as rows are computed lazily
+        raise ConfigError(f"jsi needs a drive below threshold, got sigma_n = {injection.sigma_n!r}")
     span = cfg.jsi_span if cfg.jsi_span is not None else 3.0 * rates.gamma_total
     axis = np.linspace(-span, span, cfg.jsi_points)
-    grid_s, grid_i = np.meshgrid(axis, axis, indexing="ij")
-    values = jsi_density(rates, injection, grid_s, grid_i)
-    return ["delta_ws", "delta_wi", "value"], [grid_s.ravel(), grid_i.ravel(), values.ravel()]
+    labels = ["%.17e" % value for value in axis.tolist()]  # each axis value formatted once
+    return ["delta_ws", "delta_wi", "value"], LazyBlocks(axis.size, lambda k: [
+        [labels[k]] * axis.size, labels, jsi_density(rates, injection, axis[k], axis)])
 
 
 def _run_meanfield(cfg: RunConfig, rates: CavityRates, gain: float):
@@ -498,39 +516,41 @@ def _run_improvement(cfg: RunConfig, rates: CavityRates, gain: float):
     columns = ["sensor_length", "eta", "improvement", "flag"]
     # math.exp per row, as SensorSpec.eta_value: np.exp differs in the last bit.
     eta = np.array([math.exp(-cfg.sensor_alpha_loss * length) for length in lengths.tolist()])
-    outside = ~((eta > 0) & (eta <= 1))
-    if alpha_c <= 0 or outside.any():
-        raise DomainError(f"the improvement needs alpha_c > 0 and eta in (0, 1], got "
-                          f"alpha_c = {alpha_c}, eta = {eta[outside][:1].tolist()}")
+    if alpha_c <= 0:
+        raise DomainError(f"the improvement needs a probe, alpha_c > 0, got {alpha_c}")
     try:
         squeezed, pole = squeezed_sensitivity(alpha_c, eta, ring, injection)
     except ThresholdError:
         return columns, [lengths, eta, np.full(lengths.size, math.inf),
                          _flags(lengths.size, threshold=True)]
-    improvement = np.where(pole, math.inf, coherent_sensitivity(alpha_c, eta) / squeezed)
-    return columns, [lengths, eta, improvement, _flags(lengths.size, pole=pole)]
+    domain = eta == 0  # a long sensor's e^(-alpha L) underflows: no light reaches the detector
+    with np.errstate(invalid="ignore"):  # inf/inf on domain rows
+        factor = np.where(domain | pole, math.inf, coherent_sensitivity(alpha_c, eta) / squeezed)
+    return columns, [lengths, eta, factor, _flags(lengths.size, domain=domain, pole=pole)]
 
 
 def write_table(table: ResultTable, path: str | None) -> None:
     """Write the table as CSV with '#'-prefixed metadata lines.
 
-    Numbers are written '%.17e' (which spells 'inf' and 'nan' as such), the
-    flag column as is. Output bytes are a pure function of the table
-    contents, so identical configurations produce identical files.
+    Numbers are written '%.17e' (which spells 'inf' and 'nan' as such); text,
+    preformatted numbers and flags, as is. Output bytes are a pure function of
+    the table contents, so identical configurations produce identical files.
     """
-    header = [f"# {key}={table.meta[key]}" for key in sorted(table.meta)]
-    header.append(",".join(table.columns))
-    line = ",".join("%s" if name == "flag" else "%.17e" for name in table.columns) + "\n"
-    size, width = len(table.data[0]), len(table.data)
+    header = [f"# {k}={table.meta[k]}" for k in sorted(table.meta)] + [",".join(table.columns)]
+    width = len(table.columns)
     with (nullcontext(sys.stdout) if path is None
           else open(path, "w", encoding="utf-8", newline="\n")) as handle:
         handle.write("\n".join(header) + "\n")
-        for start in range(0, size, _WRITE_BLOCK_ROWS):
-            rows = min(_WRITE_BLOCK_ROWS, size - start)
-            cells = [None] * (rows * width)
-            for j, column in enumerate(table.data):  # row-major: cell j of each row
-                cells[j::width] = column[start:start + rows].tolist()
-            handle.write(line * rows % tuple(cells))
+        for block in table.blocks:
+            line = ",".join("%s" if isinstance(column, list) or column.dtype.kind == "U"
+                            else "%.17e" for column in block) + "\n"
+            for start in range(0, len(block[0]), _WRITE_BLOCK_ROWS):
+                rows = min(_WRITE_BLOCK_ROWS, len(block[0]) - start)
+                cells = [None] * (rows * width)
+                for j, column in enumerate(block):  # row-major: cell j of each row
+                    part = column[start:start + rows]
+                    cells[j::width] = part if isinstance(part, list) else part.tolist()
+                handle.write(line * rows % tuple(cells))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,6 +1,9 @@
 import math
+import os
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from ringmzi import (REFERENCE_GEOMETRY, CavityRates, Injection, SensorSpec, derive_rates,
                      fwm_gain, phase_sensitivity_numeric, pole_coherent_amplitude)
-from ringmzi.cli import (ConfigError, ResultTable, _resolve_drive, _sweep_for, main,
+from ringmzi.cavity_io import jsi as jsi_density
+from ringmzi.cli import (ConfigError, LazyBlocks, ResultTable, _resolve_drive, _sweep_for, main,
                          parse_config, run_command, write_table)
 from ringmzi.constants import HBAR
 
@@ -233,10 +237,10 @@ class TestArrayTables:
     """The array-built sweep tables against tables built row by row (tests/mzi_oracle.py)."""
 
     @staticmethod
-    def oracle_rows(cfg):
+    def oracle_rows(cfg, grid=None):
         rates = derive_rates(cfg.geometry)
         gain = fwm_gain(cfg.geometry).gain
-        grid = _sweep_for(cfg).grid().tolist()
+        grid = _sweep_for(cfg).grid().tolist() if grid is None else grid
         if cfg.command == "improvement":
             ratio = cfg.decay_ratio if cfg.decay_ratio is not None else rates.kappa / rates.gamma
             ring = CavityRates(kappa=rates.kappa, gamma=rates.kappa / ratio)
@@ -319,6 +323,101 @@ class TestArrayTables:
         assert [line.split(",")[-1] for line in lines].count("pole") >= 3
         cfg = parse_config(text, command="sensitivity")
         assert [line.split(",") for line in lines] == csv_cells(self.oracle_rows(cfg))
+
+    def test_long_sensor_rows_are_domain(self, tmp_path):
+        """eta = e^(-0.23 * 1e4) underflows to 0: that row is flagged, the others unchanged."""
+        path = tmp_path / "long.csv"
+        assert main(["improvement", "--set", "sweep.stop=1e4", "--set", "sweep.points=5",
+                     "--out", str(path)]) == 0
+        lines = [line.split(",") for line in path.read_text().splitlines()[3:]]
+        eta = [float(cells[1]) for cells in lines]
+        assert eta[-1] == 0.0 and all(value > 0 for value in eta[:-1])
+        assert lines[-1][2:] == ["inf", "domain"]
+        cfg = parse_config("sweep.stop = 1e4\nsweep.points = 5", command="improvement")
+        lit = [x for x, value in zip(_sweep_for(cfg).grid().tolist(), eta) if value > 0]
+        assert lines[:-1] == csv_cells(self.oracle_rows(cfg, lit))
+
+    def test_long_sensor_flag_precedence(self):
+        """threshold outranks domain, and domain outranks pole."""
+        text = "sweep.stop = 1e4\nsweep.points = 5\n"
+        above = run("improvement", text + "pump.sigma_n = 1.2")
+        assert [row[-1] for row in above.rows] == ["threshold"] * 5
+        rates = derive_rates(REFERENCE_GEOMETRY)
+        pole = pole_coherent_amplitude(rates, Injection.from_sigma_n(0.99895, rates))
+        on_pole = run("improvement", text + f"pump.alpha_c = {pole!r}")
+        assert [row[-1] for row in on_pole.rows] == ["pole"] * 4 + ["domain"]
+        assert all(math.isinf(row[2]) for row in on_pole.rows)
+
+    def test_default_improvement_csv_is_unchanged(self, tmp_path):
+        """The default preset writes the bytes of the row-by-row table."""
+        path = tmp_path / "improvement.csv"
+        assert main(["improvement", "--out", str(path)]) == 0
+        body = "".join(",".join(cells) + "\n" for cells in csv_cells(
+            self.oracle_rows(parse_config("", command="improvement"))))
+        assert path.read_text().split("\n", 3)[3] == body
+
+
+def jsi_oracle_body(cfg) -> str:
+    """The jsi rows in one shot: the whole meshgrid, then '%.17e' row by row."""
+    rates = derive_rates(cfg.geometry)
+    injection = _resolve_drive(cfg, rates, fwm_gain(cfg.geometry).gain)[0]
+    span = cfg.jsi_span if cfg.jsi_span is not None else 3.0 * rates.gamma_total
+    axis = np.linspace(-span, span, cfg.jsi_points)
+    grid_s, grid_i = np.meshgrid(axis, axis, indexing="ij")
+    values = jsi_density(rates, injection, grid_s, grid_i)
+    return "".join("%.17e,%.17e,%.17e\n" % row for row in zip(
+        grid_s.ravel().tolist(), grid_i.ravel().tolist(), values.ravel().tolist()))
+
+
+class TestStreamedJsi:
+    """The jsi table, computed and written one signal row at a time."""
+
+    @staticmethod
+    def check(settings):
+        cfg = parse_config("\n".join(settings), command="jsi")
+        with tempfile.TemporaryDirectory() as folder:
+            path = os.path.join(folder, "jsi.csv")
+            argv = ["jsi"] + [arg for setting in settings for arg in ("--set", setting)]
+            assert main(argv + ["--out", path]) == 0
+            text = Path(path).read_text()
+        header, body = text.split("\n", 3)[2:]
+        assert header == "delta_ws,delta_wi,value"
+        assert body == jsi_oracle_body(cfg)
+
+    @settings(max_examples=40, deadline=None)
+    @given(span=st.floats(1e3, 1e12), points=st.integers(2, 40), sigma_n=st.floats(0.0, 0.9999))
+    def test_equals_one_shot_grid(self, span, points, sigma_n):
+        self.check([f"jsi.span={span!r}", f"jsi.points={points}", f"pump.sigma_n={sigma_n!r}"])
+
+    def test_more_rows_than_a_write_block(self):
+        """70 x 70 = 4900 rows, more than the 4096 rows of one write block."""
+        self.check(["jsi.points=70", "pump.sigma_n=0.995"])
+
+    def test_memory_is_linear_in_points(self):
+        """A 400 x 400 table (three columns of 3.8 MB) is written in well under 2 MB."""
+        cfg = parse_config("jsi.points = 400", command="jsi")
+        tracemalloc.start()
+        try:
+            write_table(run_command(cfg), os.devnull)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+
+    def test_rows_and_text_columns_across_write_blocks(self, tmp_path):
+        """Blocks mixing text and arrays split at 4096 rows, and re-iterate for rows."""
+        values = np.linspace(-1.0, 1.0, 5000) * 1e9
+        text = ["%.17e" % value for value in values.tolist()]
+        flags = np.array(["", "pole"] * 2500)
+        table = ResultTable(columns=["a", "b", "flag"], meta={},
+                            data=LazyBlocks(2, lambda k: [text, values * (k + 1), flags]))
+        path = tmp_path / "blocks.csv"
+        write_table(table, str(path))
+        expected = [[a, b * (k + 1), flag] for k in range(2)
+                    for a, b, flag in zip(values.tolist(), values.tolist(), flags.tolist())]
+        assert path.read_text() == "a,b,flag\n" + "".join(
+            "%.17e,%.17e,%s\n" % tuple(row) for row in expected)
+        assert table.rows == expected
 
 
 class TestImport:
@@ -433,6 +532,23 @@ class TestMain:
     def test_jsi_span_must_be_positive_and_finite(self, span, capsys):
         assert main(["jsi", "--set", f"jsi.span={span}", "--set", "jsi.points=3"]) == 2
         assert "line 2: jsi.span must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sigma_n", ["1.2", "1.0"])
+    def test_jsi_at_or_above_threshold_is_config_error(self, sigma_n, tmp_path, capsys):
+        """Checked before the output is opened: no partial CSV of lazily computed rows."""
+        path = tmp_path / "jsi.csv"
+        assert main(["jsi", "--set", f"pump.sigma_n={sigma_n}", "--out", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "jsi needs a drive below threshold" in err
+        assert "Traceback" not in err
+        assert not path.exists()
+
+    @pytest.mark.parametrize("command,loss", [("sensitivity", "-1"), ("improvement", "-1"),
+                                              ("improvement", "inf")])
+    def test_sensor_loss_must_be_finite_and_nonnegative(self, command, loss, capsys):
+        assert main([command, "--set", "sensor.length=1", "--set",
+                     f"sensor.alpha_loss={loss}"]) == 2
+        assert "line 3: sensor.alpha_loss must be finite and >= 0" in capsys.readouterr().err
 
     def test_retired_time_horizon_key(self, capsys):
         """The direct mean-field solve has no integration horizon to set."""
