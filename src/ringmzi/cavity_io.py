@@ -104,15 +104,29 @@ def _guard_below_threshold(rates: CavityRates, injection: Injection) -> None:
             f"at/above threshold: sigma={injection.sigma_mag} >= Gamma={gamma_total}")
 
 
+def _pair_denominator(gamma_total: float, s2: float, detunings: Detunings) -> float:
+    """Common denominator of n_s and m_si, xi - 2 sigma^2 Gamma^2.
+
+    Formed this way it cancels near threshold: at zero detuning it equals
+    (Gamma^2 - sigma^2)^2, which falls below the rounding error eps Gamma^4
+    within about 1e-8 of threshold. Raises ThresholdError where it rounds to
+    zero or below.
+    """
+    ds, di = detunings.delta_s, detunings.delta_i
+    xi = (4 * di * ds - s2) ** 2 + 4 * gamma_total**2 * (di**2 + ds**2) + gamma_total**4
+    denominator = xi - 2 * s2 * gamma_total**2
+    if not denominator > 0:
+        raise ThresholdError(f"within rounding of threshold: sigma^2={s2}, Gamma={gamma_total}")
+    return denominator
+
+
 def photon_flux(rates: CavityRates, injection: Injection,
                 detunings: Detunings = ZERO_DETUNING) -> float:
     """Output signal photon-flux spectral density n_s [Hz]."""
     _guard_below_threshold(rates, injection)
     kappa, gamma_total = rates.kappa, rates.gamma_total
     s2 = injection.sigma_mag**2
-    ds, di = detunings.delta_s, detunings.delta_i
-    xi = (4 * di * ds - s2) ** 2 + 4 * gamma_total**2 * (di**2 + ds**2) + gamma_total**4
-    return 4 * s2 * kappa * gamma_total / (xi - 2 * s2 * gamma_total**2)
+    return 4 * s2 * kappa * gamma_total / _pair_denominator(gamma_total, s2, detunings)
 
 
 def anomalous_moment(rates: CavityRates, injection: Injection,
@@ -127,9 +141,8 @@ def anomalous_moment(rates: CavityRates, injection: Injection,
     sigma = injection.sigma
     s2 = injection.sigma_mag**2
     ds, di = detunings.delta_s, detunings.delta_i
-    xi = (4 * di * ds - s2) ** 2 + 4 * gamma_total**2 * (di**2 + ds**2) + gamma_total**4
     num = -2 * kappa * sigma * (4 * di * ds - 2j * gamma_total * (di + ds) - gamma_total**2 - s2)
-    return num / (xi - 2 * s2 * gamma_total**2)
+    return num / _pair_denominator(gamma_total, s2, detunings)
 
 
 def static_moments(rates: CavityRates, injection: Injection,

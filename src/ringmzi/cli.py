@@ -9,6 +9,7 @@ code (0 success, 2 config error, 3 I/O error).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import math
 import sys
@@ -25,7 +26,7 @@ from .constants import HBAR
 from .errors import ConfigError, DomainError, ThresholdError
 from .interferometer import (POLE_TOLERANCE, SensorSpec, coherent_sensitivity, phase_readout,
                              shot_noise_limit, squeezed_sensitivity)
-from .meanfield import comparison_curve
+from .meanfield import comparison_columns
 from .params import (CavityRates, Injection, REFERENCE_GEOMETRY, RingGeometry, derive_rates,
                      fwm_gain, sigma_from_power, threshold_power)
 
@@ -63,6 +64,9 @@ _DEFAULT_SWEEPS = {
 
 # Rows formatted per write; bounds the text held in memory for large tables.
 _WRITE_BLOCK_ROWS = 4096
+
+# A sweep table is held whole, at up to about 0.5 KB per point (phase sweep).
+MAX_SWEEP_POINTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -267,6 +271,14 @@ def parse_config(text: str, command: str = "") -> RunConfig:
     elif not 0 <= sensor_alpha_loss < math.inf:
         raise ConfigError(f"line {values['sensor.alpha_loss'][1]}: sensor.alpha_loss must be "
                           f"finite and >= 0, got {values['sensor.alpha_loss'][0]!r}")
+    # improvement sweeps the length itself: there a dark sensor is a domain row.
+    if sensor_length is not None and command != "improvement":
+        eta_length = math.exp(-sensor_alpha_loss * sensor_length)
+        if not 0 < eta_length <= 1:
+            raise ConfigError(
+                f"line {values['sensor.length'][1]}: sensor.length = "
+                f"{values['sensor.length'][0]!r} with sensor.alpha_loss = {sensor_alpha_loss!r} "
+                f"gives eta = e^(-alpha_loss * length) = {eta_length!r}, outside (0, 1]")
 
     sweep = None
     if any(key.startswith("sweep.") for key in values):
@@ -283,11 +295,15 @@ def parse_config(text: str, command: str = "") -> RunConfig:
         stop = take_float_default("sweep.stop", base_stop)
         if start is None or stop is None:
             raise ConfigError("sweep.start and sweep.stop are required")
+        points = take_int("sweep.points", base_points)
+        if points > MAX_SWEEP_POINTS:
+            raise ConfigError(f"line {values['sweep.points'][1]}: sweep.points must be at most "
+                              f"{MAX_SWEEP_POINTS}, got {values['sweep.points'][0]!r}")
         sweep = SweepSpec(
             variable=variable,
             start=start,
             stop=stop,
-            points=take_int("sweep.points", base_points),
+            points=points,
             scale=values.get("sweep.scale", (base_scale, 0))[0],
         )
 
@@ -446,10 +462,9 @@ def _run_jsi(cfg: RunConfig, rates: CavityRates, gain: float):
 
 
 def _run_meanfield(cfg: RunConfig, rates: CavityRates, gain: float):
-    records = comparison_curve(rates, gain, _sweep_for(cfg).grid())
-    columns = ["sigma_n", "ns_lin", "ns_mf", "np_lin", "np_mf"]
-    data = [np.array([record[name] for record in records]) for name in columns]
-    return columns + ["flag"], data + [_flags(len(records), threshold=np.isinf(data[1]))]
+    columns = comparison_columns(rates, gain, _sweep_for(cfg).grid())
+    flags = _flags(columns["sigma_n"].size, threshold=np.isinf(columns["ns_lin"]))
+    return [*columns, "flag"], [*columns.values(), flags]
 
 
 def _run_sensitivity(cfg: RunConfig, rates: CavityRates, gain: float):
@@ -553,7 +568,9 @@ def write_table(table: ResultTable, path: str | None) -> None:
                 handle.write(line * rows % tuple(cells))
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call to main."""
     parser = argparse.ArgumentParser(
         prog="ringmzi",
         description="Microring squeezed-light interferometry design tables.")
@@ -562,7 +579,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", help="output CSV path (default: stdout)")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override a configuration entry (repeatable)")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
 
     text = ""
     if args.config is not None:

@@ -29,10 +29,19 @@ number and
 
 N(d) rises from 0 to infinity on 0 <= d < 1, so the first root reached from
 vacuum (the smallest y) is the unique root with d < 1; the residual has a
-second root at d > 1. The root is bracketed in r = d/(1-d), which keeps
-both a small d (about y/C below threshold) and a small 1 - d (far above
-it) precise. A complex a_l rotates <a_p> by its phase and <a_p^2>,
-<a_s a_i> by twice it.
+second root at d > 1. The root is solved in r = d/(1-d), which keeps both a
+small d (about y/C below threshold) and a small 1 - d (far above it)
+precise, by a Newton iteration over the whole grid with the analytic slope
+(dy/dt = (1-y^2)^2/(1+y^2) for t = C d), kept inside the bracket
+[tiny, 2 N_0 + 1] by a bisection step wherever it would leave it. It
+starts from a closed form that is close in every regime: below and near
+threshold y solves C y + y/(1-y) = N_0, which gives the linearized
+y = N_0/C far below and, for y = 1 - eps near threshold, the quadratic
+eps^2 + (delta + 1/C) eps - 1/C = 0 with delta = N_0/C - 1; far above,
+y is about 1 and x = 1 - d solves 4 C x^2 + (N_0 + 3/2 - 4 C) x - 1 = 0.
+Each estimate overshoots d in the other's regime, so the smaller is taken.
+A complex a_l rotates <a_p> by its phase and <a_p^2>, <a_s a_i> by twice
+it.
 """
 
 from __future__ import annotations
@@ -87,28 +96,31 @@ def mf_derivatives(state: MomentState, rates: CavityRates, gain: float,
     )
 
 
-def lin_steady_state(rates: CavityRates, sigma: complex) -> MomentState:
-    """Analytic fixed point of the linearized moment equations.
+def lin_steady_state(rates: CavityRates, sigma) -> MomentState:
+    """Analytic fixed point of the linearized moment equations; sigma may be an array.
 
     n_s = n_i = |sigma|^2/(2(Gamma^2-|sigma|^2)),
     m_si = sigma*Gamma/(2(Gamma^2-|sigma|^2)); requires |sigma| < Gamma.
     """
     gamma_total = rates.gamma_total
-    mag2 = abs(sigma) ** 2
-    if abs(sigma) >= gamma_total:
-        raise ThresholdError(f"no linearized steady state at |sigma|={abs(sigma)} >= {gamma_total}")
+    magnitude = np.abs(sigma)
+    if np.any(magnitude >= gamma_total):
+        raise ThresholdError(f"no linearized steady state at |sigma|={np.max(magnitude)} "
+                             f">= {gamma_total}")
+    mag2 = np.float_power(magnitude, 2)  # pow, as Python's float ** rounds it
     denom = 2.0 * (gamma_total**2 - mag2)
     return MomentState(n_s=mag2 / denom, n_i=mag2 / denom, m_si=sigma * gamma_total / denom)
 
 
-def drive_for_sigma(rates: CavityRates, gain: float, sigma_mag: float) -> float:
+def drive_for_sigma(rates: CavityRates, gain: float, sigma_mag):
     """Waveguide drive amplitude |alpha_l| producing a given on-resonance sigma.
 
-    Inverts sigma = 8*g*kappa*|alpha_l|^2/Gamma^2 [sqrt(Hz)].
+    Inverts sigma = 8*g*kappa*|alpha_l|^2/Gamma^2 [sqrt(Hz)]; sigma_mag may be
+    an array.
     """
     if gain <= 0 or rates.kappa <= 0:
         raise DomainError("gain and kappa must be positive")
-    return math.sqrt(sigma_mag * rates.gamma_total**2 / (8.0 * gain * rates.kappa))
+    return np.sqrt(sigma_mag * rates.gamma_total**2 / (8.0 * gain * rates.kappa))
 
 
 def _bisect(excess, lo, hi, midpoint):
@@ -133,18 +145,66 @@ def _pair_moments(depletion: np.ndarray, clamp: float):
     return d, twice_m, 2.0 * twice_m / (1.0 + np.hypot(1.0, 2.0 * twice_m))
 
 
+def _excess(depletion: np.ndarray, n_empty: np.ndarray, clamp: float):
+    """(N(d) - N_0, its derivative in r) at r = d/(1-d)."""
+    d, _, y = _pair_moments(depletion, clamp)
+    excess = (clamp * y * (1.0 + d) ** 2
+              + depletion * (1.0 + 2.0 * depletion) / (2.0 * (1.0 + depletion)) - n_empty)
+    # dy/dt = (1-y^2)^2/(1+y^2) at t = C d, and dd/dr = 1/(1+r)^2.
+    y2 = y * y
+    dy_dd = clamp * (1.0 - y2) ** 2 / (1.0 + y2)
+    slope = (clamp * (1.0 + d) * (dy_dd * (1.0 + d) + 2.0 * y)
+             + (1.0 + 4.0 * depletion + 2.0 * depletion**2) / 2.0) / (1.0 + depletion) ** 2
+    return excess, slope
+
+
+def _depletion_start(n_empty: np.ndarray, clamp: float) -> np.ndarray:
+    """Closed-form estimate of r = d/(1-d); see the module docstring."""
+    y = 2.0 * n_empty / (clamp + 1.0 + n_empty
+                         + np.sqrt((clamp - n_empty) ** 2 + 2.0 * (clamp + n_empty) + 1.0))
+    b = n_empty + 1.5 - 4.0 * clamp
+    root = np.hypot(b, 4.0 * math.sqrt(clamp))
+    x = np.where(b > 0, 2.0 / (root + np.abs(b)), (root + np.abs(b)) / (8.0 * clamp))
+    # Far above threshold y rounds to 1 and d_low to inf, in the branch not taken.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d_low = y / (clamp * (1.0 - y * y))
+        return np.where(d_low < 1.0 - x, d_low / (1.0 - d_low), (1.0 - x) / x)
+
+
+# The Newton iteration stops after a step below NEWTON_STEP_TOL relative (the
+# next would be below rounding) or one that a residual of 8 ulps of N_0, the
+# rounding of the residual itself, accounts for.
+NEWTON_STEP_TOL = 1e-9
+NEWTON_MAX_STEPS = 100
+
+
 def _depletion(n_empty: np.ndarray, clamp: float) -> np.ndarray:
-    """r = d/(1-d) of the first steady state for each empty-cavity pump number."""
+    """r = d/(1-d) of the first steady state for each empty-cavity pump number.
 
-    def excess(depletion):
-        d, _, y = _pair_moments(depletion, clamp)
-        return (clamp * y * (1.0 + d) ** 2
-                + depletion * (1.0 + 2.0 * depletion) / (2.0 * (1.0 + depletion)) - n_empty)
-
+    Each point iterates on its own, so its root does not depend on the grid.
+    """
     # excess(r) >= r/2 - n_empty, so hi brackets the root.
     lo = np.full_like(n_empty, np.finfo(float).tiny)
-    _, hi = _bisect(excess, lo, 2.0 * n_empty + 1.0, lambda lo, hi: np.sqrt(lo) * np.sqrt(hi))
-    return np.where(n_empty > 0, hi, 0.0)
+    hi = 2.0 * n_empty + 1.0
+    depletion = _depletion_start(n_empty, clamp)
+    depletion = np.where((lo < depletion) & (depletion < hi), depletion, np.sqrt(lo) * np.sqrt(hi))
+    active = n_empty > 0
+    for _ in range(NEWTON_MAX_STEPS):
+        if not active.any():
+            return np.where(n_empty > 0, depletion, 0.0)
+        excess, slope = _excess(depletion, n_empty, clamp)
+        lo = np.where(active & (excess <= 0), depletion, lo)
+        hi = np.where(active & (excess > 0), depletion, hi)
+        candidate = depletion - excess / slope
+        candidate = np.where((lo <= candidate) & (candidate <= hi), candidate,
+                             np.sqrt(lo) * np.sqrt(hi))
+        done = np.abs(candidate - depletion) <= (NEWTON_STEP_TOL * depletion
+                                                 + 8.0 * np.spacing(n_empty) / slope)
+        depletion = np.where(active, candidate, depletion)
+        active &= ~done
+    k = np.flatnonzero(active)[0]
+    raise ConvergenceError(f"no depletion root at empty-cavity pump number {n_empty.flat[k]} "
+                           f"within {NEWTON_MAX_STEPS} Newton steps")
 
 
 def _max_relative_rate(state: MomentState, rate: MomentState) -> np.ndarray:
@@ -222,22 +282,28 @@ def validity_bound(rates: CavityRates, gain: float, error_tol: float) -> float:
     return float(lo)
 
 
-def comparison_curve(rates: CavityRates, gain: float, sigma_ns):
-    """Linearized vs mean-field steady-state records over a sigma_n grid.
+def comparison_columns(rates: CavityRates, gain: float, sigma_ns) -> dict[str, np.ndarray]:
+    """Linearized vs mean-field steady state over a sigma_n grid, one array per column.
 
-    Returns one dict per grid point with keys sigma_n, ns_lin, ns_mf,
-    np_lin, np_mf; at threshold (1 - sigma_n <= THRESHOLD_MARGIN) and above
-    it ns_lin is inf.
+    Columns sigma_n, ns_lin, ns_mf, np_lin, np_mf; at threshold
+    (1 - sigma_n <= THRESHOLD_MARGIN) and above it ns_lin is inf.
     """
     gamma_total = rates.gamma_total
-    sigma_ns = list(sigma_ns)
-    drives = [drive_for_sigma(rates, gain, sigma_n * gamma_total) for sigma_n in sigma_ns]
+    sigma_ns = np.asarray(sigma_ns, dtype=float)
+    sigma = sigma_ns * gamma_total
+    drives = drive_for_sigma(rates, gain, sigma)
     states = _steady_states(rates, gain, drives)
-    return [{"sigma_n": sigma_n,
-             "ns_lin": (lin_steady_state(rates, sigma_n * gamma_total).n_s
-                        if 1.0 - sigma_n > THRESHOLD_MARGIN else math.inf),
-             "ns_mf": ns_mf,
-             "np_lin": 4.0 * rates.kappa * alpha_l**2 / gamma_total**2,
-             "np_mf": np_mf}
-            for sigma_n, alpha_l, ns_mf, np_mf
-            in zip(sigma_ns, drives, states.n_s.tolist(), states.n_p.tolist())]
+    below = 1.0 - sigma_ns > THRESHOLD_MARGIN
+    ns_lin = lin_steady_state(rates, np.where(below, sigma, 0.0)).n_s
+    return {"sigma_n": sigma_ns,
+            "ns_lin": np.where(below, ns_lin, math.inf),
+            "ns_mf": states.n_s,
+            "np_lin": 4.0 * rates.kappa * np.float_power(drives, 2) / gamma_total**2,
+            "np_mf": states.n_p}
+
+
+def comparison_curve(rates: CavityRates, gain: float, sigma_ns) -> list[dict[str, float]]:
+    """comparison_columns as one dict per grid point."""
+    columns = comparison_columns(rates, gain, sigma_ns)
+    return [dict(zip(columns, row)) for row in zip(*(column.tolist()
+                                                     for column in columns.values()))]

@@ -1,10 +1,13 @@
-"""Time-marching oracle for the mean-field steady state (tests only).
+"""Oracles for the mean-field steady state (tests only).
 
 Integrates ringmzi.meanfield.mf_derivatives from vacuum with LSODA (or a
 fixed-step RK4) until every moment changes relatively less than
 convergence_tol per 1/rate_scale of integration time. The direct solve in
 ringmzi.meanfield is checked against it; its stop rule leaves an error of
 about convergence_tol/(1 - sigma_n) below threshold.
+
+bisected_depletion solves the direct solve's scalar root by bisection to
+adjacent floats, the reference for its Newton iteration.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from scipy.integrate import solve_ivp
 
 from ringmzi import (CavityRates, ConvergenceError, DomainError, MomentState, VACUUM,
                      mf_derivatives)
+from ringmzi.meanfield import _bisect, _excess
 
 DIVERGENCE_LIMIT = 1e30
 
@@ -173,3 +177,15 @@ def marched_steady_state(rates: CavityRates, gain: float, alpha_l: complex,
     if cfg is None:
         cfg = SolverConfig.for_rates(rates, t_max=3e6 / rates.gamma_total)
     return steady_state(lambda s: mf_derivatives(s, rates, gain, alpha_l), VACUUM, cfg)
+
+
+def bisected_depletion(n_empty: np.ndarray, clamp: float) -> np.ndarray:
+    """r = d/(1-d) of the first steady state, bisected to adjacent floats.
+
+    A drop-in for ringmzi.meanfield._depletion: the same residual, bracket
+    and root, narrowed by geometric midpoints instead of Newton steps.
+    """
+    lo = np.full_like(n_empty, np.finfo(float).tiny)
+    _, hi = _bisect(lambda depletion: _excess(depletion, n_empty, clamp)[0], lo,
+                    2.0 * n_empty + 1.0, lambda lo, hi: np.sqrt(lo) * np.sqrt(hi))
+    return np.where(n_empty > 0, hi, 0.0)

@@ -1,14 +1,17 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from ringmzi import (CavityRates, Detunings, DomainError, Injection, SeedAmplitudes,
-                     ThresholdError, anomalous_moment, homodyne_signal, jsi, output_moments,
-                     photon_flux, quadrature_variance, squeezing_parameter, static_moments,
-                     to_db, variance_extrema)
+from ringmzi import (REFERENCE_GEOMETRY, CavityRates, Detunings, DomainError, Injection,
+                     SeedAmplitudes, ThresholdError, anomalous_moment, derive_rates,
+                     homodyne_signal, jsi, output_moments, photon_flux, quadrature_variance,
+                     squeezing_parameter, static_moments, to_db, variance_extrema)
 from scattering_oracle import drift_matrix, output_transfer, transfer_moments
 
 SIGMA_N_GRID = np.linspace(0.0, 0.99, 10)
@@ -344,3 +347,63 @@ class TestHomodyneSignal:
         expected = 2 * 30.0 * ((moments.first_s + moments.first_i)
                                * cmath.exp(1j * phi)).real
         assert homodyne_signal(moments, 30.0, phi)[0] == pytest.approx(expected, rel=1e-12)
+
+
+def _ring(cross_coupling, alpha_loss, radius):
+    return derive_rates(replace(REFERENCE_GEOMETRY, cross_coupling=cross_coupling,
+                                alpha_loss=alpha_loss, ring_length=2 * math.pi * radius))
+
+
+RINGS = dict(cross_coupling=st.floats(1e-3, 0.2), alpha_loss=st.floats(0.01, 20.0),
+             radius=st.floats(20e-6, 1e-3))
+BELOW_THRESHOLD = st.floats(0.0, 1.0, exclude_max=True)
+
+
+# Drives within this distance of threshold may round the pair denominator to <= 0.
+ROUNDING_ZONE = 1e-6
+REFERENCE_RING = dict(cross_coupling=REFERENCE_GEOMETRY.cross_coupling,
+                      alpha_loss=REFERENCE_GEOMETRY.alpha_loss,
+                      radius=REFERENCE_GEOMETRY.ring_length / (2 * math.pi))
+
+
+class TestRandomGeometryInvariants:
+    """Below threshold, or a ThresholdError where the pair denominator rounds to <= 0."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(**RINGS, sigma_n=BELOW_THRESHOLD, drive_phase=st.floats(-math.pi, math.pi),
+           phi=st.floats(-math.pi, math.pi))
+    @example(**REFERENCE_RING, sigma_n=1 - 1e-9, drive_phase=0.0, phi=0.0)
+    def test_uncertainty_product(self, cross_coupling, alpha_loss, radius, sigma_n,
+                                 drive_phase, phi):
+        """V(phi) V(phi + pi/2) >= 1 within rounding, 16 eps (V(phi) + V(phi + pi/2))^2.
+
+        Rounding of m_si e^(2i phi) leaves each variance about eps |m_si| off,
+        and the larger variance is about 4 |m_si|.
+        """
+        rates = _ring(cross_coupling, alpha_loss, radius)
+        injection = inj(rates, sigma_n, phi=drive_phase)
+        try:
+            first, second = quadrature_variance(rates, injection, [phi, phi + math.pi / 2])
+        except ThresholdError:
+            assert 1 - sigma_n < ROUNDING_ZONE
+            return
+        eps = np.finfo(float).eps
+        assert first * second >= 1.0 - 16 * eps * (first + second) ** 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(**RINGS, sigma_n=BELOW_THRESHOLD, delta_s=st.floats(-1e3, 1e3),
+           delta_i=st.floats(-1e3, 1e3))
+    @example(**REFERENCE_RING, sigma_n=1 - 1e-9, delta_s=0.0, delta_i=0.0)
+    @example(**REFERENCE_RING, sigma_n=0.9999999999999895, delta_s=0.0, delta_i=0.0)
+    def test_photon_flux_nonnegative(self, cross_coupling, alpha_loss, radius, sigma_n,
+                                     delta_s, delta_i):
+        """n_s >= 0 at detunings up to 1000 Gamma on either mode."""
+        rates = _ring(cross_coupling, alpha_loss, radius)
+        detunings = Detunings(delta_s=delta_s * rates.gamma_total,
+                              delta_i=delta_i * rates.gamma_total)
+        try:
+            flux = photon_flux(rates, inj(rates, sigma_n), detunings)
+        except ThresholdError:
+            assert 1 - sigma_n < ROUNDING_ZONE
+            return
+        assert flux >= 0.0

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from ringmzi import (REFERENCE_GEOMETRY, CavityRates, Injection, SensorSpec, derive_rates,
                      fwm_gain, phase_sensitivity_numeric, pole_coherent_amplitude)
 from ringmzi.cavity_io import jsi as jsi_density
-from ringmzi.cli import (ConfigError, LazyBlocks, ResultTable, _resolve_drive, _sweep_for, main,
-                         parse_config, run_command, write_table)
+from ringmzi.cli import (ConfigError, LazyBlocks, ResultTable, _parser, _resolve_drive, _sweep_for,
+                         main, parse_config, run_command, write_table)
 from ringmzi.constants import HBAR
 
 
@@ -549,6 +549,45 @@ class TestMain:
         assert main([command, "--set", "sensor.length=1", "--set",
                      f"sensor.alpha_loss={loss}"]) == 2
         assert "line 3: sensor.alpha_loss must be finite and >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sensitivity", "pole"])
+    def test_dark_sensor_is_config_error(self, command, capsys):
+        """e^(-alpha_loss * length) underflowing to 0 names both keys, not just eta."""
+        assert main([command, "--set", "sensor.length=1e4"]) == 2
+        err = capsys.readouterr().err
+        assert "line 2: sensor.length = '1e4' with sensor.alpha_loss = 0.23" in err
+        assert "Traceback" not in err
+
+    def test_dark_sensor_in_improvement_stays_a_domain_row(self, capsys):
+        assert main(["improvement", "--set", "sensor.length=1e4", "--set", "sweep.stop=1e4",
+                     "--set", "sweep.points=3"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].endswith(",domain")
+
+    def test_sweep_points_cap(self, capsys):
+        """Refused while parsing, before any grid exists; the cap itself is accepted."""
+        assert parse_config("sweep.points = 1000000", command="squeezing").sweep.points == 1_000_000
+        with pytest.raises(ConfigError, match="line 2: sweep.points must be at most 1000000"):
+            parse_config("\nsweep.points = 1000001", command="squeezing")
+        assert main(["squeezing", "--set", "sweep.points=2e6"]) == 2
+        assert "line 2: sweep.points must be at most 1000000, got '2e6'" in capsys.readouterr().err
+
+    def test_drive_within_rounding_of_threshold_is_flagged(self, capsys):
+        """The pair denominator rounds to 0 at sigma_n = 1 - 1e-9: threshold rows, not a traceback."""
+        assert main(["squeezing", "--set", "pump.sigma_n=0.999999999",
+                     "--set", "sweep.points=3"]) == 0
+        rows = capsys.readouterr().out.splitlines()[3:]
+        assert [row.rsplit(",", 1)[1] for row in rows] == ["threshold"] * 3
+
+    def test_successive_calls_share_no_parser_state(self, tmp_path, capsys):
+        """The parser is built once; --set lists of earlier calls do not leak into later ones."""
+        first, second, expected = (tmp_path / f"{name}.csv"
+                                   for name in ("first", "second", "expected"))
+        assert main(["squeezing", "--set", "pump.sigma_n=0.5", "--set", "sweep.points=3",
+                     "--out", str(first)]) == 0
+        assert main(["squeezing", "--set", "sweep.points=4", "--out", str(second)]) == 0
+        assert _parser() is _parser()
+        write_table(run("squeezing", "sweep.points = 4"), str(expected))
+        assert second.read_bytes() == expected.read_bytes()
 
     def test_retired_time_horizon_key(self, capsys):
         """The direct mean-field solve has no integration horizon to set."""

@@ -3,7 +3,8 @@
 The time-marching tests (TestLinearized integration cases, the fixed-step
 and dt-halving cases and SolverConfig validation) exercise the LSODA/RK4
 oracle in tests/mf_oracle.py, which TestOracleAgreement compares with the
-direct solve.
+direct solve. TestNewtonRoot compares the direct solve's Newton root with
+the bisection oracle there.
 """
 
 import math
@@ -13,12 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mf_oracle import (DivergenceError, SolverConfig, _max_rel_rate, _pack, lin_derivatives,
-                       marched_steady_state, steady_state)
+from mf_oracle import (DivergenceError, SolverConfig, _max_rel_rate, _pack, bisected_depletion,
+                       lin_derivatives, marched_steady_state, steady_state)
 from ringmzi import (CavityRates, ConvergenceError, DomainError, Injection,
                      MomentState, VACUUM, comparison_curve, drive_for_sigma,
                      intracavity_pump, lin_steady_state, mf_derivatives,
                      mf_steady_state, validity_bound, ThresholdError)
+import ringmzi.meanfield as meanfield
 
 
 def solver_for(rates, **overrides):
@@ -249,6 +251,20 @@ class TestDirectSolve:
             state = mf_steady_state(rates, gain, drive_for_sigma(rates, gain, sigma))
             assert (record["ns_mf"], record["np_mf"]) == (state.n_s, state.n_p)
 
+    def test_linear_columns_round_as_python_floats(self, rates, gain):
+        """ns_lin and np_lin equal the per-row Python float formulas bit for bit."""
+        gamma_total = rates.gamma_total
+        grid = np.concatenate([np.linspace(0.1, 1.15, 22), np.linspace(0.9, 0.999, 16),
+                               np.random.default_rng(5).uniform(0.0, 1.0, 20000)])
+        columns = meanfield.comparison_columns(rates, gain, grid)
+        for k, sigma_n in enumerate(grid.tolist()):
+            sigma = sigma_n * gamma_total
+            alpha_l = math.sqrt(sigma * gamma_total**2 / (8.0 * gain * rates.kappa))
+            assert columns["np_lin"][k] == 4.0 * rates.kappa * alpha_l**2 / gamma_total**2
+            if 1.0 - sigma_n > 1e-12:
+                mag2 = abs(sigma) ** 2
+                assert columns["ns_lin"][k] == mag2 / (2.0 * (gamma_total**2 - mag2)), sigma_n
+
     def test_threshold_margin(self, rates, gain):
         """1 - sigma_n <= 1e-12 counts as threshold: ns_lin is inf there."""
         grid = [1 - 2e-12, 1 - 1e-12, 1 - 2.2e-16, 1.0]
@@ -295,3 +311,72 @@ class TestValidityBoundRoot:
 
         bound = validity_bound(rates, gain, 0.05)
         assert deviation(bound) <= 0.05 < deviation(np.nextafter(bound, 1.0))
+
+
+def _root_inputs(rates, gain, sigma_ns):
+    """(N_0, C) of the depletion root at each sigma_n, as _steady_states forms them."""
+    drives = drive_for_sigma(rates, gain, np.asarray(sigma_ns) * rates.gamma_total)
+    empty_pump = 2.0 * math.sqrt(rates.kappa) * drives / rates.gamma_total
+    return empty_pump**2, rates.gamma_total / (2.0 * gain)
+
+
+def _ulps_around_one(count):
+    """sigma_n = 1 and the `count` floats on either side of it."""
+    below, above = [1.0], [1.0]
+    for _ in range(count):
+        below.append(np.nextafter(below[-1], 0.0))
+        above.append(np.nextafter(above[-1], 2.0))
+    return below[:0:-1] + above
+
+
+class TestNewtonRoot:
+    GRIDS = dict(ORACLE_GRIDS, ulps=_ulps_around_one(4))
+
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    def test_moments_match_bisection(self, rates, gain, grid, monkeypatch):
+        """Every moment agrees with the bisected root's within 1e-11 relative."""
+        drives = drive_for_sigma(rates, gain, np.asarray(self.GRIDS[grid]) * rates.gamma_total)
+        newton = meanfield._steady_states(rates, gain, drives)
+        monkeypatch.setattr(meanfield, "_depletion", bisected_depletion)
+        bisected = meanfield._steady_states(rates, gain, drives)
+        for name in ("a_p", "a_pp", "n_p", "n_s", "n_i", "m_si"):
+            assert getattr(newton, name) == pytest.approx(getattr(bisected, name), rel=1e-11,
+                                                          abs=0.0), name
+
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    def test_steps_per_grid(self, rates, gain, grid, monkeypatch):
+        """At most 8 Newton steps solve a whole grid (one residual evaluation each)."""
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return excess(*args)
+
+        excess = meanfield._excess
+        monkeypatch.setattr(meanfield, "_excess", counted)
+        meanfield._depletion(*_root_inputs(rates, gain, self.GRIDS[grid]))
+        assert 1 <= len(calls) <= 8
+
+    @settings(max_examples=300, deadline=None)
+    @given(kappa_exp=st.floats(6, 11), gamma_exp=st.floats(5, 10), gain_exp=st.floats(-3, 3),
+           sigma_exps=st.lists(st.floats(-8, 6), min_size=1, max_size=8))
+    def test_residual_within_rounding(self, kappa_exp, gamma_exp, gain_exp, sigma_exps):
+        """|N(d) - N_0| at the root: within 8 ulps of N_0 (the bisection's within 4)."""
+        rates, gain = _cavity(kappa_exp, gamma_exp, gain_exp)
+        n_empty, clamp = _root_inputs(rates, gain, 10.0 ** np.array(sigma_exps))
+        ulp = np.spacing(n_empty)
+        newton = np.abs(meanfield._excess(meanfield._depletion(n_empty, clamp), n_empty, clamp)[0])
+        bisected = np.abs(meanfield._excess(bisected_depletion(n_empty, clamp), n_empty, clamp)[0])
+        assert np.all(newton <= 8 * ulp), newton / ulp
+        assert np.all(bisected <= 4 * ulp), bisected / ulp
+
+    def test_slope_is_the_derivative(self):
+        """The analytic slope against a central difference, below, at and above threshold."""
+        clamp = 3.5e8
+        n_empty = clamp * np.array([0.3, 1.0, 1.0, 2.0, 50.0])
+        depletion = np.array([1e-9, 3e-5, 0.2, 2.0, 4e9])
+        step = 1e-6 * depletion
+        _, slope = meanfield._excess(depletion, n_empty, clamp)
+        upper, _ = meanfield._excess(depletion + step, n_empty, clamp)
+        lower, _ = meanfield._excess(depletion - step, n_empty, clamp)
+        assert slope == pytest.approx((upper - lower) / (2 * step), rel=1e-6)
