@@ -15,7 +15,7 @@ import math
 import sys
 from collections.abc import Callable, Iterable
 from contextlib import nullcontext
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass, field, fields
 
 import numpy as np
 
@@ -24,62 +24,55 @@ from .cavity_io import jsi as jsi_density
 from .cavity_io import output_moments, quadrature_variance, to_db
 from .constants import HBAR
 from .errors import ConfigError, DomainError, ThresholdError
-from .interferometer import (POLE_TOLERANCE, SensorSpec, coherent_sensitivity, phase_readout,
-                             shot_noise_limit, squeezed_sensitivity)
+from .interferometer import (POLE_TOLERANCE, SensorSpec, coherent_sensitivity, decay_ratio,
+                             phase_readout, shot_noise_limit, squeezed_sensitivity)
 from .meanfield import comparison_columns
 from .params import (CavityRates, Injection, REFERENCE_GEOMETRY, RingGeometry, derive_rates,
                      fwm_gain, sigma_from_power, threshold_power)
 
 COMMANDS = ("rates", "squeezing", "jsi", "meanfield", "sensitivity", "pole", "improvement")
 
-_GEOMETRY_KEYS = ("ring_length", "n_eff", "n_g", "cross_coupling", "alpha_loss",
-                  "n2", "a_eff", "lambda_p")
+# The RunConfig field of each pump, sensor, jsi and improvement key. The
+# geometry.* and sweep.* keys are the fields of RingGeometry and SweepSpec.
+_FIELDS = {
+    "pump.sigma_n": "sigma_n", "pump.p_l": "p_l", "pump.p_c": "p_c", "pump.alpha_c": "alpha_c",
+    "pump.delta_p": "delta_p", "sensor.phi": "phi", "sensor.eta": "eta",
+    "sensor.length": "sensor_length", "sensor.alpha_loss": "sensor_alpha_loss",
+    "jsi.span": "jsi_span", "jsi.points": "jsi_points", "improvement.decay_ratio": "decay_ratio",
+}
 
-KNOWN_KEYS = (
-    tuple(f"geometry.{k}" for k in _GEOMETRY_KEYS)
-    + ("pump.sigma_n", "pump.p_l", "pump.p_c", "pump.alpha_c", "pump.delta_p",
-       "sensor.phi", "sensor.eta", "sensor.length", "sensor.alpha_loss",
-       "sweep.variable", "sweep.start", "sweep.stop", "sweep.points", "sweep.scale",
-       "jsi.span", "jsi.points", "improvement.decay_ratio")
-)
-
-_SWEEP_VARIABLES = {
-    "squeezing": ("phi_lo",),
-    "meanfield": ("sigma_n",),
-    "sensitivity": ("p_c", "phi"),
-    "pole": ("alpha_c",),
-    "improvement": ("sensor_length",),
+# Each sweeping command's variables, the first its default, and each
+# variable's default (start, stop, points, scale); phi has no default bounds.
+_SWEEPS = {
+    "squeezing": {"phi_lo": (0.0, math.pi, 181, "linear")},
+    "meanfield": {"sigma_n": (0.1, 1.15, 22, "linear")},
+    "sensitivity": {"p_c": (1e-8, 1.0, 161, "log"), "phi": (None, None, 101, "linear")},
+    "pole": {"alpha_c": (1e1, 1e6, 201, "log")},
+    "improvement": {"sensor_length": (1e-3, 1e2, 181, "log")},
 }
 
 # Sweep variables whose negative values have no meaning.
 _NONNEGATIVE_SWEEPS = ("sigma_n", "p_c", "alpha_c", "sensor_length")
 
-_DEFAULT_SWEEPS = {
-    "squeezing": ("phi_lo", 0.0, math.pi, 181, "linear"),
-    "meanfield": ("sigma_n", 0.1, 1.15, 22, "linear"),
-    "sensitivity": ("p_c", 1e-8, 1.0, 161, "log"),
-    "pole": ("alpha_c", 1e1, 1e6, 201, "log"),
-    "improvement": ("sensor_length", 1e-3, 1e2, 181, "log"),
-}
-
 # Rows formatted per write; bounds the text held in memory for large tables.
 _WRITE_BLOCK_ROWS = 4096
 
-# A sweep table is held whole, at up to about 0.5 KB per point (phase sweep).
+# A sweep table is held whole, at up to about 0.5 KB per point (phase sweep);
+# the bound applies to jsi.points (per axis) as well.
 MAX_SWEEP_POINTS = 1_000_000
 
 
 @dataclass(frozen=True)
 class SweepSpec:
     variable: str
-    start: float
-    stop: float
+    start: float | None
+    stop: float | None
     points: int
-    scale: str = "linear"
+    scale: str
 
     def __post_init__(self) -> None:
-        if self.points < 2:
-            raise ConfigError(f"sweep.points must be >= 2, got {self.points}")
+        if self.start is None or self.stop is None:
+            raise ConfigError("sweep.start and sweep.stop are required")
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise ConfigError("sweep.start and sweep.stop must be finite")
         if self.scale not in ("linear", "log"):
@@ -88,11 +81,18 @@ class SweepSpec:
             raise ConfigError("log sweeps need positive start/stop")
         if self.start == self.stop:
             raise ConfigError("sweep.start and sweep.stop must differ")
+        if self.variable in _NONNEGATIVE_SWEEPS and min(self.start, self.stop) < 0:
+            raise ConfigError(f"a {self.variable} sweep must not go below 0, "
+                              f"got {self.start} .. {self.stop}")
 
     def grid(self) -> np.ndarray:
         if self.scale == "log":
             return np.logspace(math.log10(self.start), math.log10(self.stop), self.points)
         return np.linspace(self.start, self.stop, self.points)
+
+
+KNOWN_KEYS = (tuple(f"geometry.{f.name}" for f in fields(RingGeometry)) + tuple(_FIELDS)
+              + tuple(f"sweep.{f.name}" for f in fields(SweepSpec)))
 
 
 @dataclass
@@ -114,7 +114,7 @@ class RunConfig:
     jsi_span: float | None
     jsi_points: int
     decay_ratio: float | None
-    resolved: dict[str, str] = field(default_factory=dict)
+    resolved: dict[str, str]
 
     def config_sha256(self) -> str:
         canonical = "".join(f"{k} = {self.resolved[k]}\n" for k in sorted(self.resolved))
@@ -181,200 +181,107 @@ def _parse_lines(text: str, first_lineno: int = 1) -> list[tuple[int, str, str]]
     return entries
 
 
-def _to_float(key: str, value: str, lineno: int) -> float:
-    try:
-        number = float(value)
-    except ValueError:
-        number = math.nan
-    if math.isnan(number):
-        raise ConfigError(f"line {lineno}: {key} expects a number, got {value!r}")
-    return number
-
-
-def _to_int(key: str, value: str, lineno: int) -> int:
-    number = _to_float(key, value, lineno)
-    if not math.isfinite(number) or number != int(number):
-        raise ConfigError(f"line {lineno}: {key} expects an integer, got {value!r}")
-    return int(number)
-
-
 def parse_config(text: str, command: str = "") -> RunConfig:
     """Parse flat key-value configuration text into a validated RunConfig.
 
     Later assignments override earlier ones; unknown keys, malformed values
     and conflicting settings raise ConfigError with the offending key and
-    line number. An empty text yields the reference design profile.
+    line number. An empty text yields the reference design profile. The
+    sweep of a sweeping command is resolved here, from its defaults.
     """
-    values: dict[str, tuple[str, int]] = {}
-    for lineno, key, value in _parse_lines(text):
-        values[key] = (value, lineno)
+    values = {key: (value, lineno) for lineno, key, value in _parse_lines(text)}
 
-    def take_float(key: str) -> float | None:
-        if key not in values:
-            return None
+    def fail(key: str, rule: str) -> ConfigError:
         value, lineno = values[key]
-        return _to_float(key, value, lineno)
+        return ConfigError(f"line {lineno}: {key} {rule}, got {value!r}")
 
-    def take_float_default(key: str, default: float) -> float:
-        number = take_float(key)
-        return default if number is None else number
-
-    def take_int(key: str, default: int) -> int:
+    def number(key: str, default):
+        """The key's value, or default if unset; *.points is an integer, 2 .. MAX_SWEEP_POINTS."""
         if key not in values:
             return default
-        value, lineno = values[key]
-        return _to_int(key, value, lineno)
+        try:
+            value = float(values[key][0])
+        except ValueError:
+            value = math.nan
+        if math.isnan(value):
+            raise fail(key, "expects a number")
+        if not key.endswith(".points"):
+            return value
+        if not math.isfinite(value) or value != int(value):
+            raise fail(key, "expects an integer")
+        if value < 2:
+            raise fail(key, "must be >= 2")
+        if value > MAX_SWEEP_POINTS:
+            raise fail(key, f"must be at most {MAX_SWEEP_POINTS}")
+        return int(value)
 
-    geometry_kwargs = {}
-    for name in _GEOMETRY_KEYS:
-        override = take_float(f"geometry.{name}")
-        geometry_kwargs[name] = getattr(REFERENCE_GEOMETRY, name) if override is None else override
     try:
-        geometry = RingGeometry(**geometry_kwargs)
+        geometry = RingGeometry(**{f.name: number(f"geometry.{f.name}",
+                                                  getattr(REFERENCE_GEOMETRY, f.name))
+                                   for f in fields(RingGeometry)})
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
 
-    sigma_n = take_float("pump.sigma_n")
-    p_l = take_float("pump.p_l")
-    if sigma_n is not None and p_l is not None:
-        raise ConfigError("pump.sigma_n and pump.p_l are mutually exclusive")
-    if sigma_n is None and p_l is None:
-        sigma_n = 0.99895
-    if sigma_n is not None and sigma_n < 0:
-        raise ConfigError(f"pump.sigma_n out of range: {sigma_n}")
-    if p_l is not None and p_l < 0:
-        raise ConfigError(f"pump.p_l out of range: {p_l}")
+    setting = {}  # the value of each key of _FIELDS
 
-    p_c = take_float("pump.p_c")
-    alpha_c = take_float("pump.alpha_c")
-    if p_c is not None and alpha_c is not None:
-        raise ConfigError("pump.p_c and pump.alpha_c are mutually exclusive")
-    if p_c is None and alpha_c is None:
-        alpha_c = 1e5
-    if alpha_c is not None and alpha_c < 0:
-        raise ConfigError(f"pump.alpha_c out of range: {alpha_c}")
-    if p_c is not None and p_c < 0:
-        raise ConfigError(f"pump.p_c out of range: {p_c}")
+    def either(first: str, second: str, default: float) -> None:
+        """Mutually exclusive keys; ``first`` is ``default`` when neither is set."""
+        setting[first], setting[second] = number(first, None), number(second, None)
+        if setting[first] is not None and setting[second] is not None:
+            raise ConfigError(f"{first} and {second} are mutually exclusive")
+        if setting[first] is None and setting[second] is None:
+            setting[first] = default
 
-    eta = take_float("sensor.eta")
-    sensor_length = take_float("sensor.length")
-    if eta is not None and sensor_length is not None:
-        raise ConfigError("sensor.eta and sensor.length are mutually exclusive")
-    if eta is None and sensor_length is None:
-        eta = 1.0
+    either("pump.sigma_n", "pump.p_l", 0.99895)
+    either("pump.alpha_c", "pump.p_c", 1e5)
+    for key in ("pump.sigma_n", "pump.p_l", "pump.alpha_c", "pump.p_c"):
+        if setting[key] is not None and setting[key] < 0:
+            raise ConfigError(f"{key} out of range: {setting[key]}")
+    either("sensor.eta", "sensor.length", 1.0)
+    eta, length = setting["sensor.eta"], setting["sensor.length"]
     if eta is not None and not 0 < eta <= 1:
         raise ConfigError(f"sensor.eta out of range (0, 1]: {eta}")
-
-    sensor_alpha_loss = take_float("sensor.alpha_loss")
-    if sensor_alpha_loss is None:
-        sensor_alpha_loss = geometry.alpha_loss
-    elif not 0 <= sensor_alpha_loss < math.inf:
-        raise ConfigError(f"line {values['sensor.alpha_loss'][1]}: sensor.alpha_loss must be "
-                          f"finite and >= 0, got {values['sensor.alpha_loss'][0]!r}")
+    loss = setting["sensor.alpha_loss"] = number("sensor.alpha_loss", geometry.alpha_loss)
+    if not 0 <= loss < math.inf:
+        raise fail("sensor.alpha_loss", "must be finite and >= 0")
     # improvement sweeps the length itself: there a dark sensor is a domain row.
-    if sensor_length is not None and command != "improvement":
-        eta_length = math.exp(-sensor_alpha_loss * sensor_length)
+    if length is not None and command != "improvement":
+        eta_length = math.exp(-loss * length)
         if not 0 < eta_length <= 1:
             raise ConfigError(
                 f"line {values['sensor.length'][1]}: sensor.length = "
-                f"{values['sensor.length'][0]!r} with sensor.alpha_loss = {sensor_alpha_loss!r} "
+                f"{values['sensor.length'][0]!r} with sensor.alpha_loss = {loss!r} "
                 f"gives eta = e^(-alpha_loss * length) = {eta_length!r}, outside (0, 1]")
 
+    sweep_set = any(key.startswith("sweep.") for key in values)
     sweep = None
-    if any(key.startswith("sweep.") for key in values):
-        default = _DEFAULT_SWEEPS.get(command)
-        if "sweep.variable" in values:
-            variable = values["sweep.variable"][0]
-        elif default is not None:
-            variable = default[0]
-        else:
-            raise ConfigError(f"command {command!r} does not take a sweep")
-        base = default[1:] if default is not None and variable == default[0] else None
-        base_start, base_stop, base_points, base_scale = base or (None, None, 101, "linear")
-        start = take_float_default("sweep.start", base_start)
-        stop = take_float_default("sweep.stop", base_stop)
-        if start is None or stop is None:
-            raise ConfigError("sweep.start and sweep.stop are required")
-        points = take_int("sweep.points", base_points)
-        if points > MAX_SWEEP_POINTS:
-            raise ConfigError(f"line {values['sweep.points'][1]}: sweep.points must be at most "
-                              f"{MAX_SWEEP_POINTS}, got {values['sweep.points'][0]!r}")
-        sweep = SweepSpec(
-            variable=variable,
-            start=start,
-            stop=stop,
-            points=points,
-            scale=values.get("sweep.scale", (base_scale, 0))[0],
-        )
-
-    jsi_points = take_int("jsi.points", 200)
-    if jsi_points < 2:
-        raise ConfigError(f"jsi.points must be >= 2, got {jsi_points}")
-    jsi_span = take_float("jsi.span")
-    if jsi_span is not None and not (math.isfinite(jsi_span) and jsi_span > 0):
-        raise ConfigError(f"line {values['jsi.span'][1]}: jsi.span must be positive and finite, "
-                          f"got {values['jsi.span'][0]!r}")
-
-    config = RunConfig(
-        command=command,
-        geometry=geometry,
-        sigma_n=sigma_n,
-        p_l=p_l,
-        p_c=p_c,
-        alpha_c=alpha_c,
-        delta_p=take_float_default("pump.delta_p", 0.0),
-        phi=take_float_default("sensor.phi", math.pi / 2),
-        eta=eta,
-        sensor_length=sensor_length,
-        sensor_alpha_loss=sensor_alpha_loss,
-        sweep=sweep,
-        jsi_span=jsi_span,
-        jsi_points=jsi_points,
-        decay_ratio=take_float("improvement.decay_ratio"),
-    )
-    config.resolved = _resolve_for_hash(config)
-    return config
-
-
-def _resolve_for_hash(cfg: RunConfig) -> dict[str, str]:
-    resolved = {f"geometry.{name}": repr(getattr(cfg.geometry, name)) for name in _GEOMETRY_KEYS}
-    resolved.update({
-        "pump.sigma_n": repr(cfg.sigma_n),
-        "pump.p_l": repr(cfg.p_l),
-        "pump.p_c": repr(cfg.p_c),
-        "pump.alpha_c": repr(cfg.alpha_c),
-        "pump.delta_p": repr(cfg.delta_p),
-        "sensor.phi": repr(cfg.phi),
-        "sensor.eta": repr(cfg.eta),
-        "sensor.length": repr(cfg.sensor_length),
-        "sensor.alpha_loss": repr(cfg.sensor_alpha_loss),
-        "jsi.span": repr(cfg.jsi_span),
-        "jsi.points": repr(cfg.jsi_points),
-        "improvement.decay_ratio": repr(cfg.decay_ratio),
-    })
-    if cfg.sweep is not None:
-        resolved.update({
-            "sweep.variable": cfg.sweep.variable,
-            "sweep.start": repr(cfg.sweep.start),
-            "sweep.stop": repr(cfg.sweep.stop),
-            "sweep.points": repr(cfg.sweep.points),
-            "sweep.scale": cfg.sweep.scale,
-        })
-    return resolved
-
-
-def _sweep_for(cfg: RunConfig) -> SweepSpec:
-    sweep = cfg.sweep
-    if sweep is not None:
-        allowed = _SWEEP_VARIABLES[cfg.command]
-        if sweep.variable not in allowed:
+    if command in _SWEEPS:
+        variables = _SWEEPS[command]
+        variable = values.get("sweep.variable", (next(iter(variables)),))[0]
+        if variable not in variables:
             raise ConfigError(
-                f"command {cfg.command!r} sweeps one of {allowed}, got {sweep.variable!r}")
-        if sweep.variable in _NONNEGATIVE_SWEEPS and min(sweep.start, sweep.stop) < 0:
-            raise ConfigError(f"a {sweep.variable} sweep must not go below 0, "
-                              f"got {sweep.start} .. {sweep.stop}")
-        return sweep
-    return SweepSpec(*_DEFAULT_SWEEPS[cfg.command])
+                f"command {command!r} sweeps one of {tuple(variables)}, got {variable!r}")
+        start, stop, points, scale = variables[variable]
+        sweep = SweepSpec(variable, number("sweep.start", start), number("sweep.stop", stop),
+                          number("sweep.points", points), values.get("sweep.scale", (scale,))[0])
+    elif sweep_set:
+        raise ConfigError(f"command {command!r} does not take a sweep")
+
+    for key, default in (("jsi.points", 200), ("jsi.span", None), ("pump.delta_p", 0.0),
+                         ("sensor.phi", math.pi / 2), ("improvement.decay_ratio", None)):
+        setting[key] = number(key, default)
+    span = setting["jsi.span"]
+    if span is not None and not (math.isfinite(span) and span > 0):
+        raise fail("jsi.span", "must be positive and finite")
+
+    # The hashed text: every key but the sweep's, which enter only when set.
+    resolved = {f"geometry.{f.name}": getattr(geometry, f.name) for f in fields(RingGeometry)}
+    resolved.update(setting)
+    if sweep_set:
+        resolved.update((f"sweep.{f.name}", getattr(sweep, f.name)) for f in fields(SweepSpec))
+    return RunConfig(command=command, geometry=geometry, sweep=sweep,
+                     **{name: setting[key] for key, name in _FIELDS.items()},
+                     resolved={key: str(value) for key, value in resolved.items()})
 
 
 def _resolve_drive(cfg: RunConfig, rates: CavityRates, gain: float):
@@ -410,8 +317,6 @@ def run_command(cfg: RunConfig) -> ResultTable:
     """Evaluate one command; per-point physics errors become flagged rows."""
     if cfg.command not in COMMANDS:
         raise ConfigError(f"unknown command {cfg.command!r}")
-    if cfg.sweep is not None and cfg.command not in _SWEEP_VARIABLES:
-        raise ConfigError(f"command {cfg.command!r} does not take a sweep")
     rates = derive_rates(cfg.geometry)
     gain = fwm_gain(cfg.geometry).gain
     meta = {"tool_version": __version__, "config_sha256": cfg.config_sha256()}
@@ -440,7 +345,7 @@ def _run_rates(cfg: RunConfig, rates: CavityRates, gain: float):
 
 def _run_squeezing(cfg: RunConfig, rates: CavityRates, gain: float):
     injection, _, _ = _resolve_drive(cfg, rates, gain)
-    phi_lo = _sweep_for(cfg).grid()
+    phi_lo = cfg.sweep.grid()
     columns = ["phi_lo", "variance", "variance_db", "flag"]
     try:
         variance = quadrature_variance(rates, injection, phi_lo)
@@ -462,14 +367,14 @@ def _run_jsi(cfg: RunConfig, rates: CavityRates, gain: float):
 
 
 def _run_meanfield(cfg: RunConfig, rates: CavityRates, gain: float):
-    columns = comparison_columns(rates, gain, _sweep_for(cfg).grid())
+    columns = comparison_columns(rates, gain, cfg.sweep.grid())
     flags = _flags(columns["sigma_n"].size, threshold=np.isinf(columns["ns_lin"]))
     return [*columns, "flag"], [*columns.values(), flags]
 
 
 def _run_sensitivity(cfg: RunConfig, rates: CavityRates, gain: float):
     injection, alpha_c, pump_power = _resolve_drive(cfg, rates, gain)
-    sweep = _sweep_for(cfg)
+    sweep = cfg.sweep
     grid = sweep.grid()
     spec = _sensor_spec(cfg, pump_power)
     eta = spec.eta_value
@@ -508,7 +413,7 @@ def _run_sensitivity(cfg: RunConfig, rates: CavityRates, gain: float):
 
 def _run_pole(cfg: RunConfig, rates: CavityRates, gain: float):
     injection, _, pump_power = _resolve_drive(cfg, rates, gain)
-    alpha_c = _sweep_for(cfg).grid()
+    alpha_c = cfg.sweep.grid()
     eta = _sensor_spec(cfg, pump_power).eta_value
     columns = ["alpha_c", "dphi_squeezed", "flag"]
     try:
@@ -522,12 +427,12 @@ def _run_pole(cfg: RunConfig, rates: CavityRates, gain: float):
 def _run_improvement(cfg: RunConfig, rates: CavityRates, gain: float):
     # Sweep protocol: gamma adjusted at fixed kappa to reach the target
     # decay ratio, sigma_n held at the configured value.
-    ratio = cfg.decay_ratio if cfg.decay_ratio is not None else rates.kappa / rates.gamma
+    ratio = cfg.decay_ratio if cfg.decay_ratio is not None else decay_ratio(rates)
     if ratio <= 0:
         raise ConfigError(f"improvement.decay_ratio must be positive, got {ratio}")
     ring = CavityRates(kappa=rates.kappa, gamma=rates.kappa / ratio)
     injection, alpha_c, pump_power = _resolve_drive(cfg, ring, gain)
-    lengths = _sweep_for(cfg).grid()
+    lengths = cfg.sweep.grid()
     columns = ["sensor_length", "eta", "improvement", "flag"]
     # math.exp per row, as SensorSpec.eta_value: np.exp differs in the last bit.
     eta = np.array([math.exp(-cfg.sensor_alpha_loss * length) for length in lengths.tolist()])

@@ -12,11 +12,11 @@ import pytest
 import mzi_oracle as oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from ringmzi import (REFERENCE_GEOMETRY, CavityRates, Injection, SensorSpec, derive_rates,
-                     fwm_gain, phase_sensitivity_numeric, pole_coherent_amplitude)
+from ringmzi import (REFERENCE_GEOMETRY, CavityRates, Injection, SensorSpec, decay_ratio,
+                     derive_rates, fwm_gain, phase_sensitivity_numeric, pole_coherent_amplitude)
 from ringmzi.cavity_io import jsi as jsi_density
-from ringmzi.cli import (ConfigError, LazyBlocks, ResultTable, _parser, _resolve_drive, _sweep_for,
-                         main, parse_config, run_command, write_table)
+from ringmzi.cli import (ConfigError, LazyBlocks, ResultTable, _parser, _resolve_drive, main,
+                         parse_config, run_command, write_table)
 from ringmzi.constants import HBAR
 
 
@@ -79,10 +79,29 @@ class TestParseConfig:
             parse_config("sweep.start = -inf", command="squeezing")
         with pytest.raises(ConfigError, match="line 1: sweep.points expects an integer"):
             parse_config("sweep.points = inf", command="squeezing")
+        with pytest.raises(ConfigError, match=r"sweeps one of \('alpha_c',\), got 'p_c'") as info:
+            parse_config("sweep.variable = p_c\nsweep.points = 3", command="pole")
+        assert "start" not in str(info.value) and "stop" not in str(info.value)
 
     def test_sweep_for_sweepless_command(self):
         with pytest.raises(ConfigError, match="does not take a sweep"):
             parse_config("sweep.points = 7", command="rates")
+
+    @pytest.mark.parametrize("command,text,digest", [
+        ("squeezing", "", "b72a6ededed2a915c6490f390b1cf46ec1de4634960d78de98cf8bc914137590"),
+        ("rates", "", "b275d4eba7e4fa82a842be4c43df5d988d240444407253a4b518cb9bb7f4a99d"),
+        ("squeezing", "sweep.points = 7\npump.sigma_n = 0.9",
+         "c75a6eaa1c7ed292c61db9543ebcdca72417feb815685aebc7647fcc28969cde"),
+        ("sensitivity", "sweep.variable = phi\nsweep.start = 0.1\nsweep.stop = 3\nsweep.points = 9",
+         "cfc5d078e24655ddf2662f6f07a91ccb1cc9f50979717c239b90b426699dff76"),
+        ("sensitivity", "sensor.length = 1\npump.p_l = 0.01",
+         "6d97acfcc8bfd8b8aff0c0d518e63f234dc6a53357175e31971afc7fcc4edc3b"),
+        ("jsi", "jsi.span = 1e9\njsi.points = 4\ngeometry.n2 = 3e-19",
+         "77181882242ba9d96ce9fbbe3baa252a97baecc09e7c68415e9f867fb8c49d0d"),
+    ])
+    def test_config_sha256_is_pinned(self, command, text, digest):
+        """The hashed text (docs/formats.md) is built from repr of floats: platform-stable."""
+        assert parse_config(text, command=command).config_sha256() == digest
 
 
 class TestCommands:
@@ -240,9 +259,9 @@ class TestArrayTables:
     def oracle_rows(cfg, grid=None):
         rates = derive_rates(cfg.geometry)
         gain = fwm_gain(cfg.geometry).gain
-        grid = _sweep_for(cfg).grid().tolist() if grid is None else grid
+        grid = cfg.sweep.grid().tolist() if grid is None else grid
         if cfg.command == "improvement":
-            ratio = cfg.decay_ratio if cfg.decay_ratio is not None else rates.kappa / rates.gamma
+            ratio = cfg.decay_ratio if cfg.decay_ratio is not None else decay_ratio(rates)
             ring = CavityRates(kappa=rates.kappa, gamma=rates.kappa / ratio)
             injection, alpha_c, power = _resolve_drive(cfg, ring, gain)
             return oracle.improvement_rows(cfg, ring, injection, alpha_c, power, grid)
@@ -334,7 +353,7 @@ class TestArrayTables:
         assert eta[-1] == 0.0 and all(value > 0 for value in eta[:-1])
         assert lines[-1][2:] == ["inf", "domain"]
         cfg = parse_config("sweep.stop = 1e4\nsweep.points = 5", command="improvement")
-        lit = [x for x, value in zip(_sweep_for(cfg).grid().tolist(), eta) if value > 0]
+        lit = [x for x, value in zip(cfg.sweep.grid().tolist(), eta) if value > 0]
         assert lines[:-1] == csv_cells(self.oracle_rows(cfg, lit))
 
     def test_long_sensor_flag_precedence(self):
@@ -570,6 +589,23 @@ class TestMain:
             parse_config("\nsweep.points = 1000001", command="squeezing")
         assert main(["squeezing", "--set", "sweep.points=2e6"]) == 2
         assert "line 2: sweep.points must be at most 1000000, got '2e6'" in capsys.readouterr().err
+        with pytest.raises(ConfigError, match="line 1: jsi.points must be at most 1000000"):
+            parse_config("jsi.points = 1000001", command="jsi")
+        assert main(["jsi", "--set", "jsi.points=1000001"]) == 2
+        err = capsys.readouterr().err
+        assert "line 2: jsi.points must be at most 1000000, got '1000001'" in err
+        assert "Traceback" not in err
+
+    def test_lossless_ring_improvement(self, capsys):
+        """gamma = 0 gives an infinite decay ratio, not a ZeroDivisionError."""
+        assert main(["improvement", "--set", "geometry.alpha_loss=0",
+                     "--set", "sweep.points=3"]) == 0
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        rows = [line.split(",") for line in captured.out.splitlines()[3:]]
+        assert len(rows) == 3
+        assert all(float(eta) == 1.0 and flag == "" for _, eta, _, flag in rows)
+        assert {improvement for _, _, improvement, _ in rows} == {"7.41589436516652256e+01"}
 
     def test_drive_within_rounding_of_threshold_is_flagged(self, capsys):
         """The pair denominator rounds to 0 at sigma_n = 1 - 1e-9: threshold rows, not a traceback."""
