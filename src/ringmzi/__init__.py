@@ -7,7 +7,6 @@ moment solver, and evaluates lossy Mach-Zehnder phase sensitivity.
 
 __version__ = "0.1.0"
 
-from .constants import CODATA2018, PhysicalConstants
 from .params import (CavityRates, FwmStrength, Injection, PumpSpec, REFERENCE_GEOMETRY,
                      RingGeometry, chi3_from_n2, derive_rates, efficiency, fwm_gain,
                      injection_from_pump, intracavity_pump, n2_from_chi3, pump_amplitude,

@@ -41,10 +41,9 @@ class Detunings:
 
     delta_s: float = 0.0
     delta_i: float = 0.0
-    delta_p: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("delta_s", "delta_i", "delta_p"):
+        for name in ("delta_s", "delta_i"):
             if not math.isfinite(getattr(self, name)):
                 raise DomainError(f"{name} must be finite")
 

@@ -163,10 +163,9 @@ class ResultTable:
             list(map(float, c)) if isinstance(c, list) else c.tolist() for c in block))]
 
 
-def _parse_lines(text: str, first_lineno: int = 1) -> list[tuple[int, str, str]]:
+def _parse_lines(text: str) -> list[tuple[int, str, str]]:
     entries = []
-    for offset, raw in enumerate(text.splitlines()):
-        lineno = first_lineno + offset
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -273,6 +272,12 @@ def parse_config(text: str, command: str = "") -> RunConfig:
     span = setting["jsi.span"]
     if span is not None and not (math.isfinite(span) and span > 0):
         raise fail("jsi.span", "must be positive and finite")
+    for key in ("pump.delta_p", "sensor.phi"):
+        if not math.isfinite(setting[key]):
+            raise fail(key, "must be finite")
+    ratio = setting["improvement.decay_ratio"]
+    if ratio is not None and ratio <= 0:
+        raise fail("improvement.decay_ratio", "must be positive")
 
     # The hashed text: every key but the sweep's, which enter only when set.
     resolved = {f"geometry.{f.name}": getattr(geometry, f.name) for f in fields(RingGeometry)}
@@ -352,7 +357,10 @@ def _run_squeezing(cfg: RunConfig, rates: CavityRates, gain: float):
     except ThresholdError:  # the injection, and so the flag, is fixed per table
         infinite = np.full(phi_lo.size, math.inf)
         return columns, [phi_lo, infinite, infinite, _flags(phi_lo.size, threshold=True)]
-    return columns, [phi_lo, variance, to_db(variance), _flags(phi_lo.size)]
+    # A variance rounded to 0 (a lossless ring near threshold) has no dB value.
+    domain = ~(variance > 0)
+    variance = np.where(domain, math.inf, variance)
+    return columns, [phi_lo, variance, to_db(variance), _flags(phi_lo.size, domain=domain)]
 
 
 def _run_jsi(cfg: RunConfig, rates: CavityRates, gain: float):
@@ -428,9 +436,11 @@ def _run_improvement(cfg: RunConfig, rates: CavityRates, gain: float):
     # Sweep protocol: gamma adjusted at fixed kappa to reach the target
     # decay ratio, sigma_n held at the configured value.
     ratio = cfg.decay_ratio if cfg.decay_ratio is not None else decay_ratio(rates)
-    if ratio <= 0:
-        raise ConfigError(f"improvement.decay_ratio must be positive, got {ratio}")
-    ring = CavityRates(kappa=rates.kappa, gamma=rates.kappa / ratio)
+    gamma = rates.kappa / ratio
+    if not math.isfinite(gamma):
+        raise ConfigError(f"improvement.decay_ratio = {ratio!r} makes gamma = kappa/decay_ratio "
+                          f"= {gamma!r}, not finite")
+    ring = CavityRates(kappa=rates.kappa, gamma=gamma)
     injection, alpha_c, pump_power = _resolve_drive(cfg, ring, gain)
     lengths = cfg.sweep.grid()
     columns = ["sensor_length", "eta", "improvement", "flag"]

@@ -3,9 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-from .errors import DomainError
 
 # Speed of light in vacuum (m/s)
 C_VACUUM = 299792458.0
@@ -18,30 +15,3 @@ HBAR = PLANCK_H / (2 * math.pi)
 
 # Vacuum permittivity (F/m)
 EPSILON_0 = 8.8541878128e-12
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Bundle of the constants every rate formula depends on.
-
-    Parameters
-    ----------
-    c : float
-        Speed of light in vacuum [m/s].
-    hbar : float
-        Reduced Planck constant [J·s].
-    eps0 : float
-        Vacuum permittivity [F/m].
-    """
-
-    c: float = C_VACUUM
-    hbar: float = HBAR
-    eps0: float = EPSILON_0
-
-    def __post_init__(self) -> None:
-        for name in ("c", "hbar", "eps0"):
-            if getattr(self, name) <= 0:
-                raise DomainError(f"{name} must be strictly positive, got {getattr(self, name)}")
-
-
-CODATA2018 = PhysicalConstants()

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import CODATA2018
+from .constants import HBAR
 from .cavity_io import OutputMoments, photon_flux
 from .errors import DomainError, PoleError, ThresholdError
 from .params import CavityRates, Injection, require_finite
@@ -96,7 +96,7 @@ class SensorSpec:
             return 0.0
         if self.omega_p <= 0:
             raise DomainError("omega_p must be positive when alpha_l_power > 0")
-        return self.alpha_l_power / (CODATA2018.hbar * self.omega_p)
+        return self.alpha_l_power / (HBAR * self.omega_p)
 
 
 def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .constants import CODATA2018, PhysicalConstants
+from .constants import C_VACUUM, EPSILON_0, HBAR
 from .errors import DomainError
 
 
@@ -84,9 +84,9 @@ class RingGeometry:
         if self.n2 < 0:
             raise DomainError(f"n2 must be non-negative, got {self.n2}")
 
-    def pump_frequency(self, consts: PhysicalConstants = CODATA2018) -> float:
+    def pump_frequency(self) -> float:
         """Pump angular frequency 2*pi*c/lambda_p [rad/s]."""
-        return 2 * math.pi * consts.c / self.lambda_p
+        return 2 * math.pi * C_VACUUM / self.lambda_p
 
 
 # Si3N4 reference design: 220 um bend radius, 800 nm x 1.2 um cross-section,
@@ -145,21 +145,21 @@ class PumpSpec:
     power: float
     phase: float
     omega_p: float
-    alpha_l: complex
 
     def __post_init__(self) -> None:
         if self.power < 0:
             raise DomainError(f"power must be non-negative, got {self.power}")
         if self.omega_p <= 0:
             raise DomainError(f"omega_p must be positive, got {self.omega_p}")
-        flux = self.power / (CODATA2018.hbar * self.omega_p)
-        if not math.isclose(abs(self.alpha_l) ** 2, flux, rel_tol=1e-12, abs_tol=1e-300):
-            raise DomainError("alpha_l is inconsistent with power/(hbar*omega_p)")
+
+    @property
+    def alpha_l(self) -> complex:
+        """Waveguide amplitude sqrt(P/(hbar*omega_p))·e^(i*phase) [sqrt(Hz)]."""
+        return pump_amplitude(self.power, self.omega_p, self.phase)
 
     @classmethod
     def from_power(cls, power: float, omega_p: float, phase: float = 0.0) -> "PumpSpec":
-        return cls(power=power, phase=phase, omega_p=omega_p,
-                   alpha_l=pump_amplitude(power, omega_p, phase))
+        return cls(power=power, phase=phase, omega_p=omega_p)
 
 
 @dataclass(frozen=True)
@@ -172,13 +172,10 @@ class FwmStrength:
         Four-wave-mixing gain g [Hz].
     gamma_nl : float
         Nonlinear waveguide parameter [1/(W·m)].
-    v_g : float
-        Group velocity c/n_g [m/s].
     """
 
     gain: float
     gamma_nl: float
-    v_g: float
 
 
 @dataclass(frozen=True)
@@ -223,19 +220,19 @@ class Injection:
         return cls(sigma_mag=sigma_n * gamma_total, sigma_th=gamma_total, phi_sigma=phi_sigma)
 
 
-def derive_rates(geom: RingGeometry, consts: PhysicalConstants = CODATA2018) -> CavityRates:
+def derive_rates(geom: RingGeometry) -> CavityRates:
     """Convert a ring geometry into cavity rates.
 
     kappa = X·c/(n_eff·L), gamma = (1 - e^(-alpha_loss·L))·c/(n_eff·L),
     t_round = n_eff·L/c, t_trans = (1-X)·c/(n_eff·L).
     """
-    per_round = consts.c / (geom.n_eff * geom.ring_length)
+    per_round = C_VACUUM / (geom.n_eff * geom.ring_length)
     kappa = geom.cross_coupling * per_round
     gamma = -math.expm1(-geom.alpha_loss * geom.ring_length) * per_round
     return CavityRates(
         kappa=kappa,
         gamma=gamma,
-        t_round=geom.n_eff * geom.ring_length / consts.c,
+        t_round=geom.n_eff * geom.ring_length / C_VACUUM,
         t_trans=(1.0 - geom.cross_coupling) * per_round,
     )
 
@@ -257,8 +254,8 @@ def efficiency(alpha_loss: float, length: float) -> float:
     return math.exp(-alpha_loss * length)
 
 
-def fwm_gain(geom: RingGeometry, consts: PhysicalConstants = CODATA2018,
-             omega_s: float | None = None, omega_i: float | None = None) -> FwmStrength:
+def fwm_gain(geom: RingGeometry, omega_s: float | None = None,
+             omega_i: float | None = None) -> FwmStrength:
     """Four-wave-mixing gain of the ring.
 
     Uses the degenerate approximation g = hbar·omega_p^2·v_g^2·n2/(c·A_eff·L).
@@ -268,8 +265,8 @@ def fwm_gain(geom: RingGeometry, consts: PhysicalConstants = CODATA2018,
     """
     if geom.a_eff <= 0 or geom.ring_length <= 0:
         raise DomainError("a_eff and ring_length must be positive")
-    omega_p = geom.pump_frequency(consts)
-    v_g = consts.c / geom.n_g
+    omega_p = geom.pump_frequency()
+    v_g = C_VACUUM / geom.n_g
     if (omega_s is None) != (omega_i is None):
         raise DomainError("omega_s and omega_i must be supplied together")
     if omega_s is None:
@@ -278,28 +275,27 @@ def fwm_gain(geom: RingGeometry, consts: PhysicalConstants = CODATA2018,
         if omega_s <= 0 or omega_i <= 0:
             raise DomainError("omega_s and omega_i must be positive")
         prefactor = omega_p * (omega_p**2 * omega_s * omega_i) ** 0.25
-    gain = consts.hbar * prefactor * v_g**2 * geom.n2 / (consts.c * geom.a_eff * geom.ring_length)
-    return FwmStrength(gain=gain, gamma_nl=omega_p * geom.n2 / (consts.c * geom.a_eff), v_g=v_g)
+    gain = HBAR * prefactor * v_g**2 * geom.n2 / (C_VACUUM * geom.a_eff * geom.ring_length)
+    return FwmStrength(gain=gain, gamma_nl=omega_p * geom.n2 / (C_VACUUM * geom.a_eff))
 
 
-def n2_from_chi3(chi3: float, n_eff: float, consts: PhysicalConstants = CODATA2018) -> float:
+def n2_from_chi3(chi3: float, n_eff: float) -> float:
     """Nonlinear index n2 = 3*chi3/(4*eps0*c*n_eff^2) [m^2/W]."""
-    return 3.0 * chi3 / (4.0 * consts.eps0 * consts.c * n_eff**2)
+    return 3.0 * chi3 / (4.0 * EPSILON_0 * C_VACUUM * n_eff**2)
 
 
-def chi3_from_n2(n2: float, n_eff: float, consts: PhysicalConstants = CODATA2018) -> float:
+def chi3_from_n2(n2: float, n_eff: float) -> float:
     """Inverse of :func:`n2_from_chi3` [m^2/V^2]."""
-    return n2 * 4.0 * consts.eps0 * consts.c * n_eff**2 / 3.0
+    return n2 * 4.0 * EPSILON_0 * C_VACUUM * n_eff**2 / 3.0
 
 
-def pump_amplitude(power: float, omega: float, phase: float = 0.0,
-                   consts: PhysicalConstants = CODATA2018) -> complex:
+def pump_amplitude(power: float, omega: float, phase: float = 0.0) -> complex:
     """Photon-flux amplitude sqrt(P/(hbar*omega))·e^(i*phase) [sqrt(Hz)]."""
     if omega <= 0:
         raise DomainError(f"omega must be positive, got {omega}")
     if power < 0:
         raise DomainError(f"power must be non-negative, got {power}")
-    return math.sqrt(power / (consts.hbar * omega)) * cmath.exp(1j * phase)
+    return math.sqrt(power / (HBAR * omega)) * cmath.exp(1j * phase)
 
 
 def intracavity_pump(alpha_l: complex, rates: CavityRates, delta_p: float = 0.0) -> complex:
@@ -322,8 +318,7 @@ def injection_from_pump(gain: float, alpha_p: complex, rates: CavityRates) -> In
                      phi_sigma=cmath.phase(sigma) if sigma != 0 else 0.0)
 
 
-def threshold_power(rates: CavityRates, gain: float, omega_p: float, delta_p: float = 0.0,
-                    consts: PhysicalConstants = CODATA2018) -> float:
+def threshold_power(rates: CavityRates, gain: float, omega_p: float, delta_p: float = 0.0) -> float:
     """Waveguide pump power at the oscillation threshold [W].
 
     P_th = Gamma·hbar·omega_p·|Gamma/2 - i*delta_p|^2 / (2·g·kappa); on
@@ -335,12 +330,11 @@ def threshold_power(rates: CavityRates, gain: float, omega_p: float, delta_p: fl
         raise DomainError(f"kappa must be positive for a threshold to exist, got {rates.kappa}")
     gamma_total = rates.gamma_total
     lorentz = (gamma_total / 2.0) ** 2 + delta_p**2
-    return gamma_total * consts.hbar * omega_p * lorentz / (2.0 * gain * rates.kappa)
+    return gamma_total * HBAR * omega_p * lorentz / (2.0 * gain * rates.kappa)
 
 
 def sigma_from_power(power: float, rates: CavityRates, gain: float, omega_p: float,
-                     delta_p: float = 0.0,
-                     consts: PhysicalConstants = CODATA2018) -> Injection:
+                     delta_p: float = 0.0) -> Injection:
     """Injection produced by a waveguide pump power.
 
     sigma = [2·g·kappa/(Gamma/2 - i*delta_p)^2]·P/(hbar·omega_p); on resonance
@@ -354,14 +348,13 @@ def sigma_from_power(power: float, rates: CavityRates, gain: float, omega_p: flo
         raise DomainError(f"power must be non-negative, got {power}")
     gamma_total = rates.gamma_total
     denom = (gamma_total / 2.0 - 1j * delta_p) ** 2
-    sigma = 2.0 * gain * rates.kappa * power / (consts.hbar * omega_p) / denom
+    sigma = 2.0 * gain * rates.kappa * power / (HBAR * omega_p) / denom
     return Injection(sigma_mag=abs(sigma), sigma_th=gamma_total,
                      phi_sigma=cmath.phase(sigma) if sigma != 0 else 0.0)
 
 
-def resonance_frequency(geom: RingGeometry, mode_index: int,
-                        consts: PhysicalConstants = CODATA2018) -> float:
+def resonance_frequency(geom: RingGeometry, mode_index: int) -> float:
     """Cold-cavity resonance omega_r = 2*pi*m*c/(n_eff*L) [rad/s]."""
     if mode_index < 1:
         raise DomainError(f"mode_index must be >= 1, got {mode_index}")
-    return 2 * math.pi * mode_index * consts.c / (geom.n_eff * geom.ring_length)
+    return 2 * math.pi * mode_index * C_VACUUM / (geom.n_eff * geom.ring_length)

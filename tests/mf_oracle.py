@@ -183,9 +183,20 @@ def bisected_depletion(n_empty: np.ndarray, clamp: float) -> np.ndarray:
     """r = d/(1-d) of the first steady state, bisected to adjacent floats.
 
     A drop-in for ringmzi.meanfield._depletion: the same residual, bracket
-    and root, narrowed by geometric midpoints instead of Newton steps.
+    and root, narrowed by geometric midpoints instead of Newton steps. Of the
+    two final ends, the one with the smaller residual is the root: the
+    rounded residual can step by several ulps of N_0 between them.
     """
-    lo = np.full_like(n_empty, np.finfo(float).tiny)
-    _, hi = _bisect(lambda depletion: _excess(depletion, n_empty, clamp)[0], lo,
-                    2.0 * n_empty + 1.0, lambda lo, hi: np.sqrt(lo) * np.sqrt(hi))
-    return np.where(n_empty > 0, hi, 0.0)
+    def midpoint(lo, hi):
+        # Geometric, but arithmetic where the geometric midpoint rounds onto an
+        # end (a bracket a few floats wide), so the bracket still closes.
+        mid = np.sqrt(lo) * np.sqrt(hi)
+        return np.where((lo < mid) & (mid < hi), mid, 0.5 * (lo + hi))
+
+    def excess(depletion):
+        return _excess(depletion, n_empty, clamp)[0]
+
+    lo, hi = _bisect(excess, np.full_like(n_empty, np.finfo(float).tiny), 2.0 * n_empty + 1.0,
+                     midpoint)
+    root = np.where(np.abs(excess(lo)) < np.abs(excess(hi)), lo, hi)
+    return np.where(n_empty > 0, root, 0.0)

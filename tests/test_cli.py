@@ -68,6 +68,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="expects a number"):
             parse_config("pump.sigma_n = abc", command="rates")
 
+    @pytest.mark.parametrize("text,message", [
+        ("pump.delta_p = inf", "line 1: pump.delta_p must be finite, got 'inf'"),
+        ("sensor.phi = -inf", "line 1: sensor.phi must be finite, got '-inf'"),
+        ("improvement.decay_ratio = 0",
+         "line 1: improvement.decay_ratio must be positive, got '0'"),
+    ], ids=["delta_p", "phi", "decay_ratio"])
+    def test_value_range_names_key_and_line(self, text, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(text, command="improvement")
+
     def test_sweep_validation(self):
         with pytest.raises(ConfigError, match="points"):
             parse_config("sweep.variable = phi_lo\nsweep.start = 0\n"
@@ -527,6 +537,23 @@ class TestMain:
         key = setting.split("=")[0]
         assert f"line 2: {key} expects a number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,setting,message", [
+        ("rates", "pump.delta_p=inf", "line 2: pump.delta_p must be finite, got 'inf'"),
+        ("sensitivity", "pump.delta_p=inf", "line 2: pump.delta_p must be finite, got 'inf'"),
+        ("squeezing", "sensor.phi=inf", "line 2: sensor.phi must be finite, got 'inf'"),
+        ("sensitivity", "sensor.phi=inf", "line 2: sensor.phi must be finite, got 'inf'"),
+        ("improvement", "improvement.decay_ratio=-1",
+         "line 2: improvement.decay_ratio must be positive, got '-1'"),
+        # kappa/decay_ratio overflows: the message names the key, not gamma alone.
+        ("improvement", "improvement.decay_ratio=1e-300", "improvement.decay_ratio = 1e-300"),
+    ], ids=["rates-delta_p", "sensitivity-delta_p", "squeezing-phi", "sensitivity-phi",
+            "decay_ratio-negative", "decay_ratio-overflow"])
+    def test_out_of_range_value_names_its_key(self, command, setting, message, capsys):
+        assert main([command, "--set", setting]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
     def test_negative_power_sweep_is_config_error(self, capsys):
         assert main(["sensitivity", "--set", "sweep.variable=p_c", "--set", "sweep.scale=linear",
                      "--set", "sweep.start=-1", "--set", "sweep.stop=1"]) == 2
@@ -606,6 +633,17 @@ class TestMain:
         assert len(rows) == 3
         assert all(float(eta) == 1.0 and flag == "" for _, eta, _, flag in rows)
         assert {improvement for _, _, improvement, _ in rows} == {"7.41589436516652256e+01"}
+
+    def test_lossless_ring_zero_variance_is_a_domain_row(self, capsys):
+        """gamma = 0 near threshold rounds V(pi/2) to 0, which has no dB value: a domain row."""
+        assert main(["squeezing", "--set", "geometry.alpha_loss=0",
+                     "--set", "pump.sigma_n=0.99999999", "--set", "sweep.points=3"]) == 0
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        rows = [line.split(",") for line in captured.out.splitlines()[3:]]
+        assert rows[1] == ["1.57079632679489656e+00", "inf", "inf", "domain"]
+        assert [row[3] for row in rows] == ["", "domain", ""]
+        assert all(float(row[1]) > 0 and math.isfinite(float(row[2])) for row in (rows[0], rows[2]))
 
     def test_drive_within_rounding_of_threshold_is_flagged(self, capsys):
         """The pair denominator rounds to 0 at sigma_n = 1 - 1e-9: threshold rows, not a traceback."""
