@@ -409,7 +409,7 @@ def _run_sensitivity(cfg: RunConfig, rates: CavityRates, gain: float):
         # A coherent probe with a vacuum port reads 1/(sqrt(eta) alpha_c |sin phi|), a
         # pole where its slope eta N |sin phi| is within POLE_TOLERANCE eta N of zero.
         sine = np.abs(np.sin(grid))
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):  # both only where the row is inf
             coherent = np.where(sine > POLE_TOLERANCE, coherent / sine, math.inf)
         squeezed, pole = readout.dphi, readout.pole
     snl = shot_noise_limit(spec, readout.output)
@@ -436,10 +436,11 @@ def _run_improvement(cfg: RunConfig, rates: CavityRates, gain: float):
     # Sweep protocol: gamma adjusted at fixed kappa to reach the target
     # decay ratio, sigma_n held at the configured value.
     ratio = cfg.decay_ratio if cfg.decay_ratio is not None else decay_ratio(rates)
-    gamma = rates.kappa / ratio
+    # A configured ratio is positive (parse_config); the geometry's is 0 where kappa = 0.
+    gamma = rates.kappa / ratio if ratio > 0 else math.nan
     if not math.isfinite(gamma):
-        raise ConfigError(f"improvement.decay_ratio = {ratio!r} makes gamma = kappa/decay_ratio "
-                          f"= {gamma!r}, not finite")
+        raise ConfigError(f"improvement.decay_ratio = {ratio!r} with kappa = {rates.kappa!r} "
+                          f"(geometry.cross_coupling) gives gamma = {gamma!r}, not finite")
     ring = CavityRates(kappa=rates.kappa, gamma=gamma)
     injection, alpha_c, pump_power = _resolve_drive(cfg, ring, gain)
     lengths = cfg.sweep.grid()
