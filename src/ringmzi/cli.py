@@ -41,14 +41,16 @@ _FIELDS = {
     "jsi.span": "jsi_span", "jsi.points": "jsi_points", "improvement.decay_ratio": "decay_ratio",
 }
 
-# Each sweeping command's variables, the first its default, and each
-# variable's default (start, stop, points, scale); phi has no default bounds.
+# Each sweeping command's variables, the first its default, and each variable's
+# default (start, stop, points, scale), phi without default bounds, and the keys it
+# overrides, which are a config error.
 _SWEEPS = {
-    "squeezing": {"phi_lo": (0.0, math.pi, 181, "linear")},
-    "meanfield": {"sigma_n": (0.1, 1.15, 22, "linear")},
-    "sensitivity": {"p_c": (1e-8, 1.0, 161, "log"), "phi": (None, None, 101, "linear")},
-    "pole": {"alpha_c": (1e1, 1e6, 201, "log")},
-    "improvement": {"sensor_length": (1e-3, 1e2, 181, "log")},
+    "squeezing": {"phi_lo": (0.0, math.pi, 181, "linear", ())},
+    "meanfield": {"sigma_n": (0.1, 1.15, 22, "linear", ("pump.sigma_n", "pump.p_l"))},
+    "sensitivity": {"p_c": (1e-8, 1.0, 161, "log", ("pump.p_c", "pump.alpha_c")),
+                    "phi": (None, None, 101, "linear", ("sensor.phi",))},
+    "pole": {"alpha_c": (1e1, 1e6, 201, "log", ("pump.alpha_c", "pump.p_c"))},
+    "improvement": {"sensor_length": (1e-3, 1e2, 181, "log", ("sensor.length", "sensor.eta"))},
 }
 
 # Sweep variables whose negative values have no meaning.
@@ -56,6 +58,11 @@ _NONNEGATIVE_SWEEPS = ("sigma_n", "p_c", "alpha_c", "sensor_length")
 
 # Rows formatted per write; bounds the text held in memory for large tables.
 _WRITE_BLOCK_ROWS = 4096
+
+# Smaller chunks are written by '%'. The array writer broke even at 210-280 cells of
+# a 7-column table: 99 us against 76 us for '%' at 154 cells, 155 against 214 at 350,
+# 0.68 ms against 2.0 ms at 4102 (medians of 7, 2 vCPU, Python 3.11, numpy 2.4).
+_MIN_ARRAY_CELLS = 240
 
 # A sweep table is held whole, at up to about 0.5 KB per point (phase sweep);
 # the bound applies to jsi.points (per axis) as well.
@@ -137,9 +144,9 @@ class ResultTable:
     """Table with provenance metadata: a re-iterable sequence of column blocks.
 
     A block holds one column per entry of ``columns``, all of one length. A
-    numeric column is a float array or a list of its values already
-    formatted ``%.17e``; ``flag`` is a string array. ``data`` is either the
-    whole table as one block of columns or a LazyBlocks.
+    numeric column is a float array or its cells formatted by ``_format_e17``,
+    a (rows, 25) uint8 array; ``flag`` is a string array. ``data`` is either
+    the whole table as one block of columns or a LazyBlocks.
     """
 
     columns: list[str]
@@ -158,9 +165,10 @@ class ResultTable:
 
     @property
     def rows(self) -> list[list]:
-        """The table row by row (Python floats and strings; text is read back with float())."""
+        """The table row by row (Python floats and strings; formatted cells are read back)."""
         return [list(row) for block in self.blocks for row in zip(*(
-            list(map(float, c)) if isinstance(c, list) else c.tolist() for c in block))]
+            [float(bytes(cell).replace(b"\0", b"")) for cell in c] if c.ndim == 2 else c.tolist()
+            for c in block))]
 
 
 def _parse_lines(text: str) -> list[tuple[int, str, str]]:
@@ -243,8 +251,7 @@ def parse_config(text: str, command: str = "") -> RunConfig:
     loss = setting["sensor.alpha_loss"] = number("sensor.alpha_loss", geometry.alpha_loss)
     if not 0 <= loss < math.inf:
         raise fail("sensor.alpha_loss", "must be finite and >= 0")
-    # improvement sweeps the length itself: there a dark sensor is a domain row.
-    if length is not None and command != "improvement":
+    if length is not None and command != "improvement":  # its sweep overrides the length
         eta_length = math.exp(-loss * length)
         if not 0 < eta_length <= 1:
             raise ConfigError(
@@ -260,7 +267,10 @@ def parse_config(text: str, command: str = "") -> RunConfig:
         if variable not in variables:
             raise ConfigError(
                 f"command {command!r} sweeps one of {tuple(variables)}, got {variable!r}")
-        start, stop, points, scale = variables[variable]
+        start, stop, points, scale, overridden = variables[variable]
+        for key in overridden:
+            if key in values:
+                raise fail(key, f"is overridden by the {variable} sweep")
         sweep = SweepSpec(variable, number("sweep.start", start), number("sweep.stop", stop),
                           number("sweep.points", points), values.get("sweep.scale", (scale,))[0])
     elif sweep_set:
@@ -272,8 +282,8 @@ def parse_config(text: str, command: str = "") -> RunConfig:
     span = setting["jsi.span"]
     if span is not None and not (math.isfinite(span) and span > 0):
         raise fail("jsi.span", "must be positive and finite")
-    for key in ("pump.delta_p", "sensor.phi"):
-        if not math.isfinite(setting[key]):
+    for key in ("pump.alpha_c", "pump.p_c", "pump.delta_p", "sensor.phi"):
+        if setting[key] is not None and not math.isfinite(setting[key]):
             raise fail(key, "must be finite")
     ratio = setting["improvement.decay_ratio"]
     if ratio is not None and ratio <= 0:
@@ -369,9 +379,12 @@ def _run_jsi(cfg: RunConfig, rates: CavityRates, gain: float):
         raise ConfigError(f"jsi needs a drive below threshold, got sigma_n = {injection.sigma_n!r}")
     span = cfg.jsi_span if cfg.jsi_span is not None else 3.0 * rates.gamma_total
     axis = np.linspace(-span, span, cfg.jsi_points)
-    labels = ["%.17e" % value for value in axis.tolist()]  # each axis value formatted once
-    return ["delta_ws", "delta_wi", "value"], LazyBlocks(axis.size, lambda k: [
-        [labels[k]] * axis.size, labels, jsi_density(rates, injection, axis[k], axis)])
+    cells = _format_e17(axis)  # each axis value formatted once
+    per = max(1, _WRITE_BLOCK_ROWS // axis.size)  # signal rows per block
+    signal = [slice(start, start + per) for start in range(0, axis.size, per)]
+    return ["delta_ws", "delta_wi", "value"], LazyBlocks(len(signal), lambda k: [
+        np.repeat(cells[signal[k]], axis.size, axis=0), np.tile(cells, (len(cells[signal[k]]), 1)),
+        jsi_density(rates, injection, axis[signal[k], None], axis).ravel()])
 
 
 def _run_meanfield(cfg: RunConfig, rates: CavityRates, gain: float):
@@ -460,12 +473,101 @@ def _run_improvement(cfg: RunConfig, rates: CavityRates, gain: float):
     return columns, [lengths, eta, factor, _flags(lengths.size, domain=domain, pole=pole)]
 
 
+_POWER_RANGE = range(-292, 343)  # 10^(17 - k) for every decimal exponent k of a finite float
+_SPLIT = 2.0 ** 27 + 1  # Dekker's split of a double into two 26-bit halves
+
+
+@functools.cache
+def _e17_tables():
+    """Built on the first write, from integers: rows (hi, hi's Dekker halves, lo, shift)
+    with 10^p = (hi + lo) 2^shift, hi in [1/2, 2], for p in _POWER_RANGE; 'e-325' ..
+    'e+309' NUL-padded to 5 bytes, at 325 + k; the digits 0000 .. 9999 as uint32."""
+    powers = []
+    for p in _POWER_RANGE:
+        e = (10 ** abs(p)).bit_length() * (1 if p >= 0 else -1)
+        n, d = (10 ** p, 1 << e) if p >= 0 else (1 << -e, 10 ** -p)
+        hi = n / d  # int / int is correctly rounded, and so is the remainder
+        hn, hd = hi.as_integer_ratio()
+        head = _SPLIT * hi - (_SPLIT * hi - hi)
+        powers.append((hi, head, hi - head, (n * hd - hn * d) / (d * hd), e))
+    exponents = b"".join(b"e%+03d" % k + b"\0" * (abs(k) < 100) for k in range(-325, 310))
+    return (np.array(powers), np.frombuffer(exponents, np.uint8).reshape(-1, 5),
+            np.frombuffer(b"".join(b"%04d" % i for i in range(10 ** 4)), np.uint32))
+
+
+def _scaled_digits(m, e2, p):
+    """floor and fraction of m 2^e2 10^p, the product exact to about 2^-100."""
+    hi, hi_head, hi_tail, lo, shift = _e17_tables()[0][p - _POWER_RANGE.start].T
+    head = m * hi
+    m_head = _SPLIT * m - (_SPLIT * m - m)
+    m_tail = m - m_head
+    error = ((m_head * hi_head - head) + m_head * hi_tail + m_tail * hi_head) + m_tail * hi_tail
+    scale = e2 + shift.astype(np.int32)
+    rest = np.ldexp(error + m * lo, scale)
+    whole = np.floor(rest)
+    return np.ldexp(head, scale).astype(np.int64) + whole.astype(np.int64), rest - whole
+
+
+def _format_e17(values) -> np.ndarray:
+    """Each value's '%.17e' text, byte for byte, as uint8 of shape + (25,), NUL-padded.
+
+    The 18 significant digits D = round(|x| 10^(17-k)) are taken in double-double
+    arithmetic; 0, inf, nan and values within 2^-30 of a rounding tie go to '%'.
+    """
+    x = np.asarray(values, dtype=np.float64).ravel()
+    finite = (x != 0) & np.isfinite(x)
+    magnitude = np.where(finite, np.abs(x), 1.0)
+    mantissa, e2 = np.frexp(magnitude)
+    k = np.floor(np.log10(magnitude)).astype(np.int64)
+    digits, fraction = _scaled_digits(mantissa, e2, 17 - k)
+    # floor(log10) can be one off: correct k from the floored digits, not the rounded ones.
+    if (redo := np.flatnonzero((digits < 10 ** 17) | (digits >= 10 ** 18))).size:
+        k[redo] += np.where(digits[redo] < 10 ** 17, -1, 1)
+        digits[redo], fraction[redo] = _scaled_digits(mantissa[redo], e2[redo], 17 - k[redo])
+    digits += fraction >= 0.5
+    k += (carry := digits == 10 ** 18)
+    digits[carry] = 10 ** 17
+    exponents, quads = _e17_tables()[1:]
+    groups = np.empty((x.size, 5), np.int64)  # D in groups of 4 digits, the first < 100
+    for j in (4, 3, 2, 1):
+        digits, groups[:, j] = np.divmod(digits, 10 ** 4)
+    groups[:, 0] = digits
+    out = np.empty((x.size, 25), np.uint8)
+    out[:, 0] = np.where(np.signbit(x), ord("-"), 0)
+    out[:, 2:20] = quads[groups].view(np.uint8).reshape(-1, 20)[:, 2:]  # the 18 digits
+    out[:, 1] = out[:, 2]
+    out[:, 2] = ord(".")
+    out[:, 20:] = exponents[k + 325]
+    fallback = np.flatnonzero(~finite | (np.abs(fraction - 0.5) < 2.0 ** -30))
+    text = np.array(["%.17e" % value for value in x[fallback].tolist()], dtype="S25")
+    out[fallback] = text.view(np.uint8).reshape(-1, 25)
+    return out.reshape(np.shape(values) + (25,))
+
+
+def _chunk_text(parts: list) -> str:
+    """Rows of the columns ``parts`` as CSV text: the cells, ',' and '\n' in one
+    NUL-padded uint8 buffer, compacted once. Float columns are formatted together."""
+    rows = len(parts[0])
+    floats = [column for column in parts if column.ndim == 1 and column.dtype.kind == "f"]
+    formatted = iter(_format_e17(np.stack(floats, axis=1)).swapaxes(0, 1) if floats else ())
+    pieces = []
+    for column in parts:
+        if column.ndim == 1:  # floats, or text as 'S' strings, which are NUL-padded
+            column = next(formatted) if column.dtype.kind == "f" else (
+                column.astype("S").view(np.uint8).reshape(rows, -1))
+        pieces += [column, np.full((rows, 1), ord(","), np.uint8)]
+    pieces[-1] = np.full((rows, 1), ord("\n"), np.uint8)
+    flat = np.concatenate(pieces, axis=1).ravel()
+    return flat[flat != 0].tobytes().decode("ascii")
+
+
 def write_table(table: ResultTable, path: str | None) -> None:
     """Write the table as CSV with '#'-prefixed metadata lines.
 
-    Numbers are written '%.17e' (which spells 'inf' and 'nan' as such); text,
-    preformatted numbers and flags, as is. Output bytes are a pure function of
-    the table contents, so identical configurations produce identical files.
+    Numbers are written byte for byte as Python's '%.17e' (which spells 'inf'
+    and 'nan' as such); text, preformatted numbers and flags, as is. Output
+    bytes are a pure function of the table contents, so identical
+    configurations produce identical files.
     """
     header = [f"# {k}={table.meta[k]}" for k in sorted(table.meta)] + [",".join(table.columns)]
     width = len(table.columns)
@@ -473,15 +575,13 @@ def write_table(table: ResultTable, path: str | None) -> None:
           else open(path, "w", encoding="utf-8", newline="\n")) as handle:
         handle.write("\n".join(header) + "\n")
         for block in table.blocks:
-            line = ",".join("%s" if isinstance(column, list) or column.dtype.kind == "U"
-                            else "%.17e" for column in block) + "\n"
+            line = ",".join("%s" if c.dtype.kind == "U" else "%.17e" for c in block) + "\n"
             for start in range(0, len(block[0]), _WRITE_BLOCK_ROWS):
-                rows = min(_WRITE_BLOCK_ROWS, len(block[0]) - start)
-                cells = [None] * (rows * width)
-                for j, column in enumerate(block):  # row-major: cell j of each row
-                    part = column[start:start + rows]
-                    cells[j::width] = part if isinstance(part, list) else part.tolist()
-                handle.write(line * rows % tuple(cells))
+                parts = [column[start:start + _WRITE_BLOCK_ROWS] for column in block]
+                if len(parts[0]) * width >= _MIN_ARRAY_CELLS or any(c.ndim == 2 for c in parts):
+                    handle.write(_chunk_text(parts))
+                else:
+                    handle.write("".join(line % row for row in zip(*(c.tolist() for c in parts))))
 
 
 @functools.cache

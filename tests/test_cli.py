@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -15,8 +16,9 @@ from hypothesis import strategies as st
 from ringmzi import (REFERENCE_GEOMETRY, CavityRates, Injection, SensorSpec, decay_ratio,
                      derive_rates, fwm_gain, phase_sensitivity_numeric, pole_coherent_amplitude)
 from ringmzi.cavity_io import jsi as jsi_density
-from ringmzi.cli import (ConfigError, LazyBlocks, ResultTable, _parser, _resolve_drive, main,
-                         parse_config, run_command, write_table)
+from ringmzi import cli
+from ringmzi.cli import (ConfigError, LazyBlocks, ResultTable, _format_e17, _parser,
+                         _resolve_drive, main, parse_config, run_command, write_table)
 from ringmzi.constants import HBAR
 
 
@@ -424,9 +426,9 @@ class TestStreamedJsi:
         assert peak < 2e6
 
     def test_rows_and_text_columns_across_write_blocks(self, tmp_path):
-        """Blocks mixing text and arrays split at 4096 rows, and re-iterate for rows."""
+        """Blocks mixing formatted cells and arrays split at 4096 rows, and re-iterate for rows."""
         values = np.linspace(-1.0, 1.0, 5000) * 1e9
-        text = ["%.17e" % value for value in values.tolist()]
+        text = _format_e17(values)
         flags = np.array(["", "pole"] * 2500)
         table = ResultTable(columns=["a", "b", "flag"], meta={},
                             data=LazyBlocks(2, lambda k: [text, values * (k + 1), flags]))
@@ -458,6 +460,107 @@ class TestPresetRuntime:
         start = time.monotonic()
         assert main([command, "--out", str(tmp_path / "out.csv")]) == 0
         assert time.monotonic() - start < 60.0
+
+
+def texts(cells) -> list[str]:
+    """_format_e17 cells as strings."""
+    return [bytes(cell).replace(b"\0", b"").decode("ascii") for cell in cells]
+
+
+def exact_ties(count: int, seed: int = 0) -> list[float]:
+    """Doubles M / 2^s whose exact decimal has 19 significant digits, the last a 5:
+    '%.17e' rounds each half to even."""
+    rng, ties = np.random.default_rng(seed), []
+    while len(ties) < count:
+        shift = int(rng.integers(4, 60))
+        mantissa = int(rng.integers(1, 2 ** 26)) * 2 ** 27 + int(rng.integers(0, 2 ** 27)) | 1
+        if len(str(mantissa * 5 ** shift)) == 19:
+            ties.append(mantissa / 2 ** shift)
+    return ties
+
+
+class TestFormatE17:
+    """_format_e17 writes the bytes of Python's '%.17e'."""
+
+    @staticmethod
+    def check(values) -> None:
+        values = np.asarray(values, dtype=np.float64)
+        assert texts(_format_e17(values)) == ["%.17e" % value for value in values.tolist()]
+
+    @settings(max_examples=300, deadline=None)
+    @given(bits=st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=64),
+           floats=st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=64))
+    def test_random_bit_patterns_and_floats(self, bits, floats):
+        """Every double, subnormals included, and hypothesis's own float edge cases."""
+        self.check(np.array(bits, dtype=np.uint64).view(np.float64))
+        self.check(floats)
+
+    def test_random_bit_patterns_in_bulk(self):
+        self.check(np.random.default_rng(7).integers(0, 2 ** 64, 200_000, dtype=np.uint64)
+                   .view(np.float64))
+
+    def test_special_values(self):
+        self.check([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                    2.2250738585072014e-308, 2.225073858507201e-308, 1.7976931348623157e308])
+
+    def test_powers_of_ten_and_neighbours(self):
+        """Where floor(log10) can be one off, and where the 18 digits carry."""
+        powers = np.array([float(f"1e{k}") for k in range(-323, 309)] +
+                          [10.0 ** k for k in range(-307, 309)])
+        for values in (powers, np.nextafter(powers, 0), np.nextafter(powers, math.inf)):
+            self.check(values)
+            self.check(-values)
+        # Both doubles lie within 5e-18 relative below their power of ten: k is one
+        # less from the floored digits, but the 18 digits of 1e153 round up to 10^18.
+        assert texts(_format_e17(np.array([1e-305, 1e153]))) == [
+            "9.99999999999999996e-306", "1.00000000000000000e+153"]
+
+    def test_exact_and_near_ties(self):
+        ties = np.array(exact_ties(2000))
+        for values in (ties, np.nextafter(ties, 0), np.nextafter(ties, math.inf), -ties):
+            self.check(values)
+
+    def test_decimals_and_integers(self):
+        rng = np.random.default_rng(11)
+        self.check(np.round(rng.uniform(-1e6, 1e6, 20_000), 3))
+        self.check(rng.integers(-10 ** 15, 10 ** 15, 20_000).astype(float))
+
+    def test_keeps_the_shape(self):
+        assert _format_e17(np.zeros((3, 2))).shape == (3, 2, 25)
+
+    @pytest.mark.parametrize("rows", [cli._MIN_ARRAY_CELLS // 3 - 1,
+                                      cli._MIN_ARRAY_CELLS // 3 + 1])
+    def test_both_sides_of_the_array_cutoff(self, rows, tmp_path, monkeypatch):
+        """Short chunks go through '%', longer ones through the array writer: same bytes."""
+        chunks = []
+        monkeypatch.setattr(cli, "_chunk_text", lambda parts: chunks.append(parts) or "")
+        values = np.random.default_rng(rows).standard_normal((2, rows)) * 1e5
+        values[0, :3] = [0.0, math.inf, math.nan]
+        flags = np.array(["", "pole", "threshold"] * rows)[:rows]
+        table = ResultTable(columns=["a", "b", "flag"], data=[*values, flags], meta={})
+        write_table(table, str(tmp_path / "spy.csv"))
+        assert len(chunks) == (3 * rows >= cli._MIN_ARRAY_CELLS)
+        monkeypatch.undo()
+        write_table(table, str(tmp_path / "out.csv"))
+        assert (tmp_path / "out.csv").read_text() == "a,b,flag\n" + "".join(
+            "%.17e,%.17e,%s\n" % row for row in zip(*values.tolist(), flags.tolist()))
+
+
+class TestDefaultPresets:
+    @pytest.mark.parametrize("command,digest", [
+        ("rates", "633ac860088c6fa235bedba7c34b5bb95ea08d738ff72994c31cf8cf887d141c"),
+        ("squeezing", "ab401c6a8f1e793f63b3e21fa9978633de2b8533c55ff16203f62583cc7bbe9f"),
+        ("jsi", "5046fc8b2651b73b7cc43666a9a3e385e48242202fa1e5ea8b16cec4c5746cd3"),
+        ("meanfield", "bb71a71dbf64a9dc6acd550730a468f77a0d8d36de9fc794fcfbff878347614d"),
+        ("sensitivity", "1789e0d332917d88734c7a3ac1b83dedc74f1a447d2edbffdfbb1e4ce0c201e8"),
+        ("pole", "08fb4a1160a9a9f7b64f0e13b9befd88f71520e2ad48acbcbff1e1ccd79e24ca"),
+        ("improvement", "2b184693d63a1c6e59466d41a2f7dc5b2e74e8dc41617292219613225a307f83"),
+    ])
+    def test_csv_bytes_are_pinned(self, command, digest, tmp_path):
+        """The default CSVs keep the bytes that '%.17e' row by row wrote."""
+        path = tmp_path / f"{command}.csv"
+        assert main([command, "--out", str(path)]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestWriteTable:
@@ -539,13 +642,48 @@ class TestMain:
         # kappa = 0 makes the geometry's own ratio 0: no ZeroDivisionError traceback.
         ("improvement", "geometry.cross_coupling=0",
          "improvement.decay_ratio = 0.0 with kappa = 0.0 (geometry.cross_coupling)"),
+        # An infinite probe wrote every improvement row 'inf,pole'.
+        ("improvement", "pump.alpha_c=inf", "line 2: pump.alpha_c must be finite, got 'inf'"),
+        ("improvement", "pump.p_c=inf", "line 2: pump.p_c must be finite, got 'inf'"),
     ], ids=["rates-delta_p", "sensitivity-delta_p", "squeezing-phi", "sensitivity-phi",
-            "decay_ratio-negative", "decay_ratio-overflow", "decay_ratio-zero-kappa"])
+            "decay_ratio-negative", "decay_ratio-overflow", "decay_ratio-zero-kappa",
+            "improvement-alpha_c", "improvement-p_c"])
     def test_out_of_range_value_names_its_key(self, command, setting, message, capsys):
         assert main([command, "--set", setting]) == 2
         err = capsys.readouterr().err
         assert message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv,key,variable", [
+        (["improvement"], "sensor.length=1e4", "sensor_length"),
+        (["improvement"], "sensor.eta=0.5", "sensor_length"),
+        (["sensitivity", "--set", "sweep.variable=phi", "--set", "sweep.start=0",
+          "--set", "sweep.stop=1"], "sensor.phi=0.1", "phi"),
+        (["sensitivity"], "pump.p_c=1e-3", "p_c"),
+        (["sensitivity"], "pump.alpha_c=1e4", "p_c"),
+        (["pole"], "pump.alpha_c=1e4", "alpha_c"),
+        (["pole"], "pump.p_c=1e-3", "alpha_c"),
+        (["meanfield"], "pump.sigma_n=0.5", "sigma_n"),
+        (["meanfield"], "pump.p_l=1e-3", "sigma_n"),
+    ])
+    def test_key_the_sweep_overrides_is_config_error(self, argv, key, variable, capsys):
+        """The table would ignore the key: the error names the sweep variable instead."""
+        assert main(argv + ["--set", key]) == 2
+        name, value = key.split("=")
+        line = len(argv) // 2 + 2
+        assert (f"line {line}: {name} is overridden by the {variable} sweep, got '{value}'"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command,key", [("squeezing", "pump.delta_p=1e9"),
+                                             ("pole", "sensor.phi=0.3"),
+                                             ("improvement", "sensor.phi=0.3"),
+                                             ("squeezing", "pump.alpha_c=1e4")])
+    def test_key_a_command_never_reads_stays_accepted(self, command, key, capsys):
+        """One file serves all seven commands, so an unread key is not an error."""
+        assert main([command, "--set", "sweep.points=3"]) == 0
+        plain = capsys.readouterr().out.split("\n", 1)[1]  # after the config_sha256 line
+        assert main([command, "--set", key, "--set", "sweep.points=3"]) == 0
+        assert capsys.readouterr().out.split("\n", 1)[1] == plain
 
     def test_negative_power_sweep_is_config_error(self, capsys):
         assert main(["sensitivity", "--set", "sweep.variable=p_c", "--set", "sweep.scale=linear",
@@ -598,8 +736,7 @@ class TestMain:
         assert "Traceback" not in err
 
     def test_dark_sensor_in_improvement_stays_a_domain_row(self, capsys):
-        assert main(["improvement", "--set", "sensor.length=1e4", "--set", "sweep.stop=1e4",
-                     "--set", "sweep.points=3"]) == 0
+        assert main(["improvement", "--set", "sweep.stop=1e4", "--set", "sweep.points=3"]) == 0
         assert capsys.readouterr().out.splitlines()[-1].endswith(",domain")
 
     def test_sweep_points_cap(self, capsys):
