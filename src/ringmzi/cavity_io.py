@@ -12,14 +12,11 @@ point (spectral-density prefactors, reported in Hz):
     Xi   = (4 D_i D_s - sigma^2)^2 + 4 Gamma^2 (D_i^2 + D_s^2) + Gamma^4
 
 Both are reproduced by the numeric scattering solve, which the tests keep
-as their oracle; the closed static (seeded) moments below are the solution
-of the same linear system (the commonly quoted display carries two sign
-typos, fixed here and pinned against the scattering solve by tests).
+as their oracle.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -54,34 +51,6 @@ class Detunings:
 
 
 ZERO_DETUNING = Detunings()
-
-
-@dataclass(frozen=True)
-class SeedAmplitudes:
-    """Coherent seeds on the signal/idler input channels [sqrt(Hz)]."""
-
-    alpha_s: complex = 0.0
-    alpha_i: complex = 0.0
-
-
-@dataclass(frozen=True)
-class OutputMoments:
-    """Second and first moments of the propagating signal/idler pair.
-
-    n_s and n_i are photon-flux spectral densities [Hz]; m_si is the
-    anomalous pair moment <b_i b_s>; first_s/first_i are the static
-    amplitudes for seeded inputs [sqrt(Hz)].
-    """
-
-    n_s: float
-    n_i: float
-    m_si: complex
-    first_s: complex = 0.0
-    first_i: complex = 0.0
-
-    def __post_init__(self) -> None:
-        if self.n_s < 0 or self.n_i < 0:
-            raise DomainError("photon fluxes must be non-negative")
 
 
 def to_db(value):
@@ -142,47 +111,6 @@ def anomalous_moment(rates: CavityRates, injection: Injection,
     ds, di = detunings.delta_s, detunings.delta_i
     num = -2 * kappa * sigma * (4 * di * ds - 2j * gamma_total * (di + ds) - gamma_total**2 - s2)
     return num / _pair_denominator(gamma_total, s2, detunings)
-
-
-def static_moments(rates: CavityRates, injection: Injection,
-                   detunings: Detunings = ZERO_DETUNING,
-                   seeds: SeedAmplitudes = SeedAmplitudes()) -> tuple[complex, complex]:
-    """Static output amplitudes (<b_s,st>, <b_i,st>) for coherent seeds.
-
-    Solution of the frequency-domain linear system; the idler result is the
-    s<->i index swap of the signal one. Reduces to the all-pass identity
-    (<b_s,st> = alpha_s) for sigma = 0, gamma = 0 at zero detuning.
-    """
-    _guard_below_threshold(rates, injection)
-    kappa, gamma = rates.kappa, rates.gamma
-    gamma_total = rates.gamma_total
-    sigma = injection.sigma
-    s2 = injection.sigma_mag**2
-    ds, di = detunings.delta_s, detunings.delta_i
-    a_s, a_i = seeds.alpha_s, seeds.alpha_i
-
-    def one(seed_self: complex, seed_other: complex, d_self: float, d_other: float) -> complex:
-        num = seed_self * (
-            kappa**2 + s2 - gamma**2 - 4 * d_other * d_self
-            - 2j * (d_other * (gamma - kappa) - d_self * gamma_total)
-        ) + 2 * kappa * sigma * np.conj(seed_other)
-        den = 4 * d_other * d_self + 2j * gamma_total * (d_other - d_self) + gamma_total**2 - s2
-        return num / den
-
-    return one(a_s, a_i, ds, di), one(a_i, a_s, di, ds)
-
-
-def output_moments(rates: CavityRates, injection: Injection,
-                   detunings: Detunings = ZERO_DETUNING,
-                   seeds: SeedAmplitudes | None = None) -> OutputMoments:
-    """Assemble the full moment description of the output pair."""
-    n_s = photon_flux(rates, injection, detunings)
-    m_si = anomalous_moment(rates, injection, detunings)
-    if seeds is None:
-        first_s = first_i = 0.0 + 0.0j
-    else:
-        first_s, first_i = static_moments(rates, injection, detunings, seeds)
-    return OutputMoments(n_s=n_s, n_i=n_s, m_si=m_si, first_s=first_s, first_i=first_i)
 
 
 def jsi(rates: CavityRates, injection: Injection, delta_ws, delta_wi):
@@ -249,20 +177,3 @@ def squeezing_parameter(rates: CavityRates, injection: Injection,
                         detunings: Detunings = ZERO_DETUNING) -> float:
     """Squeezing parameter r = asinh(sqrt(n_s))."""
     return math.asinh(math.sqrt(photon_flux(rates, injection, detunings)))
-
-
-def homodyne_signal(moments: OutputMoments, lo_amplitude: complex,
-                    phi_lo: float) -> tuple[float, float]:
-    """Mean and variance of the balanced-difference photocurrent.
-
-    The bichromatic local oscillator (one component per output carrier,
-    matched signal/idler phases) beats both output modes onto the static
-    joint quadrature: mean = 2|a_LO| Re[(<b_s>+<b_i>) e^(i*phi_lo)] and
-    variance = 2|a_LO|^2 V(phi_lo).
-    """
-    lo_mag = abs(lo_amplitude)
-    mean = 2.0 * lo_mag * ((moments.first_s + moments.first_i) * cmath.exp(1j * phi_lo)).real
-    variance = 2.0 * lo_mag**2 * (
-        1.0 + moments.n_s + moments.n_i + 2.0 * (moments.m_si * cmath.exp(2j * phi_lo)).real
-    )
-    return mean, variance

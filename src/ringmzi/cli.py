@@ -21,11 +21,10 @@ import numpy as np
 
 from . import __version__
 from .cavity_io import jsi as jsi_density
-from .cavity_io import output_moments, quadrature_variance, to_db
+from .cavity_io import quadrature_variance, to_db
 from .constants import HBAR
 from .errors import ConfigError, DomainError, ThresholdError
-from .interferometer import (POLE_TOLERANCE, SensorSpec, coherent_sensitivity, decay_ratio,
-                             phase_readout, shot_noise_limit, squeezed_sensitivity)
+from .interferometer import POLE_TOLERANCE, coherent_sensitivity, decay_ratio, mzi_sensitivity
 from .meanfield import comparison_columns
 from .params import (CavityRates, Injection, REFERENCE_GEOMETRY, RingGeometry, derive_rates,
                      fwm_gain, sigma_from_power, threshold_power)
@@ -122,6 +121,13 @@ class RunConfig:
     jsi_points: int
     decay_ratio: float | None
     resolved: dict[str, str]
+
+    @property
+    def eta_value(self) -> float:
+        """The configured path efficiency: sensor.eta, or e^(-alpha_loss * length)."""
+        if self.sensor_length is None:
+            return self.eta
+        return math.exp(-self.sensor_alpha_loss * self.sensor_length)
 
     def config_sha256(self) -> str:
         canonical = "".join(f"{k} = {self.resolved[k]}\n" for k in sorted(self.resolved))
@@ -314,14 +320,6 @@ def _resolve_drive(cfg: RunConfig, rates: CavityRates, gain: float):
     return injection, alpha_c, pump_power
 
 
-def _sensor_spec(cfg: RunConfig, pump_power: float) -> SensorSpec:
-    """The configured sensor (probe left out); a sweep evaluates it over its grid."""
-    kwargs = dict(phi=cfg.phi, alpha_l_power=pump_power, omega_p=cfg.geometry.pump_frequency())
-    if cfg.sensor_length is not None:
-        return SensorSpec(sensor_length=cfg.sensor_length, alpha_loss=cfg.sensor_alpha_loss, **kwargs)
-    return SensorSpec(eta=cfg.eta, **kwargs)
-
-
 def _flags(size: int, threshold=False, domain=False, pole=False) -> np.ndarray:
     """Flag column from row masks: threshold outranks domain, domain outranks pole."""
     flags = np.where(threshold, "threshold", np.where(domain, "domain", np.where(pole, "pole", "")))
@@ -397,10 +395,10 @@ def _run_sensitivity(cfg: RunConfig, rates: CavityRates, gain: float):
     injection, alpha_c, pump_power = _resolve_drive(cfg, rates, gain)
     sweep = cfg.sweep
     grid = sweep.grid()
-    spec = _sensor_spec(cfg, pump_power)
-    eta = spec.eta_value
-    if sweep.variable == "p_c":
-        alpha_c, phi = np.sqrt(grid / (HBAR * cfg.geometry.pump_frequency())), cfg.phi
+    eta = cfg.eta_value
+    omega_p = cfg.geometry.pump_frequency()
+    if sweep.variable == "p_c":  # at phi = pi/2; sensor.phi is not read
+        alpha_c, phi = np.sqrt(grid / (HBAR * omega_p)), math.pi / 2
         columns = ["p_c", "alpha_c", "dphi_squeezed", "dphi_coherent", "dphi_snl", "flag"]
         leading = [grid, alpha_c]
     else:
@@ -408,24 +406,22 @@ def _run_sensitivity(cfg: RunConfig, rates: CavityRates, gain: float):
         columns = ["phi", "dphi_squeezed", "dphi_coherent", "dphi_snl", "flag"]
         leading = [grid]
     try:
-        moments = output_moments(rates, injection)
-    except ThresholdError:  # the injection, and so the flag, is fixed per table
+        squeezed, photons, pole = mzi_sensitivity(alpha_c, phi, eta, rates, injection)
+    except (ThresholdError, DomainError) as exc:  # the drive, and so the flag, is fixed per table
         infinite = np.full(grid.size, math.inf)
-        return columns, leading + [infinite] * 3 + [_flags(grid.size, threshold=True)]
-    readout = phase_readout(alpha_c, phi, eta, moments)
+        flag = "threshold" if isinstance(exc, ThresholdError) else "domain"
+        return columns, leading + [infinite] * 3 + [_flags(grid.size, **{flag: True})]
     # The coherent reference needs a probe: no probe is a domain row.
-    domain = (np.asarray(alpha_c) <= 0) | readout.domain
+    domain = np.asarray(alpha_c) <= 0
     coherent = coherent_sensitivity(alpha_c, eta)
-    if sweep.variable == "p_c":
-        squeezed, pole = squeezed_sensitivity(alpha_c, eta, rates, injection)
-    else:
+    if sweep.variable == "phi":
         # A coherent probe with a vacuum port reads 1/(sqrt(eta) alpha_c |sin phi|), a
         # pole where its slope eta N |sin phi| is within POLE_TOLERANCE eta N of zero.
         sine = np.abs(np.sin(grid))
         with np.errstate(divide="ignore", over="ignore"):  # both only where the row is inf
             coherent = np.where(sine > POLE_TOLERANCE, coherent / sine, math.inf)
-        squeezed, pole = readout.dphi, readout.pole
-    snl = shot_noise_limit(spec, readout.output)
+    with np.errstate(divide="ignore"):  # no photons at all: a domain row
+        snl = 1.0 / np.sqrt(photons + pump_power / (HBAR * omega_p))
     return columns, leading + [np.where(domain | pole, math.inf, squeezed),
                                np.where(domain, math.inf, coherent),
                                np.where(domain, math.inf, snl),
@@ -433,12 +429,11 @@ def _run_sensitivity(cfg: RunConfig, rates: CavityRates, gain: float):
 
 
 def _run_pole(cfg: RunConfig, rates: CavityRates, gain: float):
-    injection, _, pump_power = _resolve_drive(cfg, rates, gain)
+    injection, _, _ = _resolve_drive(cfg, rates, gain)
     alpha_c = cfg.sweep.grid()
-    eta = _sensor_spec(cfg, pump_power).eta_value
     columns = ["alpha_c", "dphi_squeezed", "flag"]
     try:
-        dphi, pole = squeezed_sensitivity(alpha_c, eta, rates, injection)
+        dphi, _, pole = mzi_sensitivity(alpha_c, math.pi / 2, cfg.eta_value, rates, injection)
     except ThresholdError:
         return columns, [alpha_c, np.full(alpha_c.size, math.inf),
                          _flags(alpha_c.size, threshold=True)]
@@ -455,15 +450,15 @@ def _run_improvement(cfg: RunConfig, rates: CavityRates, gain: float):
         raise ConfigError(f"improvement.decay_ratio = {ratio!r} with kappa = {rates.kappa!r} "
                           f"(geometry.cross_coupling) gives gamma = {gamma!r}, not finite")
     ring = CavityRates(kappa=rates.kappa, gamma=gamma)
-    injection, alpha_c, pump_power = _resolve_drive(cfg, ring, gain)
+    injection, alpha_c, _ = _resolve_drive(cfg, ring, gain)
     lengths = cfg.sweep.grid()
     columns = ["sensor_length", "eta", "improvement", "flag"]
-    # math.exp per row, as SensorSpec.eta_value: np.exp differs in the last bit.
+    # math.exp per row, as RunConfig.eta_value: np.exp differs in the last bit.
     eta = np.array([math.exp(-cfg.sensor_alpha_loss * length) for length in lengths.tolist()])
     if alpha_c <= 0:
         raise DomainError(f"the improvement needs a probe, alpha_c > 0, got {alpha_c}")
     try:
-        squeezed, pole = squeezed_sensitivity(alpha_c, eta, ring, injection)
+        squeezed, _, pole = mzi_sensitivity(alpha_c, math.pi / 2, eta, ring, injection)
     except ThresholdError:
         return columns, [lengths, eta, np.full(lengths.size, math.inf),
                          _flags(lengths.size, threshold=True)]

@@ -2,12 +2,14 @@
 
 The interferometer one operating point at a time: a 2x2 port state built
 and validated per point (mzi_input_state -> mzi_transform ->
-intensity_difference_stats), the generic Gaussian moment expander behind
-the central-form statistics, the closed forms on Python floats, and the
-sensitivity, pole and improvement tables assembled row by row, each row's
-flag taken from the exception its point raised. ringmzi evaluates all of
-this as array expressions over a whole sweep; the tests require the two to
-agree bit for bit and the masks to equal these exceptions.
+intensity_difference_stats), with the phase slope carried analytically
+through the signal map, and the generic Gaussian moment expander behind the
+central-form statistics. This pipeline is the physics reference the closed
+form of ringmzi.interferometer is held against. Beside it, the closed form
+on Python floats, grouped as ringmzi groups it, and the sensitivity, pole
+and improvement tables assembled from it row by row, each row's flag taken
+from the exception its point raised; the tests require these tables to
+equal ringmzi's array tables cell for cell.
 """
 
 from __future__ import annotations
@@ -18,12 +20,52 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ringmzi import (CavityRates, DomainError, OutputMoments, PoleError, SensorSpec,
-                     ThresholdError, output_moments)
+from ringmzi import DomainError, PoleError, ThresholdError, anomalous_moment, photon_flux
 from ringmzi.constants import HBAR
 
 _PHYSICALITY_SLACK = 1e-9
+_POLE_TOLERANCE = 1e-9
 _BEAM_SPLITTER = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+
+
+@dataclass(frozen=True)
+class Point:
+    """One operating point: phase phi [rad], probe amplitude alpha_c and path efficiency eta."""
+
+    phi: float
+    alpha_c: float
+    eta: float = 1.0
+
+
+@dataclass(frozen=True)
+class PairPort:
+    """Port a_1 as one composite two-band mode: population n, anomalous moment m
+    and a static mean amplitude (a seed)."""
+
+    n: float
+    m: complex
+    mean: complex = 0.0
+
+
+def pair_port(rates, injection, mean: complex = 0.0) -> PairPort:
+    """The ring's pair field at zero detuning, n = 2 n_s and m = 2 m_si, from ringmzi.cavity_io."""
+    return PairPort(n=2.0 * photon_flux(rates, injection),
+                    m=2.0 * anomalous_moment(rates, injection), mean=mean)
+
+
+def closed_port(rates, injection) -> PairPort:
+    """The same pair field formed as the closed form forms it, n = 2 n_s and m = 2 |m_si|
+    over ((Gamma - sigma)(Gamma + sigma))^2; ThresholdError at or above threshold, and
+    DomainError where that square underflows to 0."""
+    kappa, gamma_total = rates.kappa, rates.gamma_total
+    sigma = injection.sigma_mag
+    if sigma >= gamma_total:
+        raise ThresholdError(f"at/above threshold: sigma={sigma} >= Gamma={gamma_total}")
+    square = ((gamma_total - sigma) * (gamma_total + sigma)) ** 2
+    if square == 0:
+        raise DomainError(f"((Gamma - sigma)(Gamma + sigma))^2 underflows at Gamma={gamma_total!r}")
+    return PairPort(n=8 * sigma**2 * kappa * gamma_total / square,
+                    m=4 * kappa * sigma * (gamma_total**2 + sigma**2) / square)
 
 
 @dataclass(frozen=True)
@@ -56,19 +98,22 @@ class GaussianPortState:
         return self.port_photons(0) + self.port_photons(1)
 
 
-def mzi_input_state(alpha_c: complex, squeezed: OutputMoments | None = None,
+def mzi_input_state(alpha_c: complex, port: PairPort | None = None,
                     squeeze_phase: float = 0.0) -> GaussianPortState:
+    """Coherent probe on port a_0; the pair port (commutator weight 2), or a
+    plain vacuum mode without one, on port a_1."""
     mean = np.zeros(2, dtype=complex)
     number = np.zeros((2, 2), dtype=complex)
     anomalous = np.zeros((2, 2), dtype=complex)
     mean[0] = alpha_c
-    if squeezed is None:
+    if port is None:
         comm = np.diag([1.0, 1.0]).astype(complex)
     else:
         comm = np.diag([1.0, 2.0]).astype(complex)
-        number[1, 1] = squeezed.n_s + squeezed.n_i
-        anomalous[1, 1] = 2.0 * squeezed.m_si * np.exp(2j * squeeze_phase)
-        mean[1] = (squeezed.first_s + squeezed.first_i) * np.exp(1j * squeeze_phase)
+        number[1, 1] = port.n
+        rotation = np.exp(1j * squeeze_phase) if squeeze_phase else 1.0  # inf * (1+0j) is nan
+        anomalous[1, 1] = port.m * rotation**2
+        mean[1] = port.mean * rotation
     return GaussianPortState(mean=mean, number=number, anomalous=anomalous, comm=comm)
 
 
@@ -78,8 +123,8 @@ def _mzi_maps(phi: float, eta: float) -> tuple[np.ndarray, np.ndarray]:
     return math.sqrt(eta) * bs @ ps @ bs, math.sqrt(1.0 - eta) * bs
 
 
-def mzi_transform(state: GaussianPortState, spec: SensorSpec) -> GaussianPortState:
-    signal_map, vacuum_map = _mzi_maps(spec.phi, spec.eta_value)
+def mzi_transform(state: GaussianPortState, point: Point) -> GaussianPortState:
+    signal_map, vacuum_map = _mzi_maps(point.phi, point.eta)
     mean = signal_map @ state.mean
     number = np.conj(signal_map) @ state.number @ signal_map.T
     anomalous = signal_map @ state.anomalous @ signal_map.T
@@ -180,153 +225,133 @@ def intensity_difference_stats_generic(state) -> tuple[float, float]:
     return mean_id, second - mean_id**2
 
 
-def shot_noise_limit(spec: SensorSpec, output: GaussianPortState) -> float:
-    total = output.total_photons() + spec.pump_flux
-    if total <= 0:
-        raise DomainError("no photons in the budget; shot-noise limit undefined")
-    return 1.0 / math.sqrt(total)
-
-
 @dataclass(frozen=True)
 class PointReadout:
     dphi: float
     mean_id: float
     var_id: float
     slope: float
-    snl: float
+    photons: float
 
 
-def point_readout(spec: SensorSpec, squeezed_port: OutputMoments | None = None) -> PointReadout:
-    """Gaussian-pipeline sensitivity at one point, raising on a domain or pole point."""
-    state = mzi_input_state(spec.alpha_c, squeezed_port)
-    eta = spec.eta_value
-    output = mzi_transform(state, spec)
+def point_readout(point: Point, port: PairPort | None = None,
+                  squeeze_phase: float = 0.0) -> PointReadout:
+    """Gaussian-pipeline sensitivity at one point, raising on a domain or pole point.
+
+    The slope d<ID>/dphi is exact: the derivative of the signal map carried
+    through the output mean and number moments. A slope of at most 1e-9 eta N,
+    N the input photons, is a pole; ``photons`` are the detected ones.
+    """
+    state = mzi_input_state(point.alpha_c, port, squeeze_phase)
+    output = mzi_transform(state, point)
     mean_id, var_id = intensity_difference_stats(output)
-    signal_map, _ = _mzi_maps(spec.phi, eta)
-    d_ps = np.diag([0.5j * np.exp(1j * spec.phi / 2), -0.5j * np.exp(-1j * spec.phi / 2)])
-    d_map = math.sqrt(eta) * _BEAM_SPLITTER @ d_ps @ _BEAM_SPLITTER
+    signal_map, _ = _mzi_maps(point.phi, point.eta)
+    d_ps = np.diag([0.5j * np.exp(1j * point.phi / 2), -0.5j * np.exp(-1j * point.phi / 2)])
+    d_map = math.sqrt(point.eta) * _BEAM_SPLITTER @ d_ps @ _BEAM_SPLITTER
+    # number is Hermitian, so d(number)_pp = 2 Re[(conj(dS) number S^T)_pp].
     d_number = (np.conj(d_map) @ state.number @ signal_map.T).diagonal()
     d_photons = 2.0 * (np.conj(output.mean) * (d_map @ state.mean) + d_number).real
     slope = float(d_photons[0] - d_photons[1])
-    if abs(slope) <= 1e-9 * eta * state.total_photons():
-        raise PoleError(f"signal slope vanishes at phi={spec.phi}")
+    if abs(slope) <= _POLE_TOLERANCE * point.eta * state.total_photons():
+        raise PoleError(f"signal slope vanishes at phi={point.phi}")
     dphi = math.sqrt(max(var_id, 0.0)) / abs(slope)
     return PointReadout(dphi=dphi, mean_id=mean_id, var_id=var_id, slope=slope,
-                        snl=shot_noise_limit(spec, output))
+                        photons=output.total_photons())
 
 
-def phase_sensitivity_coherent(spec: SensorSpec) -> float:
-    if spec.alpha_c <= 0:
+def closed_form(point: Point, rates, injection) -> tuple[float, float, bool]:
+    """(dphi, detected photons, pole) of the closed form on Python floats.
+
+    Every operation is grouped as ringmzi.interferometer groups it, so the
+    two round alike; dphi is inf on a pole. Raises ThresholdError at or above
+    threshold and DomainError where the pair port is unphysical.
+    """
+    port = closed_port(rates, injection)
+    mzi_input_state(0.0, port)  # validates the port
+    n, m = port.n, port.m
+    kappa, gamma_total, sigma = rates.kappa, rates.gamma_total, injection.sigma_mag
+    v_min = 1.0 - 4.0 * kappa * sigma / (gamma_total + sigma) ** 2
+    eta, a2 = point.eta, point.alpha_c * point.alpha_c
+    cosine, sine = float(np.cos(point.phi)), float(np.sin(point.phi))
+    var_id = (eta * eta * (cosine * cosine * (a2 + n * (n + 2) + m * m)
+                           + sine * sine * (2 * a2 * v_min + n))
+              + eta * (1 - eta) * (a2 + n))
+    gap = abs((a2 - n) * sine)
+    photons = eta * (a2 + n)
+    if gap <= _POLE_TOLERANCE * (a2 + n):
+        return math.inf, photons, True
+    return math.sqrt(var_id) / (eta * gap), photons, False
+
+
+def coherent_reference(point: Point) -> float:
+    """Coherent probe with a vacuum port at phi = pi/2, 1/(sqrt(eta) alpha_c)."""
+    if point.alpha_c <= 0:
         raise DomainError("alpha_c must be positive for the coherent sensitivity")
-    return 1.0 / (math.sqrt(spec.eta_value) * spec.alpha_c)
-
-
-def phase_sensitivity_squeezed(spec: SensorSpec, rates: CavityRates, injection) -> float:
-    kappa, gamma = rates.kappa, rates.gamma
-    gamma_total = rates.gamma_total
-    sigma = injection.sigma_mag
-    if sigma >= gamma_total:
-        raise ThresholdError(f"at/above threshold: sigma={sigma} >= Gamma={gamma_total}")
-    eta = spec.eta_value
-    a2 = spec.alpha_c**2
-    g2 = gamma_total**2
-    s2 = sigma**2
-    num = math.sqrt(
-        eta * a2 * (gamma_total - sigma) ** 2 * (g2 + sigma * (2 * gamma - 6 * kappa) + s2)
-        + a2 * (g2 - s2) ** 2
-        + 8 * kappa * s2 * gamma_total
-    )
-    squeezed_flux = 8 * s2 * kappa * gamma_total / (g2 - s2) ** 2
-    gap = abs(a2 - squeezed_flux)
-    if gap <= 1e-9 * (a2 + squeezed_flux):
-        raise PoleError("coherent flux equals the squeezed flux (sensitivity pole)")
-    return num / (math.sqrt(eta) * (g2 - s2) * gap)
-
-
-def _spec(cfg, alpha_c: float, pump_power: float, phi: float | None = None,
-          length: float | None = None) -> SensorSpec:
-    kwargs = dict(phi=cfg.phi if phi is None else phi, alpha_c=alpha_c,
-                  alpha_l_power=pump_power, omega_p=cfg.geometry.pump_frequency())
-    if length is not None:
-        return SensorSpec(sensor_length=length, alpha_loss=cfg.sensor_alpha_loss, **kwargs)
-    if cfg.sensor_length is not None:
-        return SensorSpec(sensor_length=cfg.sensor_length, alpha_loss=cfg.sensor_alpha_loss,
-                          **kwargs)
-    return SensorSpec(eta=cfg.eta, **kwargs)
+    return 1.0 / (math.sqrt(point.eta) * point.alpha_c)
 
 
 def sensitivity_rows(cfg, rates, injection, alpha_c: float, pump_power: float,
                      grid: Sequence[float]) -> list[list]:
     """Rows of the sensitivity table (p_c or phi sweep) built point by point."""
     omega_p = cfg.geometry.pump_frequency()
-    moments = None
-    try:
-        moments = output_moments(rates, injection)
-    except ThresholdError:
-        pass
+    eta = cfg.eta_value
+    pump_flux = pump_power / (HBAR * omega_p)
 
-    def snl_at(spec: SensorSpec) -> float:
-        return shot_noise_limit(spec, mzi_transform(mzi_input_state(spec.alpha_c, moments), spec))
+    def snl(photons: float) -> float:
+        total = photons + pump_flux
+        return 1.0 / math.sqrt(total) if total > 0 else math.inf
 
     def power_row(p_c: float) -> list:
         a_c = math.sqrt(p_c / (HBAR * omega_p))
-        spec = _spec(cfg, a_c, pump_power)
+        point = Point(math.pi / 2, a_c, eta)
         try:
-            if moments is None:
-                raise ThresholdError("above threshold")
-            return [p_c, a_c, phase_sensitivity_squeezed(spec, rates, injection),
-                    phase_sensitivity_coherent(spec), snl_at(spec), ""]
-        except PoleError:
-            return [p_c, a_c, math.inf, phase_sensitivity_coherent(spec), snl_at(spec), "pole"]
+            dphi, photons, pole = closed_form(point, rates, injection)
+            coherent = coherent_reference(point)
         except (ThresholdError, DomainError) as exc:
             flag = "threshold" if isinstance(exc, ThresholdError) else "domain"
             return [p_c, a_c, math.inf, math.inf, math.inf, flag]
+        return [p_c, a_c, dphi, coherent, snl(photons), "pole" if pole else ""]
 
     def phase_row(phi: float) -> list:
-        spec = _spec(cfg, alpha_c, pump_power, phi=phi)
+        point = Point(phi, alpha_c, eta)
         try:
-            if moments is None:
-                raise ThresholdError("above threshold")
-            sine = abs(math.sin(phi))
-            coherent = phase_sensitivity_coherent(spec) / sine if sine > 1e-9 else math.inf
-            readout = point_readout(spec, moments)
-            return [phi, readout.dphi, coherent, readout.snl, ""]
-        except PoleError:
-            return [phi, math.inf, coherent, snl_at(spec), "pole"]
+            dphi, photons, pole = closed_form(point, rates, injection)
+            sine = abs(float(np.sin(phi)))
+            coherent = coherent_reference(point) / sine if sine > 1e-9 else math.inf
         except (ThresholdError, DomainError) as exc:
             flag = "threshold" if isinstance(exc, ThresholdError) else "domain"
             return [phi, math.inf, math.inf, math.inf, flag]
+        return [phi, dphi, coherent, snl(photons), "pole" if pole else ""]
 
     row = power_row if cfg.sweep.variable == "p_c" else phase_row
     return [row(x) for x in grid]
 
 
-def pole_rows(cfg, rates, injection, pump_power: float, grid: Sequence[float]) -> list[list]:
+def pole_rows(cfg, rates, injection, grid: Sequence[float]) -> list[list]:
     """Rows of the pole table built point by point."""
+    eta = cfg.eta_value
+
     def row(alpha_c: float) -> list:
-        spec = _spec(cfg, alpha_c, pump_power)
         try:
-            return [alpha_c, phase_sensitivity_squeezed(spec, rates, injection), ""]
-        except PoleError:
-            return [alpha_c, math.inf, "pole"]
+            dphi, _, pole = closed_form(Point(math.pi / 2, alpha_c, eta), rates, injection)
         except ThresholdError:
             return [alpha_c, math.inf, "threshold"]
+        return [alpha_c, dphi, "pole" if pole else ""]
 
     return [row(x) for x in grid]
 
 
-def improvement_rows(cfg, ring, injection, alpha_c: float, pump_power: float,
+def improvement_rows(cfg, ring, injection, alpha_c: float,
                      grid: Sequence[float]) -> list[list]:
     """Rows of the improvement table built point by point (``ring`` at the target DR)."""
     def row(length: float) -> list:
-        spec = _spec(cfg, alpha_c, pump_power, length=length)
+        eta = math.exp(-cfg.sensor_alpha_loss * length)
+        point = Point(math.pi / 2, alpha_c, eta)
         try:
-            improvement = (phase_sensitivity_coherent(spec)
-                           / phase_sensitivity_squeezed(spec, ring, injection))
-            return [length, spec.eta_value, improvement, ""]
-        except PoleError:
-            return [length, spec.eta_value, math.inf, "pole"]
+            dphi, _, pole = closed_form(point, ring, injection)
         except ThresholdError:
-            return [length, spec.eta_value, math.inf, "threshold"]
+            return [length, eta, math.inf, "threshold"]
+        return [length, eta, math.inf if pole else coherent_reference(point) / dphi,
+                "pole" if pole else ""]
 
     return [row(x) for x in grid]

@@ -10,13 +10,12 @@ import math
 import numpy as np
 import pytest
 
-from ringmzi import (CavityRates, Injection, SensorSpec, anomalous_moment, critical_length,
-                     comparison_curve, derive_rates, drive_for_sigma, efficiency, fwm_gain,
-                     improvement_factor, jsi, lin_steady_state, mf_steady_state,
-                     mzi_input_state, mzi_transform, output_moments,
-                     phase_sensitivity_coherent, phase_sensitivity_numeric,
-                     phase_sensitivity_squeezed, photon_flux, pole_coherent_amplitude,
-                     shot_noise_limit, sigma_from_power, squeezing_parameter,
+import mzi_oracle as oracle
+from mzi_oracle import Point
+from ringmzi import (CavityRates, Injection, anomalous_moment, coherent_sensitivity,
+                     critical_length, comparison_curve, drive_for_sigma, efficiency, jsi,
+                     lin_steady_state, mf_steady_state, mzi_sensitivity, photon_flux,
+                     pole_coherent_amplitude, sigma_from_power, squeezing_parameter,
                      threshold_power, to_db, validity_bound, variance_extrema)
 from ringmzi.cavity_io import Detunings
 from scattering_oracle import output_transfer, transfer_moments
@@ -33,6 +32,11 @@ def report(criterion: str, passed: bool, detail: str) -> None:
 
 def inj(rates, sigma_n):
     return Injection.from_sigma_n(sigma_n, rates)
+
+
+def squeezed(alpha_c, eta, rates, injection):
+    """dphi_squeezed of the closed form at phi = pi/2, one point."""
+    return float(mzi_sensitivity(alpha_c, HALF_PI, eta, rates, injection)[0])
 
 
 def test_c01_rates_regression(rates):
@@ -121,19 +125,19 @@ def test_c07_linearization_validity(rates, gain):
 
 
 def test_c08_oracle_equivalence(rates):
-    # Gaussian-moment MZI pipeline against both closed forms
+    # Gaussian-moment MZI pipeline (tests/mzi_oracle.py) against both closed forms
     worst_mzi = 0.0
     for sigma_n in np.linspace(0.0, 0.99, 10):
         injection = inj(rates, sigma_n)
-        moments = output_moments(rates, injection)
+        port = oracle.pair_port(rates, injection)
         for eta in np.linspace(0.1, 1.0, 10):
-            spec = SensorSpec(phi=HALF_PI, alpha_c=1e5, eta=eta)
-            closed = phase_sensitivity_squeezed(spec, rates, injection)
-            numeric = phase_sensitivity_numeric(spec, moments).dphi
+            point = Point(HALF_PI, 1e5, eta)
+            closed = squeezed(1e5, eta, rates, injection)
+            numeric = oracle.point_readout(point, port).dphi
             worst_mzi = max(worst_mzi, abs(numeric / closed - 1))
-            coherent_numeric = phase_sensitivity_numeric(spec, None).dphi
+            coherent_numeric = oracle.point_readout(point, None).dphi
             worst_mzi = max(worst_mzi,
-                            abs(coherent_numeric / phase_sensitivity_coherent(spec) - 1))
+                            abs(coherent_numeric / coherent_sensitivity(1e5, eta) - 1))
     # closed-form spectral moments against the 4x4 scattering solve
     worst_transfer = 0.0
     for sigma_n in np.linspace(0.0, 0.99, 10):
@@ -160,24 +164,17 @@ def test_c08_oracle_equivalence(rates):
 def test_c09_pole_and_crossover(geometry, rates, gain):
     injection = inj(rates, OPERATING_SIGMA_N)
     pole = pole_coherent_amplitude(rates, injection)
-    spec_far = SensorSpec(phi=HALF_PI, alpha_c=10 * pole, eta=1.0)
-    far = phase_sensitivity_squeezed(spec_far, rates, injection)
-    diverges = all(
-        phase_sensitivity_squeezed(
-            SensorSpec(phi=HALF_PI, alpha_c=side * pole, eta=1.0), rates, injection)
-        > 1e3 * far
-        for side in (1 - 1e-3, 1 + 1e-3))
+    far = squeezed(10 * pole, 1.0, rates, injection)
+    diverges = all(squeezed(side * pole, 1.0, rates, injection) > 1e3 * far
+                   for side in (1 - 1e-3, 1 + 1e-3))
 
     # operating point: P_l = 14.12 mW, strong coherent probe
     omega_p = geometry.pump_frequency()
     injection_pl = sigma_from_power(14.12e-3, rates, gain, omega_p)
-    moments = output_moments(rates, injection_pl)
     alpha_c = math.sqrt(0.1 / (HBAR * omega_p))
-    spec = SensorSpec(phi=HALF_PI, alpha_c=alpha_c, eta=1.0,
-                      alpha_l_power=14.12e-3, omega_p=omega_p)
-    dphi_s = phase_sensitivity_squeezed(spec, rates, injection_pl)
-    dphi_c = phase_sensitivity_coherent(spec)
-    snl = shot_noise_limit(spec, mzi_transform(mzi_input_state(alpha_c, moments), spec))
+    dphi_s, photons, _ = mzi_sensitivity(alpha_c, HALF_PI, 1.0, rates, injection_pl)
+    dphi_c = coherent_sensitivity(alpha_c, 1.0)
+    snl = 1.0 / math.sqrt(photons + 14.12e-3 / (HBAR * omega_p))
     ordering = dphi_s < snl < dphi_c
     ok = diverges and ordering
     report("C9 pole/crossover", ok,
@@ -210,8 +207,7 @@ def test_c10_improvement_fit(rates, ratio):
     ring = CavityRates(kappa=rates.kappa, gamma=rates.kappa / ratio)
     injection = inj(ring, OPERATING_SIGMA_N)
     alpha_c = 1e5
-    spec = SensorSpec(phi=HALF_PI, alpha_c=alpha_c, eta=1.0)
-    measured = improvement_factor(spec, ring, injection)
+    measured = coherent_sensitivity(alpha_c, 1.0) / squeezed(alpha_c, 1.0, ring, injection)
     v_sq = variance_extrema(ring, injection)[0]
     eps = 2 * photon_flux(ring, injection) / alpha_c**2
     reduced = (1 - eps) / math.sqrt(2 * v_sq + eps)
@@ -236,9 +232,9 @@ def test_c10_improvement_fit(rates, ratio):
 
 
 def test_c10_improvement_saturation(rates):
-    length = 3 * critical_length(0.23)
-    spec = SensorSpec(phi=HALF_PI, alpha_c=1e5, sensor_length=length, alpha_loss=0.23)
-    saturated = improvement_factor(spec, rates, inj(rates, OPERATING_SIGMA_N))
+    eta = efficiency(0.23, 3 * critical_length(0.23))
+    saturated = (coherent_sensitivity(1e5, eta)
+                 / squeezed(1e5, eta, rates, inj(rates, OPERATING_SIGMA_N)))
     eta_crit = efficiency(0.23, critical_length(0.23))
     ok = abs(saturated - 1.0) < 0.05 and abs(eta_crit - 0.135) < 0.001
     report("C10 improvement saturation", ok,
@@ -259,12 +255,11 @@ def test_c11_invariant_suites(rates, tmp_path):
     equality = abs(v_sq0 * v_anti0 - 1.0) < 1e-9
 
     # photon conservation through the lossless interferometer
-    moments = output_moments(rates, inj(rates, 0.9))
-    state = mzi_input_state(1e4, moments)
-    total_in = 1e8 + moments.n_s + moments.n_i
+    port = oracle.pair_port(rates, inj(rates, 0.9))
+    state = oracle.mzi_input_state(1e4, port)
+    total_in = 1e8 + port.n
     conservation = all(
-        abs(mzi_transform(state, SensorSpec(phi=phi, alpha_c=1e4, eta=1.0)).total_photons()
-            / total_in - 1) < 1e-9
+        abs(oracle.mzi_transform(state, Point(phi, 1e4)).total_photons() / total_in - 1) < 1e-9
         for phi in np.linspace(0.0, 2 * math.pi, 7))
 
     # CLI byte determinism

@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from ringmzi import (REFERENCE_GEOMETRY, CavityRates, Detunings, DomainError, Injection,
-                     SeedAmplitudes, ThresholdError, anomalous_moment, derive_rates,
-                     homodyne_signal, jsi, output_moments, photon_flux, quadrature_variance,
-                     squeezing_parameter, static_moments, to_db, variance_extrema)
+                     ThresholdError, anomalous_moment, derive_rates, jsi, photon_flux,
+                     quadrature_variance, squeezing_parameter, to_db, variance_extrema)
 from scattering_oracle import drift_matrix, output_transfer, transfer_moments
 
 SIGMA_N_GRID = np.linspace(0.0, 0.99, 10)
@@ -81,23 +80,6 @@ class TestOutputTransfer:
                             abs(m_si - m_closed) / max(abs(m_closed), 1e-12))
         assert worst < 1e-9
 
-    def test_static_matches_numeric(self, rates):
-        rng = np.random.default_rng(8)
-        gamma_total = rates.gamma_total
-        for _ in range(40):
-            injection = inj(rates, rng.uniform(0, 0.99), phi=rng.uniform(0, 2 * math.pi))
-            detunings = Detunings(delta_s=rng.uniform(-2, 2) * gamma_total,
-                                  delta_i=rng.uniform(-2, 2) * gamma_total)
-            seeds = SeedAmplitudes(alpha_s=complex(rng.normal(), rng.normal()),
-                                   alpha_i=complex(rng.normal(), rng.normal()))
-            tm = output_transfer(rates, injection, detunings)
-            vec = np.array([seeds.alpha_s, np.conj(seeds.alpha_s),
-                            seeds.alpha_i, np.conj(seeds.alpha_i)])
-            numeric = tm.s_in @ vec
-            closed_s, closed_i = static_moments(rates, injection, detunings, seeds)
-            assert closed_s == pytest.approx(numeric[0], rel=1e-9)
-            assert closed_i == pytest.approx(numeric[2], rel=1e-9)
-
 
 class TestPhotonFlux:
     def test_vacuum(self, rates):
@@ -166,28 +148,6 @@ class TestAnomalousMoment:
         aligned = anomalous_moment(rates, inj(rates, 0.5))
         rotated = anomalous_moment(rates, inj(rates, 0.5, phi=0.8))
         assert rotated == pytest.approx(aligned * cmath.exp(1j * 0.8), rel=1e-12)
-
-
-class TestStaticMoments:
-    def test_no_seed(self, rates):
-        assert static_moments(rates, inj(rates, 0.5)) == (0.0, 0.0)
-
-    def test_allpass_reduction(self):
-        rates = CavityRates(kappa=1e9, gamma=0.0)
-        seeds = SeedAmplitudes(alpha_s=0.7 + 0.1j, alpha_i=0.0)
-        first_s, first_i = static_moments(rates, inj(rates, 0.0), seeds=seeds)
-        assert first_s == pytest.approx(0.7 + 0.1j, rel=1e-12)
-        assert first_i == 0.0
-
-    def test_conjugation_symmetry_real_seeds(self, rates):
-        """<b^+> = conj(<b>) holds manifestly for real seeds at any detuning."""
-        seeds = SeedAmplitudes(alpha_s=1.3, alpha_i=-0.4)
-        detunings = Detunings(delta_s=2e8, delta_i=-3e8)
-        first_s, first_i = static_moments(rates, inj(rates, 0.7), detunings, seeds)
-        swapped = static_moments(rates, inj(rates, 0.7),
-                                 Detunings(delta_s=-2e8, delta_i=3e8), seeds)
-        assert np.conj(first_s) == pytest.approx(swapped[0], rel=1e-12)
-        assert np.conj(first_i) == pytest.approx(swapped[1], rel=1e-12)
 
 
 class TestJsi:
@@ -319,34 +279,6 @@ class TestSqueezingParameter:
 
         sigma_n = brentq(flux_gap, 0.1, 0.99, xtol=1e-15)
         assert squeezing_parameter(rates, inj(rates, sigma_n)) == pytest.approx(1.0, rel=1e-9)
-
-
-class TestHomodyneSignal:
-    def test_vacuum(self, rates):
-        moments = output_moments(rates, inj(rates, 0.0))
-        mean, variance = homodyne_signal(moments, 200.0, 0.3)
-        assert mean == 0.0
-        assert variance == pytest.approx(2 * 200.0**2, rel=1e-12)
-
-    def test_zero_local_oscillator(self, rates):
-        moments = output_moments(rates, inj(rates, 0.9))
-        assert homodyne_signal(moments, 0.0, 0.0) == (0.0, 0.0)
-
-    def test_variance_ratio_is_quadrature_variance(self, rates):
-        injection = inj(rates, 0.9)
-        moments = output_moments(rates, injection)
-        vacuum = output_moments(rates, inj(rates, 0.0))
-        for phi in np.linspace(0, math.pi, 9):
-            ratio = homodyne_signal(moments, 50.0, phi)[1] / homodyne_signal(vacuum, 50.0, phi)[1]
-            assert ratio == pytest.approx(quadrature_variance(rates, injection, phi), rel=1e-9)
-
-    def test_seeded_mean(self, rates):
-        seeds = SeedAmplitudes(alpha_s=2.0, alpha_i=1.0)
-        moments = output_moments(rates, inj(rates, 0.5), seeds=seeds)
-        phi = 0.7
-        expected = 2 * 30.0 * ((moments.first_s + moments.first_i)
-                               * cmath.exp(1j * phi)).real
-        assert homodyne_signal(moments, 30.0, phi)[0] == pytest.approx(expected, rel=1e-12)
 
 
 def _ring(cross_coupling, alpha_loss, radius):

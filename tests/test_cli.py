@@ -13,8 +13,8 @@ import pytest
 import mzi_oracle as oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from ringmzi import (REFERENCE_GEOMETRY, CavityRates, Injection, SensorSpec, decay_ratio,
-                     derive_rates, fwm_gain, phase_sensitivity_numeric, pole_coherent_amplitude)
+from ringmzi import (REFERENCE_GEOMETRY, CavityRates, Injection, decay_ratio, derive_rates,
+                     fwm_gain, pole_coherent_amplitude)
 from ringmzi.cavity_io import jsi as jsi_density
 from ringmzi import cli
 from ringmzi.cli import (ConfigError, LazyBlocks, ResultTable, _format_e17, _parser,
@@ -246,8 +246,8 @@ class TestPhaseSweep:
         table = self.sweep(0.3, 2.8, 6)
         assert table.rows[0][2] == pytest.approx(3.38e-5, abs=5e-8)
         for row in table.rows:
-            spec = SensorSpec(phi=row[0], alpha_c=1e5, eta=1.0)
-            assert row[2] == pytest.approx(phase_sensitivity_numeric(spec, None).dphi, rel=1e-9)
+            point = oracle.Point(row[0], 1e5)
+            assert row[2] == pytest.approx(oracle.point_readout(point, None).dphi, rel=1e-9)
 
 
 def csv_cells(rows):
@@ -265,11 +265,11 @@ class TestArrayTables:
         if cfg.command == "improvement":
             ratio = cfg.decay_ratio if cfg.decay_ratio is not None else decay_ratio(rates)
             ring = CavityRates(kappa=rates.kappa, gamma=rates.kappa / ratio)
-            injection, alpha_c, power = _resolve_drive(cfg, ring, gain)
-            return oracle.improvement_rows(cfg, ring, injection, alpha_c, power, grid)
+            injection, alpha_c, _ = _resolve_drive(cfg, ring, gain)
+            return oracle.improvement_rows(cfg, ring, injection, alpha_c, grid)
         injection, alpha_c, power = _resolve_drive(cfg, rates, gain)
         if cfg.command == "pole":
-            return oracle.pole_rows(cfg, rates, injection, power, grid)
+            return oracle.pole_rows(cfg, rates, injection, grid)
         return oracle.sensitivity_rows(cfg, rates, injection, alpha_c, power, grid)
 
     @settings(max_examples=60, deadline=None)
@@ -552,9 +552,9 @@ class TestDefaultPresets:
         ("squeezing", "ab401c6a8f1e793f63b3e21fa9978633de2b8533c55ff16203f62583cc7bbe9f"),
         ("jsi", "5046fc8b2651b73b7cc43666a9a3e385e48242202fa1e5ea8b16cec4c5746cd3"),
         ("meanfield", "bb71a71dbf64a9dc6acd550730a468f77a0d8d36de9fc794fcfbff878347614d"),
-        ("sensitivity", "1789e0d332917d88734c7a3ac1b83dedc74f1a447d2edbffdfbb1e4ce0c201e8"),
-        ("pole", "08fb4a1160a9a9f7b64f0e13b9befd88f71520e2ad48acbcbff1e1ccd79e24ca"),
-        ("improvement", "2b184693d63a1c6e59466d41a2f7dc5b2e74e8dc41617292219613225a307f83"),
+        ("sensitivity", "fc902ec92b3dcbf0124817c43f25f8090318a4490ace24cbc663f662bb1faf41"),
+        ("pole", "dbcdcba4c592ef1c2bf74072fe8d7fc8d540658c035596d1490a43d6755e0b3c"),
+        ("improvement", "b62f9fae1e838fabb3f0fb0a590b0c464651e3b18e0c08bfdf45e06ba140b7d9"),
     ])
     def test_csv_bytes_are_pinned(self, command, digest, tmp_path):
         """The default CSVs keep the bytes that '%.17e' row by row wrote."""
@@ -675,6 +675,7 @@ class TestMain:
                 in capsys.readouterr().err)
 
     @pytest.mark.parametrize("command,key", [("squeezing", "pump.delta_p=1e9"),
+                                             ("sensitivity", "sensor.phi=0.3"),
                                              ("pole", "sensor.phi=0.3"),
                                              ("improvement", "sensor.phi=0.3"),
                                              ("squeezing", "pump.alpha_c=1e4")])
@@ -762,7 +763,7 @@ class TestMain:
         rows = [line.split(",") for line in captured.out.splitlines()[3:]]
         assert len(rows) == 3
         assert all(float(eta) == 1.0 and flag == "" for _, eta, _, flag in rows)
-        assert {improvement for _, _, improvement, _ in rows} == {"7.41589436516652256e+01"}
+        assert {improvement for _, _, improvement, _ in rows} == {"7.41589436431640081e+01"}
 
     def test_lossless_ring_zero_variance_is_a_domain_row(self, capsys):
         """gamma = 0 near threshold rounds V(pi/2) to 0, which has no dB value: a domain row."""
@@ -774,6 +775,18 @@ class TestMain:
         assert rows[1] == ["1.57079632679489656e+00", "inf", "inf", "domain"]
         assert [row[3] for row in rows] == ["", "domain", ""]
         assert all(float(row[1]) > 0 and math.isfinite(float(row[2])) for row in (rows[0], rows[2]))
+
+    def test_underflowing_pair_moments_are_domain_rows(self, capsys):
+        """A 1e90 m ring has Gamma = 1.7e-82 Hz, whose pair moments are not finite: every
+        sensitivity row is domain (not threshold), and pole and improvement are config errors."""
+        assert main(["sensitivity", "--set", "geometry.ring_length=1e90",
+                     "--set", "sweep.points=3"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[3:]]
+        assert [row[2:] for row in rows] == [["inf", "inf", "inf", "domain"]] * 3
+        for command in ("pole", "improvement"):
+            assert main([command, "--set", "geometry.ring_length=1e90"]) == 2
+            err = capsys.readouterr().err
+            assert "pair moments not finite" in err and "Traceback" not in err
 
     def test_drive_within_rounding_of_threshold_is_flagged(self, capsys):
         """The pair denominator rounds to 0 at sigma_n = 1 - 1e-9: threshold rows, not a traceback."""

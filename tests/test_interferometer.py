@@ -1,21 +1,21 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mzi_oracle as oracle
-from mzi_oracle import gaussian_moment, intensity_difference_stats_generic
-from ringmzi import (REFERENCE_GEOMETRY, CavityRates, DomainError, GaussianPortState,
-                     Injection, OutputMoments, PoleError, SensorSpec, ThresholdError,
-                     coherent_sensitivity, critical_length, decay_ratio, derive_rates,
-                     efficiency, improvement_factor, intensity_difference_stats,
-                     mzi_input_state, mzi_transform, output_moments, phase_readout,
-                     phase_sensitivity_coherent, phase_sensitivity_numeric,
-                     phase_sensitivity_squeezed, photon_flux, pole_coherent_amplitude,
-                     SeedAmplitudes, shot_noise_limit, squeezed_sensitivity, variance_extrema)
+from mzi_oracle import PairPort, Point, gaussian_moment, intensity_difference_stats_generic
+from ringmzi import (REFERENCE_GEOMETRY, CavityRates, DomainError, Injection, PoleError,
+                     ThresholdError, coherent_sensitivity, critical_length, decay_ratio,
+                     derive_rates, efficiency, mzi_sensitivity, photon_flux,
+                     pole_coherent_amplitude)
+from ringmzi.cli import ConfigError, parse_config, run_command
+from ringmzi.constants import HBAR
+from ringmzi.interferometer import _check_pair_port
 
 HALF_PI = math.pi / 2
 
@@ -24,12 +24,14 @@ def inj(rates, sigma_n):
     return Injection.from_sigma_n(sigma_n, rates)
 
 
-def spec_at(phi=HALF_PI, alpha_c=1e5, eta=1.0, **kwargs):
-    return SensorSpec(phi=phi, alpha_c=alpha_c, eta=eta, **kwargs)
+def closed(alpha_c, rates, injection, phi=HALF_PI, eta=1.0):
+    """The array form on one point: (dphi_squeezed, detected photons, pole) as Python values."""
+    dphi, photons, pole = mzi_sensitivity(alpha_c, phi, eta, rates, injection)
+    return float(dphi), float(photons), bool(pole)
 
 
 def closed_form_squeezed(kappa, gamma, sigma, eta, alpha_c):
-    """Independent transcription of the wide sensitivity formula."""
+    """Independent transcription of the wide sensitivity formula at phi = pi/2."""
     g_tot = kappa + gamma
     a2 = alpha_c**2
     num = math.sqrt(
@@ -40,6 +42,10 @@ def closed_form_squeezed(kappa, gamma, sigma, eta, alpha_c):
     den = math.sqrt(eta) * (g_tot**2 - sigma**2) * abs(
         a2 - 8 * sigma**2 * kappa * g_tot / (g_tot**2 - sigma**2) ** 2)
     return num / den
+
+
+def sweep_rows(command, text):
+    return run_command(parse_config(text, command=command)).rows
 
 
 class TestGaussianMoment:
@@ -63,149 +69,152 @@ class TestGaussianMoment:
 
     def test_generic_stats_match_central_form(self, rates):
         """The expander-based ID statistics equal the stable central form."""
-        moments = output_moments(rates, inj(rates, 0.8))
-        state = mzi_input_state(25.0, moments)
+        state = oracle.mzi_input_state(25.0, oracle.pair_port(rates, inj(rates, 0.8)))
         for phi, eta in ((0.3, 1.0), (HALF_PI, 0.7), (2.5, 0.4)):
-            out = mzi_transform(state, spec_at(phi=phi, alpha_c=25.0, eta=eta))
-            mean_a, var_a = intensity_difference_stats(out)
+            out = oracle.mzi_transform(state, Point(phi, 25.0, eta))
+            mean_a, var_a = oracle.intensity_difference_stats(out)
             mean_b, var_b = intensity_difference_stats_generic(out)
             assert mean_b == pytest.approx(mean_a, rel=1e-9, abs=1e-9)
             assert var_b == pytest.approx(var_a, rel=1e-9)
 
 
 class TestSensorSpec:
+    """The sensor region as configured: sensor.eta, or sensor.length with sensor.alpha_loss."""
+
     def test_eta_from_length(self):
-        spec = SensorSpec(phi=0.0, sensor_length=2.0, alpha_loss=0.23)
-        assert spec.eta_value == pytest.approx(efficiency(0.23, 2.0), rel=1e-14)
+        cfg = parse_config("sensor.length = 2.0\nsensor.alpha_loss = 0.23", command="sensitivity")
+        assert cfg.eta_value == pytest.approx(efficiency(0.23, 2.0), rel=1e-14)
 
     def test_requires_one_loss_description(self):
-        with pytest.raises(DomainError):
-            SensorSpec(phi=0.0)
-        with pytest.raises(DomainError):
-            SensorSpec(phi=0.0, eta=0.5, sensor_length=1.0, alpha_loss=0.2)
+        assert parse_config("", command="sensitivity").eta_value == 1.0
+        with pytest.raises(ConfigError, match="mutually exclusive"):
+            parse_config("sensor.eta = 0.5\nsensor.length = 1.0", command="sensitivity")
 
     def test_eta_range(self):
-        with pytest.raises(DomainError):
-            SensorSpec(phi=0.0, eta=1.5)
-        with pytest.raises(DomainError):
-            SensorSpec(phi=0.0, eta=0.0)
+        for eta in ("1.5", "0"):
+            with pytest.raises(ConfigError, match="sensor.eta out of range"):
+                parse_config(f"sensor.eta = {eta}", command="sensitivity")
 
-    @pytest.mark.parametrize("fields", [dict(phi=math.nan, alpha_c=math.nan, eta=1.0),
-                                        dict(phi=0.0, alpha_c=math.inf, eta=1.0),
-                                        dict(phi=0.0, sensor_length=math.inf, alpha_loss=0.2),
-                                        dict(phi=0.0, eta=1.0, alpha_l_power=math.nan)])
+    @pytest.mark.parametrize("fields", [("sensor.phi", "nan"), ("pump.alpha_c", "inf"),
+                                        ("sensor.length", "inf"), ("pump.p_l", "nan")])
     def test_rejects_non_finite_fields(self, fields):
-        with pytest.raises(DomainError, match="must be finite"):
-            SensorSpec(**fields)
+        key, value = fields
+        with pytest.raises(ConfigError, match=key):
+            parse_config(f"{key} = {value}", command="sensitivity")
 
-    def test_pump_flux_needs_frequency(self):
-        spec = SensorSpec(phi=0.0, eta=1.0, alpha_l_power=1e-3)
-        with pytest.raises(DomainError):
-            spec.pump_flux
-        with_freq = SensorSpec(phi=0.0, eta=1.0, alpha_l_power=1e-3, omega_p=1.2e15)
-        assert with_freq.pump_flux > 0
+    def test_pump_flux_needs_frequency(self, geometry):
+        """dphi_snl charges the pump flux p_l/(hbar omega_p) at the geometry's pump frequency."""
+        text = "pump.p_l = 1e-3\nsweep.start = 1e-12\nsweep.stop = 1e-11\nsweep.points = 2\n"
+        for lambda_p in (1550e-9, 775e-9):
+            omega_p = replace(geometry, lambda_p=lambda_p).pump_frequency()
+            row = sweep_rows("sensitivity", text + f"geometry.lambda_p = {lambda_p!r}")[0]
+            assert row[4] == pytest.approx(1 / math.sqrt(1e-3 / (HBAR * omega_p)), rel=1e-6)
 
 
 class TestMziTransform:
     def test_balanced_output_port(self):
-        state = mzi_input_state(3.0)
-        out = mzi_transform(state, spec_at(phi=0.0, alpha_c=3.0))
+        out = oracle.mzi_transform(oracle.mzi_input_state(3.0), Point(0.0, 3.0))
         assert out.port_photons(0) == pytest.approx(9.0, rel=1e-12)
         assert out.port_photons(1) == pytest.approx(0.0, abs=1e-20)
 
     def test_pi_phase_swaps_ports(self):
-        state = mzi_input_state(3.0)
-        out = mzi_transform(state, spec_at(phi=math.pi, alpha_c=3.0))
+        out = oracle.mzi_transform(oracle.mzi_input_state(3.0), Point(math.pi, 3.0))
         assert out.port_photons(0) == pytest.approx(0.0, abs=1e-18)
         assert out.port_photons(1) == pytest.approx(9.0, rel=1e-12)
 
     def test_vacuum_stays_vacuum(self):
-        state = mzi_input_state(0.0)
+        state = oracle.mzi_input_state(0.0)
         for eta, phi in ((1.0, 0.4), (0.3, 2.2)):
-            out = mzi_transform(state, spec_at(phi=phi, alpha_c=0.0, eta=eta))
+            out = oracle.mzi_transform(state, Point(phi, 0.0, eta))
             assert out.total_photons() == pytest.approx(0.0, abs=1e-20)
 
     def test_photon_conservation_lossless(self, rates):
-        moments = output_moments(rates, inj(rates, 0.9))
-        state = mzi_input_state(1e4, moments)
-        total_in = 1e4**2 + moments.n_s + moments.n_i
+        port = oracle.pair_port(rates, inj(rates, 0.9))
+        state = oracle.mzi_input_state(1e4, port)
+        total_in = 1e4**2 + port.n
         for phi in np.linspace(0.0, 2 * math.pi, 9):
-            out = mzi_transform(state, spec_at(phi=phi, alpha_c=1e4))
+            out = oracle.mzi_transform(state, Point(phi, 1e4))
             assert out.total_photons() == pytest.approx(total_in, rel=1e-9)
 
 
 class TestIntensityDifference:
     def test_vacuum(self):
-        out = mzi_transform(mzi_input_state(0.0), spec_at(alpha_c=0.0, eta=0.8))
-        mean, var = intensity_difference_stats(out)
+        out = oracle.mzi_transform(oracle.mzi_input_state(0.0), Point(HALF_PI, 0.0, 0.8))
+        mean, var = oracle.intensity_difference_stats(out)
         assert mean == 0.0
         assert var == pytest.approx(0.0, abs=1e-20)
 
     def test_coherent_shot_noise(self):
         """Balanced coherent interferometer: Var ID = |alpha_c|^2 at phi = pi/2."""
-        out = mzi_transform(mzi_input_state(40.0), spec_at(alpha_c=40.0))
-        mean, var = intensity_difference_stats(out)
+        out = oracle.mzi_transform(oracle.mzi_input_state(40.0), Point(HALF_PI, 40.0))
+        mean, var = oracle.intensity_difference_stats(out)
         assert mean == pytest.approx(0.0, abs=1e-8)
         assert var == pytest.approx(40.0**2, rel=1e-12)
 
     def test_mean_follows_cosine(self, rates):
-        moments = output_moments(rates, inj(rates, 0.9))
         flux = 2 * photon_flux(rates, inj(rates, 0.9))
-        state = mzi_input_state(1e3, moments)
+        state = oracle.mzi_input_state(1e3, oracle.pair_port(rates, inj(rates, 0.9)))
         for phi in (0.0, 0.8, 2.0):
-            out = mzi_transform(state, spec_at(phi=phi, alpha_c=1e3, eta=0.6))
-            mean, _ = intensity_difference_stats(out)
+            out = oracle.mzi_transform(state, Point(phi, 1e3, 0.6))
+            mean, _ = oracle.intensity_difference_stats(out)
             assert mean == pytest.approx(0.6 * (1e6 - flux) * math.cos(phi), rel=1e-9)
 
 
 class TestCoherentSensitivity:
     def test_reference_value(self):
-        assert phase_sensitivity_coherent(spec_at(alpha_c=1e5)) == pytest.approx(1e-5, rel=1e-12)
+        assert coherent_sensitivity(1e5, 1.0) == pytest.approx(1e-5, rel=1e-12)
 
     def test_efficiency_scaling(self):
-        quarter = phase_sensitivity_coherent(spec_at(alpha_c=1e5, eta=0.25))
-        assert quarter == pytest.approx(2e-5, rel=1e-12)
+        assert coherent_sensitivity(1e5, 0.25) == pytest.approx(2e-5, rel=1e-12)
 
     def test_matches_numeric_pipeline(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
-            spec = spec_at(alpha_c=10 ** rng.uniform(2, 6), eta=rng.uniform(0.1, 1.0))
-            report = phase_sensitivity_numeric(spec, squeezed_port=None)
-            assert report.dphi == pytest.approx(phase_sensitivity_coherent(spec), rel=1e-9)
+            point = Point(HALF_PI, 10 ** rng.uniform(2, 6), rng.uniform(0.1, 1.0))
+            report = oracle.point_readout(point, None)
+            assert report.dphi == pytest.approx(
+                coherent_sensitivity(point.alpha_c, point.eta), rel=1e-9)
 
     def test_rejects_zero_amplitude(self):
-        with pytest.raises(DomainError):
-            phase_sensitivity_coherent(spec_at(alpha_c=0.0))
+        """No probe, no coherent reference: inf, which the tables flag as a domain row."""
+        assert math.isinf(coherent_sensitivity(0.0, 1.0))
+        assert list(coherent_sensitivity(np.array([0.0, 1e5]), 1.0)) == [math.inf, 1e-5]
 
 
 class TestNumericSensitivity:
+    """The Gaussian pipeline of tests/mzi_oracle.py, and the closed form against it."""
+
     def test_coherent_point(self):
-        report = phase_sensitivity_numeric(spec_at(alpha_c=10.0))
-        assert report.dphi == pytest.approx(0.1, rel=1e-9)
+        assert oracle.point_readout(Point(HALF_PI, 10.0)).dphi == pytest.approx(0.1, rel=1e-9)
 
     def test_vacuum_pair_port_penalty(self, rates):
         """An empty pair port still injects its two-band vacuum: dphi = sqrt(2)/alpha_c."""
-        moments = output_moments(rates, inj(rates, 0.0))
-        report = phase_sensitivity_numeric(spec_at(alpha_c=1e4), moments)
+        port = oracle.pair_port(rates, inj(rates, 0.0))
+        report = oracle.point_readout(Point(HALF_PI, 1e4), port)
         assert report.dphi == pytest.approx(math.sqrt(2) / 1e4, rel=1e-9)
+        assert closed(1e4, rates, inj(rates, 0.0))[0] == pytest.approx(math.sqrt(2) / 1e4,
+                                                                        rel=1e-12)
 
     def test_matches_closed_form_grid(self, rates):
         worst = 0.0
         for sigma_n in np.linspace(0.0, 0.99, 5):
             injection = inj(rates, sigma_n)
-            moments = output_moments(rates, injection)
+            port = oracle.pair_port(rates, injection)
             for eta in (0.1, 0.55, 1.0):
-                spec = spec_at(alpha_c=1e5, eta=eta)
-                numeric = phase_sensitivity_numeric(spec, moments).dphi
-                closed = phase_sensitivity_squeezed(spec, rates, injection)
-                worst = max(worst, abs(numeric - closed) / closed)
+                for phi in (0.4, HALF_PI, 2.9):
+                    numeric = oracle.point_readout(Point(phi, 1e5, eta), port).dphi
+                    value = closed(1e5, rates, injection, phi, eta)[0]
+                    worst = max(worst, abs(numeric - value) / value)
         assert worst < 1e-6
 
-    def test_pole_at_zero_slope(self):
-        with pytest.raises(PoleError):
-            phase_sensitivity_numeric(spec_at(phi=0.0, alpha_c=100.0))
-        with pytest.raises(PoleError):  # sin(float pi) = 1.2e-16: below the relative rule
-            phase_sensitivity_numeric(spec_at(phi=math.pi, alpha_c=100.0))
+    def test_pole_at_zero_slope(self, rates):
+        for phi in (0.0, math.pi):  # sin(float pi) = 1.2e-16: below the relative rule
+            with pytest.raises(PoleError):
+                oracle.point_readout(Point(phi, 100.0))
+        dphi, _, pole = mzi_sensitivity(100.0, np.array([0.0, HALF_PI, math.pi]), 1.0,
+                                        rates, inj(rates, 0.5))
+        assert list(pole) == [True, False, True]
+        assert math.isinf(dphi[0]) and math.isinf(dphi[2]) and math.isfinite(dphi[1])
 
     @settings(max_examples=200, deadline=None)
     @given(alpha_c=st.floats(1e2, 1e6), eta=st.floats(0.05, 1.0),
@@ -213,49 +222,72 @@ class TestNumericSensitivity:
            seed=st.none() | st.complex_numbers(max_magnitude=1e4))
     def test_analytic_slope_matches_central_difference(self, rates, alpha_c, eta, sigma_n,
                                                        phi, seed):
-        seeds = None if seed is None else SeedAmplitudes(alpha_s=seed)
-        moments = output_moments(rates, inj(rates, sigma_n), seeds=seeds)
-        spec = spec_at(phi=phi, alpha_c=alpha_c, eta=eta)
-        state = mzi_input_state(alpha_c, moments)
+        """The pipeline's analytic slope, with or without a seed amplitude on port a_1."""
+        injection = inj(rates, sigma_n)
+        port = oracle.pair_port(rates, injection, mean=0.0 if seed is None else seed)
+        point = Point(phi, alpha_c, eta)
+        state = oracle.mzi_input_state(alpha_c, port)
 
         def mean_at(angle):
-            return intensity_difference_stats(mzi_transform(state, replace(spec, phi=angle)))[0]
+            return oracle.intensity_difference_stats(
+                oracle.mzi_transform(state, replace(point, phi=angle)))[0]
 
         step = 1e-5
         central = (mean_at(phi + step) - mean_at(phi - step)) / (2 * step)
         # The difference loses about 1e-16 * eta * N / step to cancellation
         # (N the input photons), so slopes near zero are left out.
         assume(abs(central) >= 1e-3 * eta * state.total_photons())
-        report = phase_sensitivity_numeric(spec, moments)
-        slope = math.sqrt(report.var_id) / report.dphi
-        assert slope == pytest.approx(abs(central), rel=1e-6)
+        report = oracle.point_readout(point, port)
+        assert math.sqrt(report.var_id) / report.dphi == pytest.approx(abs(central), rel=1e-6)
 
     def test_report_fields(self, rates):
-        moments = output_moments(rates, inj(rates, 0.9))
-        report = phase_sensitivity_numeric(spec_at(alpha_c=1e5), moments)
+        injection = inj(rates, 0.9)
+        port = oracle.pair_port(rates, injection)
+        report = oracle.point_readout(Point(HALF_PI, 1e5), port)
         assert report.var_id > 0
-        assert report.snl > 0
-        assert report.improvement == pytest.approx(
-            phase_sensitivity_coherent(spec_at(alpha_c=1e5)) / report.dphi, rel=1e-12)
+        assert report.dphi == pytest.approx(math.sqrt(report.var_id) / abs(report.slope),
+                                            rel=1e-15)
+        assert report.photons == pytest.approx(1e10 + port.n, rel=1e-12)
+        dphi, photons, pole = closed(1e5, rates, injection)
+        assert not pole and dphi == pytest.approx(report.dphi, rel=1e-9)
+        assert photons == pytest.approx(report.photons, rel=1e-12)
 
     def test_misaligned_squeeze_phase_degrades(self, rates):
         """Rotating the pair phase by pi/2 aligns the anti-squeezing with phi = pi/2."""
-        moments = output_moments(rates, inj(rates, 0.9))
-        aligned = phase_sensitivity_numeric(
-            spec_at(alpha_c=1e5), moments).dphi
-        misaligned_state = mzi_input_state(1e5, moments, squeeze_phase=math.pi / 2)
-        out = mzi_transform(misaligned_state, spec_at(alpha_c=1e5))
-        _, var_mis = intensity_difference_stats(out)
-        out_aligned = mzi_transform(mzi_input_state(1e5, moments), spec_at(alpha_c=1e5))
-        _, var_aligned = intensity_difference_stats(out_aligned)
+        port = oracle.pair_port(rates, inj(rates, 0.9))
+        point = Point(HALF_PI, 1e5)
+        aligned = oracle.point_readout(point, port).dphi
+        _, var_mis = oracle.intensity_difference_stats(oracle.mzi_transform(
+            oracle.mzi_input_state(1e5, port, squeeze_phase=math.pi / 2), point))
+        _, var_aligned = oracle.intensity_difference_stats(oracle.mzi_transform(
+            oracle.mzi_input_state(1e5, port), point))
         assert var_mis > var_aligned
         assert math.sqrt(var_mis) / math.sqrt(var_aligned) > 10
         assert aligned < 1e-5
 
 
+def mp_closed_form(alpha_c, phi, eta, rates, injection):
+    """(dphi, photons, a^2 - N, a^2 + N) of the module docstring's expression, at 50 digits
+    from the same float inputs."""
+    with mpmath.workdps(50):
+        kappa, big, sigma = (mpmath.mpf(x) for x in (rates.kappa, rates.gamma_total,
+                                                     injection.sigma_mag))
+        a2, phi, eta = mpmath.mpf(alpha_c) ** 2, mpmath.mpf(phi), mpmath.mpf(eta)
+        square = ((big - sigma) * (big + sigma)) ** 2
+        n = 8 * sigma**2 * kappa * big / square
+        m = 4 * kappa * sigma * (big**2 + sigma**2) / square
+        v_min = 1 - 4 * kappa * sigma / (big + sigma) ** 2
+        var_id = (eta**2 * (mpmath.cos(phi) ** 2 * (a2 + n * (n + 2) + m**2)
+                            + mpmath.sin(phi) ** 2 * (2 * a2 * v_min + n))
+                  + eta * (1 - eta) * (a2 + n))
+        gap = eta * abs((a2 - n) * mpmath.sin(phi))
+        dphi = mpmath.sqrt(var_id) / gap if gap else mpmath.inf
+        return dphi, eta * (a2 + n), a2 - n, a2 + n
+
+
 class TestClosedFormSensitivity:
     def test_vacuum_limit(self, rates):
-        value = phase_sensitivity_squeezed(spec_at(alpha_c=1e5), rates, inj(rates, 0.0))
+        value = closed(1e5, rates, inj(rates, 0.0))[0]
         assert value == pytest.approx(math.sqrt(2) / 1e5, rel=1e-12)
 
     def test_matches_independent_transcription(self, rates):
@@ -267,8 +299,7 @@ class TestClosedFormSensitivity:
             injection = inj(rates, sigma_n)
             expected = closed_form_squeezed(rates.kappa, rates.gamma,
                                             injection.sigma_mag, eta, alpha_c)
-            value = phase_sensitivity_squeezed(spec_at(alpha_c=alpha_c, eta=eta),
-                                               rates, injection)
+            value = closed(alpha_c, rates, injection, eta=eta)[0]
             assert value == pytest.approx(expected, rel=1e-12)
 
     def test_lossless_asymptotic_form(self):
@@ -277,75 +308,96 @@ class TestClosedFormSensitivity:
         for sigma_n in (0.3, 0.6, 0.9):
             injection = inj(rates, sigma_n)
             sigma = injection.sigma_mag
-            value = phase_sensitivity_squeezed(spec_at(alpha_c=1e6), rates, injection)
+            value = closed(1e6, rates, injection)[0]
             approx = (math.sqrt(2) / 1e6) * (1e9 - sigma) / (1e9 + sigma)
             assert value == pytest.approx(approx, rel=0.01)
 
     def test_threshold_guard(self, rates):
         with pytest.raises(ThresholdError):
-            phase_sensitivity_squeezed(spec_at(), rates,
-                                       Injection(sigma_mag=rates.gamma_total,
-                                                 sigma_th=rates.gamma_total))
+            mzi_sensitivity(1e5, HALF_PI, 1.0, rates,
+                            Injection(sigma_mag=rates.gamma_total, sigma_th=rates.gamma_total))
 
     def test_pole_divergence_bracketing(self, rates):
         injection = inj(rates, 0.99895)
         pole = pole_coherent_amplitude(rates, injection)
-        far = phase_sensitivity_squeezed(spec_at(alpha_c=10 * pole), rates, injection)
+        far = closed(10 * pole, rates, injection)[0]
         for side in (1 - 1e-3, 1 + 1e-3):
-            near = phase_sensitivity_squeezed(spec_at(alpha_c=side * pole), rates, injection)
-            assert near > 1e3 * far
-        with pytest.raises(PoleError):
-            phase_sensitivity_squeezed(spec_at(alpha_c=pole), rates, injection)
+            assert closed(side * pole, rates, injection)[0] > 1e3 * far
+        dphi, _, on_pole = closed(pole, rates, injection)
+        assert on_pole and math.isinf(dphi)
+
+    @settings(max_examples=400, deadline=None)
+    @given(ratio=st.floats(1.0, 1000.0), sigma_n=st.floats(0.0, 0.9995),
+           phi=st.floats(0.0, math.pi, exclude_min=True, exclude_max=True),
+           eta=st.floats(1e-6, 1.0), alpha_c=st.floats(1.0, 1e7),
+           near_pole=st.none() | st.floats(-1e-3, 1e-3))
+    def test_matches_50_digit_evaluation(self, rates, ratio, sigma_n, phi, eta, alpha_c,
+                                         near_pole):
+        """Within 1e-11 of the same expression at 50 digits wherever |a^2 - N| >= 1e-3 (a^2 + N)."""
+        ring = CavityRates(kappa=rates.kappa, gamma=rates.kappa / ratio)
+        injection = inj(ring, sigma_n)
+        if near_pole is not None:  # a probe within 1e-3 of the pole
+            alpha_c = pole_coherent_amplitude(ring, injection) * (1 + near_pole)
+            assume(alpha_c >= 1.0)
+        dphi, photons, pole = closed(alpha_c, ring, injection, phi, eta)
+        exact, exact_photons, gap, total = mp_closed_form(alpha_c, phi, eta, ring, injection)
+        assert photons == pytest.approx(float(exact_photons), rel=1e-13)
+        if abs(gap) < 1e-3 * total:
+            return
+        if pole:  # |sin phi| within 1e-9 (a^2 + N)/|a^2 - N| of zero
+            assert abs(gap * mpmath.sin(phi)) <= 1.001e-9 * total
+            return
+        assert float(abs(dphi / exact - 1)) <= 1e-11
 
 
 class TestShotNoiseLimit:
-    def test_coherent_only(self):
-        spec = spec_at(alpha_c=1e4)
-        out = mzi_transform(mzi_input_state(1e4), spec)
-        assert shot_noise_limit(spec, out) == pytest.approx(1e-4, rel=1e-12)
+    """dphi_snl = 1/sqrt(N) with N the detected photons eta (a^2 + N_pair) plus the pump flux."""
 
-    def test_pump_dominated(self, rates, geometry):
+    def test_coherent_only(self, rates):
+        _, photons, _ = closed(1e4, rates, inj(rates, 0.0))
+        assert 1 / math.sqrt(photons) == pytest.approx(1e-4, rel=1e-12)
+
+    def test_pump_dominated(self, geometry):
         omega_p = geometry.pump_frequency()
-        spec = SensorSpec(phi=HALF_PI, alpha_c=1.0, eta=1.0,
-                          alpha_l_power=14.12e-3, omega_p=omega_p)
-        out = mzi_transform(mzi_input_state(1.0), spec)
-        assert shot_noise_limit(spec, out) == pytest.approx(
-            1.0 / math.sqrt(spec.pump_flux), rel=1e-6)
+        row = sweep_rows("sensitivity", "pump.p_l = 14.12e-3\nsweep.start = 1e-15\n"
+                                        "sweep.stop = 1e-14\nsweep.points = 2")[0]
+        assert row[4] == pytest.approx(1.0 / math.sqrt(14.12e-3 / (HBAR * omega_p)), rel=1e-6)
 
     def test_zero_budget_rejected(self):
-        spec = spec_at(alpha_c=0.0)
-        out = mzi_transform(mzi_input_state(0.0), spec)
-        with pytest.raises(DomainError):
-            shot_noise_limit(spec, out)
+        """No probe, no pairs and no pump: no photons at all, a domain row."""
+        rows = sweep_rows("sensitivity", "pump.sigma_n = 0\nsweep.scale = linear\n"
+                                         "sweep.start = 0\nsweep.stop = 1e-3\nsweep.points = 2")
+        assert rows[0][-1] == "domain" and math.isinf(rows[0][4])
+
+
+def improvement(ring, injection, alpha_c=1e5, eta=1.0):
+    return coherent_sensitivity(alpha_c, eta) / closed(alpha_c, ring, injection, eta=eta)[0]
 
 
 class TestImprovementFactor:
     def test_vacuum_port_penalty(self, rates):
-        value = improvement_factor(spec_at(alpha_c=1e5), rates, inj(rates, 0.0))
-        assert value == pytest.approx(1 / math.sqrt(2), rel=1e-9)
+        assert improvement(rates, inj(rates, 0.0)) == pytest.approx(1 / math.sqrt(2), rel=1e-9)
 
     def test_monotone_in_decay_ratio(self, rates):
         previous = 0.0
         for ratio in (10.0, 31.5, 100.0, 1000.0):
             ring = CavityRates(kappa=rates.kappa, gamma=rates.kappa / ratio)
-            value = improvement_factor(spec_at(alpha_c=1e5), ring,
-                                       Injection.from_sigma_n(0.99895, ring))
+            value = improvement(ring, Injection.from_sigma_n(0.99895, ring))
             assert value > previous
             previous = value
         assert decay_ratio(CavityRates(kappa=10.0, gamma=2.0)) == 5.0
 
     def test_long_sensor_gives_no_advantage(self, rates):
-        length = 3 * critical_length(0.23)
-        spec = SensorSpec(phi=HALF_PI, alpha_c=1e5, sensor_length=length, alpha_loss=0.23)
-        value = improvement_factor(spec, rates, inj(rates, 0.99895))
+        eta = efficiency(0.23, 3 * critical_length(0.23))
+        value = improvement(rates, inj(rates, 0.99895), eta=eta)
         assert value == pytest.approx(1.0, abs=0.05)
 
     def test_sensitivities_improve_with_efficiency(self, rates):
         """Both dphi_c and dphi_s are non-increasing as eta rises."""
         injection = inj(rates, 0.9)
         etas = np.linspace(0.1, 1.0, 8)
-        coherent = [phase_sensitivity_coherent(spec_at(eta=e)) for e in etas]
-        squeezed = [phase_sensitivity_squeezed(spec_at(eta=e), rates, injection) for e in etas]
+        coherent = coherent_sensitivity(1e5, etas)
+        squeezed = mzi_sensitivity(1e5, HALF_PI, etas, rates, injection)[0]
         assert all(a >= b for a, b in zip(coherent, coherent[1:]))
         assert all(a >= b for a, b in zip(squeezed, squeezed[1:]))
 
@@ -382,17 +434,10 @@ class TestSensitivityVsPhase:
         alpha_c = 1e5 is about 4x.
         """
         injection = inj(rates, 0.99895)
-        moments = output_moments(rates, injection)
-        spec = spec_at(alpha_c=1e5)
-        report = phase_sensitivity_numeric(spec, moments)
-        snl_plain = 1.0 / math.sqrt(1e10 + moments.n_s + moments.n_i)
-        assert report.dphi < snl_plain / 2
-        assert report.dphi < phase_sensitivity_coherent(spec)
-
-
-def bits(value):
-    """Bytes of a float array: equal only when every element is bit-identical."""
-    return np.asarray(value, dtype=float).tobytes()
+        dphi = closed(1e5, rates, injection)[0]
+        snl_plain = 1.0 / math.sqrt(1e10 + 2 * photon_flux(rates, injection))
+        assert dphi < snl_plain / 2
+        assert dphi < coherent_sensitivity(1e5, 1.0)
 
 
 def ring_rates(cross_coupling, alpha_loss, radius):
@@ -402,153 +447,123 @@ def ring_rates(cross_coupling, alpha_loss, radius):
 
 
 # Phases on and next to the poles of the readout (0, pi and float pi) besides random ones.
+# The pole rule |sin phi| <= 1e-9 is met with equality at phi = 1e-9 without pairs, where
+# the two paths' last-bit rounding decides the flag: the phases next to it sit 1e-6 off.
 SPECIAL_PHASES = [0.0, math.pi, 2 * math.pi, HALF_PI, math.nextafter(math.pi, 0.0),
-                  math.nextafter(0.0, 1.0), 1e-9, math.pi - 1e-9, -HALF_PI]
+                  math.nextafter(0.0, 1.0), 1e-9 * (1 - 1e-6), 1e-9 * (1 + 1e-6),
+                  math.pi - 1e-9, -HALF_PI]
 GEOMETRIES = dict(cross_coupling=st.floats(1e-3, 0.2), alpha_loss=st.floats(0.01, 20.0),
                   radius=st.floats(20e-6, 1e-3))
+# C8's bound: the closed form against the Gaussian pipeline.
+PIPELINE_TOLERANCE = 1e-6
 
 
 class TestArrayPath:
-    """The array path against the per-point pipeline of tests/mzi_oracle.py, bit for bit."""
+    """The array form against the per-point Gaussian pipeline of tests/mzi_oracle.py.
+
+    The pipeline's pair port is the closed form's own (N, M) (oracle.closed_port), so
+    the comparison holds near the pole too, where dphi moves with the last bits of N.
+    """
 
     @staticmethod
-    def oracle_row(spec, moments):
-        """Readout fields of one point, or the exception the point raised."""
+    def oracle_row(point, port):
+        """Readout of one point, or the exception the point raised."""
         try:
-            point = oracle.point_readout(spec, moments)
+            return oracle.point_readout(point, port)
         except (PoleError, DomainError) as exc:
             return type(exc)
-        return point
+
+    def assert_matches(self, dphi, photons, pole, point, port):
+        expected = self.oracle_row(point, port)
+        assert pole == (expected is PoleError)
+        if pole:
+            assert math.isinf(dphi)
+        else:
+            assert dphi == pytest.approx(expected.dphi, rel=PIPELINE_TOLERANCE)
+            assert photons == pytest.approx(expected.photons, rel=PIPELINE_TOLERANCE)
 
     @settings(max_examples=150, deadline=None)
     @given(**GEOMETRIES, sigma_n=st.floats(0.0, 0.9999), eta=st.floats(1e-3, 1.0),
-           alpha_c=st.floats(0.0, 1e6), on_pole=st.booleans(), power=st.floats(0.0, 1e-2),
+           alpha_c=st.floats(0.0, 1e6), on_pole=st.booleans(),
            phases=st.lists(st.sampled_from(SPECIAL_PHASES) | st.floats(-7.0, 7.0),
-                           min_size=1, max_size=6),
-           seed=st.none() | st.complex_numbers(max_magnitude=1e4))
+                           min_size=1, max_size=6))
     def test_phase_batch_equals_pointwise(self, cross_coupling, alpha_loss, radius, sigma_n,
-                                          eta, alpha_c, on_pole, power, phases, seed):
+                                          eta, alpha_c, on_pole, phases):
         rates = ring_rates(cross_coupling, alpha_loss, radius)
         injection = inj(rates, sigma_n)
-        seeds = None if seed is None else SeedAmplitudes(alpha_s=seed)
-        moments = output_moments(rates, injection, seeds=seeds)
+        port = oracle.closed_port(rates, injection)
         if on_pole:  # phi = pi/2 is then a pole of the squeezed readout
-            alpha_c = pole_coherent_amplitude(rates, injection)
-        base = spec_at(alpha_c=alpha_c, eta=eta, alpha_l_power=power, omega_p=1.2e15)
-        readout = phase_readout(alpha_c, np.array(phases), eta, moments)
-        snl = shot_noise_limit(base, readout.output)
+            alpha_c = math.sqrt(port.n)
+        dphi, photons, pole = mzi_sensitivity(alpha_c, np.array(phases), eta, rates, injection)
+        assert dphi.shape == photons.shape == pole.shape == (len(phases),)
         for k, phi in enumerate(phases):
-            point = self.oracle_row(replace(base, phi=phi), moments)
-            assert readout.pole[k] == (point is PoleError)
-            assert readout.domain[k] == (point is DomainError)
-            assert bits(readout.mean_id[k]) == bits(oracle_stats(base, phi, moments)[0])
-            if isinstance(point, oracle.PointReadout):
-                assert bits(readout.var_id[k]) == bits(point.var_id)
-                assert bits(readout.slope[k]) == bits(point.slope)
-                assert bits(readout.dphi[k]) == bits(point.dphi)
-                assert bits(snl[k]) == bits(point.snl)
-            else:
-                assert math.isinf(readout.dphi[k])
+            self.assert_matches(dphi[k], photons[k], pole[k], Point(phi, alpha_c, eta), port)
 
     @settings(max_examples=150, deadline=None)
     @given(**GEOMETRIES, sigma_n=st.floats(0.0, 0.9999), eta=st.floats(1e-3, 1.0),
            phi=st.sampled_from(SPECIAL_PHASES) | st.floats(-7.0, 7.0),
            amplitudes=st.lists(st.just(0.0) | st.floats(1e-3, 1e6), min_size=1, max_size=6),
-           near_pole=st.sampled_from([0.0, 1.0, 1 - 1e-10, 1 + 1e-10, 1 + 1e-8]),
-           seed=st.none() | st.complex_numbers(max_magnitude=1e4))
+           near_pole=st.sampled_from([0.0, 1.0, 1 - 1e-10, 1 + 1e-10, 1 + 1e-8]))
     def test_probe_batch_equals_pointwise(self, cross_coupling, alpha_loss, radius, sigma_n,
-                                          eta, phi, amplitudes, near_pole, seed):
-        """A batch over alpha_c, with points on and next to the pole a^2 = 2 n_s."""
+                                          eta, phi, amplitudes, near_pole):
+        """A batch over alpha_c, with points on and next to the pole a^2 = N."""
         rates = ring_rates(cross_coupling, alpha_loss, radius)
         injection = inj(rates, sigma_n)
-        seeds = None if seed is None else SeedAmplitudes(alpha_s=seed)
-        moments = output_moments(rates, injection, seeds=seeds)
-        amplitudes = amplitudes + [near_pole * pole_coherent_amplitude(rates, injection)]
-        alpha_c = np.array(amplitudes)
-        readout = phase_readout(alpha_c, phi, eta, moments)
-        closed, pole = squeezed_sensitivity(alpha_c, eta, rates, injection)
-        coherent = coherent_sensitivity(alpha_c, eta)
-        snl = shot_noise_limit(spec_at(phi=phi, eta=eta), readout.output)
+        port = oracle.closed_port(rates, injection)
+        amplitudes = amplitudes + [near_pole * math.sqrt(port.n)]
+        dphi, photons, pole = mzi_sensitivity(np.array(amplitudes), phi, eta, rates, injection)
+        coherent = coherent_sensitivity(np.array(amplitudes), eta)
         for k, a_c in enumerate(amplitudes):
-            spec = spec_at(phi=phi, alpha_c=a_c, eta=eta)
-            point = self.oracle_row(spec, moments)
-            assert readout.pole[k] == (point is PoleError)
-            assert readout.domain[k] == (point is DomainError)
-            if isinstance(point, oracle.PointReadout):
-                assert bits([readout.mean_id[k], readout.var_id[k], readout.slope[k],
-                             readout.dphi[k], snl[k]]) == bits([point.mean_id, point.var_id,
-                                                                point.slope, point.dphi,
-                                                                point.snl])
-            try:
-                expected = oracle.phase_sensitivity_squeezed(spec, rates, injection)
-            except PoleError:
-                assert pole[k] and math.isinf(closed[k])
-            else:
-                assert not pole[k] and bits(closed[k]) == bits(expected)
+            point = Point(phi, a_c, eta)
+            self.assert_matches(dphi[k], photons[k], pole[k], point, port)
+            # The one-point call is the same path.
+            assert closed(a_c, rates, injection, phi, eta) == (dphi[k], photons[k], pole[k])
             if a_c > 0:
-                assert bits(coherent[k]) == bits(oracle.phase_sensitivity_coherent(spec))
-            # The scalar functions are the same path on one point.
-            if pole[k]:
-                with pytest.raises(PoleError):
-                    phase_sensitivity_squeezed(spec, rates, injection)
-            else:
-                assert bits(phase_sensitivity_squeezed(spec, rates, injection)) == bits(closed[k])
+                assert coherent[k] == oracle.coherent_reference(point)
 
     @settings(max_examples=100, deadline=None)
     @given(n_pair=st.floats(0.0, 1e8), excess=st.floats(0.5, 2.0), phi=st.floats(-7.0, 7.0),
            eta=st.floats(1e-3, 1.0))
     def test_domain_mask_equals_state_exceptions(self, n_pair, excess, phi, eta):
-        """An anomalous moment beyond the bound, or a probe SensorSpec rejects, is a domain row."""
-        bound = (2 * n_pair) * (2 * n_pair + 2)
-        port = OutputMoments(n_s=n_pair, n_i=n_pair, m_si=excess * math.sqrt(bound) / 2)
-        amplitudes = [1e4, 0.0, math.nan, math.inf, -1.0]
-        readout = phase_readout(np.array(amplitudes), phi, eta, port)
-        for k, a_c in enumerate(amplitudes):
-            try:
-                raised = self.oracle_row(spec_at(phi=phi, alpha_c=a_c, eta=eta), port)
-            except DomainError:
-                raised = DomainError
-            assert readout.domain[k] == (raised is DomainError)
-            assert readout.pole[k] == (raised is PoleError)
+        """An anomalous moment beyond |M|^2 <= N (N + 2) is rejected by the array form's port
+        check exactly where the oracle's port state raises."""
+        n = 2 * n_pair
+        m = excess * math.sqrt(n * (n + 2))
+        try:
+            oracle.mzi_input_state(1e4, PairPort(n=n, m=m))
+        except DomainError:
+            with pytest.raises(DomainError):
+                _check_pair_port(n, m)
+        else:
+            _check_pair_port(n, m)
 
     @settings(max_examples=100, deadline=None)
-    @given(data=st.data(), size=st.integers(1, 5))
-    def test_unphysical_mask_equals_constructor_exceptions(self, data, size):
-        """The batched state checks raise, point by point, exactly where the mask is set."""
-        def entries(shape, scale):
-            values = st.sampled_from([0.0, -1e-3, -2e-9, math.nan, math.inf]) | st.floats(
-                -scale, scale)
-            real, imag = (np.array(data.draw(st.lists(values, min_size=int(np.prod(shape)),
-                                                      max_size=int(np.prod(shape)))))
-                          for _ in range(2))
-            return (real + 1j * np.where(np.isfinite(imag), imag, 0.0)).reshape(shape)
-
-        fields = dict(mean=entries((size, 2), 1e3), number=entries((size, 2, 2), 10.0),
-                      anomalous=entries((size, 2, 2), 10.0), comm=entries((size, 2, 2), 2.0))
-        mask = GaussianPortState(**fields).unphysical()
-        for k in range(size):
-            try:
-                oracle.GaussianPortState(**{name: value[k] for name, value in fields.items()})
-            except DomainError:
-                assert mask[k]
-            else:
-                assert not mask[k]
-                GaussianPortState(**{name: value[k] for name, value in fields.items()})
+    @given(n=st.sampled_from([0.0, -1e-3, -2e-9, math.nan, math.inf, -math.inf])
+           | st.floats(-10.0, 1e6),
+           m=st.sampled_from([0.0, -1e-3, math.nan, math.inf, -math.inf]) | st.floats(-1e6, 1e6))
+    def test_unphysical_mask_equals_constructor_exceptions(self, n, m):
+        """Non-finite, negative and oversized port moments: the port check raises exactly
+        where the oracle's state constructor does."""
+        try:
+            oracle.mzi_input_state(1.0, PairPort(n=n, m=m))
+        except DomainError:
+            with pytest.raises(DomainError):
+                _check_pair_port(n, m)
+        else:
+            _check_pair_port(n, m)
 
     @settings(max_examples=200, deadline=None)
     @given(**GEOMETRIES, sigma_n=st.floats(0.0, 0.9999), eta=st.floats(1e-3, 1.0),
-           alpha_c=st.floats(1.0, 1e6), phi=st.floats(-7.0, 7.0), power=st.floats(0.0, 1.0))
+           alpha_c=st.floats(1.0, 1e6), phi=st.floats(-7.0, 7.0))
     def test_photon_conservation(self, cross_coupling, alpha_loss, radius, sigma_n, eta,
-                                 alpha_c, phi, power):
+                                 alpha_c, phi):
         """The signal map is sqrt(eta) times a unitary and the loss adds no photons."""
         rates = ring_rates(cross_coupling, alpha_loss, radius)
-        moments = output_moments(rates, inj(rates, sigma_n))
-        spec = spec_at(phi=phi, alpha_c=alpha_c, eta=eta, alpha_l_power=power, omega_p=1.2e15)
-        readout = phase_readout(np.array([alpha_c]), phi, eta, moments)
-        expected = 1 / math.sqrt(eta * (alpha_c**2 + 2 * moments.n_s) + spec.pump_flux)
-        assert shot_noise_limit(spec, readout.output)[0] == pytest.approx(expected, rel=1e-12)
-
-
-def oracle_stats(spec, phi, moments):
-    state = oracle.mzi_input_state(spec.alpha_c, moments)
-    return oracle.intensity_difference_stats(oracle.mzi_transform(state, replace(spec, phi=phi)))
+        injection = inj(rates, sigma_n)
+        port = oracle.closed_port(rates, injection)
+        _, photons, _ = mzi_sensitivity(np.array([alpha_c]), phi, eta, rates, injection)
+        expected = eta * (alpha_c**2 + port.n)
+        assert photons[0] == pytest.approx(expected, rel=1e-12)
+        output = oracle.mzi_transform(oracle.mzi_input_state(alpha_c, port),
+                                      Point(phi, alpha_c, eta))
+        assert output.total_photons() == pytest.approx(expected, rel=1e-9)
