@@ -32,8 +32,7 @@ class Detunings:
 
     delta_s = omega - omega_s and delta_i = omega - omega_i. For the
     frequency-paired (signal, idler) axes used by the joint spectrum, the
-    convention is delta_s = +offset_s and delta_i = -offset_i; use
-    :meth:`from_offsets`.
+    convention is delta_s = +offset_s and delta_i = -offset_i.
     """
 
     delta_s: float = 0.0
@@ -43,11 +42,6 @@ class Detunings:
         for name in ("delta_s", "delta_i"):
             if not math.isfinite(getattr(self, name)):
                 raise DomainError(f"{name} must be finite")
-
-    @classmethod
-    def from_offsets(cls, offset_s: float, offset_i: float) -> "Detunings":
-        """Map paired frequency offsets onto (delta_s, delta_i) = (+off_s, -off_i)."""
-        return cls(delta_s=offset_s, delta_i=-offset_i)
 
 
 ZERO_DETUNING = Detunings()

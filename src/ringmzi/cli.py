@@ -27,7 +27,7 @@ from .errors import ConfigError, DomainError, ThresholdError
 from .interferometer import POLE_TOLERANCE, coherent_sensitivity, decay_ratio, mzi_sensitivity
 from .meanfield import comparison_columns
 from .params import (CavityRates, Injection, REFERENCE_GEOMETRY, RingGeometry, derive_rates,
-                     fwm_gain, sigma_from_power, threshold_power)
+                     efficiency, fwm_gain, sigma_from_power, threshold_power)
 
 COMMANDS = ("rates", "squeezing", "jsi", "meanfield", "sensitivity", "pole", "improvement")
 
@@ -127,7 +127,7 @@ class RunConfig:
         """The configured path efficiency: sensor.eta, or e^(-alpha_loss * length)."""
         if self.sensor_length is None:
             return self.eta
-        return math.exp(-self.sensor_alpha_loss * self.sensor_length)
+        return efficiency(self.sensor_alpha_loss, self.sensor_length)
 
     def config_sha256(self) -> str:
         canonical = "".join(f"{k} = {self.resolved[k]}\n" for k in sorted(self.resolved))
@@ -254,11 +254,13 @@ def parse_config(text: str, command: str = "") -> RunConfig:
     eta, length = setting["sensor.eta"], setting["sensor.length"]
     if eta is not None and not 0 < eta <= 1:
         raise ConfigError(f"sensor.eta out of range (0, 1]: {eta}")
+    if length is not None and not 0 <= length < math.inf:
+        raise fail("sensor.length", "must be finite and >= 0")
     loss = setting["sensor.alpha_loss"] = number("sensor.alpha_loss", geometry.alpha_loss)
     if not 0 <= loss < math.inf:
         raise fail("sensor.alpha_loss", "must be finite and >= 0")
     if length is not None and command != "improvement":  # its sweep overrides the length
-        eta_length = math.exp(-loss * length)
+        eta_length = efficiency(loss, length)
         if not 0 < eta_length <= 1:
             raise ConfigError(
                 f"line {values['sensor.length'][1]}: sensor.length = "
@@ -453,8 +455,8 @@ def _run_improvement(cfg: RunConfig, rates: CavityRates, gain: float):
     injection, alpha_c, _ = _resolve_drive(cfg, ring, gain)
     lengths = cfg.sweep.grid()
     columns = ["sensor_length", "eta", "improvement", "flag"]
-    # math.exp per row, as RunConfig.eta_value: np.exp differs in the last bit.
-    eta = np.array([math.exp(-cfg.sensor_alpha_loss * length) for length in lengths.tolist()])
+    # efficiency (math.exp) per row, as RunConfig.eta_value: np.exp differs in the last bit.
+    eta = np.array([efficiency(cfg.sensor_alpha_loss, length) for length in lengths.tolist()])
     if alpha_c <= 0:
         raise DomainError(f"the improvement needs a probe, alpha_c > 0, got {alpha_c}")
     try:

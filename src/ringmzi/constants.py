@@ -12,6 +12,3 @@ PLANCK_H = 6.62607015e-34
 
 # Reduced Planck constant (J·s)
 HBAR = PLANCK_H / (2 * math.pi)
-
-# Vacuum permittivity (F/m)
-EPSILON_0 = 8.8541878128e-12

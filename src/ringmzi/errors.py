@@ -9,10 +9,6 @@ class ThresholdError(ValueError):
     """The injection is at or above the parametric-oscillation threshold."""
 
 
-class PoleError(ValueError):
-    """The sensitivity estimate sits on a pole of the error-propagation formula."""
-
-
 class ConvergenceError(RuntimeError):
     """A steady-state solve missed its stop rule."""
 

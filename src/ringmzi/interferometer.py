@@ -30,7 +30,6 @@ import math
 
 import numpy as np
 
-from .cavity_io import photon_flux
 from .errors import DomainError, ThresholdError
 from .params import CavityRates, Injection
 
@@ -48,17 +47,12 @@ def _check_pair_port(n: float, m: float) -> None:
         raise DomainError(f"pair port is not finite or violates physicality: N={n!r}, M={m!r}")
 
 
-def mzi_sensitivity(alpha_c, phi, eta, rates: CavityRates, injection: Injection):
-    """Squeezed-port sensitivity of the lossy MZI over broadcast alpha_c, phi, eta.
+def _pair_port(rates: CavityRates, injection: Injection) -> tuple[float, float]:
+    """(N, M) = (2 n_s, 2 m_si) of the pair port at zero detuning.
 
-    Returns arrays (dphi_squeezed, detected_photons, pole) of the broadcast
-    shape: dphi = sqrt(Var ID)/(eta |(a^2 - N) sin phi|) from the closed form of
-    the module docstring, the detected photons eta (a^2 + N), and the pole mask
-    |(a^2 - N) sin phi| <= POLE_TOLERANCE (a^2 + N), where dphi is inf. N and M
-    are formed over ((Gamma - sigma)(Gamma + sigma))^2, which does not cancel
-    near threshold. Raises ThresholdError at or above threshold, and DomainError
-    where N and M are not finite or _check_pair_port rejects them; both hold for
-    every point alike.
+    Formed over ((Gamma - sigma)(Gamma + sigma))^2, which does not cancel
+    near threshold. Raises ThresholdError at or above threshold, and
+    DomainError where N and M are not finite or _check_pair_port rejects them.
     """
     kappa, gamma_total = rates.kappa, rates.gamma_total
     sigma = injection.sigma_mag
@@ -71,6 +65,21 @@ def mzi_sensitivity(alpha_c, phi, eta, rates: CavityRates, injection: Injection)
     n = 8 * sigma**2 * kappa * gamma_total / square
     m = 4 * kappa * sigma * (gamma_total**2 + sigma**2) / square
     _check_pair_port(n, m)
+    return n, m
+
+
+def mzi_sensitivity(alpha_c, phi, eta, rates: CavityRates, injection: Injection):
+    """Squeezed-port sensitivity of the lossy MZI over broadcast alpha_c, phi, eta.
+
+    Returns arrays (dphi_squeezed, detected_photons, pole) of the broadcast
+    shape: dphi = sqrt(Var ID)/(eta |(a^2 - N) sin phi|) from the closed form of
+    the module docstring, the detected photons eta (a^2 + N), and the pole mask
+    |(a^2 - N) sin phi| <= POLE_TOLERANCE (a^2 + N), where dphi is inf. N and M
+    come from _pair_port, and its errors hold for every point alike.
+    """
+    n, m = _pair_port(rates, injection)
+    kappa, gamma_total = rates.kappa, rates.gamma_total
+    sigma = injection.sigma_mag
     v_min = 1.0 - 4.0 * kappa * sigma / (gamma_total + sigma) ** 2
     alpha_c, phi, eta = np.broadcast_arrays(*(np.asarray(x, dtype=float)
                                              for x in (alpha_c, phi, eta)))
@@ -117,6 +126,7 @@ def pole_coherent_amplitude(rates: CavityRates, injection: Injection) -> float:
     """Coherent amplitude at which the squeezed sensitivity diverges.
 
     The pole sits where the coherent flux matches the total squeezed flux:
-    alpha_c^2 = 2 n_s.
+    alpha_c^2 = N = 2 n_s, with N from _pair_port as mzi_sensitivity takes it,
+    so that mzi_sensitivity flags this amplitude a pole at phi = pi/2.
     """
-    return math.sqrt(2.0 * photon_flux(rates, injection))
+    return math.sqrt(_pair_port(rates, injection)[0])

@@ -76,9 +76,6 @@ class MomentState:
     m_si: complex = 0.0
 
 
-VACUUM = MomentState()
-
-
 def mf_derivatives(state: MomentState, rates: CavityRates, gain: float,
                    alpha_l: complex) -> MomentState:
     """Time derivative of the mean-field moment set."""
@@ -252,12 +249,6 @@ def _steady_states(rates: CavityRates, gain: float, alpha_l) -> MomentState:
                        n_s=state.n_s, n_i=state.n_i, m_si=state.m_si * phase**2)
 
 
-def mf_steady_state(rates: CavityRates, gain: float, alpha_l: complex) -> MomentState:
-    """Mean-field steady state reached from vacuum under a constant drive."""
-    states = _steady_states(rates, gain, alpha_l)
-    return MomentState(**{f.name: getattr(states, f.name).item() for f in fields(MomentState)})
-
-
 def validity_bound(rates: CavityRates, gain: float, error_tol: float) -> float:
     """Largest sigma_n at which the linearized n_s stays within error_tol of mean field.
 
@@ -267,12 +258,10 @@ def validity_bound(rates: CavityRates, gain: float, error_tol: float) -> float:
     """
     if not 0.0 < error_tol <= 0.5:
         raise DomainError(f"error_tol must lie in (0, 0.5], got {error_tol}")
-    gamma_total = rates.gamma_total
 
     def excess(sigma_n) -> float:
-        sigma = float(sigma_n) * gamma_total
-        ns_lin = lin_steady_state(rates, sigma).n_s
-        ns_mf = mf_steady_state(rates, gain, drive_for_sigma(rates, gain, sigma)).n_s
+        columns = comparison_columns(rates, gain, [sigma_n])
+        ns_lin, ns_mf = columns["ns_lin"][0], columns["ns_mf"][0]
         return abs(ns_lin - ns_mf) / ns_mf - error_tol
 
     hi = 1.0 - 1e-9
@@ -300,10 +289,3 @@ def comparison_columns(rates: CavityRates, gain: float, sigma_ns) -> dict[str, n
             "ns_mf": states.n_s,
             "np_lin": 4.0 * rates.kappa * np.float_power(drives, 2) / gamma_total**2,
             "np_mf": states.n_p}
-
-
-def comparison_curve(rates: CavityRates, gain: float, sigma_ns) -> list[dict[str, float]]:
-    """comparison_columns as one dict per grid point."""
-    columns = comparison_columns(rates, gain, sigma_ns)
-    return [dict(zip(columns, row)) for row in zip(*(column.tolist()
-                                                     for column in columns.values()))]

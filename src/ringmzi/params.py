@@ -21,7 +21,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .constants import C_VACUUM, EPSILON_0, HBAR
+from .constants import C_VACUUM, HBAR
 from .errors import DomainError
 
 
@@ -136,33 +136,6 @@ class CavityRates:
 
 
 @dataclass(frozen=True)
-class PumpSpec:
-    """Coherent waveguide pump.
-
-    The amplitude carries photon-flux units: |alpha_l|^2 = P/(hbar*omega_p) [Hz].
-    """
-
-    power: float
-    phase: float
-    omega_p: float
-
-    def __post_init__(self) -> None:
-        if self.power < 0:
-            raise DomainError(f"power must be non-negative, got {self.power}")
-        if self.omega_p <= 0:
-            raise DomainError(f"omega_p must be positive, got {self.omega_p}")
-
-    @property
-    def alpha_l(self) -> complex:
-        """Waveguide amplitude sqrt(P/(hbar*omega_p))·e^(i*phase) [sqrt(Hz)]."""
-        return pump_amplitude(self.power, self.omega_p, self.phase)
-
-    @classmethod
-    def from_power(cls, power: float, omega_p: float, phase: float = 0.0) -> "PumpSpec":
-        return cls(power=power, phase=phase, omega_p=omega_p)
-
-
-@dataclass(frozen=True)
 class FwmStrength:
     """Nonlinear interaction strength of the ring.
 
@@ -254,68 +227,17 @@ def efficiency(alpha_loss: float, length: float) -> float:
     return math.exp(-alpha_loss * length)
 
 
-def fwm_gain(geom: RingGeometry, omega_s: float | None = None,
-             omega_i: float | None = None) -> FwmStrength:
+def fwm_gain(geom: RingGeometry) -> FwmStrength:
     """Four-wave-mixing gain of the ring.
 
     Uses the degenerate approximation g = hbar·omega_p^2·v_g^2·n2/(c·A_eff·L).
-    Passing omega_s and omega_i switches to the exact prefactor
-    hbar·omega_p·(omega_p^2·omega_s·omega_i)^(1/4)·v_g^2·n2/(c·A_eff·L);
-    for a near-degenerate pair the two agree to well below a percent.
     """
     if geom.a_eff <= 0 or geom.ring_length <= 0:
         raise DomainError("a_eff and ring_length must be positive")
     omega_p = geom.pump_frequency()
     v_g = C_VACUUM / geom.n_g
-    if (omega_s is None) != (omega_i is None):
-        raise DomainError("omega_s and omega_i must be supplied together")
-    if omega_s is None:
-        prefactor = omega_p**2
-    else:
-        if omega_s <= 0 or omega_i <= 0:
-            raise DomainError("omega_s and omega_i must be positive")
-        prefactor = omega_p * (omega_p**2 * omega_s * omega_i) ** 0.25
-    gain = HBAR * prefactor * v_g**2 * geom.n2 / (C_VACUUM * geom.a_eff * geom.ring_length)
+    gain = HBAR * omega_p**2 * v_g**2 * geom.n2 / (C_VACUUM * geom.a_eff * geom.ring_length)
     return FwmStrength(gain=gain, gamma_nl=omega_p * geom.n2 / (C_VACUUM * geom.a_eff))
-
-
-def n2_from_chi3(chi3: float, n_eff: float) -> float:
-    """Nonlinear index n2 = 3*chi3/(4*eps0*c*n_eff^2) [m^2/W]."""
-    return 3.0 * chi3 / (4.0 * EPSILON_0 * C_VACUUM * n_eff**2)
-
-
-def chi3_from_n2(n2: float, n_eff: float) -> float:
-    """Inverse of :func:`n2_from_chi3` [m^2/V^2]."""
-    return n2 * 4.0 * EPSILON_0 * C_VACUUM * n_eff**2 / 3.0
-
-
-def pump_amplitude(power: float, omega: float, phase: float = 0.0) -> complex:
-    """Photon-flux amplitude sqrt(P/(hbar*omega))·e^(i*phase) [sqrt(Hz)]."""
-    if omega <= 0:
-        raise DomainError(f"omega must be positive, got {omega}")
-    if power < 0:
-        raise DomainError(f"power must be non-negative, got {power}")
-    return math.sqrt(power / (HBAR * omega)) * cmath.exp(1j * phase)
-
-
-def intracavity_pump(alpha_l: complex, rates: CavityRates, delta_p: float = 0.0) -> complex:
-    """Steady-state intracavity pump amplitude (dimensionless).
-
-    alpha_p = sqrt(kappa)·alpha_l / (Gamma/2 - i*delta_p); on resonance the
-    field enhancement is 2*sqrt(kappa)/Gamma.
-    """
-    gamma_total = rates.gamma_total
-    denom = gamma_total / 2.0 - 1j * delta_p
-    if denom == 0:
-        raise DomainError("degenerate cavity: Gamma = 0 on resonance has no steady state")
-    return math.sqrt(rates.kappa) * alpha_l / denom
-
-
-def injection_from_pump(gain: float, alpha_p: complex, rates: CavityRates) -> Injection:
-    """Injection sigma = 2*g*alpha_p^2 for a given intracavity pump."""
-    sigma = 2.0 * gain * alpha_p * alpha_p
-    return Injection(sigma_mag=abs(sigma), sigma_th=rates.gamma_total,
-                     phi_sigma=cmath.phase(sigma) if sigma != 0 else 0.0)
 
 
 def threshold_power(rates: CavityRates, gain: float, omega_p: float, delta_p: float = 0.0) -> float:
@@ -351,10 +273,3 @@ def sigma_from_power(power: float, rates: CavityRates, gain: float, omega_p: flo
     sigma = 2.0 * gain * rates.kappa * power / (HBAR * omega_p) / denom
     return Injection(sigma_mag=abs(sigma), sigma_th=gamma_total,
                      phi_sigma=cmath.phase(sigma) if sigma != 0 else 0.0)
-
-
-def resonance_frequency(geom: RingGeometry, mode_index: int) -> float:
-    """Cold-cavity resonance omega_r = 2*pi*m*c/(n_eff*L) [rad/s]."""
-    if mode_index < 1:
-        raise DomainError(f"mode_index must be >= 1, got {mode_index}")
-    return 2 * math.pi * mode_index * C_VACUUM / (geom.n_eff * geom.ring_length)

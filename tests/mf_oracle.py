@@ -7,22 +7,24 @@ ringmzi.meanfield is checked against it; its stop rule leaves an error of
 about convergence_tol/(1 - sigma_n) below threshold.
 
 bisected_depletion solves the direct solve's scalar root by bisection to
-adjacent floats, the reference for its Newton iteration.
+adjacent floats, the reference for its Newton iteration. mf_steady_state and
+comparison_curve are one-point and row-by-row views of the direct solve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from ringmzi import (CavityRates, ConvergenceError, DomainError, MomentState, VACUUM,
+from ringmzi import (CavityRates, ConvergenceError, DomainError, MomentState, comparison_columns,
                      mf_derivatives)
-from ringmzi.meanfield import _bisect, _excess
+from ringmzi.meanfield import _bisect, _excess, _steady_states
 
 DIVERGENCE_LIMIT = 1e30
+VACUUM = MomentState()
 
 
 class DivergenceError(RuntimeError):
@@ -200,3 +202,16 @@ def bisected_depletion(n_empty: np.ndarray, clamp: float) -> np.ndarray:
                      midpoint)
     root = np.where(np.abs(excess(lo)) < np.abs(excess(hi)), lo, hi)
     return np.where(n_empty > 0, root, 0.0)
+
+
+def mf_steady_state(rates: CavityRates, gain: float, alpha_l: complex) -> MomentState:
+    """Mean-field steady state of the direct solve reached from vacuum, one drive."""
+    states = _steady_states(rates, gain, alpha_l)
+    return MomentState(**{f.name: getattr(states, f.name).item() for f in fields(MomentState)})
+
+
+def comparison_curve(rates: CavityRates, gain: float, sigma_ns) -> list[dict[str, float]]:
+    """ringmzi.meanfield.comparison_columns as one dict per grid point."""
+    columns = comparison_columns(rates, gain, sigma_ns)
+    return [dict(zip(columns, row)) for row in zip(*(column.tolist()
+                                                     for column in columns.values()))]

@@ -20,12 +20,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ringmzi import DomainError, PoleError, ThresholdError, anomalous_moment, photon_flux
+from ringmzi import DomainError, ThresholdError, anomalous_moment, photon_flux
 from ringmzi.constants import HBAR
 
 _PHYSICALITY_SLACK = 1e-9
 _POLE_TOLERANCE = 1e-9
 _BEAM_SPLITTER = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+
+
+class PoleError(ValueError):
+    """The sensitivity estimate sits on a pole of the error-propagation formula."""
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,10 @@ import pytest
 import mzi_oracle as oracle
 from mzi_oracle import Point
 from ringmzi import (CavityRates, Injection, anomalous_moment, coherent_sensitivity,
-                     critical_length, comparison_curve, drive_for_sigma, efficiency, jsi,
-                     lin_steady_state, mf_steady_state, mzi_sensitivity, photon_flux,
-                     pole_coherent_amplitude, sigma_from_power, squeezing_parameter,
-                     threshold_power, to_db, validity_bound, variance_extrema)
+                     comparison_columns, critical_length, efficiency, jsi, mzi_sensitivity,
+                     photon_flux, pole_coherent_amplitude, sigma_from_power,
+                     squeezing_parameter, threshold_power, to_db, validity_bound,
+                     variance_extrema)
 from ringmzi.cavity_io import Detunings
 from scattering_oracle import output_transfer, transfer_moments
 from ringmzi.cli import main as cli_main
@@ -101,18 +101,15 @@ def test_c06_output_power(geometry, rates):
 
 def test_c07_linearization_validity(rates, gain):
     bound = validity_bound(rates, gain, 0.05)
-    curve = comparison_curve(rates, gain, [0.5, 0.7, 0.9])
-    agreement = max(abs(rec["ns_lin"] / rec["ns_mf"] - 1) for rec in curve)
+    curve = comparison_columns(rates, gain, [0.5, 0.7, 0.9])
+    agreement = max(abs(curve["ns_lin"] / curve["ns_mf"] - 1).tolist())
     # split before threshold: the deviation exceeds 5% strictly below sigma_n=1
     sigma_split = 0.5 * (bound + 1.0)
-    ns_lin = lin_steady_state(rates, sigma_split * rates.gamma_total).n_s
-    ns_mf = mf_steady_state(rates, gain,
-                            drive_for_sigma(rates, gain, sigma_split * rates.gamma_total)).n_s
-    split = abs(ns_lin / ns_mf - 1) > 0.05
+    at_split = comparison_columns(rates, gain, [sigma_split])
+    split = abs(at_split["ns_lin"][0] / at_split["ns_mf"][0] - 1) > 0.05
     # pump depletion onset at threshold
-    records = comparison_curve(rates, gain, [0.9, 1.1])
-    ratio_below = records[0]["np_mf"] / records[0]["np_lin"]
-    ratio_above = records[1]["np_mf"] / records[1]["np_lin"]
+    records = comparison_columns(rates, gain, [0.9, 1.1])
+    ratio_below, ratio_above = (records["np_mf"] / records["np_lin"]).tolist()
     depletion = ratio_below > 0.99 and ratio_above < 0.95
     ok = abs(bound - OPERATING_SIGMA_N) < 0.002 and agreement < 0.01 and split and depletion
     report("C7 linearization validity", ok,

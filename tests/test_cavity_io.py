@@ -177,7 +177,7 @@ class TestJsi:
         rng = np.random.default_rng(9)
         for _ in range(20):
             dws, dwi = rng.uniform(-2, 2, size=2) * rates.gamma_total
-            detunings = Detunings.from_offsets(dws, dwi)
+            detunings = Detunings(delta_s=dws, delta_i=-dwi)
             expected = (photon_flux(rates, injection, detunings) ** 2
                         + abs(anomalous_moment(rates, injection, detunings)) ** 2)
             assert jsi(rates, injection, dws, dwi) == pytest.approx(expected, rel=1e-9)

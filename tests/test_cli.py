@@ -645,11 +645,18 @@ class TestMain:
         # An infinite probe wrote every improvement row 'inf,pole'.
         ("improvement", "pump.alpha_c=inf", "line 2: pump.alpha_c must be finite, got 'inf'"),
         ("improvement", "pump.p_c=inf", "line 2: pump.p_c must be finite, got 'inf'"),
+        # Without loss e^(-alpha_loss * length) is 1, a valid eta, for any length.
+        ("sensitivity", "sensor.length=-5 sensor.alpha_loss=0",
+         "line 2: sensor.length must be finite and >= 0, got '-5'"),
+        ("pole", "sensor.length=-5 sensor.alpha_loss=0",
+         "line 2: sensor.length must be finite and >= 0, got '-5'"),
     ], ids=["rates-delta_p", "sensitivity-delta_p", "squeezing-phi", "sensitivity-phi",
             "decay_ratio-negative", "decay_ratio-overflow", "decay_ratio-zero-kappa",
-            "improvement-alpha_c", "improvement-p_c"])
+            "improvement-alpha_c", "improvement-p_c", "sensitivity-negative-length",
+            "pole-negative-length"])
     def test_out_of_range_value_names_its_key(self, command, setting, message, capsys):
-        assert main([command, "--set", setting]) == 2
+        """``setting`` is one or more space-separated KEY=VALUE pairs, one --set each."""
+        assert main([command] + [arg for pair in setting.split() for arg in ("--set", pair)]) == 2
         err = capsys.readouterr().err
         assert message in err
         assert "Traceback" not in err

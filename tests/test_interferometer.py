@@ -8,11 +8,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mzi_oracle as oracle
-from mzi_oracle import PairPort, Point, gaussian_moment, intensity_difference_stats_generic
-from ringmzi import (REFERENCE_GEOMETRY, CavityRates, DomainError, Injection, PoleError,
-                     ThresholdError, coherent_sensitivity, critical_length, decay_ratio,
-                     derive_rates, efficiency, mzi_sensitivity, photon_flux,
-                     pole_coherent_amplitude)
+from mzi_oracle import (PairPort, Point, PoleError, gaussian_moment,
+                        intensity_difference_stats_generic)
+from ringmzi import (REFERENCE_GEOMETRY, CavityRates, DomainError, Injection, ThresholdError,
+                     coherent_sensitivity, critical_length, decay_ratio, derive_rates,
+                     efficiency, mzi_sensitivity, photon_flux, pole_coherent_amplitude)
 from ringmzi.cli import ConfigError, parse_config, run_command
 from ringmzi.constants import HBAR
 from ringmzi.interferometer import _check_pair_port
@@ -424,6 +424,17 @@ class TestPoleAmplitude:
         value = pole_coherent_amplitude(rates, inj(rates, 0.99895))
         assert value == pytest.approx(math.sqrt(2 * 8.78e5), rel=1e-3)
         assert value == pytest.approx(1.33e3, rel=5e-3)
+
+    @pytest.mark.parametrize("sigma_n", [0.99895, 0.9999, 0.99999])
+    def test_is_a_pole_of_the_closed_form(self, rates, sigma_n):
+        """The amplitude shares N with mzi_sensitivity, so it is flagged there near threshold.
+
+        photon_flux's denominator cancels near threshold: its N is 4.2e-9 off at sigma_n =
+        0.9999, above the 1e-9 pole rule.
+        """
+        injection = inj(rates, sigma_n)
+        dphi, _, pole = closed(pole_coherent_amplitude(rates, injection), rates, injection)
+        assert pole and math.isinf(dphi)
 
 
 class TestSensitivityVsPhase:

@@ -14,12 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mf_oracle import (DivergenceError, SolverConfig, _max_rel_rate, _pack, bisected_depletion,
-                       lin_derivatives, marched_steady_state, steady_state)
-from ringmzi import (CavityRates, ConvergenceError, DomainError, Injection,
-                     MomentState, VACUUM, comparison_curve, drive_for_sigma,
-                     intracavity_pump, lin_steady_state, mf_derivatives,
-                     mf_steady_state, validity_bound, ThresholdError)
+from mf_oracle import (VACUUM, DivergenceError, SolverConfig, _max_rel_rate, _pack,
+                       bisected_depletion, comparison_curve, lin_derivatives,
+                       marched_steady_state, mf_steady_state, steady_state)
+from ringmzi import (CavityRates, ConvergenceError, DomainError, MomentState, ThresholdError,
+                     drive_for_sigma, lin_steady_state, mf_derivatives, validity_bound)
 import ringmzi.meanfield as meanfield
 
 
@@ -38,7 +37,9 @@ class TestDerivatives:
         state = mf_steady_state(rates, 0.0, alpha_l)
         expected = 4 * rates.kappa * alpha_l**2 / rates.gamma_total**2
         assert state.n_p == pytest.approx(expected, rel=1e-6)
-        assert state.a_p == pytest.approx(intracavity_pump(alpha_l, rates), rel=1e-6)
+        # the resonant intracavity pump 2 sqrt(kappa) a_l / Gamma
+        assert state.a_p == pytest.approx(2 * math.sqrt(rates.kappa) * alpha_l / rates.gamma_total,
+                                          rel=1e-6)
         assert state.n_s == pytest.approx(0.0, abs=1e-12)
 
     def test_pair_symmetry(self, rates, gain):
