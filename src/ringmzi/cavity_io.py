@@ -3,20 +3,28 @@
 Works in the frame rotating at the signal/idler carriers, with the
 operator ordering (a_s, a_s^+, a_i, a_i^+). A frequency-domain scattering
 solve expresses the propagating output modes through the waveguide inputs
-and the loss bath. Closed forms for the second moments at one evaluation
-point (spectral-density prefactors, reported in Hz):
+and the loss bath. The second moments at one evaluation point are ratios
+of rates, so every power of Gamma cancels: they depend only on s = sigma_n,
+x = kappa/Gamma and the detunings in units of Gamma, u = delta_s/Gamma and
+v = delta_i/Gamma, and they are evaluated in these units:
 
-    n_s  = 4 sigma^2 kappa Gamma / (Xi - 2 sigma^2 Gamma^2)
-    m_si = -2 kappa sigma (4 D_i D_s - 2i Gamma (D_i + D_s) - Gamma^2 - sigma^2)
-           / (Xi - 2 sigma^2 Gamma^2)
-    Xi   = (4 D_i D_s - sigma^2)^2 + 4 Gamma^2 (D_i^2 + D_s^2) + Gamma^4
+    n_s  = 4 s^2 x / D
+    m_si = -2 x s e^(i phi_sigma) (4 u v - 2i (u + v) - 1 - s^2) / D
+    D    = Lambda + ((1 - s)(1 + s))^2,  Lambda = 16 u^2 v^2 - 8 u v s^2 + 4 (u^2 + v^2)
+         = (4 u v + (1 - s)(1 + s))^2 + 4 (u - v)^2
+    jsi  = n_s^2 + |m_si|^2 = n_s (x + 2 n_s)         at (u, v) = (dw_s, -dw_i)/Gamma
+    V_sq = 1 - 4 x s/(1 + s)^2 = ((1 - s)^2 + 4 s gamma/Gamma)/(1 + s)^2
 
-Both are reproduced by the numeric scattering solve, which the tests keep
-as their oracle.
+D is a sum of squares, and (1 - s)(1 + s) >= 1.1e-16 for any float s < 1,
+so below threshold nothing cancels, overflows or divides by zero, whatever
+the rates in Hz. The threshold is the one rule sigma_n >= 1. The moments
+are reproduced by the numeric scattering solve, which the tests keep as
+their oracle.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -56,75 +64,56 @@ def to_db(value):
     return float(db) if db.ndim == 0 else db
 
 
-def _guard_below_threshold(rates: CavityRates, injection: Injection) -> None:
-    gamma_total = rates.gamma_total
-    if not math.isclose(injection.sigma_th, gamma_total, rel_tol=1e-9, abs_tol=1e-300):
-        raise DomainError(
-            f"injection threshold {injection.sigma_th} does not match Gamma={gamma_total}")
-    if injection.sigma_mag >= gamma_total:
-        raise ThresholdError(
-            f"at/above threshold: sigma={injection.sigma_mag} >= Gamma={gamma_total}")
+def _pair_moments(rates: CavityRates, injection: Injection, delta_s=0.0, delta_i=0.0,
+                  anomalous: bool = True):
+    """(x, n_s, m_si e^(-i phi_sigma), V_sq) at detunings delta_s, delta_i [rad/s].
 
-
-def _pair_denominator(gamma_total: float, s2: float, detunings: Detunings) -> float:
-    """Common denominator of n_s and m_si, xi - 2 sigma^2 Gamma^2.
-
-    Formed this way it cancels near threshold: at zero detuning it equals
-    (Gamma^2 - sigma^2)^2, which falls below the rounding error eps Gamma^4
-    within about 1e-8 of threshold. Raises ThresholdError where it rounds to
-    zero or below.
+    The closed forms of the module docstring, in units of Gamma; the
+    detunings may be floats or broadcastable arrays. m_si is None unless
+    ``anomalous``: its complex arithmetic would double the cost of the jsi.
+    Raises ThresholdError at sigma_n >= 1.
     """
-    ds, di = detunings.delta_s, detunings.delta_i
-    xi = (4 * di * ds - s2) ** 2 + 4 * gamma_total**2 * (di**2 + ds**2) + gamma_total**4
-    denominator = xi - 2 * s2 * gamma_total**2
-    if not denominator > 0:
-        raise ThresholdError(f"within rounding of threshold: sigma^2={s2}, Gamma={gamma_total}")
-    return denominator
+    s = injection.sigma_n
+    if s >= 1:
+        raise ThresholdError(f"at/above threshold: sigma_n = {s!r} >= 1")
+    gamma_total = rates.gamma_total
+    x = rates.kappa / gamma_total
+    u, v = delta_s / gamma_total, delta_i / gamma_total
+    uv = 4 * u * v
+    # u - v taken in Hz: from the rounded u and v it loses up to 1e-13 near threshold.
+    # Squares as products: a float ** that overflows raises.
+    near, apart = uv + (1 - s) * (1 + s), (delta_s - delta_i) / gamma_total
+    denominator = near * near + 4 * apart * apart
+    m_si = -2 * x * s * (uv - 1 - s * s - 2j * (u + v)) / denominator if anomalous else None
+    v_squeezed = ((1 - s) ** 2 + 4 * s * (rates.gamma / gamma_total)) / (1 + s) ** 2
+    return x, 4 * s * s * x / denominator, m_si, v_squeezed
 
 
 def photon_flux(rates: CavityRates, injection: Injection,
                 detunings: Detunings = ZERO_DETUNING) -> float:
     """Output signal photon-flux spectral density n_s [Hz]."""
-    _guard_below_threshold(rates, injection)
-    kappa, gamma_total = rates.kappa, rates.gamma_total
-    s2 = injection.sigma_mag**2
-    return 4 * s2 * kappa * gamma_total / _pair_denominator(gamma_total, s2, detunings)
+    return _pair_moments(rates, injection, detunings.delta_s, detunings.delta_i)[1]
 
 
 def anomalous_moment(rates: CavityRates, injection: Injection,
                      detunings: Detunings = ZERO_DETUNING) -> complex:
     """Anomalous pair moment <b_i b_s> (complex spectral density).
 
-    At zero detuning this is real positive for a real drive:
-    2*kappa*sigma*(Gamma^2 + sigma^2)/(Gamma^2 - sigma^2)^2.
+    At zero detuning this is 2 x s (1 + s^2)/((1 - s)(1 + s))^2 e^(i phi_sigma).
     """
-    _guard_below_threshold(rates, injection)
-    kappa, gamma_total = rates.kappa, rates.gamma_total
-    sigma = injection.sigma
-    s2 = injection.sigma_mag**2
-    ds, di = detunings.delta_s, detunings.delta_i
-    num = -2 * kappa * sigma * (4 * di * ds - 2j * gamma_total * (di + ds) - gamma_total**2 - s2)
-    return num / _pair_denominator(gamma_total, s2, detunings)
+    m_si = _pair_moments(rates, injection, detunings.delta_s, detunings.delta_i)[2]
+    return m_si * cmath.exp(1j * injection.phi_sigma)
 
 
 def jsi(rates: CavityRates, injection: Injection, delta_ws, delta_wi):
-    """Joint spectral intensity over paired frequency offsets.
+    """Joint spectral intensity over paired frequency offsets [rad/s].
 
-    Phi(dw_s, dw_i) = [16 k^2 s^4 G^2 + 4 k^2 s^2 (Lam + (G^2+s^2)^2)]
-                      / (Lam + (G^2-s^2)^2)^2
-    Lam = 16 dw_s^2 dw_i^2 + 8 dw_s dw_i s^2 + 4 G^2 (dw_s^2 + dw_i^2)
-
-    Accepts scalars or broadcastable arrays for the offsets. Identical to
-    n_s^2 + |m_si|^2 at detunings (+dw_s, -dw_i).
+    Phi(dw_s, dw_i) = n_s^2 + |m_si|^2 = n_s (x + 2 n_s) at detunings
+    (+dw_s, -dw_i). Accepts scalars or broadcastable arrays for the offsets.
     """
-    _guard_below_threshold(rates, injection)
-    kappa, gamma_total = rates.kappa, rates.gamma_total
-    s2 = injection.sigma_mag**2
-    dws = np.asarray(delta_ws, dtype=float)
-    dwi = np.asarray(delta_wi, dtype=float)
-    lam = 16 * dws**2 * dwi**2 + 8 * dws * dwi * s2 + 4 * gamma_total**2 * (dws**2 + dwi**2)
-    num = 16 * kappa**2 * s2**2 * gamma_total**2 + 4 * kappa**2 * s2 * (lam + (gamma_total**2 + s2) ** 2)
-    value = num / (lam + (gamma_total**2 - s2) ** 2) ** 2
+    x, n_s, _, _ = _pair_moments(rates, injection, np.asarray(delta_ws, dtype=float),
+                                 -np.asarray(delta_wi, dtype=float), anomalous=False)
+    value = n_s * (x + 2 * n_s)
     return float(value) if value.ndim == 0 else value
 
 
@@ -136,20 +125,12 @@ def quadrature_variance(rates: CavityRates, injection: Injection, phi_lo):
     anti-squeezing at phi_lo = 0 for a real positive drive. Accepts a scalar
     or an array of phases.
 
-    Evaluated through the equivalent grouping V = V_sq + 4*m_si*cos^2(phi_lo)
-    with V_sq = 1 - 4*kappa*sigma/(Gamma+sigma)^2, which stays accurate when
-    n_s and m_si are large and nearly cancel near threshold.
+    Evaluated as V = V_sq + 4 |m_si| cos^2(phi_lo + phi_sigma/2), a sum of
+    non-negative terms, which stays accurate where n_s and m_si are large.
     """
-    _guard_below_threshold(rates, injection)
-    gamma_total = rates.gamma_total
-    sigma = injection.sigma_mag
-    v_squeezed = 1.0 - 4.0 * rates.kappa * sigma / (gamma_total + sigma) ** 2
-    m_si = anomalous_moment(rates, injection)
-    # m_si e^(2i phi) averaged with its conjugate pair: 2 Re(m e^(2i phi));
-    # for the drive phase rotated into m_si the grouping below is exact.
-    rotated = (m_si * np.exp(2j * np.asarray(phi_lo, dtype=float))).real
-    aligned = abs(m_si)
-    value = v_squeezed + 2.0 * (aligned + rotated)
+    _, _, m_si, v_squeezed = _pair_moments(rates, injection)
+    phase = np.asarray(phi_lo, dtype=float) + injection.phi_sigma / 2
+    value = v_squeezed + 4.0 * m_si.real * np.cos(phase) ** 2
     return float(value) if value.ndim == 0 else value
 
 
@@ -157,11 +138,10 @@ def variance_extrema(rates: CavityRates, injection: Injection) -> tuple[float, f
     """(V_squeezed, V_antisqueezed) quadrature variances.
 
     Equal by construction to the general variance at phi_lo = pi/2 and 0;
-    algebraically V_sq = 1 - 4*kappa*sigma/(Gamma+sigma)^2 and
-    V_anti = 1 + 4*kappa*sigma/(Gamma-sigma)^2 (this corrected pairing of
-    the denominators is the one consistent with the moment solve and with
-    the reported decibel values; the commonly printed forms have the two
-    denominators interchanged).
+    algebraically V_sq = 1 - 4 x s/(1 + s)^2 and V_anti = 1 + 4 x s/(1 - s)^2
+    (this corrected pairing of the denominators is the one consistent with
+    the moment solve and with the reported decibel values; the commonly
+    printed forms have the two denominators interchanged).
     """
     return (quadrature_variance(rates, injection, math.pi / 2),
             quadrature_variance(rates, injection, 0.0))

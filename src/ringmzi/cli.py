@@ -169,13 +169,6 @@ class ResultTable:
             data = (data,)
         self.blocks = data
 
-    @property
-    def rows(self) -> list[list]:
-        """The table row by row (Python floats and strings; formatted cells are read back)."""
-        return [list(row) for block in self.blocks for row in zip(*(
-            [float(bytes(cell).replace(b"\0", b"")) for cell in c] if c.ndim == 2 else c.tolist()
-            for c in block))]
-
 
 def _parse_lines(text: str) -> list[tuple[int, str, str]]:
     entries = []
@@ -314,7 +307,7 @@ def _resolve_drive(cfg: RunConfig, rates: CavityRates, gain: float):
         injection = sigma_from_power(cfg.p_l, rates, gain, omega_p, cfg.delta_p)
         pump_power = cfg.p_l
     else:
-        injection = Injection.from_sigma_n(cfg.sigma_n, rates)
+        injection = Injection(cfg.sigma_n)
         pump_power = cfg.sigma_n * threshold_power(rates, gain, omega_p, cfg.delta_p)
     alpha_c = cfg.alpha_c
     if alpha_c is None:
@@ -328,12 +321,40 @@ def _flags(size: int, threshold=False, domain=False, pole=False) -> np.ndarray:
     return np.broadcast_to(flags, size)
 
 
+# The keys the rates, then the four-wave-mixing strength, are derived from.
+_RATE_KEYS = ("geometry.ring_length", "geometry.n_eff", "geometry.cross_coupling",
+              "geometry.alpha_loss")
+_GAIN_KEYS = ("geometry.ring_length", "geometry.n_g", "geometry.n2", "geometry.a_eff",
+              "geometry.lambda_p")
+
+
+def _derive(cfg: RunConfig) -> tuple[CavityRates, float]:
+    """(rates, gain) of the geometry, once the rates, g, gamma_nl and P_th are checked
+    finite: a value that overflows is a ConfigError naming the keys it comes from."""
+    def fail(problem: str, keys) -> ConfigError:
+        return ConfigError(f"{problem} (from {', '.join(keys)})")
+
+    try:
+        rates = derive_rates(cfg.geometry)
+    except DomainError as exc:  # a rate is not finite
+        raise fail(str(exc), _RATE_KEYS) from exc
+    strength = fwm_gain(cfg.geometry)
+    if not math.isfinite(strength.gain + strength.gamma_nl):
+        raise fail(f"g = {strength.gain!r} and gamma_nl = {strength.gamma_nl!r} must be finite",
+                   _GAIN_KEYS)
+    if strength.gain > 0 and rates.kappa > 0:  # else there is no threshold: the commands say so
+        p_th = threshold_power(rates, strength.gain, cfg.geometry.pump_frequency(), cfg.delta_p)
+        if not 0 < p_th < math.inf:
+            raise fail(f"p_th = {p_th!r} must be positive and finite",
+                       _RATE_KEYS + _GAIN_KEYS[1:] + ("pump.delta_p",))
+    return rates, strength.gain
+
+
 def run_command(cfg: RunConfig) -> ResultTable:
     """Evaluate one command; per-point physics errors become flagged rows."""
     if cfg.command not in COMMANDS:
         raise ConfigError(f"unknown command {cfg.command!r}")
-    rates = derive_rates(cfg.geometry)
-    gain = fwm_gain(cfg.geometry).gain
+    rates, gain = _derive(cfg)
     meta = {"tool_version": __version__, "config_sha256": cfg.config_sha256()}
     builder = {
         "rates": _run_rates,
@@ -367,17 +388,16 @@ def _run_squeezing(cfg: RunConfig, rates: CavityRates, gain: float):
     except ThresholdError:  # the injection, and so the flag, is fixed per table
         infinite = np.full(phi_lo.size, math.inf)
         return columns, [phi_lo, infinite, infinite, _flags(phi_lo.size, threshold=True)]
-    # A variance rounded to 0 (a lossless ring near threshold) has no dB value.
-    domain = ~(variance > 0)
-    variance = np.where(domain, math.inf, variance)
-    return columns, [phi_lo, variance, to_db(variance), _flags(phi_lo.size, domain=domain)]
+    return columns, [phi_lo, variance, to_db(variance), _flags(phi_lo.size)]
 
 
 def _run_jsi(cfg: RunConfig, rates: CavityRates, gain: float):
     injection, _, _ = _resolve_drive(cfg, rates, gain)
-    if injection.sigma_mag >= rates.gamma_total:  # before any row, as rows are computed lazily
+    if injection.sigma_n >= 1:  # before any row, as rows are computed lazily
         raise ConfigError(f"jsi needs a drive below threshold, got sigma_n = {injection.sigma_n!r}")
     span = cfg.jsi_span if cfg.jsi_span is not None else 3.0 * rates.gamma_total
+    if not math.isfinite(span / rates.gamma_total):
+        raise ConfigError(f"jsi.span = {span!r} is more than 1e308 Gamma = {rates.gamma_total!r}")
     axis = np.linspace(-span, span, cfg.jsi_points)
     cells = _format_e17(axis)  # each axis value formatted once
     per = max(1, _WRITE_BLOCK_ROWS // axis.size)  # signal rows per block
@@ -455,8 +475,7 @@ def _run_improvement(cfg: RunConfig, rates: CavityRates, gain: float):
     injection, alpha_c, _ = _resolve_drive(cfg, ring, gain)
     lengths = cfg.sweep.grid()
     columns = ["sensor_length", "eta", "improvement", "flag"]
-    # efficiency (math.exp) per row, as RunConfig.eta_value: np.exp differs in the last bit.
-    eta = np.array([efficiency(cfg.sensor_alpha_loss, length) for length in lengths.tolist()])
+    eta = efficiency(cfg.sensor_alpha_loss, lengths)
     if alpha_c <= 0:
         raise DomainError(f"the improvement needs a probe, alpha_c > 0, got {alpha_c}")
     try:

@@ -17,9 +17,10 @@ Gaussian moments are, in closed form,
     Var ID  = eta^2 [cos^2(phi) (a^2 + N(N+2) + M^2) + sin^2(phi) (2 a^2 V_min + N)]
               + eta (1 - eta) (a^2 + N)
 
-with V_min = 1 + N - M = 1 - 4 kappa sigma/(Gamma + sigma)^2 the squeezed
-quadrature variance. The minimum detectable phase is
-dphi = sqrt(Var ID)/|d<ID>/dphi|, and eta (a^2 + N) photons are detected.
+with V_min = 1 + N - M = V_sq the squeezed quadrature variance; N, M and
+V_sq are evaluated in units of Gamma by ringmzi.cavity_io. The minimum
+detectable phase is dphi = sqrt(Var ID)/|d<ID>/dphi|, and eta (a^2 + N)
+photons are detected.
 The tests hold these against the 2x2 Gaussian-moment pipeline of
 tests/mzi_oracle.py.
 """
@@ -30,7 +31,8 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, ThresholdError
+from .cavity_io import _pair_moments
+from .errors import DomainError
 from .params import CavityRates, Injection
 
 _PHYSICALITY_SLACK = 1e-9
@@ -47,40 +49,20 @@ def _check_pair_port(n: float, m: float) -> None:
         raise DomainError(f"pair port is not finite or violates physicality: N={n!r}, M={m!r}")
 
 
-def _pair_port(rates: CavityRates, injection: Injection) -> tuple[float, float]:
-    """(N, M) = (2 n_s, 2 m_si) of the pair port at zero detuning.
-
-    Formed over ((Gamma - sigma)(Gamma + sigma))^2, which does not cancel
-    near threshold. Raises ThresholdError at or above threshold, and
-    DomainError where N and M are not finite or _check_pair_port rejects them.
-    """
-    kappa, gamma_total = rates.kappa, rates.gamma_total
-    sigma = injection.sigma_mag
-    if sigma >= gamma_total:
-        raise ThresholdError(f"at/above threshold: sigma={sigma} >= Gamma={gamma_total}")
-    square = ((gamma_total - sigma) * (gamma_total + sigma)) ** 2
-    if square == 0:  # only where it underflows: rates below about 1e-69 Hz
-        raise DomainError(f"pair moments not finite: ((Gamma - sigma)(Gamma + sigma))^2 "
-                          f"underflows to 0 at Gamma={gamma_total!r}")
-    n = 8 * sigma**2 * kappa * gamma_total / square
-    m = 4 * kappa * sigma * (gamma_total**2 + sigma**2) / square
-    _check_pair_port(n, m)
-    return n, m
-
-
 def mzi_sensitivity(alpha_c, phi, eta, rates: CavityRates, injection: Injection):
     """Squeezed-port sensitivity of the lossy MZI over broadcast alpha_c, phi, eta.
 
     Returns arrays (dphi_squeezed, detected_photons, pole) of the broadcast
     shape: dphi = sqrt(Var ID)/(eta |(a^2 - N) sin phi|) from the closed form of
     the module docstring, the detected photons eta (a^2 + N), and the pole mask
-    |(a^2 - N) sin phi| <= POLE_TOLERANCE (a^2 + N), where dphi is inf. N and M
-    come from _pair_port, and its errors hold for every point alike.
+    |(a^2 - N) sin phi| <= POLE_TOLERANCE (a^2 + N), where dphi is inf. N, M and
+    V_min are those of cavity_io at zero detuning, M for a drive phase aligned
+    with the readout; ThresholdError at sigma_n >= 1 and the DomainError of
+    _check_pair_port hold for every point alike.
     """
-    n, m = _pair_port(rates, injection)
-    kappa, gamma_total = rates.kappa, rates.gamma_total
-    sigma = injection.sigma_mag
-    v_min = 1.0 - 4.0 * kappa * sigma / (gamma_total + sigma) ** 2
+    _, n_s, m_si, v_min = _pair_moments(rates, injection)
+    n, m = 2 * n_s, 2 * m_si.real
+    _check_pair_port(n, m)
     alpha_c, phi, eta = np.broadcast_arrays(*(np.asarray(x, dtype=float)
                                              for x in (alpha_c, phi, eta)))
     a2 = alpha_c * alpha_c
@@ -126,7 +108,7 @@ def pole_coherent_amplitude(rates: CavityRates, injection: Injection) -> float:
     """Coherent amplitude at which the squeezed sensitivity diverges.
 
     The pole sits where the coherent flux matches the total squeezed flux:
-    alpha_c^2 = N = 2 n_s, with N from _pair_port as mzi_sensitivity takes it,
-    so that mzi_sensitivity flags this amplitude a pole at phi = pi/2.
+    alpha_c^2 = N = 2 n_s, with n_s as mzi_sensitivity takes it, so that
+    mzi_sensitivity flags this amplitude a pole at phi = pi/2.
     """
-    return math.sqrt(_pair_port(rates, injection)[0])
+    return math.sqrt(2 * _pair_moments(rates, injection)[1])

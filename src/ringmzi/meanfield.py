@@ -109,15 +109,15 @@ def lin_steady_state(rates: CavityRates, sigma) -> MomentState:
     return MomentState(n_s=mag2 / denom, n_i=mag2 / denom, m_si=sigma * gamma_total / denom)
 
 
-def drive_for_sigma(rates: CavityRates, gain: float, sigma_mag):
+def drive_for_sigma(rates: CavityRates, gain: float, sigma):
     """Waveguide drive amplitude |alpha_l| producing a given on-resonance sigma.
 
-    Inverts sigma = 8*g*kappa*|alpha_l|^2/Gamma^2 [sqrt(Hz)]; sigma_mag may be
-    an array.
+    Inverts sigma = 8*g*kappa*|alpha_l|^2/Gamma^2 [sqrt(Hz)]; sigma may be an
+    array.
     """
     if gain <= 0 or rates.kappa <= 0:
         raise DomainError("gain and kappa must be positive")
-    return np.sqrt(sigma_mag * rates.gamma_total**2 / (8.0 * gain * rates.kappa))
+    return np.sqrt(sigma * rates.gamma_total**2 / (8.0 * gain * rates.kappa))
 
 
 def _bisect(excess, lo, hi, midpoint):

@@ -10,16 +10,17 @@ the rest of the toolkit:
     g       = hbar·omega_p^2·v_g^2·n2 / (c·A_eff·L)   four-wave-mixing gain
     sigma   = 2·g·alpha_p^2                    injection parameter
 
-The oscillation threshold sits at sigma = Gamma = kappa + gamma; the
-corresponding waveguide pump power is P_th = Gamma^3·hbar·omega_p/(8·g·kappa)
-on resonance.
+The oscillation threshold sits at sigma = Gamma = kappa + gamma, that is at
+sigma_n = sigma/Gamma = 1; the corresponding waveguide pump power is
+P_th = Gamma^3·hbar·omega_p/(8·g·kappa) on resonance.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .constants import C_VACUUM, HBAR
 from .errors import DomainError
@@ -153,44 +154,19 @@ class FwmStrength:
 
 @dataclass(frozen=True)
 class Injection:
-    """Pair-generation drive sigma = 2*g*alpha_p^2 and its threshold.
+    """Pair-generation drive sigma = 2*g*alpha_p^2 as a fraction of threshold.
 
-    sigma_th equals the total cavity decay rate Gamma; the normalized
-    injection sigma_n = sigma_mag/sigma_th is 1 exactly at threshold.
-    phi_sigma is the drive phase; it defaults to zero.
+    sigma_n = |sigma|/Gamma is 1 exactly at threshold; phi_sigma is the drive
+    phase, zero by default.
     """
 
-    sigma_mag: float
-    sigma_th: float
+    sigma_n: float
     phi_sigma: float = 0.0
 
     def __post_init__(self) -> None:
         require_finite(self)
-        if self.sigma_mag < 0:
-            raise DomainError(f"sigma_mag must be non-negative, got {self.sigma_mag}")
-        if self.sigma_th < 0:
-            raise DomainError(f"sigma_th must be non-negative, got {self.sigma_th}")
-
-    @property
-    def sigma_n(self) -> float:
-        """Normalized injection sigma/sigma_th (inf for an undamped cavity)."""
-        if self.sigma_th == 0:
-            return math.inf if self.sigma_mag > 0 else 0.0
-        return self.sigma_mag / self.sigma_th
-
-    @property
-    def sigma(self) -> complex:
-        """Complex injection sigma_mag * exp(i*phi_sigma)."""
-        return self.sigma_mag * cmath.exp(1j * self.phi_sigma)
-
-    @classmethod
-    def from_sigma_n(cls, sigma_n: float, rates: CavityRates,
-                     phi_sigma: float = 0.0) -> "Injection":
-        """Build an injection at a given fraction of threshold."""
-        if sigma_n < 0:
-            raise DomainError(f"sigma_n must be non-negative, got {sigma_n}")
-        gamma_total = rates.gamma_total
-        return cls(sigma_mag=sigma_n * gamma_total, sigma_th=gamma_total, phi_sigma=phi_sigma)
+        if self.sigma_n < 0:
+            raise DomainError(f"sigma_n must be non-negative, got {self.sigma_n}")
 
 
 def derive_rates(geom: RingGeometry) -> CavityRates:
@@ -210,21 +186,25 @@ def derive_rates(geom: RingGeometry) -> CavityRates:
     )
 
 
-def efficiency(alpha_loss: float, length: float) -> float:
-    """Power transmission efficiency eta = e^(-alpha_loss*length).
+def efficiency(alpha_loss: float, length):
+    """Power transmission efficiency eta = e^(-alpha_loss*length), scalar or array.
 
     Parameters
     ----------
     alpha_loss : float
         Propagation loss [1/m].
-    length : float
+    length : float or array
         Propagation length [m].
+
+    math.exp per element: np.exp differs from it in the last bit on some inputs.
     """
     if alpha_loss < 0:
         raise DomainError(f"alpha_loss must be non-negative, got {alpha_loss}")
-    if length < 0:
+    length = np.asarray(length, dtype=float)
+    if np.any(length < 0):
         raise DomainError(f"length must be non-negative, got {length}")
-    return math.exp(-alpha_loss * length)
+    eta = np.vectorize(math.exp, otypes=[float])(-alpha_loss * length)
+    return float(eta) if eta.ndim == 0 else eta
 
 
 def fwm_gain(geom: RingGeometry) -> FwmStrength:
@@ -241,7 +221,7 @@ def fwm_gain(geom: RingGeometry) -> FwmStrength:
 
 
 def threshold_power(rates: CavityRates, gain: float, omega_p: float, delta_p: float = 0.0) -> float:
-    """Waveguide pump power at the oscillation threshold [W].
+    """Waveguide pump power at the oscillation threshold [W]; inf or nan where it overflows.
 
     P_th = Gamma·hbar·omega_p·|Gamma/2 - i*delta_p|^2 / (2·g·kappa); on
     resonance this reduces to Gamma^3·hbar·omega_p/(8·g·kappa).
@@ -250,26 +230,19 @@ def threshold_power(rates: CavityRates, gain: float, omega_p: float, delta_p: fl
         raise DomainError(f"gain must be positive for a threshold to exist, got {gain}")
     if rates.kappa <= 0:
         raise DomainError(f"kappa must be positive for a threshold to exist, got {rates.kappa}")
-    gamma_total = rates.gamma_total
-    lorentz = (gamma_total / 2.0) ** 2 + delta_p**2
-    return gamma_total * HBAR * omega_p * lorentz / (2.0 * gain * rates.kappa)
+    half = rates.gamma_total / 2.0
+    lorentz = half * half + delta_p * delta_p
+    return rates.gamma_total * HBAR * omega_p * lorentz / (2.0 * gain * rates.kappa)
 
 
 def sigma_from_power(power: float, rates: CavityRates, gain: float, omega_p: float,
                      delta_p: float = 0.0) -> Injection:
     """Injection produced by a waveguide pump power.
 
-    sigma = [2·g·kappa/(Gamma/2 - i*delta_p)^2]·P/(hbar·omega_p); on resonance
-    sigma_n = P/P_th exactly.
+    sigma = [2·g·kappa/(Gamma/2 - i*delta_p)^2]·P/(hbar·omega_p), so that
+    sigma_n = P/P_th at any delta_p, and phi_sigma = 2 atan2(delta_p, Gamma/2).
     """
-    if gain <= 0:
-        raise DomainError(f"gain must be positive, got {gain}")
-    if rates.kappa <= 0:
-        raise DomainError(f"kappa must be positive, got {rates.kappa}")
     if power < 0:
         raise DomainError(f"power must be non-negative, got {power}")
-    gamma_total = rates.gamma_total
-    denom = (gamma_total / 2.0 - 1j * delta_p) ** 2
-    sigma = 2.0 * gain * rates.kappa * power / (HBAR * omega_p) / denom
-    return Injection(sigma_mag=abs(sigma), sigma_th=gamma_total,
-                     phi_sigma=cmath.phase(sigma) if sigma != 0 else 0.0)
+    return Injection(sigma_n=power / threshold_power(rates, gain, omega_p, delta_p),
+                     phi_sigma=2.0 * math.atan2(delta_p, rates.gamma_total / 2.0))

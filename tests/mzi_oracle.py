@@ -6,16 +6,17 @@ intensity_difference_stats), with the phase slope carried analytically
 through the signal map, and the generic Gaussian moment expander behind the
 central-form statistics. This pipeline is the physics reference the closed
 form of ringmzi.interferometer is held against. Beside it, the closed form
-on Python floats, grouped as ringmzi groups it, and the sensitivity, pole
-and improvement tables assembled from it row by row, each row's flag taken
-from the exception its point raised; the tests require these tables to
-equal ringmzi's array tables cell for cell.
+on Python floats, grouped as ringmzi groups it and fed the pair port of
+ringmzi.cavity_io, and the sensitivity, pole and improvement tables
+assembled from it row by row, each row's flag taken from the exception its
+point raised; the tests require these tables to equal ringmzi's array
+tables cell for cell.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -55,21 +56,6 @@ def pair_port(rates, injection, mean: complex = 0.0) -> PairPort:
     """The ring's pair field at zero detuning, n = 2 n_s and m = 2 m_si, from ringmzi.cavity_io."""
     return PairPort(n=2.0 * photon_flux(rates, injection),
                     m=2.0 * anomalous_moment(rates, injection), mean=mean)
-
-
-def closed_port(rates, injection) -> PairPort:
-    """The same pair field formed as the closed form forms it, n = 2 n_s and m = 2 |m_si|
-    over ((Gamma - sigma)(Gamma + sigma))^2; ThresholdError at or above threshold, and
-    DomainError where that square underflows to 0."""
-    kappa, gamma_total = rates.kappa, rates.gamma_total
-    sigma = injection.sigma_mag
-    if sigma >= gamma_total:
-        raise ThresholdError(f"at/above threshold: sigma={sigma} >= Gamma={gamma_total}")
-    square = ((gamma_total - sigma) * (gamma_total + sigma)) ** 2
-    if square == 0:
-        raise DomainError(f"((Gamma - sigma)(Gamma + sigma))^2 underflows at Gamma={gamma_total!r}")
-    return PairPort(n=8 * sigma**2 * kappa * gamma_total / square,
-                    m=4 * kappa * sigma * (gamma_total**2 + sigma**2) / square)
 
 
 @dataclass(frozen=True)
@@ -267,14 +253,16 @@ def closed_form(point: Point, rates, injection) -> tuple[float, float, bool]:
     """(dphi, detected photons, pole) of the closed form on Python floats.
 
     Every operation is grouped as ringmzi.interferometer groups it, so the
-    two round alike; dphi is inf on a pole. Raises ThresholdError at or above
-    threshold and DomainError where the pair port is unphysical.
+    two round alike: the pair port is that of a drive phase aligned with the
+    readout, and V_min = V_sq as ringmzi.cavity_io forms it. dphi is inf on a
+    pole. Raises ThresholdError at or above threshold and DomainError where
+    the pair port is unphysical.
     """
-    port = closed_port(rates, injection)
+    port = pair_port(rates, replace(injection, phi_sigma=0.0))
     mzi_input_state(0.0, port)  # validates the port
-    n, m = port.n, port.m
-    kappa, gamma_total, sigma = rates.kappa, rates.gamma_total, injection.sigma_mag
-    v_min = 1.0 - 4.0 * kappa * sigma / (gamma_total + sigma) ** 2
+    n, m = port.n, port.m.real
+    s = injection.sigma_n
+    v_min = ((1 - s) ** 2 + 4 * s * (rates.gamma / rates.gamma_total)) / (1 + s) ** 2
     eta, a2 = point.eta, point.alpha_c * point.alpha_c
     cosine, sine = float(np.cos(point.phi)), float(np.sin(point.phi))
     var_id = (eta * eta * (cosine * cosine * (a2 + n * (n + 2) + m * m)

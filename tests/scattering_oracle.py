@@ -13,6 +13,7 @@ this solve.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -43,7 +44,7 @@ def drift_matrix(rates: CavityRates, injection: Injection,
     anti-diagonal sigma/2 entries couple a_s to a_i^+ and a_i to a_s^+.
     """
     gamma = rates.gamma
-    sigma = injection.sigma
+    sigma = injection.sigma_n * rates.gamma_total * cmath.exp(1j * injection.phi_sigma)
     ds, di = detunings.delta_s, detunings.delta_i
     return np.array(
         [

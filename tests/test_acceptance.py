@@ -31,7 +31,7 @@ def report(criterion: str, passed: bool, detail: str) -> None:
 
 
 def inj(rates, sigma_n):
-    return Injection.from_sigma_n(sigma_n, rates)
+    return Injection(sigma_n)
 
 
 def squeezed(alpha_c, eta, rates, injection):

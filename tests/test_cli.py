@@ -5,12 +5,15 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import exact_moments
 import mzi_oracle as oracle
+from tables import rows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from ringmzi import (REFERENCE_GEOMETRY, CavityRates, Injection, decay_ratio, derive_rates,
@@ -109,7 +112,7 @@ class TestParseConfig:
 class TestCommands:
     def test_rates_row(self):
         table = run("rates")
-        row = dict(zip(table.columns, table.rows[0]))
+        row = dict(zip(table.columns, rows(table)[0]))
         assert row["kappa"] == pytest.approx(1208e6, rel=0.01)
         assert row["gamma"] == pytest.approx(38.3e6, rel=0.01)
         assert row["gamma_total"] == pytest.approx(row["kappa"] + row["gamma"], rel=1e-15)
@@ -118,25 +121,25 @@ class TestCommands:
 
     def test_squeezing_minimum(self):
         table = run("squeezing", "pump.sigma_n = 0.95\nsweep.points = 91")
-        db = [row[2] for row in table.rows]
+        db = [row[2] for row in rows(table)]
         assert min(db) == pytest.approx(-15.0, abs=0.2)
 
     def test_squeezing_above_threshold_flags(self):
         table = run("squeezing", "pump.sigma_n = 1.2\nsweep.points = 5")
-        assert all(row[3] == "threshold" for row in table.rows)
-        assert all(math.isinf(row[1]) for row in table.rows)
+        assert all(row[3] == "threshold" for row in rows(table))
+        assert all(math.isinf(row[1]) for row in rows(table))
 
     def test_jsi_grid(self):
         table = run("jsi", "jsi.points = 5\npump.sigma_n = 0.995")
         assert table.columns == ["delta_ws", "delta_wi", "value"]
-        assert len(table.rows) == 25
-        center = max(table.rows, key=lambda row: row[2])
+        assert len(rows(table)) == 25
+        center = max(rows(table), key=lambda row: row[2])
         assert center[0] == center[1] == 0.0
         assert center[2] == pytest.approx(2.98e9, rel=0.02)
 
     def test_meanfield_curve(self):
         table = run("meanfield", "sweep.start = 0.4\nsweep.stop = 0.8\nsweep.points = 2")
-        for row in table.rows:
+        for row in rows(table):
             record = dict(zip(table.columns, row))
             assert record["ns_lin"] == pytest.approx(record["ns_mf"], rel=0.01)
             assert record["flag"] == ""
@@ -144,18 +147,18 @@ class TestCommands:
     def test_meanfield_row_at_threshold_is_flagged(self):
         """Row 18 of the default grid is 1 - 2.2e-16 after linspace rounding: at threshold."""
         table = run("meanfield")
-        row = dict(zip(table.columns, table.rows[18]))
+        row = dict(zip(table.columns, rows(table)[18]))
         assert row["sigma_n"] == 0.99999999999999978
         assert row["flag"] == "threshold"
         assert math.isinf(row["ns_lin"])
         assert math.isfinite(row["ns_mf"]) and row["ns_mf"] > 0
-        flags = [r[-1] for r in table.rows]
+        flags = [r[-1] for r in rows(table)]
         assert flags == [""] * 18 + ["threshold"] * 4
 
     def test_sensitivity_power_sweep_ordering(self):
         text = "sweep.start = 1e-3\nsweep.stop = 1e-1\nsweep.points = 3\npump.p_l = 14.12e-3"
         table = run("sensitivity", text)
-        last = dict(zip(table.columns, table.rows[-1]))
+        last = dict(zip(table.columns, rows(table)[-1]))
         assert last["flag"] == ""
         assert last["dphi_squeezed"] < last["dphi_snl"] < last["dphi_coherent"]
 
@@ -164,8 +167,8 @@ class TestCommands:
         text = ("sweep.start = 1e-6\nsweep.stop = 1e-1\nsweep.points = 2\n"
                 "pump.p_l = 14.12e-3")
         table = run("sensitivity", text)
-        weak = dict(zip(table.columns, table.rows[0]))
-        strong = dict(zip(table.columns, table.rows[-1]))
+        weak = dict(zip(table.columns, rows(table)[0]))
+        strong = dict(zip(table.columns, rows(table)[-1]))
         assert weak["dphi_squeezed"] > weak["dphi_snl"]
         assert strong["dphi_squeezed"] < strong["dphi_snl"]
 
@@ -173,25 +176,24 @@ class TestCommands:
         text = ("sweep.variable = phi\nsweep.start = 0\n"
                 f"sweep.stop = {math.pi}\nsweep.points = 5\nsweep.scale = linear")
         table = run("sensitivity", text)
-        flags = [row[-1] for row in table.rows]
+        flags = [row[-1] for row in rows(table)]
         assert flags[0] == "pole" and flags[-1] == "pole"
         assert flags[2] == ""
 
     def test_pole_sweep_flags_exact_pole(self):
-        from ringmzi import Injection, derive_rates, pole_coherent_amplitude
         rates = derive_rates(REFERENCE_GEOMETRY)
-        pole = pole_coherent_amplitude(rates, Injection.from_sigma_n(0.99895, rates))
+        pole = pole_coherent_amplitude(rates, Injection(0.99895))
         text = (f"sweep.start = {pole / 2}\nsweep.stop = {pole * 2}\n"
                 "sweep.points = 3\nsweep.scale = log")
         table = run("pole", text)
-        assert table.rows[1][0] == pytest.approx(pole, rel=1e-9)
-        assert table.rows[1][2] == "pole"
-        assert math.isinf(table.rows[1][1])
+        assert rows(table)[1][0] == pytest.approx(pole, rel=1e-9)
+        assert rows(table)[1][2] == "pole"
+        assert math.isinf(rows(table)[1][1])
 
     def test_improvement_reaches_unity(self):
         table = run("improvement", "sweep.start = 1e-3\nsweep.stop = 40\nsweep.points = 9")
-        first = dict(zip(table.columns, table.rows[0]))
-        last = dict(zip(table.columns, table.rows[-1]))
+        first = dict(zip(table.columns, rows(table)[0]))
+        last = dict(zip(table.columns, rows(table)[-1]))
         assert first["improvement"] > 3.0
         assert last["improvement"] == pytest.approx(1.0, abs=0.05)
 
@@ -199,10 +201,10 @@ class TestCommands:
         base = run("improvement", "sweep.start = 1e-3\nsweep.stop = 1e-2\nsweep.points = 2")
         strong = run("improvement", "improvement.decay_ratio = 1000\n"
                                     "sweep.start = 1e-3\nsweep.stop = 1e-2\nsweep.points = 2")
-        assert strong.rows[0][2] > base.rows[0][2]
+        assert rows(strong)[0][2] > rows(base)[0][2]
         lossless = run("improvement", "improvement.decay_ratio = inf\n"
                                       "sweep.start = 1e-3\nsweep.stop = 1e-2\nsweep.points = 2")
-        assert lossless.rows[0][2] > strong.rows[0][2]
+        assert rows(lossless)[0][2] > rows(strong)[0][2]
 
 
 class TestPhaseSweep:
@@ -215,37 +217,37 @@ class TestPhaseSweep:
 
     def test_coherent_minimum_at_half_pi(self):
         table = self.sweep(0.2, math.pi - 0.2, 101, "pump.alpha_c = 1e4")
-        best = min(table.rows, key=lambda row: row[2])
-        step = table.rows[1][0] - table.rows[0][0]
+        best = min(rows(table), key=lambda row: row[2])
+        step = rows(table)[1][0] - rows(table)[0][0]
         assert best[0] == pytest.approx(math.pi / 2, abs=step)
 
     def test_symmetry_about_pi(self):
         left = self.sweep(math.pi - 0.3, math.pi - 1.2, 7, "pump.sigma_n = 0.9")
         right = self.sweep(math.pi + 0.3, math.pi + 1.2, 7, "pump.sigma_n = 0.9")
-        for row_l, row_r in zip(left.rows, right.rows):
+        for row_l, row_r in zip(rows(left), rows(right)):
             assert row_l[1] == pytest.approx(row_r[1], rel=1e-9)
 
     def test_poles_flagged_not_raised(self):
         table = self.sweep(0.0, math.pi, 3, "pump.alpha_c = 1e4")
-        assert [row[-1] for row in table.rows] == ["pole", "", "pole"]
-        assert math.isinf(table.rows[0][1])
-        assert math.isinf(table.rows[0][2])  # sin(0) == 0: no coherent slope either
+        assert [row[-1] for row in rows(table)] == ["pole", "", "pole"]
+        assert math.isinf(rows(table)[0][1])
+        assert math.isinf(rows(table)[0][2])  # sin(0) == 0: no coherent slope either
 
     def test_float_pi_is_a_pole_in_both_columns(self):
         """sin(float pi) = 1.2e-16: both columns apply the relative rule |sin phi| <= 1e-9."""
         table = self.sweep(0.0, math.pi, 3)
-        last = table.rows[-1]
+        last = rows(table)[-1]
         assert last[0] == math.pi
         assert last[-1] == "pole"
         assert math.isinf(last[1]) and math.isinf(last[2])
-        near = self.sweep(math.pi - 1e-6, math.pi - 2e-6, 2).rows[0]
+        near = rows(self.sweep(math.pi - 1e-6, math.pi - 2e-6, 2))[0]
         assert math.isfinite(near[2])
 
     def test_coherent_column_follows_phase(self):
         """dphi_coherent is the vacuum-port probe 1/(sqrt(eta) alpha_c |sin phi|)."""
         table = self.sweep(0.3, 2.8, 6)
-        assert table.rows[0][2] == pytest.approx(3.38e-5, abs=5e-8)
-        for row in table.rows:
+        assert rows(table)[0][2] == pytest.approx(3.38e-5, abs=5e-8)
+        for row in rows(table):
             point = oracle.Point(row[0], 1e5)
             assert row[2] == pytest.approx(oracle.point_readout(point, None).dphi, rel=1e-9)
 
@@ -284,7 +286,7 @@ class TestArrayTables:
                            f"sweep.variable = phi\nsweep.start = {start!r}\n"
                            f"sweep.stop = {start + width!r}\nsweep.points = {points}\n"
                            "sweep.scale = linear", command="sensitivity")
-        assert csv_cells(run_command(cfg).rows) == csv_cells(self.oracle_rows(cfg))
+        assert csv_cells(rows(run_command(cfg))) == csv_cells(self.oracle_rows(cfg))
 
     @settings(max_examples=60, deadline=None)
     @given(sigma_n=st.floats(1e-6, 1.2), eta=st.floats(0.01, 1.0), stop=st.floats(1e-9, 1e-3),
@@ -296,13 +298,13 @@ class TestArrayTables:
         text = f"pump.sigma_n = {sigma_n!r}\n{sensor}\nsweep.variable = p_c\n"
         if on_pole and sigma_n < 0.999:
             rates = derive_rates(REFERENCE_GEOMETRY)
-            pole = pole_coherent_amplitude(rates, Injection.from_sigma_n(sigma_n, rates))
+            pole = pole_coherent_amplitude(rates, Injection(sigma_n))
             stop = max(pole**2 * HBAR * REFERENCE_GEOMETRY.pump_frequency() * 2, 1e-30)
             points = 2 * (points // 2) + 1  # the middle point lands on the pole power
         cfg = parse_config(text + f"sweep.start = 0\nsweep.stop = {stop!r}\n"
                                   f"sweep.points = {points}\nsweep.scale = linear",
                            command="sensitivity")
-        assert csv_cells(run_command(cfg).rows) == csv_cells(self.oracle_rows(cfg))
+        assert csv_cells(rows(run_command(cfg))) == csv_cells(self.oracle_rows(cfg))
 
     @settings(max_examples=60, deadline=None)
     @given(sigma_n=st.floats(0.0, 1.2), eta=st.floats(0.01, 1.0), ratio=st.floats(1.0, 1e4),
@@ -312,17 +314,17 @@ class TestArrayTables:
         rates = derive_rates(REFERENCE_GEOMETRY)
         pole = 1.0
         if 0 < sigma_n < 0.999:
-            pole = max(pole_coherent_amplitude(rates, Injection.from_sigma_n(sigma_n, rates)),
+            pole = max(pole_coherent_amplitude(rates, Injection(sigma_n)),
                        1e-3)
         cfg = parse_config(f"pump.sigma_n = {sigma_n!r}\nsensor.eta = {eta!r}\n"
                            f"sweep.start = {pole * near!r}\nsweep.stop = {pole * (2 - near)!r}\n"
                            f"sweep.points = {2 * points + 1}\nsweep.scale = linear",
                            command="pole")
-        assert csv_cells(run_command(cfg).rows) == csv_cells(self.oracle_rows(cfg))
+        assert csv_cells(rows(run_command(cfg))) == csv_cells(self.oracle_rows(cfg))
         cfg = parse_config(f"pump.sigma_n = {sigma_n!r}\npump.alpha_c = {alpha_c!r}\n"
                            f"improvement.decay_ratio = {ratio!r}\nsweep.points = {points + 1}",
                            command="improvement")
-        assert csv_cells(run_command(cfg).rows) == csv_cells(self.oracle_rows(cfg))
+        assert csv_cells(rows(run_command(cfg))) == csv_cells(self.oracle_rows(cfg))
 
     def test_no_probe_without_pair_photons_is_a_domain_row(self):
         """sigma_n = 0 at 0 W: the closed form's gap is 0 (a pole), but there is no probe.
@@ -331,8 +333,8 @@ class TestArrayTables:
         """
         table = run("sensitivity", "pump.sigma_n = 0\nsweep.variable = p_c\nsweep.start = 0\n"
                                    "sweep.stop = 1e-3\nsweep.points = 3\nsweep.scale = linear")
-        assert [row[-1] for row in table.rows] == ["domain", "", ""]
-        assert all(math.isinf(cell) for cell in table.rows[0][2:5])
+        assert [row[-1] for row in rows(table)] == ["domain", "", ""]
+        assert all(math.isinf(cell) for cell in rows(table)[0][2:5])
 
     def test_flags_across_write_blocks(self, tmp_path):
         """Flags and values stay in their rows past the 4096-row write block."""
@@ -362,12 +364,12 @@ class TestArrayTables:
         """threshold outranks domain, and domain outranks pole."""
         text = "sweep.stop = 1e4\nsweep.points = 5\n"
         above = run("improvement", text + "pump.sigma_n = 1.2")
-        assert [row[-1] for row in above.rows] == ["threshold"] * 5
+        assert [row[-1] for row in rows(above)] == ["threshold"] * 5
         rates = derive_rates(REFERENCE_GEOMETRY)
-        pole = pole_coherent_amplitude(rates, Injection.from_sigma_n(0.99895, rates))
+        pole = pole_coherent_amplitude(rates, Injection(0.99895))
         on_pole = run("improvement", text + f"pump.alpha_c = {pole!r}")
-        assert [row[-1] for row in on_pole.rows] == ["pole"] * 4 + ["domain"]
-        assert all(math.isinf(row[2]) for row in on_pole.rows)
+        assert [row[-1] for row in rows(on_pole)] == ["pole"] * 4 + ["domain"]
+        assert all(math.isinf(row[2]) for row in rows(on_pole))
 
     def test_default_improvement_csv_is_unchanged(self, tmp_path):
         """The default preset writes the bytes of the row-by-row table."""
@@ -438,7 +440,7 @@ class TestStreamedJsi:
                     for a, b, flag in zip(values.tolist(), values.tolist(), flags.tolist())]
         assert path.read_text() == "a,b,flag\n" + "".join(
             "%.17e,%.17e,%s\n" % tuple(row) for row in expected)
-        assert table.rows == expected
+        assert rows(table) == expected
 
 
 class TestImport:
@@ -549,15 +551,16 @@ class TestFormatE17:
 class TestDefaultPresets:
     @pytest.mark.parametrize("command,digest", [
         ("rates", "633ac860088c6fa235bedba7c34b5bb95ea08d738ff72994c31cf8cf887d141c"),
-        ("squeezing", "ab401c6a8f1e793f63b3e21fa9978633de2b8533c55ff16203f62583cc7bbe9f"),
-        ("jsi", "5046fc8b2651b73b7cc43666a9a3e385e48242202fa1e5ea8b16cec4c5746cd3"),
+        ("squeezing", "dd2ccefcca9000d57093fab2de5dd165dc7d1ab8f1125621ac42985f7904d2ae"),
+        ("jsi", "528f9b27f9901dd22d0530476fd90789c71d841d748a0f7eb3a1717ca5192dfd"),
         ("meanfield", "bb71a71dbf64a9dc6acd550730a468f77a0d8d36de9fc794fcfbff878347614d"),
-        ("sensitivity", "fc902ec92b3dcbf0124817c43f25f8090318a4490ace24cbc663f662bb1faf41"),
-        ("pole", "dbcdcba4c592ef1c2bf74072fe8d7fc8d540658c035596d1490a43d6755e0b3c"),
-        ("improvement", "b62f9fae1e838fabb3f0fb0a590b0c464651e3b18e0c08bfdf45e06ba140b7d9"),
+        ("sensitivity", "f641c3ed5c5fd72ef7274677df1c5dff739a15c6811d8067c7ae3828b47e5bf0"),
+        ("pole", "2e91c16eda112ace96696acbc70b9f5095be56104d0f4abe6b9c43a2dd4c42c9"),
+        ("improvement", "9041d8b6c7201dcfc4dc26333e598c5d4ef4c27054254ecba11a3a1198913bd7"),
     ])
     def test_csv_bytes_are_pinned(self, command, digest, tmp_path):
-        """The default CSVs keep the bytes that '%.17e' row by row wrote."""
+        """The default CSVs keep the bytes that '%.17e' row by row wrote; the pair-moment
+        tables as evaluated in units of Gamma."""
         path = tmp_path / f"{command}.csv"
         assert main([command, "--out", str(path)]) == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
@@ -762,7 +765,8 @@ class TestMain:
         assert "Traceback" not in err
 
     def test_lossless_ring_improvement(self, capsys):
-        """gamma = 0 gives an infinite decay ratio, not a ZeroDivisionError."""
+        """gamma = 0 gives an infinite decay ratio, not a ZeroDivisionError; the factor is
+        the 60-digit 74.1589436432238653 to the last bit."""
         assert main(["improvement", "--set", "geometry.alpha_loss=0",
                      "--set", "sweep.points=3"]) == 0
         captured = capsys.readouterr()
@@ -770,37 +774,65 @@ class TestMain:
         rows = [line.split(",") for line in captured.out.splitlines()[3:]]
         assert len(rows) == 3
         assert all(float(eta) == 1.0 and flag == "" for _, eta, _, flag in rows)
-        assert {improvement for _, _, improvement, _ in rows} == {"7.41589436431640081e+01"}
+        assert {improvement for _, _, improvement, _ in rows} == {"7.41589436432238784e+01"}
 
-    def test_lossless_ring_zero_variance_is_a_domain_row(self, capsys):
-        """gamma = 0 near threshold rounds V(pi/2) to 0, which has no dB value: a domain row."""
-        assert main(["squeezing", "--set", "geometry.alpha_loss=0",
-                     "--set", "pump.sigma_n=0.99999999", "--set", "sweep.points=3"]) == 0
+    @staticmethod
+    def exact_variance_rows(command_line, rates, sigma_n, capsys):
+        """Assert that the squeezing table has unflagged rows whose variance is the exact
+        value at 100 digits, within 1e-13, and no traceback."""
+        assert main(command_line) == 0
         captured = capsys.readouterr()
         assert "Traceback" not in captured.err
         rows = [line.split(",") for line in captured.out.splitlines()[3:]]
-        assert rows[1] == ["1.57079632679489656e+00", "inf", "inf", "domain"]
-        assert [row[3] for row in rows] == ["", "domain", ""]
-        assert all(float(row[1]) > 0 and math.isfinite(float(row[2])) for row in (rows[0], rows[2]))
+        assert rows and all(row[3] == "" for row in rows)
+        for phi_lo, variance, variance_db, _ in rows:
+            exact = exact_moments.variance(rates, Injection(sigma_n), float(phi_lo))
+            assert float(variance) == pytest.approx(float(exact), rel=1e-13)
+            assert float(variance_db) == pytest.approx(10 * math.log10(float(exact)), rel=1e-13)
 
-    def test_underflowing_pair_moments_are_domain_rows(self, capsys):
-        """A 1e90 m ring has Gamma = 1.7e-82 Hz, whose pair moments are not finite: every
-        sensitivity row is domain (not threshold), and pole and improvement are config errors."""
-        assert main(["sensitivity", "--set", "geometry.ring_length=1e90",
-                     "--set", "sweep.points=3"]) == 0
-        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[3:]]
-        assert [row[2:] for row in rows] == [["inf", "inf", "inf", "domain"]] * 3
-        for command in ("pole", "improvement"):
-            assert main([command, "--set", "geometry.ring_length=1e90"]) == 2
-            err = capsys.readouterr().err
-            assert "pair moments not finite" in err and "Traceback" not in err
+    def test_lossless_ring_variance_stays_positive(self, capsys):
+        """gamma = 0 near threshold: V(pi/2) is 1.8e-16, the exact value at float pi/2, and
+        not a variance rounded to 0."""
+        rates = derive_rates(replace(REFERENCE_GEOMETRY, alpha_loss=0.0))
+        self.exact_variance_rows(["squeezing", "--set", "geometry.alpha_loss=0", "--set",
+                                  "pump.sigma_n=0.99999999", "--set", "sweep.points=3"],
+                                 rates, 0.99999999, capsys)
 
-    def test_drive_within_rounding_of_threshold_is_flagged(self, capsys):
-        """The pair denominator rounds to 0 at sigma_n = 1 - 1e-9: threshold rows, not a traceback."""
-        assert main(["squeezing", "--set", "pump.sigma_n=0.999999999",
-                     "--set", "sweep.points=3"]) == 0
-        rows = capsys.readouterr().out.splitlines()[3:]
-        assert [row.rsplit(",", 1)[1] for row in rows] == ["threshold"] * 3
+    def test_drive_within_rounding_of_threshold_is_exact(self, capsys):
+        """At sigma_n = 1 - 1e-9 the rows are finite and exact, not threshold rows."""
+        self.exact_variance_rows(["squeezing", "--set", "pump.sigma_n=0.999999999",
+                                  "--set", "sweep.points=3"],
+                                 derive_rates(REFERENCE_GEOMETRY), 0.999999999, capsys)
+
+    @pytest.mark.parametrize("command,setting,key", [
+        *((command, f"geometry.ring_length={length}", None)
+          for command in ("squeezing", "jsi", "sensitivity", "pole")
+          for length in ("1e-80", "1e90")),
+        ("improvement", "improvement.decay_ratio=1e-100", None),
+        ("rates", "geometry.ring_length=1e-160", "geometry.ring_length"),
+        ("squeezing", "geometry.ring_length=1e-160", "geometry.ring_length"),
+        ("rates", "geometry.n2=1e300", "geometry.n2"),
+        ("rates", "geometry.ring_length=1e-310", "geometry.ring_length"),
+        ("rates", "pump.delta_p=1e200", "pump.delta_p"),
+    ])
+    def test_extreme_inputs_write_finite_rows_or_name_their_key(self, command, setting, key,
+                                                                 capsys):
+        """Exit 0 with no nan cell, or a config error naming the key; never a traceback."""
+        status = main([command, "--set", setting])
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        if key is None:
+            assert status == 0
+            cells = [cell for line in captured.out.splitlines()[3:] for cell in line.split(",")]
+            assert cells and "nan" not in cells
+        else:
+            assert status == 2 and key in captured.err
+
+    def test_jsi_span_beyond_float_range_of_gamma(self, capsys):
+        """A span of more than 1e308 linewidths has no offsets in units of Gamma."""
+        assert main(["jsi", "--set", "geometry.ring_length=1e90", "--set", "jsi.span=1e300",
+                     "--set", "jsi.points=3"]) == 2
+        assert "jsi.span = 1e+300 is more than 1e308 Gamma" in capsys.readouterr().err
 
     def test_successive_calls_share_no_parser_state(self, tmp_path, capsys):
         """The parser is built once; --set lists of earlier calls do not leak into later ones."""

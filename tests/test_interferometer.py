@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mzi_oracle as oracle
+from tables import rows
 from mzi_oracle import (PairPort, Point, PoleError, gaussian_moment,
                         intensity_difference_stats_generic)
 from ringmzi import (REFERENCE_GEOMETRY, CavityRates, DomainError, Injection, ThresholdError,
@@ -21,7 +22,7 @@ HALF_PI = math.pi / 2
 
 
 def inj(rates, sigma_n):
-    return Injection.from_sigma_n(sigma_n, rates)
+    return Injection(sigma_n)
 
 
 def closed(alpha_c, rates, injection, phi=HALF_PI, eta=1.0):
@@ -45,7 +46,7 @@ def closed_form_squeezed(kappa, gamma, sigma, eta, alpha_c):
 
 
 def sweep_rows(command, text):
-    return run_command(parse_config(text, command=command)).rows
+    return rows(run_command(parse_config(text, command=command)))
 
 
 class TestGaussianMoment:
@@ -268,10 +269,11 @@ class TestNumericSensitivity:
 
 def mp_closed_form(alpha_c, phi, eta, rates, injection):
     """(dphi, photons, a^2 - N, a^2 + N) of the module docstring's expression, at 50 digits
-    from the same float inputs."""
+    from the same float inputs, with N, M and V_min in Hz."""
     with mpmath.workdps(50):
-        kappa, big, sigma = (mpmath.mpf(x) for x in (rates.kappa, rates.gamma_total,
-                                                     injection.sigma_mag))
+        kappa, gamma = mpmath.mpf(rates.kappa), mpmath.mpf(rates.gamma)
+        big = kappa + gamma
+        sigma = mpmath.mpf(injection.sigma_n) * big
         a2, phi, eta = mpmath.mpf(alpha_c) ** 2, mpmath.mpf(phi), mpmath.mpf(eta)
         square = ((big - sigma) * (big + sigma)) ** 2
         n = 8 * sigma**2 * kappa * big / square
@@ -298,7 +300,7 @@ class TestClosedFormSensitivity:
             alpha_c = 10 ** rng.uniform(3, 6)
             injection = inj(rates, sigma_n)
             expected = closed_form_squeezed(rates.kappa, rates.gamma,
-                                            injection.sigma_mag, eta, alpha_c)
+                                            sigma_n * rates.gamma_total, eta, alpha_c)
             value = closed(alpha_c, rates, injection, eta=eta)[0]
             assert value == pytest.approx(expected, rel=1e-12)
 
@@ -307,15 +309,14 @@ class TestClosedFormSensitivity:
         rates = CavityRates(kappa=1e9, gamma=0.0)
         for sigma_n in (0.3, 0.6, 0.9):
             injection = inj(rates, sigma_n)
-            sigma = injection.sigma_mag
+            sigma = sigma_n * 1e9
             value = closed(1e6, rates, injection)[0]
             approx = (math.sqrt(2) / 1e6) * (1e9 - sigma) / (1e9 + sigma)
             assert value == pytest.approx(approx, rel=0.01)
 
     def test_threshold_guard(self, rates):
         with pytest.raises(ThresholdError):
-            mzi_sensitivity(1e5, HALF_PI, 1.0, rates,
-                            Injection(sigma_mag=rates.gamma_total, sigma_th=rates.gamma_total))
+            mzi_sensitivity(1e5, HALF_PI, 1.0, rates, inj(rates, 1.0))
 
     def test_pole_divergence_bracketing(self, rates):
         injection = inj(rates, 0.99895)
@@ -382,7 +383,7 @@ class TestImprovementFactor:
         previous = 0.0
         for ratio in (10.0, 31.5, 100.0, 1000.0):
             ring = CavityRates(kappa=rates.kappa, gamma=rates.kappa / ratio)
-            value = improvement(ring, Injection.from_sigma_n(0.99895, ring))
+            value = improvement(ring, inj(ring, 0.99895))
             assert value > previous
             previous = value
         assert decay_ratio(CavityRates(kappa=10.0, gamma=2.0)) == 5.0
@@ -427,11 +428,8 @@ class TestPoleAmplitude:
 
     @pytest.mark.parametrize("sigma_n", [0.99895, 0.9999, 0.99999])
     def test_is_a_pole_of_the_closed_form(self, rates, sigma_n):
-        """The amplitude shares N with mzi_sensitivity, so it is flagged there near threshold.
-
-        photon_flux's denominator cancels near threshold: its N is 4.2e-9 off at sigma_n =
-        0.9999, above the 1e-9 pole rule.
-        """
+        """The amplitude shares N with mzi_sensitivity, so it is flagged there near threshold,
+        where a last-bit difference in N would move it off the 1e-9 pole rule."""
         injection = inj(rates, sigma_n)
         dphi, _, pole = closed(pole_coherent_amplitude(rates, injection), rates, injection)
         assert pole and math.isinf(dphi)
@@ -472,8 +470,9 @@ PIPELINE_TOLERANCE = 1e-6
 class TestArrayPath:
     """The array form against the per-point Gaussian pipeline of tests/mzi_oracle.py.
 
-    The pipeline's pair port is the closed form's own (N, M) (oracle.closed_port), so
-    the comparison holds near the pole too, where dphi moves with the last bits of N.
+    The pipeline's pair port is the closed form's own (N, M) (oracle.pair_port, from
+    ringmzi.cavity_io), so the comparison holds near the pole too, where dphi moves with
+    the last bits of N.
     """
 
     @staticmethod
@@ -502,7 +501,7 @@ class TestArrayPath:
                                           eta, alpha_c, on_pole, phases):
         rates = ring_rates(cross_coupling, alpha_loss, radius)
         injection = inj(rates, sigma_n)
-        port = oracle.closed_port(rates, injection)
+        port = oracle.pair_port(rates, injection)
         if on_pole:  # phi = pi/2 is then a pole of the squeezed readout
             alpha_c = math.sqrt(port.n)
         dphi, photons, pole = mzi_sensitivity(alpha_c, np.array(phases), eta, rates, injection)
@@ -520,7 +519,7 @@ class TestArrayPath:
         """A batch over alpha_c, with points on and next to the pole a^2 = N."""
         rates = ring_rates(cross_coupling, alpha_loss, radius)
         injection = inj(rates, sigma_n)
-        port = oracle.closed_port(rates, injection)
+        port = oracle.pair_port(rates, injection)
         amplitudes = amplitudes + [near_pole * math.sqrt(port.n)]
         dphi, photons, pole = mzi_sensitivity(np.array(amplitudes), phi, eta, rates, injection)
         coherent = coherent_sensitivity(np.array(amplitudes), eta)
@@ -571,7 +570,7 @@ class TestArrayPath:
         """The signal map is sqrt(eta) times a unitary and the loss adds no photons."""
         rates = ring_rates(cross_coupling, alpha_loss, radius)
         injection = inj(rates, sigma_n)
-        port = oracle.closed_port(rates, injection)
+        port = oracle.pair_port(rates, injection)
         _, photons, _ = mzi_sensitivity(np.array([alpha_c]), phi, eta, rates, injection)
         expected = eta * (alpha_c**2 + port.n)
         assert photons[0] == pytest.approx(expected, rel=1e-12)

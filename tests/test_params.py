@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -96,6 +97,15 @@ class TestEfficiency:
             efficiency(-0.1, 1.0)
         with pytest.raises(DomainError):
             efficiency(0.1, -1.0)
+        with pytest.raises(DomainError):
+            efficiency(0.1, np.array([1.0, -1.0]))
+
+    def test_array_is_math_exp_per_element(self):
+        """An array of lengths gives the floats math.exp gives one by one."""
+        lengths = np.logspace(-3, 4, 2001)
+        assert isinstance(efficiency(0.23, 1.0), float)
+        assert efficiency(0.23, lengths).tolist() == [math.exp(-0.23 * length)
+                                                      for length in lengths.tolist()]
 
 
 class TestFwmGain:
@@ -119,14 +129,16 @@ class TestFwmGain:
 
 
 class TestInjection:
-    def test_sigma_n_definition(self, rates):
-        injection = Injection.from_sigma_n(0.5, rates)
-        assert injection.sigma_th == rates.gamma_total
-        assert injection.sigma_n == pytest.approx(0.5, rel=1e-15)
+    def test_sigma_n_definition(self, rates, gain, geometry):
+        """sigma_n is held as given, and P_th drives sigma_n = 1 exactly."""
+        assert Injection(0.5).sigma_n == 0.5
+        omega_p = geometry.pump_frequency()
+        p_th = threshold_power(rates, gain, omega_p)
+        assert sigma_from_power(p_th, rates, gain, omega_p).sigma_n == 1.0
 
-    def test_negative_rejected(self, rates):
+    def test_negative_rejected(self):
         with pytest.raises(DomainError):
-            Injection.from_sigma_n(-0.1, rates)
+            Injection(-0.1)
 
 
 class TestThresholdPower:
@@ -156,6 +168,15 @@ class TestThresholdPower:
 
 
 class TestSigmaFromPower:
+    @pytest.mark.parametrize("delta_p", [0.0, 0.3, -2.0, 1e6])
+    def test_drive_phase(self, rates, gain, geometry, delta_p):
+        """phi_sigma is the phase of 1/(Gamma/2 - i delta_p)^2, delta_p in units of Gamma."""
+        delta_p *= rates.gamma_total
+        injection = sigma_from_power(1e-3, rates, gain, geometry.pump_frequency(), delta_p)
+        expected = cmath.phase(1 / (rates.gamma_total / 2 - 1j * delta_p) ** 2)
+        assert cmath.exp(1j * injection.phi_sigma) == pytest.approx(cmath.exp(1j * expected),
+                                                                     abs=1e-12)
+
     def test_zero_power(self, rates, gain, geometry):
         injection = sigma_from_power(0.0, rates, gain, geometry.pump_frequency())
         assert injection.sigma_n == 0.0
@@ -195,9 +216,9 @@ class TestNonFiniteFields:
         with pytest.raises(DomainError, match="must be finite"):
             CavityRates(**fields)
 
-    @pytest.mark.parametrize("fields", [dict(sigma_mag=math.nan, sigma_th=1.0),
-                                        dict(sigma_mag=1.0, sigma_th=math.inf),
-                                        dict(sigma_mag=0.5, sigma_th=1.0, phi_sigma=math.nan)])
+    @pytest.mark.parametrize("fields", [dict(sigma_n=math.nan),
+                                        dict(sigma_n=math.inf),
+                                        dict(sigma_n=0.5, phi_sigma=math.nan)])
     def test_injection(self, fields):
         with pytest.raises(DomainError, match="must be finite"):
             Injection(**fields)
