@@ -60,8 +60,9 @@ def to_db(value):
 
     math.log10 per element: np.log10 differs from it in the last bit on some inputs.
     """
-    db = 10.0 * np.vectorize(math.log10, otypes=[float])(value)
-    return float(db) if db.ndim == 0 else db
+    value = np.asarray(value, dtype=float)
+    db = 10.0 * np.fromiter(map(math.log10, value.ravel().tolist()), float, value.size)
+    return float(db[0]) if value.ndim == 0 else db.reshape(value.shape)
 
 
 def _pair_moments(rates: CavityRates, injection: Injection, delta_s=0.0, delta_i=0.0,

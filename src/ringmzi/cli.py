@@ -58,9 +58,10 @@ _NONNEGATIVE_SWEEPS = ("sigma_n", "p_c", "alpha_c", "sensor_length")
 # Rows formatted per write; bounds the text held in memory for large tables.
 _WRITE_BLOCK_ROWS = 4096
 
-# Smaller chunks are written by '%'. The array writer broke even at 210-280 cells of
-# a 7-column table: 99 us against 76 us for '%' at 154 cells, 155 against 214 at 350,
-# 0.68 ms against 2.0 ms at 4102 (medians of 7, 2 vCPU, Python 3.11, numpy 2.4).
+# Smaller chunks are written by '%'. The array writer breaks even at 170-185 cells: 100 us
+# against 80 us for '%' at 132 cells (6 columns), 118 against 160 at 238 and 0.55 ms against
+# 2.6 ms at 4102 (7 columns; medians of 7, interleaved, 2 vCPU, Python 3.11, numpy 2.4). No
+# default or benchmark table has a chunk of 185-240 cells, where 240 costs up to 50 us.
 _MIN_ARRAY_CELLS = 240
 
 # A sweep table is held whole, at up to about 0.5 KB per point (phase sweep);
@@ -151,7 +152,7 @@ class ResultTable:
 
     A block holds one column per entry of ``columns``, all of one length. A
     numeric column is a float array or its cells formatted by ``_format_e17``,
-    a (rows, 25) uint8 array; ``flag`` is a string array. ``data`` is either
+    a (rows, 25) uint8 array; ``flag`` is a bytes or str array. ``data`` is either
     the whole table as one block of columns or a LazyBlocks.
     """
 
@@ -316,8 +317,9 @@ def _resolve_drive(cfg: RunConfig, rates: CavityRates, gain: float):
 
 
 def _flags(size: int, threshold=False, domain=False, pole=False) -> np.ndarray:
-    """Flag column from row masks: threshold outranks domain, domain outranks pole."""
-    flags = np.where(threshold, "threshold", np.where(domain, "domain", np.where(pole, "pole", "")))
+    """Flag column of bytes from row masks: threshold outranks domain, domain outranks pole."""
+    flags = np.where(threshold, b"threshold",
+                     np.where(domain, b"domain", np.where(pole, b"pole", b"")))
     return np.broadcast_to(flags, size)
 
 
@@ -442,8 +444,11 @@ def _run_sensitivity(cfg: RunConfig, rates: CavityRates, gain: float):
         sine = np.abs(np.sin(grid))
         with np.errstate(divide="ignore", over="ignore"):  # both only where the row is inf
             coherent = np.where(sine > POLE_TOLERANCE, coherent / sine, math.inf)
+    quantum = HBAR * omega_p
     with np.errstate(divide="ignore"):  # no photons at all: a domain row
-        snl = 1.0 / np.sqrt(photons + pump_power / (HBAR * omega_p))
+        snl = 1.0 / np.sqrt(photons + pump_power / quantum)
+    if pump_power / quantum == math.inf:  # a pump flux beyond the float range; P is finite
+        snl = math.sqrt(quantum) / np.sqrt(photons * quantum + pump_power)
     return columns, leading + [np.where(domain | pole, math.inf, squeezed),
                                np.where(domain, math.inf, coherent),
                                np.where(domain, math.inf, snl),
@@ -472,6 +477,11 @@ def _run_improvement(cfg: RunConfig, rates: CavityRates, gain: float):
         raise ConfigError(f"improvement.decay_ratio = {ratio!r} with kappa = {rates.kappa!r} "
                           f"(geometry.cross_coupling) gives gamma = {gamma!r}, not finite")
     ring = CavityRates(kappa=rates.kappa, gamma=gamma)
+    if cfg.p_l is not None:  # sigma_n = p_l / P_th of this ring
+        p_th = threshold_power(ring, gain, cfg.geometry.pump_frequency(), cfg.delta_p)
+        if not 0 < p_th < math.inf:
+            raise ConfigError(f"the improvement ring's p_th = {p_th!r} must be positive and finite "
+                              "(from improvement.decay_ratio, geometry.cross_coupling, pump.p_l)")
     injection, alpha_c, _ = _resolve_drive(cfg, ring, gain)
     lengths = cfg.sweep.grid()
     columns = ["sensor_length", "eta", "improvement", "flag"]
@@ -495,9 +505,9 @@ _SPLIT = 2.0 ** 27 + 1  # Dekker's split of a double into two 26-bit halves
 
 @functools.cache
 def _e17_tables():
-    """Built on the first write, from integers: rows (hi, hi's Dekker halves, lo, shift)
+    """Built on the first write, from integers: columns (hi, hi's Dekker halves, lo, shift)
     with 10^p = (hi + lo) 2^shift, hi in [1/2, 2], for p in _POWER_RANGE; 'e-325' ..
-    'e+309' NUL-padded to 5 bytes, at 325 + k; the digits 0000 .. 9999 as uint32."""
+    'e+309' NUL-padded to a uint64, at 325 + k; the digits 0000 .. 9999 as uint32."""
     powers = []
     for p in _POWER_RANGE:
         e = (10 ** abs(p)).bit_length() * (1 if p >= 0 else -1)
@@ -506,14 +516,14 @@ def _e17_tables():
         hn, hd = hi.as_integer_ratio()
         head = _SPLIT * hi - (_SPLIT * hi - hi)
         powers.append((hi, head, hi - head, (n * hd - hn * d) / (d * hd), e))
-    exponents = b"".join(b"e%+03d" % k + b"\0" * (abs(k) < 100) for k in range(-325, 310))
-    return (np.array(powers), np.frombuffer(exponents, np.uint8).reshape(-1, 5),
+    exponents = b"".join((b"e%+03d" % k).ljust(8, b"\0") for k in range(-325, 310))
+    return (np.array(powers).T.copy(), np.frombuffer(exponents, np.uint64),
             np.frombuffer(b"".join(b"%04d" % i for i in range(10 ** 4)), np.uint32))
 
 
 def _scaled_digits(m, e2, p):
     """floor and fraction of m 2^e2 10^p, the product exact to about 2^-100."""
-    hi, hi_head, hi_tail, lo, shift = _e17_tables()[0][p - _POWER_RANGE.start].T
+    hi, hi_head, hi_tail, lo, shift = _e17_tables()[0].take(p - _POWER_RANGE.start, axis=1)
     head = m * hi
     m_head = _SPLIT * m - (_SPLIT * m - m)
     m_tail = m - m_head
@@ -545,15 +555,17 @@ def _format_e17(values) -> np.ndarray:
     digits[carry] = 10 ** 17
     exponents, quads = _e17_tables()[1:]
     groups = np.empty((x.size, 5), np.int64)  # D in groups of 4 digits, the first < 100
-    for j in (4, 3, 2, 1):
-        digits, groups[:, j] = np.divmod(digits, 10 ** 4)
+    for j in (4, 3, 2, 1):  # // and a product: np.divmod is about 4x slower
+        quotient = digits // 10 ** 4
+        groups[:, j] = digits - quotient * 10 ** 4
+        digits = quotient
     groups[:, 0] = digits
     out = np.empty((x.size, 25), np.uint8)
     out[:, 0] = np.where(np.signbit(x), ord("-"), 0)
     out[:, 2:20] = quads[groups].view(np.uint8).reshape(-1, 20)[:, 2:]  # the 18 digits
     out[:, 1] = out[:, 2]
     out[:, 2] = ord(".")
-    out[:, 20:] = exponents[k + 325]
+    out[:, 20:] = exponents[k + 325].view(np.uint8).reshape(-1, 8)[:, :5]
     fallback = np.flatnonzero(~finite | (np.abs(fraction - 0.5) < 2.0 ** -30))
     text = np.array(["%.17e" % value for value in x[fallback].tolist()], dtype="S25")
     out[fallback] = text.view(np.uint8).reshape(-1, 25)
@@ -563,17 +575,21 @@ def _format_e17(values) -> np.ndarray:
 def _chunk_text(parts: list) -> str:
     """Rows of the columns ``parts`` as CSV text: the cells, ',' and '\n' in one
     NUL-padded uint8 buffer, compacted once. Float columns are formatted together."""
-    rows = len(parts[0])
     floats = [column for column in parts if column.ndim == 1 and column.dtype.kind == "f"]
     formatted = iter(_format_e17(np.stack(floats, axis=1)).swapaxes(0, 1) if floats else ())
-    pieces = []
-    for column in parts:
-        if column.ndim == 1:  # floats, or text as 'S' strings, which are NUL-padded
-            column = next(formatted) if column.dtype.kind == "f" else (
-                column.astype("S").view(np.uint8).reshape(rows, -1))
-        pieces += [column, np.full((rows, 1), ord(","), np.uint8)]
-    pieces[-1] = np.full((rows, 1), ord("\n"), np.uint8)
-    flat = np.concatenate(pieces, axis=1).ravel()
+    cells = [next(formatted) if c.ndim == 1 and c.dtype.kind == "f" else c for c in parts]
+    widths = [c.shape[1] if c.ndim == 2 else c.itemsize // (4 if c.dtype.kind == "U" else 1)
+              for c in cells]
+    out = np.full((len(parts[0]), sum(widths) + len(widths)), ord(","), np.uint8)
+    out[:, -1] = ord("\n")
+    at = 0
+    for column, width in zip(cells, widths):
+        target = out[:, at:at + width]
+        if column.ndim == 1:  # text, cast to 'S' strings of the cell's width, NUL-padded
+            target = target.view(f"S{width}")[:, 0]
+        target[...] = column
+        at += width + 1
+    flat = out.ravel()
     return flat[flat != 0].tobytes().decode("ascii")
 
 
@@ -591,13 +607,15 @@ def write_table(table: ResultTable, path: str | None) -> None:
           else open(path, "w", encoding="utf-8", newline="\n")) as handle:
         handle.write("\n".join(header) + "\n")
         for block in table.blocks:
-            line = ",".join("%s" if c.dtype.kind == "U" else "%.17e" for c in block) + "\n"
+            line = ",".join("%s" if c.dtype.kind in "SU" else "%.17e" for c in block) + "\n"
             for start in range(0, len(block[0]), _WRITE_BLOCK_ROWS):
                 parts = [column[start:start + _WRITE_BLOCK_ROWS] for column in block]
                 if len(parts[0]) * width >= _MIN_ARRAY_CELLS or any(c.ndim == 2 for c in parts):
                     handle.write(_chunk_text(parts))
                 else:
-                    handle.write("".join(line % row for row in zip(*(c.tolist() for c in parts))))
+                    cells = (map(bytes.decode, c.tolist()) if c.dtype.kind == "S" else c.tolist()
+                             for c in parts)
+                    handle.write("".join(line % row for row in zip(*cells)))
 
 
 @functools.cache

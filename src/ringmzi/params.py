@@ -203,8 +203,8 @@ def efficiency(alpha_loss: float, length):
     length = np.asarray(length, dtype=float)
     if np.any(length < 0):
         raise DomainError(f"length must be non-negative, got {length}")
-    eta = np.vectorize(math.exp, otypes=[float])(-alpha_loss * length)
-    return float(eta) if eta.ndim == 0 else eta
+    eta = np.fromiter(map(math.exp, (-alpha_loss * length).ravel().tolist()), float, length.size)
+    return float(eta[0]) if length.ndim == 0 else eta.reshape(length.shape)
 
 
 def fwm_gain(geom: RingGeometry) -> FwmStrength:

@@ -259,6 +259,15 @@ class TestQuadratureVariance:
         assert to_db(variances["under"]) > -3.0
 
 
+class TestToDb:
+    def test_array_is_math_log10_per_element(self):
+        """Any shape gives the floats 10 math.log10 gives one by one; a scalar, a float."""
+        values = np.logspace(-3, 4, 2001).reshape(3, 667)
+        assert isinstance(to_db(2.0), float)
+        assert to_db(values).tolist() == [[10.0 * math.log10(value) for value in row]
+                                          for row in values.tolist()]
+
+
 class TestSqueezingParameter:
     def test_vacuum(self, rates):
         assert squeezing_parameter(rates, inj(rates, 0.0)) == 0.0

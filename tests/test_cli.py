@@ -8,6 +8,7 @@ import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -17,7 +18,7 @@ from tables import rows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from ringmzi import (REFERENCE_GEOMETRY, CavityRates, Injection, decay_ratio, derive_rates,
-                     fwm_gain, pole_coherent_amplitude)
+                     fwm_gain, pole_coherent_amplitude, threshold_power)
 from ringmzi.cavity_io import jsi as jsi_density
 from ringmzi import cli
 from ringmzi.cli import (ConfigError, LazyBlocks, ResultTable, _format_e17, _parser,
@@ -601,6 +602,23 @@ class TestWriteTable:
         assert lines[8] == "inf,-inf,nan"
         assert lines[1] == ",".join(format(v, ".17e") for v in values[0])
 
+    @pytest.mark.parametrize("kind", ["U", "S"])
+    @pytest.mark.parametrize("count", [cli._MIN_ARRAY_CELLS // 3 - 1, cli._MIN_ARRAY_CELLS // 3 + 1,
+                                       cli._WRITE_BLOCK_ROWS + cli._MIN_ARRAY_CELLS // 3 - 1])
+    def test_every_flag_kind_as_str_or_bytes(self, kind, count, tmp_path):
+        """'U' and 'S' flag cells write as text through '%' and the array writer, also in a
+        table whose last write block is short, and read back as str."""
+        values = np.random.default_rng(count).standard_normal((2, count)) * 1e5
+        values[1, :3] = [0.0, -math.inf, math.nan]
+        flags = (["threshold", "domain", "pole", ""] * count)[:count]
+        table = ResultTable(columns=["a", "b", "flag"], meta={},
+                            data=[*values, np.array(flags).astype(kind)])
+        path = tmp_path / "flags.csv"
+        write_table(table, str(path))
+        assert path.read_text() == "a,b,flag\n" + "".join(
+            "%.17e,%.17e,%s\n" % row for row in zip(*values.tolist(), flags))
+        assert [row[-1] for row in rows(table)] == flags
+
     def test_deterministic_bytes(self, tmp_path):
         args = ["squeezing", "--set", "sweep.points=7", "--set", "pump.sigma_n=0.9"]
         path_a, path_b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -653,10 +671,14 @@ class TestMain:
          "line 2: sensor.length must be finite and >= 0, got '-5'"),
         ("pole", "sensor.length=-5 sensor.alpha_loss=0",
          "line 2: sensor.length must be finite and >= 0, got '-5'"),
+        # The improvement ring's (Gamma/2)^2 underflows: P_th = 0 left p_l / P_th undefined.
+        ("improvement", "geometry.cross_coupling=1e-300 pump.p_l=1e-3 improvement.decay_ratio=1e10"
+         " sweep.points=2", "p_th = 0.0 must be positive and finite "
+         "(from improvement.decay_ratio, geometry.cross_coupling, pump.p_l)"),
     ], ids=["rates-delta_p", "sensitivity-delta_p", "squeezing-phi", "sensitivity-phi",
             "decay_ratio-negative", "decay_ratio-overflow", "decay_ratio-zero-kappa",
             "improvement-alpha_c", "improvement-p_c", "sensitivity-negative-length",
-            "pole-negative-length"])
+            "pole-negative-length", "improvement-ring-p_th-underflow"])
     def test_out_of_range_value_names_its_key(self, command, setting, message, capsys):
         """``setting`` is one or more space-separated KEY=VALUE pairs, one --set each."""
         assert main([command] + [arg for pair in setting.split() for arg in ("--set", pair)]) == 2
@@ -827,6 +849,22 @@ class TestMain:
             assert cells and "nan" not in cells
         else:
             assert status == 2 and key in captured.err
+
+    def test_pump_flux_beyond_float_range(self, capsys):
+        """P_th = 4.3e291 W is finite but P_th/(hbar omega_p) is not: dphi_snl is still
+        1/sqrt(flux), about 5.5e-156, not 0. The probe's photons are negligible beside it."""
+        assert main(["sensitivity", "--set", "geometry.cross_coupling=1e-300",
+                     "--set", "sweep.points=2"]) == 0
+        lines = capsys.readouterr().out.splitlines()[3:]
+        assert len(lines) == 2
+        geometry = replace(REFERENCE_GEOMETRY, cross_coupling=1e-300)
+        omega_p = geometry.pump_frequency()
+        p_th = threshold_power(derive_rates(geometry), fwm_gain(geometry).gain, omega_p)
+        with mpmath.workdps(50):
+            expected = float(mpmath.sqrt(mpmath.mpf(HBAR) * omega_p / (mpmath.mpf(0.99895) * p_th)))
+        for line in lines:
+            snl, flag = line.split(",")[4:]
+            assert float(snl) == pytest.approx(expected, rel=1e-15, abs=0) and flag == ""
 
     def test_jsi_span_beyond_float_range_of_gamma(self, capsys):
         """A span of more than 1e308 linewidths has no offsets in units of Gamma."""

@@ -101,11 +101,12 @@ class TestEfficiency:
             efficiency(0.1, np.array([1.0, -1.0]))
 
     def test_array_is_math_exp_per_element(self):
-        """An array of lengths gives the floats math.exp gives one by one."""
+        """An array of lengths gives the floats math.exp gives one by one, in its shape."""
         lengths = np.logspace(-3, 4, 2001)
         assert isinstance(efficiency(0.23, 1.0), float)
         assert efficiency(0.23, lengths).tolist() == [math.exp(-0.23 * length)
                                                       for length in lengths.tolist()]
+        assert efficiency(0.23, lengths.reshape(3, 667)).shape == (3, 667)
 
 
 class TestFwmGain:
