@@ -58,12 +58,6 @@ _NONNEGATIVE_SWEEPS = ("sigma_n", "p_c", "alpha_c", "sensor_length")
 # Rows formatted per write; bounds the text held in memory for large tables.
 _WRITE_BLOCK_ROWS = 4096
 
-# Smaller chunks are written by '%'. The array writer breaks even at 170-185 cells: 100 us
-# against 80 us for '%' at 132 cells (6 columns), 118 against 160 at 238 and 0.55 ms against
-# 2.6 ms at 4102 (7 columns; medians of 7, interleaved, 2 vCPU, Python 3.11, numpy 2.4). No
-# default or benchmark table has a chunk of 185-240 cells, where 240 costs up to 50 us.
-_MIN_ARRAY_CELLS = 240
-
 # A sweep table is held whole, at up to about 0.5 KB per point (phase sweep);
 # the bound applies to jsi.points (per axis) as well.
 MAX_SWEEP_POINTS = 1_000_000
@@ -352,6 +346,18 @@ def _derive(cfg: RunConfig) -> tuple[CavityRates, float]:
     return rates, strength.gain
 
 
+def _check_probe(alpha_c, cfg: RunConfig) -> None:
+    """ConfigError naming the keys of the probe amplitude alpha_c unless 2 alpha_c^2, the
+    largest probe term of Var ID (see interferometer), is finite at every point."""
+    with np.errstate(over="ignore"):
+        if np.isfinite(2 * np.square(alpha_c)).all():
+            return
+    keys = ("sweep.start, sweep.stop" if cfg.sweep.variable in ("p_c", "alpha_c")
+            else "pump.alpha_c" if cfg.alpha_c is not None else "pump.p_c")
+    raise ConfigError(f"the probe amplitude alpha_c = {float(np.max(alpha_c))!r} is too large: "
+                      f"2 alpha_c^2 overflows (from {keys})")
+
+
 def run_command(cfg: RunConfig) -> ResultTable:
     """Evaluate one command; per-point physics errors become flagged rows."""
     if cfg.command not in COMMANDS:
@@ -422,28 +428,28 @@ def _run_sensitivity(cfg: RunConfig, rates: CavityRates, gain: float):
     eta = cfg.eta_value
     omega_p = cfg.geometry.pump_frequency()
     if sweep.variable == "p_c":  # at phi = pi/2; sensor.phi is not read
-        alpha_c, phi = np.sqrt(grid / (HBAR * omega_p)), math.pi / 2
+        with np.errstate(over="ignore"):  # a flux beyond the float range: _check_probe
+            alpha_c, phi = np.sqrt(grid / (HBAR * omega_p)), math.pi / 2
         columns = ["p_c", "alpha_c", "dphi_squeezed", "dphi_coherent", "dphi_snl", "flag"]
         leading = [grid, alpha_c]
     else:
         phi = grid
         columns = ["phi", "dphi_squeezed", "dphi_coherent", "dphi_snl", "flag"]
         leading = [grid]
+    _check_probe(alpha_c, cfg)
     try:
         squeezed, photons, pole = mzi_sensitivity(alpha_c, phi, eta, rates, injection)
-    except (ThresholdError, DomainError) as exc:  # the drive, and so the flag, is fixed per table
+    except ThresholdError:  # the drive, and so the flag, is fixed per table
         infinite = np.full(grid.size, math.inf)
-        flag = "threshold" if isinstance(exc, ThresholdError) else "domain"
-        return columns, leading + [infinite] * 3 + [_flags(grid.size, **{flag: True})]
-    # The coherent reference needs a probe: no probe is a domain row.
+        return columns, leading + [infinite] * 3 + [_flags(grid.size, threshold=True)]
+    # The coherent reference needs a probe: no probe is a domain row. A coherent probe with
+    # a vacuum port reads 1/(sqrt(eta) alpha_c |sin phi|), a pole where its slope
+    # eta N |sin phi| is within POLE_TOLERANCE eta N of zero; sin(pi/2) is exactly 1.
     domain = np.asarray(alpha_c) <= 0
-    coherent = coherent_sensitivity(alpha_c, eta)
-    if sweep.variable == "phi":
-        # A coherent probe with a vacuum port reads 1/(sqrt(eta) alpha_c |sin phi|), a
-        # pole where its slope eta N |sin phi| is within POLE_TOLERANCE eta N of zero.
-        sine = np.abs(np.sin(grid))
-        with np.errstate(divide="ignore", over="ignore"):  # both only where the row is inf
-            coherent = np.where(sine > POLE_TOLERANCE, coherent / sine, math.inf)
+    sine = np.abs(np.sin(phi))
+    with np.errstate(divide="ignore", over="ignore"):  # both only where the row is inf
+        coherent = np.where(sine > POLE_TOLERANCE, coherent_sensitivity(alpha_c, eta) / sine,
+                            math.inf)
     quantum = HBAR * omega_p
     with np.errstate(divide="ignore"):  # no photons at all: a domain row
         snl = 1.0 / np.sqrt(photons + pump_power / quantum)
@@ -458,6 +464,7 @@ def _run_sensitivity(cfg: RunConfig, rates: CavityRates, gain: float):
 def _run_pole(cfg: RunConfig, rates: CavityRates, gain: float):
     injection, _, _ = _resolve_drive(cfg, rates, gain)
     alpha_c = cfg.sweep.grid()
+    _check_probe(alpha_c, cfg)
     columns = ["alpha_c", "dphi_squeezed", "flag"]
     try:
         dphi, _, pole = mzi_sensitivity(alpha_c, math.pi / 2, cfg.eta_value, rates, injection)
@@ -488,6 +495,7 @@ def _run_improvement(cfg: RunConfig, rates: CavityRates, gain: float):
     eta = efficiency(cfg.sensor_alpha_loss, lengths)
     if alpha_c <= 0:
         raise DomainError(f"the improvement needs a probe, alpha_c > 0, got {alpha_c}")
+    _check_probe(alpha_c, cfg)
     try:
         squeezed, _, pole = mzi_sensitivity(alpha_c, math.pi / 2, eta, ring, injection)
     except ThresholdError:
@@ -573,11 +581,11 @@ def _format_e17(values) -> np.ndarray:
 
 
 def _chunk_text(parts: list) -> str:
-    """Rows of the columns ``parts`` as CSV text: the cells, ',' and '\n' in one
-    NUL-padded uint8 buffer, compacted once. Float columns are formatted together."""
-    floats = [column for column in parts if column.ndim == 1 and column.dtype.kind == "f"]
-    formatted = iter(_format_e17(np.stack(floats, axis=1)).swapaxes(0, 1) if floats else ())
-    cells = [next(formatted) if c.ndim == 1 and c.dtype.kind == "f" else c for c in parts]
+    """Rows of the columns ``parts`` as CSV text: the cells, ',' and '\n' in one NUL-padded
+    uint8 buffer, compacted once. Numeric (float, int, bool) columns are formatted together."""
+    numbers = [column for column in parts if column.ndim == 1 and column.dtype.kind not in "SU"]
+    formatted = iter(_format_e17(np.stack(numbers, axis=1)).swapaxes(0, 1) if numbers else ())
+    cells = [next(formatted) if c.ndim == 1 and c.dtype.kind not in "SU" else c for c in parts]
     widths = [c.shape[1] if c.ndim == 2 else c.itemsize // (4 if c.dtype.kind == "U" else 1)
               for c in cells]
     out = np.full((len(parts[0]), sum(widths) + len(widths)), ord(","), np.uint8)
@@ -596,26 +604,19 @@ def _chunk_text(parts: list) -> str:
 def write_table(table: ResultTable, path: str | None) -> None:
     """Write the table as CSV with '#'-prefixed metadata lines.
 
-    Numbers are written byte for byte as Python's '%.17e' (which spells 'inf'
-    and 'nan' as such); text, preformatted numbers and flags, as is. Output
-    bytes are a pure function of the table contents, so identical
-    configurations produce identical files.
+    Each chunk of _WRITE_BLOCK_ROWS rows goes through _chunk_text: numbers as
+    Python's '%.17e' byte for byte ('inf', 'nan' as such), text, preformatted
+    numbers and flags as is. Output bytes are a pure function of the table
+    contents, so identical configurations produce identical files.
     """
     header = [f"# {k}={table.meta[k]}" for k in sorted(table.meta)] + [",".join(table.columns)]
-    width = len(table.columns)
     with (nullcontext(sys.stdout) if path is None
           else open(path, "w", encoding="utf-8", newline="\n")) as handle:
         handle.write("\n".join(header) + "\n")
         for block in table.blocks:
-            line = ",".join("%s" if c.dtype.kind in "SU" else "%.17e" for c in block) + "\n"
             for start in range(0, len(block[0]), _WRITE_BLOCK_ROWS):
-                parts = [column[start:start + _WRITE_BLOCK_ROWS] for column in block]
-                if len(parts[0]) * width >= _MIN_ARRAY_CELLS or any(c.ndim == 2 for c in parts):
-                    handle.write(_chunk_text(parts))
-                else:
-                    cells = (map(bytes.decode, c.tolist()) if c.dtype.kind == "S" else c.tolist()
-                             for c in parts)
-                    handle.write("".join(line % row for row in zip(*cells)))
+                handle.write(_chunk_text([column[start:start + _WRITE_BLOCK_ROWS]
+                                          for column in block]))
 
 
 @functools.cache

@@ -531,23 +531,6 @@ class TestFormatE17:
     def test_keeps_the_shape(self):
         assert _format_e17(np.zeros((3, 2))).shape == (3, 2, 25)
 
-    @pytest.mark.parametrize("rows", [cli._MIN_ARRAY_CELLS // 3 - 1,
-                                      cli._MIN_ARRAY_CELLS // 3 + 1])
-    def test_both_sides_of_the_array_cutoff(self, rows, tmp_path, monkeypatch):
-        """Short chunks go through '%', longer ones through the array writer: same bytes."""
-        chunks = []
-        monkeypatch.setattr(cli, "_chunk_text", lambda parts: chunks.append(parts) or "")
-        values = np.random.default_rng(rows).standard_normal((2, rows)) * 1e5
-        values[0, :3] = [0.0, math.inf, math.nan]
-        flags = np.array(["", "pole", "threshold"] * rows)[:rows]
-        table = ResultTable(columns=["a", "b", "flag"], data=[*values, flags], meta={})
-        write_table(table, str(tmp_path / "spy.csv"))
-        assert len(chunks) == (3 * rows >= cli._MIN_ARRAY_CELLS)
-        monkeypatch.undo()
-        write_table(table, str(tmp_path / "out.csv"))
-        assert (tmp_path / "out.csv").read_text() == "a,b,flag\n" + "".join(
-            "%.17e,%.17e,%s\n" % row for row in zip(*values.tolist(), flags.tolist()))
-
 
 class TestDefaultPresets:
     @pytest.mark.parametrize("command,digest", [
@@ -603,13 +586,13 @@ class TestWriteTable:
         assert lines[1] == ",".join(format(v, ".17e") for v in values[0])
 
     @pytest.mark.parametrize("kind", ["U", "S"])
-    @pytest.mark.parametrize("count", [cli._MIN_ARRAY_CELLS // 3 - 1, cli._MIN_ARRAY_CELLS // 3 + 1,
-                                       cli._WRITE_BLOCK_ROWS + cli._MIN_ARRAY_CELLS // 3 - 1])
+    @pytest.mark.parametrize("count", [1, 79, 81, cli._WRITE_BLOCK_ROWS + 79])
     def test_every_flag_kind_as_str_or_bytes(self, kind, count, tmp_path):
-        """'U' and 'S' flag cells write as text through '%' and the array writer, also in a
+        """'U' and 'S' flag cells write as text beside 0, inf and nan, from one row up to a
         table whose last write block is short, and read back as str."""
         values = np.random.default_rng(count).standard_normal((2, count)) * 1e5
-        values[1, :3] = [0.0, -math.inf, math.nan]
+        special = np.array([[0.0, math.inf, math.nan], [-math.inf, math.nan, -0.0]])
+        values[:, :3] = special[:, :count]
         flags = (["threshold", "domain", "pole", ""] * count)[:count]
         table = ResultTable(columns=["a", "b", "flag"], meta={},
                             data=[*values, np.array(flags).astype(kind)])
@@ -618,6 +601,25 @@ class TestWriteTable:
         assert path.read_text() == "a,b,flag\n" + "".join(
             "%.17e,%.17e,%s\n" % row for row in zip(*values.tolist(), flags))
         assert [row[-1] for row in rows(table)] == flags
+
+    def test_one_row_of_eight_floats(self, tmp_path):
+        """The shape of the rates table, with every special value a cell can hold."""
+        values = [0.0, -0.0, math.inf, -math.inf, math.nan, 1.5, -2.5e-300, 6.02214076e23]
+        path = tmp_path / "row.csv"
+        write_table(ResultTable(columns=list("abcdefgh"), data=[[v] for v in values], meta={}),
+                    str(path))
+        assert path.read_text() == "a,b,c,d,e,f,g,h\n%s\n" % ",".join("%.17e" % v for v in values)
+
+    @pytest.mark.parametrize("count", [1, 100])
+    def test_int_and_bool_columns_write_as_numbers(self, count, tmp_path):
+        """As '%.17e' writes them, in a table of any size."""
+        ints, bools = np.arange(count) - 7, np.arange(count) % 2 == 0
+        path = tmp_path / "ints.csv"
+        write_table(ResultTable(columns=["n", "b", "x"], data=[ints, bools, ints / 3], meta={}),
+                    str(path))
+        assert path.read_text() == "n,b,x\n" + "".join(
+            "%.17e,%.17e,%.17e\n" % row for row in zip(ints.tolist(), bools.tolist(),
+                                                     (ints / 3).tolist()))
 
     def test_deterministic_bytes(self, tmp_path):
         args = ["squeezing", "--set", "sweep.points=7", "--set", "pump.sigma_n=0.9"]
@@ -836,11 +838,25 @@ class TestMain:
         ("rates", "geometry.n2=1e300", "geometry.n2"),
         ("rates", "geometry.ring_length=1e-310", "geometry.ring_length"),
         ("rates", "pump.delta_p=1e200", "pump.delta_p"),
+        # A probe whose 2 alpha_c^2 overflows reads inf <= inf in the pole test: far from
+        # the pole, rows would be flagged pole.
+        pytest.param("sensitivity", "sweep.stop=1e300 sweep.points=2", "sweep.start, sweep.stop",
+                     id="sensitivity-p_c-sweep-1e300"),
+        pytest.param("pole", "sweep.stop=1e300 sweep.points=2", "sweep.start, sweep.stop",
+                     id="pole-alpha_c-sweep-1e300"),
+        pytest.param("improvement", "pump.alpha_c=1e300 sweep.points=2", "pump.alpha_c",
+                     id="improvement-alpha_c-1e300"),
+        *(pytest.param("sensitivity", f"sweep.variable=phi sweep.start=1 sweep.stop=2 "
+                       f"sweep.points=2 {key}=1e300", key, id=f"sensitivity-phi-{key}-1e300")
+          for key in ("pump.alpha_c", "pump.p_c")),
+        pytest.param("pole", "sweep.stop=1e154 sweep.points=2", "sweep.start, sweep.stop",
+                     id="pole-alpha_c-sweep-1e154"),
     ])
     def test_extreme_inputs_write_finite_rows_or_name_their_key(self, command, setting, key,
                                                                  capsys):
-        """Exit 0 with no nan cell, or a config error naming the key; never a traceback."""
-        status = main([command, "--set", setting])
+        """Exit 0 with no nan cell, or a config error naming the key; never a traceback.
+        ``setting`` is one or more space-separated KEY=VALUE pairs, one --set each."""
+        status = main([command] + [arg for pair in setting.split() for arg in ("--set", pair)])
         captured = capsys.readouterr()
         assert "Traceback" not in captured.err
         if key is None:
