@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import itertools
 import math
 import sys
 from collections.abc import Callable, Iterable
@@ -144,10 +145,11 @@ class LazyBlocks:
 class ResultTable:
     """Table with provenance metadata: a re-iterable sequence of column blocks.
 
-    A block holds one column per entry of ``columns``, all of one length. A
-    numeric column is a float array or its cells formatted by ``_format_e17``,
-    a (rows, 25) uint8 array; ``flag`` is a bytes or str array. ``data`` is either
-    the whole table as one block of columns or a LazyBlocks.
+    A block holds one column per entry of ``columns``. Its columns broadcast to
+    one length, or to one 2-D shape whose rows are the table's rows in C order.
+    A numeric column is a float, int or bool array, or its cells formatted by
+    ``_format_e17`` (Cells); ``flag`` is a bytes or str array. ``data`` is either
+    the whole table as one block of 1-D columns or a LazyBlocks.
     """
 
     columns: list[str]
@@ -346,16 +348,20 @@ def _derive(cfg: RunConfig) -> tuple[CavityRates, float]:
     return rates, strength.gain
 
 
+def _probe_keys(cfg: RunConfig) -> str:
+    """The keys the probe amplitude alpha_c of a sweep comes from."""
+    return ("sweep.start, sweep.stop" if cfg.sweep.variable in ("p_c", "alpha_c")
+            else "pump.alpha_c" if cfg.alpha_c is not None else "pump.p_c")
+
+
 def _check_probe(alpha_c, cfg: RunConfig) -> None:
     """ConfigError naming the keys of the probe amplitude alpha_c unless 2 alpha_c^2, the
     largest probe term of Var ID (see interferometer), is finite at every point."""
     with np.errstate(over="ignore"):
         if np.isfinite(2 * np.square(alpha_c)).all():
             return
-    keys = ("sweep.start, sweep.stop" if cfg.sweep.variable in ("p_c", "alpha_c")
-            else "pump.alpha_c" if cfg.alpha_c is not None else "pump.p_c")
     raise ConfigError(f"the probe amplitude alpha_c = {float(np.max(alpha_c))!r} is too large: "
-                      f"2 alpha_c^2 overflows (from {keys})")
+                      f"2 alpha_c^2 overflows (from {_probe_keys(cfg)})")
 
 
 def run_command(cfg: RunConfig) -> ResultTable:
@@ -407,12 +413,11 @@ def _run_jsi(cfg: RunConfig, rates: CavityRates, gain: float):
     if not math.isfinite(span / rates.gamma_total):
         raise ConfigError(f"jsi.span = {span!r} is more than 1e308 Gamma = {rates.gamma_total!r}")
     axis = np.linspace(-span, span, cfg.jsi_points)
-    cells = _format_e17(axis)  # each axis value formatted once
-    per = max(1, _WRITE_BLOCK_ROWS // axis.size)  # signal rows per block
-    signal = [slice(start, start + per) for start in range(0, axis.size, per)]
-    return ["delta_ws", "delta_wi", "value"], LazyBlocks(len(signal), lambda k: [
-        np.repeat(cells[signal[k]], axis.size, axis=0), np.tile(cells, (len(cells[signal[k]]), 1)),
-        jsi_density(rates, injection, axis[signal[k], None], axis).ravel()])
+    cells = _format_e17(axis, widths=True)  # each axis value formatted once
+    idler, per = cells[None], max(1, _WRITE_BLOCK_ROWS // axis.size)  # signal rows per block
+    return ["delta_ws", "delta_wi", "value"], LazyBlocks(-(-axis.size // per), lambda k: [
+        cells[k * per:(k + 1) * per, None], idler,
+        jsi_density(rates, injection, axis[k * per:(k + 1) * per, None], axis)])
 
 
 def _run_meanfield(cfg: RunConfig, rates: CavityRates, gain: float):
@@ -494,7 +499,8 @@ def _run_improvement(cfg: RunConfig, rates: CavityRates, gain: float):
     columns = ["sensor_length", "eta", "improvement", "flag"]
     eta = efficiency(cfg.sensor_alpha_loss, lengths)
     if alpha_c <= 0:
-        raise DomainError(f"the improvement needs a probe, alpha_c > 0, got {alpha_c}")
+        raise ConfigError(f"the improvement needs a probe, alpha_c > 0, got {alpha_c!r} "
+                          f"(from {_probe_keys(cfg)})")
     _check_probe(alpha_c, cfg)
     try:
         squeezed, _, pole = mzi_sensitivity(alpha_c, math.pi / 2, eta, ring, injection)
@@ -515,7 +521,9 @@ _SPLIT = 2.0 ** 27 + 1  # Dekker's split of a double into two 26-bit halves
 def _e17_tables():
     """Built on the first write, from integers: columns (hi, hi's Dekker halves, lo, shift)
     with 10^p = (hi + lo) 2^shift, hi in [1/2, 2], for p in _POWER_RANGE; 'e-325' ..
-    'e+309' NUL-padded to a uint64, at 325 + k; the digits 0000 .. 9999 as uint32."""
+    'e+309' NUL-padded to a uint64, at 325 + k; the digits 0000 .. 9999 as uint32; the
+    signed width of a cell with exponent k (see Cells), at 325 + k, and at 960 + k if
+    it is negative."""
     powers = []
     for p in _POWER_RANGE:
         e = (10 ** abs(p)).bit_length() * (1 if p >= 0 else -1)
@@ -525,8 +533,10 @@ def _e17_tables():
         head = _SPLIT * hi - (_SPLIT * hi - hi)
         powers.append((hi, head, hi - head, (n * hd - hn * d) / (d * hd), e))
     exponents = b"".join((b"e%+03d" % k).ljust(8, b"\0") for k in range(-325, 310))
+    widths = [20 + len(b"%+03d" % k) for k in range(-325, 310)]
     return (np.array(powers).T.copy(), np.frombuffer(exponents, np.uint64),
-            np.frombuffer(b"".join(b"%04d" % i for i in range(10 ** 4)), np.uint32))
+            np.frombuffer(b"".join(b"%04d" % i for i in range(10 ** 4)), np.uint32),
+            np.array(widths + [-1 - width for width in widths], np.int8))
 
 
 def _scaled_digits(m, e2, p):
@@ -542,11 +552,37 @@ def _scaled_digits(m, e2, p):
     return np.ldexp(head, scale).astype(np.int64) + whole.astype(np.int64), rest - whole
 
 
-def _format_e17(values) -> np.ndarray:
-    """Each value's '%.17e' text, byte for byte, as uint8 of shape + (25,), NUL-padded.
+@dataclass
+class Cells:
+    """Formatted cells: their text as uint8 of ``shape`` + (bytes,), NUL-padded, and each
+    cell's length in bytes, negated where the text starts at byte 0 instead of byte 1."""
+
+    text: np.ndarray
+    widths: np.ndarray
+
+    @property
+    def shape(self) -> tuple:
+        return self.widths.shape
+
+    def __getitem__(self, index) -> Cells:
+        return Cells(self.text[index], self.widths[index])
+
+    @functools.cached_property
+    def cuts(self) -> tuple[list, list]:
+        """Of 2-D cells: the rows, then the columns, whose widths differ from the one before."""
+        w = self.widths
+        return ((np.flatnonzero((w[1:] != w[:-1]).any(axis=1)) + 1).tolist(),
+                (np.flatnonzero((w[:, 1:] != w[:, :-1]).any(axis=0)) + 1).tolist())
+
+
+def _format_e17(values, widths: bool = False):
+    """Each value's '%.17e' text, byte for byte, as uint8 of shape + (25,), NUL-padded;
+    with ``widths``, as Cells.
 
     The 18 significant digits D = round(|x| 10^(17-k)) are taken in double-double
-    arithmetic; 0, inf, nan and values within 2^-30 of a rounding tie go to '%'.
+    arithmetic; 0, inf, nan and values within 2^-30 of a rounding tie go to '%'. A
+    cell is 23 bytes, plus 1 for a '-' in byte 0 (else byte 0 is a NUL) and 1 for a
+    3-digit exponent. A '%' cell starts at byte 0 and is as long as its text.
     """
     x = np.asarray(values, dtype=np.float64).ravel()
     finite = (x != 0) & np.isfinite(x)
@@ -561,7 +597,7 @@ def _format_e17(values) -> np.ndarray:
     digits += fraction >= 0.5
     k += (carry := digits == 10 ** 18)
     digits[carry] = 10 ** 17
-    exponents, quads = _e17_tables()[1:]
+    exponents, quads, lengths = _e17_tables()[1:]
     groups = np.empty((x.size, 5), np.int64)  # D in groups of 4 digits, the first < 100
     for j in (4, 3, 2, 1):  # // and a product: np.divmod is about 4x slower
         quotient = digits // 10 ** 4
@@ -569,54 +605,119 @@ def _format_e17(values) -> np.ndarray:
         digits = quotient
     groups[:, 0] = digits
     out = np.empty((x.size, 25), np.uint8)
-    out[:, 0] = np.where(np.signbit(x), ord("-"), 0)
+    out[:, 0] = np.where(negative := np.signbit(x), ord("-"), 0)
     out[:, 2:20] = quads[groups].view(np.uint8).reshape(-1, 20)[:, 2:]  # the 18 digits
     out[:, 1] = out[:, 2]
     out[:, 2] = ord(".")
     out[:, 20:] = exponents[k + 325].view(np.uint8).reshape(-1, 8)[:, :5]
     fallback = np.flatnonzero(~finite | (np.abs(fraction - 0.5) < 2.0 ** -30))
-    text = np.array(["%.17e" % value for value in x[fallback].tolist()], dtype="S25")
-    out[fallback] = text.view(np.uint8).reshape(-1, 25)
-    return out.reshape(np.shape(values) + (25,))
+    text = ["%.17e" % value for value in x[fallback].tolist()]
+    out[fallback] = np.array(text, dtype="S25").view(np.uint8).reshape(-1, 25)
+    out = out.reshape(np.shape(values) + (25,))
+    if not widths:
+        return out
+    width = lengths.take(k + np.where(negative, 960, 325))
+    width[fallback] = [-len(cell) for cell in text]
+    return Cells(out, width.reshape(np.shape(values)))
 
 
-def _chunk_text(parts: list) -> str:
-    """Rows of the columns ``parts`` as CSV text: the cells, ',' and '\n' in one NUL-padded
-    uint8 buffer, compacted once. Numeric (float, int, bool) columns are formatted together."""
-    numbers = [column for column in parts if column.ndim == 1 and column.dtype.kind not in "SU"]
-    formatted = iter(_format_e17(np.stack(numbers, axis=1)).swapaxes(0, 1) if numbers else ())
-    cells = [next(formatted) if c.ndim == 1 and c.dtype.kind not in "SU" else c for c in parts]
-    widths = [c.shape[1] if c.ndim == 2 else c.itemsize // (4 if c.dtype.kind == "U" else 1)
-              for c in cells]
-    out = np.full((len(parts[0]), sum(widths) + len(widths)), ord(","), np.uint8)
-    out[:, -1] = ord("\n")
+def _text_cells(column) -> Cells:
+    """A text column's cells: its bytes, NUL-padded to the item size, from byte 0."""
+    text = np.ascontiguousarray(column, dtype="S" if column.dtype.kind == "U" else None)
+    return Cells(text.view(np.uint8).reshape(text.shape + (text.itemsize,)),
+                 -np.char.str_len(text))
+
+
+def _chunk(columns: list, runs: list) -> np.ndarray:
+    """CSV bytes of the rows of ``columns``, which broadcast to (outer, span), in C order.
+
+    Numeric columns are formatted together, text columns taken as bytes. The spans
+    [a, b) of ``runs`` cover 0 .. span, and each Cells column passed in has one width
+    in each. If every other column also has one width in each, the rows of a run are
+    filled through one (outer, b - a, row) view at those widths. Otherwise the cells
+    fill one NUL-padded row each, and the NULs are removed.
+    """
+    numbers = [c for c in columns if not isinstance(c, Cells) and c.dtype.kind not in "SU"]
+    if len({c.shape for c in numbers}) > 1:
+        numbers = np.broadcast_arrays(*numbers)
+    formatted = _format_e17(np.stack(numbers, axis=-1), widths=True) if numbers else None
+    # Cells of shape (outer or 1, span or 1, count): one per run of adjacent numeric columns,
+    # one per other column. Those not passed in as Cells may vary in width.
+    segments, varying, j = [], [], 0
+    for numeric, group in itertools.groupby(
+            columns, lambda c: not isinstance(c, Cells) and c.dtype.kind not in "SU"):
+        if numeric:
+            j += (count := len(list(group)))
+            segments.append(formatted if count == len(numbers) else formatted[:, :, j - count:j])
+            varying.append(segments[-1])
+        for column in () if numeric else group:
+            segments.append((column if isinstance(column, Cells) else
+                             _text_cells(column))[:, :, None])
+            varying += [segments[-1]] * (not isinstance(column, Cells))
+    outer, span = max(c.shape[0] for c in segments), max(c.shape[1] for c in segments)
+    fixed = all((c.widths[:, a:b] == c.widths[:1, a:a + 1]).all() for c in varying for a, b in runs)
+    if fixed:  # each column's width in each run
+        layout = [(a, b, [c.widths[0, a if c.shape[1] > 1 else 0].tolist() for c in segments])
+                  for a, b in runs]
+    else:  # every cell padded, from byte 0
+        layout = [(0, span, [[-c.text.shape[-1]] * c.shape[2] for c in segments])]
+    sizes = [(b - a) * sum(abs(w) + 1 for ws in widths for w in ws) for a, b, widths in layout]
+    out = np.full((outer, sum(sizes)), ord(","), np.uint8)
     at = 0
-    for column, width in zip(cells, widths):
-        target = out[:, at:at + width]
-        if column.ndim == 1:  # text, cast to 'S' strings of the cell's width, NUL-padded
-            target = target.view(f"S{width}")[:, 0]
-        target[...] = column
-        at += width + 1
-    flat = out.ravel()
-    return flat[flat != 0].tobytes().decode("ascii")
+    for (a, b, widths), size in zip(layout, sizes):
+        rows = out[:, at:at + size].reshape(outer, b - a, -1)
+        pos = 0
+        for c, ws in zip(segments, widths):
+            text, first = c.text[:, a:b] if c.shape[1] > 1 else c.text, 0
+            for w, same in itertools.groupby(ws):  # adjacent columns of one width: one copy
+                count, start, width = len(list(same)), int(w > 0), abs(w)
+                if width:  # each cell as one S item
+                    rows[:, :, pos:pos + count * (width + 1)].reshape(outer, b - a, count, -1)[
+                        ..., :width].view(f"S{width}")[...] = (
+                        text[:, :, first:first + count, start:start + width].view(f"S{width}"))
+                pos, first = pos + count * (width + 1), first + count
+        rows[:, :, -1] = ord("\n")
+        at += size
+    return out if fixed else out[out != 0]
+
+
+def _chunks(block: list):
+    """The rows of a block as _chunk bytes of at most _WRITE_BLOCK_ROWS rows each.
+
+    A 1-D block is one row of 2-D columns. A 2-D block is cut where the widths of a
+    Cells column change: the rows and the columns of its shape where they differ.
+    """
+    block = [c if len(c.shape) == 2 else c[None] for c in block]
+    outer, span = max(c.shape[0] for c in block), max(c.shape[1] for c in block)
+    cuts = [c.cuts for c in block if isinstance(c, Cells)]
+    row_marks = sorted({*range(0, outer, max(1, _WRITE_BLOCK_ROWS // span)), outer,
+                        *(i for rows, _ in cuts for i in rows)})
+    for j0 in range(0, span, _WRITE_BLOCK_ROWS):
+        j1 = min(j0 + _WRITE_BLOCK_ROWS, span)
+        marks = sorted({j0, j1, *(j for _, cols in cuts for j in cols if j0 < j < j1)})
+        runs = [(a - j0, b - j0) for a, b in zip(marks, marks[1:])]
+        for i0, i1 in zip(row_marks, row_marks[1:]):
+            yield _chunk(block if (i1 - i0, j1 - j0) == (outer, span) else
+                         [c[slice(i0, i1) if c.shape[0] > 1 else slice(None),
+                            slice(j0, j1) if c.shape[1] > 1 else slice(None)] for c in block], runs)
 
 
 def write_table(table: ResultTable, path: str | None) -> None:
     """Write the table as CSV with '#'-prefixed metadata lines.
 
-    Each chunk of _WRITE_BLOCK_ROWS rows goes through _chunk_text: numbers as
-    Python's '%.17e' byte for byte ('inf', 'nan' as such), text, preformatted
-    numbers and flags as is. Output bytes are a pure function of the table
-    contents, so identical configurations produce identical files.
+    Each block goes out in _chunks: numbers as Python's '%.17e' byte for byte
+    ('inf', 'nan' as such), text, preformatted numbers and flags as is. The bytes
+    go to the file or to stdout's binary buffer. Output bytes are a pure function
+    of the table contents, so identical configurations produce identical files.
     """
     header = [f"# {k}={table.meta[k]}" for k in sorted(table.meta)] + [",".join(table.columns)]
-    with (nullcontext(sys.stdout) if path is None
-          else open(path, "w", encoding="utf-8", newline="\n")) as handle:
-        handle.write("\n".join(header) + "\n")
+    if path is None:
+        sys.stdout.flush()  # text already written to stdout goes first
+    with nullcontext(sys.stdout.buffer) if path is None else open(path, "wb") as handle:
+        handle.write(("\n".join(header) + "\n").encode())
         for block in table.blocks:
-            for start in range(0, len(block[0]), _WRITE_BLOCK_ROWS):
-                handle.write(_chunk_text([column[start:start + _WRITE_BLOCK_ROWS]
-                                          for column in block]))
+            for chunk in _chunks(block):
+                handle.write(chunk)
 
 
 @functools.cache

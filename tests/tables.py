@@ -1,15 +1,23 @@
 """Row view of a ringmzi.cli.ResultTable (tests only)."""
 
+import numpy as np
 
-def cells(column) -> list:
-    """One column as Python floats and strings: formatted cells are read back, bytes decoded."""
-    if column.ndim == 2:
-        return [float(bytes(cell).replace(b"\0", b"")) for cell in column]
+from ringmzi.cli import Cells
+
+
+def cells(column) -> np.ndarray:
+    """One column as an array of Python floats and strings: formatted cells are read back,
+    bytes decoded."""
+    if isinstance(column, Cells):
+        text = column.text.reshape(-1, column.text.shape[-1])
+        return np.array([float(bytes(cell).replace(b"\0", b"")) for cell in text]).reshape(
+            column.shape)
     if column.dtype.kind == "S":
-        return [cell.decode("ascii") for cell in column.tolist()]
-    return column.tolist()
+        return np.char.decode(column, "ascii")
+    return column
 
 
 def rows(table) -> list[list]:
-    """The table row by row."""
-    return [list(row) for block in table.blocks for row in zip(*map(cells, block))]
+    """The table row by row, the columns of each block broadcast to one shape."""
+    return [list(row) for block in table.blocks for row in zip(
+        *(column.ravel().tolist() for column in np.broadcast_arrays(*map(cells, block))))]

@@ -431,7 +431,7 @@ class TestStreamedJsi:
     def test_rows_and_text_columns_across_write_blocks(self, tmp_path):
         """Blocks mixing formatted cells and arrays split at 4096 rows, and re-iterate for rows."""
         values = np.linspace(-1.0, 1.0, 5000) * 1e9
-        text = _format_e17(values)
+        text = _format_e17(values, widths=True)
         flags = np.array(["", "pole"] * 2500)
         table = ResultTable(columns=["a", "b", "flag"], meta={},
                             data=LazyBlocks(2, lambda k: [text, values * (k + 1), flags]))
@@ -442,6 +442,107 @@ class TestStreamedJsi:
         assert path.read_text() == "a,b,flag\n" + "".join(
             "%.17e,%.17e,%s\n" % tuple(row) for row in expected)
         assert rows(table) == expected
+
+
+def e17_rows(*columns) -> bytes:
+    """Broadcast columns as rows of '%.17e' cells joined by ','."""
+    cells = [column.ravel().tolist() for column in np.broadcast_arrays(*columns)]
+    return "".join(",".join("%.17e" % v for v in row) + "\n" for row in zip(*cells)).encode()
+
+
+class TestRowAssembly:
+    """Rows filled at fixed widths, or compacted where a column mixes widths, are the bytes of
+    '%.17e' row by row, written to a file and to stdout alike."""
+
+    @staticmethod
+    def written(table_or_argv, tmp_path, capsysbinary) -> bytes:
+        """The CSV as written to a file, checked equal to what stdout receives."""
+        path = tmp_path / "out.csv"
+        capsysbinary.readouterr()
+        if isinstance(table_or_argv, list):
+            assert main(table_or_argv + ["--out", str(path)]) == 0
+            assert main(table_or_argv) == 0
+        else:
+            write_table(table_or_argv, str(path))
+            write_table(table_or_argv, None)
+        assert capsysbinary.readouterr().out == path.read_bytes()
+        return path.read_bytes()
+
+    def check_jsi(self, settings, tmp_path, capsysbinary) -> list[list[str]]:
+        cfg = parse_config("\n".join(settings), command="jsi")
+        argv = ["jsi"] + [arg for setting in settings for arg in ("--set", setting)]
+        body = self.written(argv, tmp_path, capsysbinary).split(b"\n", 3)[3]
+        assert body == jsi_oracle_body(cfg).encode()
+        return [line.split(",") for line in body.decode().splitlines()]
+
+    @staticmethod
+    def strided(cfg) -> list[bool]:
+        """Per chunk of the table: whether it was filled at fixed widths (2-D bytes)."""
+        return [chunk.ndim == 2 for block in run_command(cfg).blocks
+                for chunk in cli._chunks(block)]
+
+    @pytest.mark.parametrize("points", [6, 7, 200])
+    def test_odd_and_even_points(self, points, tmp_path, capsysbinary):
+        """An odd axis has an exact 0.0, a '%' cell as wide as a positive one but from byte 0."""
+        settings = [f"jsi.points={points}"]
+        rows = self.check_jsi(settings, tmp_path, capsysbinary)
+        assert ("0.00000000000000000e+00" in {row[1] for row in rows}) == (points % 2 == 1)
+        assert all(self.strided(parse_config("\n".join(settings), command="jsi")))
+
+    def test_three_digit_axis_exponents(self, tmp_path, capsysbinary):
+        rows = self.check_jsi(["jsi.span=1e-95", "jsi.points=7"], tmp_path, capsysbinary)
+        assert rows[0][:2] == ["-9.99999999999999989e-96"] * 2 and rows[-1][1].endswith("e-96")
+
+    @pytest.mark.parametrize("ratio", [1e25, 1e30, 1e60, 1e77, 1e80, 1e100])
+    def test_spans_whose_values_mix_exponents(self, ratio, tmp_path, capsysbinary):
+        """Values of 2- and 3-digit exponents, subnormals and 0 in one column. Where they
+        cross 1e-99 within a run of one axis width (1e25 Gamma) the chunk is compacted.
+        Where D = (4uv + (1 - s)(1 + s))^2 + 4 (u - v)^2 overflows, beyond about 1e77 Gamma,
+        each cell is still the 100-digit value, or 0 where that underflows."""
+        rates = derive_rates(REFERENCE_GEOMETRY)
+        settings = [f"jsi.span={ratio * rates.gamma_total!r}", "jsi.points=9"]
+        rows = self.check_jsi(settings, tmp_path, capsysbinary)
+        values = [float(row[2]) for row in rows]
+        assert min(v for v in values if v > 0) < 1e-99 < max(values)
+        assert (0.0 in values) == (ratio == 1e100)
+        assert (min(values) < 2.2250738585072014e-308) == (ratio >= 1e77)  # subnormal
+        strided = self.strided(parse_config("\n".join(settings), command="jsi"))
+        assert all(strided) == (ratio != 1e25)
+        injection = Injection(parse_config("", command="jsi").sigma_n)
+        for ws, wi, value in ([float(cell) for cell in row] for row in rows):
+            exact = float(exact_moments.jsi(rates, injection, ws, wi))
+            assert abs(value - exact) <= 1e-13 * exact + 4 * 5e-324, (ws, wi, value, exact)
+
+    @pytest.mark.parametrize("block_rows", [4, 5])
+    def test_signal_row_longer_than_a_write_block(self, block_rows, monkeypatch, tmp_path,
+                                                   capsysbinary):
+        """jsi.points above _WRITE_BLOCK_ROWS: one signal row is cut into several chunks."""
+        monkeypatch.setattr(cli, "_WRITE_BLOCK_ROWS", block_rows)
+        self.check_jsi(["jsi.points=7"], tmp_path, capsysbinary)
+        cfg = parse_config("jsi.points=7", command="jsi")
+        assert len(self.strided(cfg)) > 7
+
+    def test_hand_built_blocks_with_special_values(self, tmp_path, capsysbinary):
+        """Axis cells of every width (-0.0, inf, nan, 3-digit exponents) against values that
+        mix widths, then values of one width."""
+        signal = np.array([-1.5, -0.0, 0.0, 2.5e100, math.nan])[:, None]
+        idler = np.array([-math.inf, -2.0, 3.0, math.nan, 1e-300, 4.0, 5.0, -0.0])[None]
+        uniform = np.linspace(1.0, 9.0, signal.size * idler.size).reshape(signal.size, -1)
+        mixed = uniform * np.where(np.arange(uniform.size) % 3, 1.0, -1.0).reshape(uniform.shape)
+        mixed[1, 1], mixed[2, 2], mixed[3, 3], mixed[4, 5:7] = math.inf, math.nan, -0.0, 1e-300
+        blocks = [(signal, idler, mixed), (signal, idler, uniform), (signal[:2], idler, uniform[:2])]
+        table = ResultTable(columns=["s", "i", "v"], meta={}, data=LazyBlocks(len(blocks), lambda k: [
+            _format_e17(blocks[k][0], widths=True), _format_e17(blocks[k][1], widths=True),
+            blocks[k][2]]))
+        assert self.written(table, tmp_path, capsysbinary) == b"s,i,v\n" + b"".join(
+            e17_rows(*block) for block in blocks)
+        # Cut at the signal's widths: 4, 4 and 1 chunks. The last chunk of the first block
+        # mixes widths only across idler runs.
+        assert [chunk.ndim for block in table.blocks for chunk in cli._chunks(block)] == [
+            1, 1, 1, 2, 2, 2, 2, 2, 2]
+        np.testing.assert_array_equal(np.array(rows(table)), np.array(
+            [row for block in blocks for row in zip(*(c.ravel().tolist() for c in
+                                                      np.broadcast_arrays(*block)))]))
 
 
 class TestImport:
@@ -851,6 +952,9 @@ class TestMain:
           for key in ("pump.alpha_c", "pump.p_c")),
         pytest.param("pole", "sweep.stop=1e154 sweep.points=2", "sweep.start, sweep.stop",
                      id="pole-alpha_c-sweep-1e154"),
+        # No probe: the improvement is undefined, a config error naming the probe's key.
+        pytest.param("improvement", "pump.alpha_c=0", "pump.alpha_c", id="improvement-alpha_c-0"),
+        pytest.param("improvement", "pump.p_c=0", "pump.p_c", id="improvement-p_c-0"),
     ])
     def test_extreme_inputs_write_finite_rows_or_name_their_key(self, command, setting, key,
                                                                  capsys):
