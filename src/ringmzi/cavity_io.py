@@ -80,44 +80,23 @@ def _pair_moments(rates: CavityRates, injection: Injection, delta_s=0.0, delta_i
     gamma_total = rates.gamma_total
     x = rates.kappa / gamma_total
     u, v = delta_s / gamma_total, delta_i / gamma_total
-    with np.errstate(over="ignore", invalid="ignore"):  # where D overflows: rescaled below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # if D overflows: below
         uv = 4 * u * v
         # u - v taken in Hz: from the rounded u and v it loses up to 1e-13 near threshold.
         # Squares as products: a float ** that overflows raises.
         near, apart = uv + (1 - s) * (1 + s), (delta_s - delta_i) / gamma_total
         denominator = near * near + 4 * apart * apart
+        n_s = 4 * s * s * x / denominator
         m_si = -2 * x * s * (uv - 1 - s * s - 2j * (u + v)) / denominator if anomalous else None
-    n_s = 4 * s * s * x / denominator
-    if not np.isfinite(denominator).all():
-        beyond = ~np.isfinite(denominator)
-        n_s, m_si = np.array(n_s), np.array(m_si) if anomalous else None
-        scaled = _scaled_moments(s, x, *(np.broadcast_to(w, beyond.shape)[beyond] for w in (u, v)))
-        n_s[beyond] = scaled[0]
-        if anomalous:
-            m_si[beyond] = scaled[1]
-        n_s, m_si = n_s[()], m_si[()] if anomalous else None
+        if not np.isfinite(denominator).all():  # there sqrt(D) = 4 g h, g = max(|u|, |v|)
+            finite, g = np.isfinite(denominator), np.maximum(abs(u), abs(v))
+            h = np.hypot(u / g * v + (1 - s) * (1 + s) / (4 * g), (u / g - v / g) / 2)
+            n_s = np.where(finite, n_s, s * s * x / g / h / (4 * g) / h)[()]
+            if anomalous:  # the numerator over 4 g
+                scaled = u / g * v - (1 + s * s) / (4 * g) - 0.5j * (u / g + v / g)
+                m_si = np.where(finite, m_si, -x * s * scaled / 2 / g / h / h)[()]
     v_squeezed = ((1 - s) ** 2 + 4 * s * (rates.gamma / gamma_total)) / (1 + s) ** 2
     return x, n_s, m_si, v_squeezed
-
-
-def _scaled_moments(s: float, x: float, u: np.ndarray, v: np.ndarray):
-    """(n_s, m_si e^(-i phi_sigma)) at u, v whose D overflows, by the same closed forms
-    with every term scaled by a power of two: u = U 2^a and v = V 2^b with U, V in
-    [1/2, 1), 4 u v + (1 - s)(1 + s) = N 2^(a + b), u +- v = (u' +- v') 2^k with
-    k = max(a, b), and D = d 4^m with m = max(a + b, k), so that d lies in [1/4, 32].
-    """
-    (big_u, a), (big_v, b) = np.frexp(u), np.frexp(v)
-    k = np.maximum(a, b)
-    m = np.maximum(a + b, k)
-    scaled_u, scaled_v = np.ldexp(u, -k), np.ldexp(v, -k)
-    near = 4 * big_u * big_v + np.ldexp((1 - s) * (1 + s), -(a + b))
-    apart = scaled_u - scaled_v
-    d = (near * near * np.ldexp(1.0, 2 * (a + b - m))
-         + 4 * apart * apart * np.ldexp(1.0, 2 * (k - m)))
-    real = -2 * x * s * (4 * big_u * big_v - np.ldexp(1 + s * s, -(a + b))) / d
-    imaginary = 4 * x * s * (scaled_u + scaled_v) / d
-    return (np.ldexp(4 * s * s * x / d, -2 * m),
-            np.ldexp(real, a + b - 2 * m) + 1j * np.ldexp(imaginary, k - 2 * m))
 
 
 def photon_flux(rates: CavityRates, injection: Injection,

@@ -554,25 +554,22 @@ def _scaled_digits(m, e2, p):
 
 @dataclass
 class Cells:
-    """Formatted cells: their text as uint8 of ``shape`` + (bytes,), NUL-padded, and each
-    cell's length in bytes, negated where the text starts at byte 0 instead of byte 1."""
+    """Cells of a CSV column: their text as uint8 of ``shape`` + (bytes,), NUL-padded, and
+    each cell's length in bytes, negated where the text starts at byte 0 instead of 1."""
 
     text: np.ndarray
     widths: np.ndarray
 
-    @property
-    def shape(self) -> tuple:
-        return self.widths.shape
+    shape = property(lambda self: self.widths.shape)
 
     def __getitem__(self, index) -> Cells:
         return Cells(self.text[index], self.widths[index])
 
     @functools.cached_property
-    def cuts(self) -> tuple[list, list]:
-        """Of 2-D cells: the rows, then the columns, whose widths differ from the one before."""
-        w = self.widths
-        return ((np.flatnonzero((w[1:] != w[:-1]).any(axis=1)) + 1).tolist(),
-                (np.flatnonzero((w[:, 1:] != w[:, :-1]).any(axis=0)) + 1).tolist())
+    def cuts(self) -> list[list[int]]:
+        """Of 2-D cells, per axis: the indices whose widths differ from the ones before."""
+        return [(np.flatnonzero(np.diff(self.widths, axis=axis).any(axis=1 - axis)) + 1).tolist()
+                if self.shape[axis] > 1 else [] for axis in (0, 1)]
 
 
 def _format_e17(values, widths: bool = False):
@@ -609,87 +606,96 @@ def _format_e17(values, widths: bool = False):
     out[:, 2:20] = quads[groups].view(np.uint8).reshape(-1, 20)[:, 2:]  # the 18 digits
     out[:, 1] = out[:, 2]
     out[:, 2] = ord(".")
-    out[:, 20:] = exponents[k + 325].view(np.uint8).reshape(-1, 8)[:, :5]
+    out[:, 20:] = exponents[index := k + 325].view(np.uint8).reshape(-1, 8)[:, :5]
     fallback = np.flatnonzero(~finite | (np.abs(fraction - 0.5) < 2.0 ** -30))
     text = ["%.17e" % value for value in x[fallback].tolist()]
-    out[fallback] = np.array(text, dtype="S25").view(np.uint8).reshape(-1, 25)
+    if text:
+        out[fallback] = np.array(text, dtype="S25").view(np.uint8).reshape(-1, 25)
     out = out.reshape(np.shape(values) + (25,))
     if not widths:
         return out
-    width = lengths.take(k + np.where(negative, 960, 325))
-    width[fallback] = [-len(cell) for cell in text]
+    width = lengths.take(index + 635 * negative)
+    if text:
+        width[fallback] = [-len(cell) for cell in text]
     return Cells(out, width.reshape(np.shape(values)))
 
 
 def _text_cells(column) -> Cells:
-    """A text column's cells: its bytes, NUL-padded to the item size, from byte 0."""
-    text = np.ascontiguousarray(column, dtype="S" if column.dtype.kind == "U" else None)
+    """A 2-D text column as Cells of shape (outer, span, 1), each cell from byte 0."""
+    text = np.ascontiguousarray(column, dtype="S" if column.dtype.kind == "U" else None)[..., None]
     return Cells(text.view(np.uint8).reshape(text.shape + (text.itemsize,)),
                  -np.char.str_len(text))
 
 
-def _chunk(columns: list, runs: list) -> np.ndarray:
-    """CSV bytes of the rows of ``columns``, which broadcast to (outer, span), in C order.
+_bytes = functools.cache(lambda width: np.dtype(f"S{width}"))  # one dtype object per width
 
-    Numeric columns are formatted together, text columns taken as bytes. The spans
-    [a, b) of ``runs`` cover 0 .. span, and each Cells column passed in has one width
-    in each. If every other column also has one width in each, the rows of a run are
-    filled through one (outer, b - a, row) view at those widths. Otherwise the cells
-    fill one NUL-padded row each, and the NULs are removed.
+
+def _uniform(widths: np.ndarray) -> bool:
+    """Whether 3-D widths repeat their first row and column: compared as bytes, which
+    costs far less than numpy's reductions on a small chunk."""
+    return widths.tobytes() == widths[:1, :1].tobytes() * (widths.shape[0] * widths.shape[1])
+
+
+def _chunk(columns: list, runs: list) -> np.ndarray:
+    """The rows of ``columns``, which broadcast to (outer, span), as CSV bytes in C order.
+
+    Numbers are formatted together. Each Cells column passed in has one width in each
+    span [a, b) of ``runs``. If every other column does too, the rows of each run are
+    copied at those widths through one (outer, b - a, row) view; otherwise every cell
+    is copied NUL-padded and the NULs are removed.
     """
-    numbers = [c for c in columns if not isinstance(c, Cells) and c.dtype.kind not in "SU"]
+    kinds = ["cells" if isinstance(c, Cells) else "text" if c.dtype.kind in "SU" else "number"
+             for c in columns]
+    numbers = [c for c, kind in zip(columns, kinds) if kind == "number"]
     if len({c.shape for c in numbers}) > 1:
         numbers = np.broadcast_arrays(*numbers)
     formatted = _format_e17(np.stack(numbers, axis=-1), widths=True) if numbers else None
-    # Cells of shape (outer or 1, span or 1, count): one per run of adjacent numeric columns,
-    # one per other column. Those not passed in as Cells may vary in width.
+    # Cells of shape (outer or 1, span or 1, columns): one per run of adjacent numeric
+    # columns, one per other column. Only those passed in as Cells are known to fit the runs.
     segments, varying, j = [], [], 0
-    for numeric, group in itertools.groupby(
-            columns, lambda c: not isinstance(c, Cells) and c.dtype.kind not in "SU"):
-        if numeric:
+    for kind, group in itertools.groupby(range(len(columns)), kinds.__getitem__):
+        if kind == "number":
             j += (count := len(list(group)))
             segments.append(formatted if count == len(numbers) else formatted[:, :, j - count:j])
-            varying.append(segments[-1])
-        for column in () if numeric else group:
-            segments.append((column if isinstance(column, Cells) else
-                             _text_cells(column))[:, :, None])
-            varying += [segments[-1]] * (not isinstance(column, Cells))
-    outer, span = max(c.shape[0] for c in segments), max(c.shape[1] for c in segments)
-    fixed = all((c.widths[:, a:b] == c.widths[:1, a:a + 1]).all() for c in varying for a, b in runs)
+        for i in () if kind == "number" else group:
+            segments.append(columns[i][:, :, None] if kind == "cells" else _text_cells(columns[i]))
+        varying += segments[-1:] if kind != "cells" else []
+    outer, span, _ = map(max, zip(*(c.shape for c in segments)))
+    fixed = all(_uniform(c.widths[:, a:b]) for c in varying for a, b in runs)
     if fixed:  # each column's width in each run
-        layout = [(a, b, [c.widths[0, a if c.shape[1] > 1 else 0].tolist() for c in segments])
+        layout = [(a, b, [c.widths[0, min(a, c.shape[1] - 1)].tolist() for c in segments])
                   for a, b in runs]
     else:  # every cell padded, from byte 0
         layout = [(0, span, [[-c.text.shape[-1]] * c.shape[2] for c in segments])]
     sizes = [(b - a) * sum(abs(w) + 1 for ws in widths for w in ws) for a, b, widths in layout]
-    out = np.full((outer, sum(sizes)), ord(","), np.uint8)
-    at = 0
+    out, at = np.full((outer, sum(sizes)), ord(","), np.uint8), 0
     for (a, b, widths), size in zip(layout, sizes):
-        rows = out[:, at:at + size].reshape(outer, b - a, -1)
-        pos = 0
+        rows, at, pos = out[:, at:at + size].reshape(outer, b - a, -1), at + size, 0
         for c, ws in zip(segments, widths):
-            text, first = c.text[:, a:b] if c.shape[1] > 1 else c.text, 0
+            text, first = c.text[:, a:b] if c.shape[1] > b - a else c.text, 0
             for w, same in itertools.groupby(ws):  # adjacent columns of one width: one copy
                 count, start, width = len(list(same)), int(w > 0), abs(w)
                 if width:  # each cell as one S item
                     rows[:, :, pos:pos + count * (width + 1)].reshape(outer, b - a, count, -1)[
-                        ..., :width].view(f"S{width}")[...] = (
-                        text[:, :, first:first + count, start:start + width].view(f"S{width}"))
+                        ..., :width].view(_bytes(width))[...] = (
+                        text[:, :, first:first + count, start:start + width].view(_bytes(width)))
                 pos, first = pos + count * (width + 1), first + count
         rows[:, :, -1] = ord("\n")
-        at += size
     return out if fixed else out[out != 0]
 
 
 def _chunks(block: list):
     """The rows of a block as _chunk bytes of at most _WRITE_BLOCK_ROWS rows each.
 
-    A 1-D block is one row of 2-D columns. A 2-D block is cut where the widths of a
-    Cells column change: the rows and the columns of its shape where they differ.
+    A 1-D block is one row of 2-D columns. A 2-D block is also cut where the widths of
+    a Cells column change, along either axis.
     """
     block = [c if len(c.shape) == 2 else c[None] for c in block]
-    outer, span = max(c.shape[0] for c in block), max(c.shape[1] for c in block)
+    outer, span = map(max, zip(*(c.shape for c in block)))
     cuts = [c.cuts for c in block if isinstance(c, Cells)]
+    if not cuts and outer * span <= _WRITE_BLOCK_ROWS:  # one chunk, one run
+        yield _chunk(block, [(0, span)])
+        return
     row_marks = sorted({*range(0, outer, max(1, _WRITE_BLOCK_ROWS // span)), outer,
                         *(i for rows, _ in cuts for i in rows)})
     for j0 in range(0, span, _WRITE_BLOCK_ROWS):
@@ -697,8 +703,7 @@ def _chunks(block: list):
         marks = sorted({j0, j1, *(j for _, cols in cuts for j in cols if j0 < j < j1)})
         runs = [(a - j0, b - j0) for a, b in zip(marks, marks[1:])]
         for i0, i1 in zip(row_marks, row_marks[1:]):
-            yield _chunk(block if (i1 - i0, j1 - j0) == (outer, span) else
-                         [c[slice(i0, i1) if c.shape[0] > 1 else slice(None),
+            yield _chunk([c[slice(i0, i1) if c.shape[0] > 1 else slice(None),
                             slice(j0, j1) if c.shape[1] > 1 else slice(None)] for c in block], runs)
 
 
