@@ -16,10 +16,11 @@ v = delta_i/Gamma, and they are evaluated in these units:
     V_sq = 1 - 4 x s/(1 + s)^2 = ((1 - s)^2 + 4 s gamma/Gamma)/(1 + s)^2
 
 D is a sum of squares, and (1 - s)(1 + s) >= 1.1e-16 for any float s < 1,
-so below threshold nothing cancels, overflows or divides by zero, whatever
-the rates in Hz. The threshold is the one rule sigma_n >= 1. The moments
-are reproduced by the numeric scattering solve, which the tests keep as
-their oracle.
+so below threshold nothing cancels or divides by zero, whatever the rates
+in Hz. Beyond about 1e77 Gamma D overflows; there the forms are evaluated
+with sqrt(D) = 4 g h, g = max(|u|, |v|). The threshold is the one rule
+sigma_n >= 1. The moments are reproduced by the numeric scattering solve,
+which the tests keep as their oracle.
 """
 
 from __future__ import annotations

@@ -621,10 +621,11 @@ def _format_e17(values, widths: bool = False):
 
 
 def _text_cells(column) -> Cells:
-    """A 2-D text column as Cells of shape (outer, span, 1), each cell from byte 0."""
-    text = np.ascontiguousarray(column, dtype="S" if column.dtype.kind == "U" else None)[..., None]
-    return Cells(text.view(np.uint8).reshape(text.shape + (text.itemsize,)),
-                 -np.char.str_len(text))
+    """A 2-D text column as Cells of shape (outer, span, 1), each cell from byte 0 (a cell
+    holds no NUL: its width is its count of other bytes)."""
+    text = np.ascontiguousarray(column, dtype="S" if column.dtype.kind == "U" else None)
+    text = text.view(np.uint8).reshape(text.shape + (1, text.itemsize))
+    return Cells(text, -np.count_nonzero(text, axis=-1))
 
 
 _bytes = functools.cache(lambda width: np.dtype(f"S{width}"))  # one dtype object per width
