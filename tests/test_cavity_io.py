@@ -381,3 +381,28 @@ class TestUnitsOfGamma:
         aligned = inj(rates, sigma_n)
         assert_exact(quadrature_variance(rates, aligned, phi),
                      exact_moments.variance(rates, aligned, phi))
+
+    @settings(max_examples=200, deadline=None)
+    @given(sigma_n=BELOW_THRESHOLD, drive_phase=st.floats(-math.pi, math.pi),
+           log_s=st.floats(-30.0, 300.0), log_i=st.floats(-30.0, 300.0),
+           signs=st.sampled_from([(1, 1), (1, -1), (-1, 1), (-1, -1)]),
+           kind=st.sampled_from(["apart", "equal", "idler at 0"]))
+    @example(sigma_n=0.5, drive_phase=0.0, log_s=300.0, log_i=300.0, signs=(1, 1), kind="apart")
+    @example(sigma_n=0.99895, drive_phase=0.0, log_s=77.0, log_i=77.0, signs=(1, -1),
+             kind="apart")
+    def test_where_the_denominator_overflows(self, sigma_n, drive_phase, log_s, log_i, signs,
+                                             kind):
+        """Detunings up to 1e300 rad/s, beyond 1e77 Gamma where D overflows: no warning, and
+        n_s, m_si and the jsi equal the 100-digit values, a subnormal within 4 of its steps."""
+        rates = derive_rates(REFERENCE_GEOMETRY)
+        injection = inj(rates, sigma_n, phi=drive_phase)
+        delta_s = signs[0] * 10.0 ** log_s
+        delta_i = {"apart": signs[1] * 10.0 ** log_i, "equal": delta_s, "idler at 0": 0.0}[kind]
+        n_s, m_si = exact_moments.pair_moments(rates, injection, delta_s, delta_i)
+        detunings = Detunings(delta_s=delta_s, delta_i=delta_i)
+        for value, exact in ((photon_flux(rates, injection, detunings), n_s),
+                             (anomalous_moment(rates, injection, detunings), m_si),
+                             (jsi(rates, injection, delta_s, -delta_i),
+                              exact_moments.jsi(rates, injection, delta_s, -delta_i))):
+            exact = complex(exact)
+            assert abs(value - exact) <= EXACT_REL * abs(exact) + 4 * 5e-324, (value, exact)
