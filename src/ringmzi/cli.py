@@ -628,7 +628,8 @@ def _text_cells(column) -> Cells:
     return Cells(text, -np.count_nonzero(text, axis=-1))
 
 
-_bytes = functools.cache(lambda width: np.dtype(f"S{width}"))  # one dtype object per width
+# One dtype object per width: parsing "S25" at every copy costs more than a small copy.
+_bytes = functools.cache(lambda width: np.dtype(f"S{width}"))
 
 
 def _uniform(widths: np.ndarray) -> bool:
@@ -676,7 +677,7 @@ def _chunk(columns: list, runs: list) -> np.ndarray:
             text, first = c.text[:, a:b] if c.shape[1] > b - a else c.text, 0
             for w, same in itertools.groupby(ws):  # adjacent columns of one width: one copy
                 count, start, width = len(list(same)), int(w > 0), abs(w)
-                if width:  # each cell as one S item
+                if width:  # each cell copied as one S item; an empty flag copies nothing
                     rows[:, :, pos:pos + count * (width + 1)].reshape(outer, b - a, count, -1)[
                         ..., :width].view(_bytes(width))[...] = (
                         text[:, :, first:first + count, start:start + width].view(_bytes(width)))
