@@ -513,17 +513,18 @@ def _run_improvement(cfg: RunConfig, rates: CavityRates, gain: float):
     return columns, [lengths, eta, factor, _flags(lengths.size, domain=domain, pole=pole)]
 
 
-_POWER_RANGE = range(-292, 343)  # 10^(17 - k) for every decimal exponent k of a finite float
+_POWER_RANGE = range(342, -293, -1)  # 10^(17 - k) for every decimal exponent k of a finite float
 _SPLIT = 2.0 ** 27 + 1  # Dekker's split of a double into two 26-bit halves
 
 
 @functools.cache
 def _e17_tables():
-    """Built on the first write, from integers: columns (hi, hi's Dekker halves, lo, shift)
-    with 10^p = (hi + lo) 2^shift, hi in [1/2, 2], for p in _POWER_RANGE; 'e-325' ..
-    'e+309' NUL-padded to a uint64, at 325 + k; the digits 0000 .. 9999 as uint32; the
-    signed width of a cell with exponent k (see Cells), at 325 + k, and at 960 + k if
-    it is negative."""
+    """Built on the first write, from integers; at k + 325 for each decimal exponent k: rows
+    (hi, hi's Dekker halves, lo) and shifts with 10^(17 - k) = (hi + lo) 2^shift, hi in
+    [1/2, 2]; 'e-32' .. 'e+30' as words and the fifth bytes of 'e-325' .. 'e+309'; a cell's
+    signed width (see Cells), at 635 + k + 325 if negative. Then the '<u4' words of NUL or
+    '-', digit, '.', digit at D // 10^16 (+ 100 if negative) and of the digits 0000 .. 9999;
+    the dtype of a cell's 25 bytes as such words."""
     powers = []
     for p in _POWER_RANGE:
         e = (10 ** abs(p)).bit_length() * (1 if p >= 0 else -1)
@@ -532,24 +533,36 @@ def _e17_tables():
         hn, hd = hi.as_integer_ratio()
         head = _SPLIT * hi - (_SPLIT * hi - hi)
         powers.append((hi, head, hi - head, (n * hd - hn * d) / (d * hd), e))
-    exponents = b"".join((b"e%+03d" % k).ljust(8, b"\0") for k in range(-325, 310))
-    widths = [20 + len(b"%+03d" % k) for k in range(-325, 310)]
-    return (np.array(powers).T.copy(), np.frombuffer(exponents, np.uint64),
-            np.frombuffer(b"".join(b"%04d" % i for i in range(10 ** 4)), np.uint32),
-            np.array(widths + [-1 - width for width in widths], np.int8))
+    exponents, powers = [b"e%+03d" % k for k in range(-325, 310)], np.array(powers)
+    widths, words = [19 + len(text) for text in exponents], lambda texts: np.frombuffer(
+        b"".join(texts), "<u4")
+    return (powers[:, :4].copy(), powers[:, 4].astype(np.int32), words(t[:4] for t in exponents),
+            np.frombuffer(b"".join(t[4:] or b"\0" for t in exponents), np.uint8),
+            np.array(widths + [-1 - width for width in widths], np.int8),
+            words(s + b"%d.%d" % divmod(i, 10) for s in (b"\0", b"-") for i in range(100)),
+            words(b"%04d" % i for i in range(10 ** 4)),
+            np.dtype([("head", "<u4"), ("quads", "<u4", 4), ("exponent", "<u4"), ("tail", "u1")]))
 
 
-def _scaled_digits(m, e2, p):
-    """floor and fraction of m 2^e2 10^p, the product exact to about 2^-100."""
-    hi, hi_head, hi_tail, lo, shift = _e17_tables()[0].take(p - _POWER_RANGE.start, axis=1)
-    head = m * hi
-    m_head = _SPLIT * m - (_SPLIT * m - m)
+def _scaled_digits(m, e2, index):
+    """floor and fraction of m 2^e2 10^(17 - k), k = index - 325, exact to about 2^-100: head
+    = m hi, Dekker's exact error of it and m lo, each product written over a row of powers
+    (gathered as rows, then transposed: 2x faster than a gather along axis 1)."""
+    hi, hi_head, hi_tail, lo = parts = _e17_tables()[0].take(index, axis=0).T.copy()
+    head, m_head = m * hi, _SPLIT * m
+    m_head -= m_head - m
     m_tail = m - m_head
-    error = ((m_head * hi_head - head) + m_head * hi_tail + m_tail * hi_head) + m_tail * hi_tail
-    scale = e2 + shift.astype(np.int32)
-    rest = np.ldexp(error + m * lo, scale)
-    whole = np.floor(rest)
-    return np.ldexp(head, scale).astype(np.int64) + whole.astype(np.int64), rest - whole
+    error = np.multiply(m_head, hi_head, out=hi)
+    error -= head
+    error += np.multiply(m_head, hi_tail, out=m_head)
+    error += np.multiply(m_tail, hi_head, out=hi_head)
+    error += np.multiply(m_tail, hi_tail, out=hi_tail)
+    error += np.multiply(m, lo, out=lo)
+    scale = e2 + _e17_tables()[1].take(index)
+    whole = np.floor(np.ldexp(error, scale, out=error), out=lo)
+    digits = np.ldexp(head, scale, out=head).astype(np.int64)
+    digits += whole.astype(np.int64)
+    return digits, np.subtract(error, whole, out=error)
 
 
 @dataclass
@@ -579,35 +592,41 @@ def _format_e17(values, widths: bool = False):
     The 18 significant digits D = round(|x| 10^(17-k)) are taken in double-double
     arithmetic; 0, inf, nan and values within 2^-30 of a rounding tie go to '%'. A
     cell is 23 bytes, plus 1 for a '-' in byte 0 (else byte 0 is a NUL) and 1 for a
-    3-digit exponent. A '%' cell starts at byte 0 and is as long as its text.
+    3-digit exponent. A '%' cell starts at byte 0 and is as long as its text. The others
+    are written as words: sign, digit, '.', digit; 4 x 4 digits; 'e+NN'; a last byte.
     """
+    _, _, exponents, tails, lengths, heads, quads, cell = _e17_tables()
     x = np.asarray(values, dtype=np.float64).ravel()
-    finite = (x != 0) & np.isfinite(x)
-    magnitude = np.where(finite, np.abs(x), 1.0)
+    magnitude, special = np.abs(x), []  # special: the indices of 0, inf and nan
+    if not 0 < magnitude.min(initial=1.0) <= magnitude.max(initial=1.0) < math.inf:
+        special = (~((magnitude > 0) & (magnitude < math.inf))).nonzero()[0]
+        magnitude[special] = 1.0
     mantissa, e2 = np.frexp(magnitude)
-    k = np.floor(np.log10(magnitude)).astype(np.int64)
-    digits, fraction = _scaled_digits(mantissa, e2, 17 - k)
+    index = (np.log10(magnitude, out=magnitude) + 325).astype(np.intp)  # floor(log10) + 325
+    digits, fraction = _scaled_digits(mantissa, e2, index)
     # floor(log10) can be one off: correct k from the floored digits, not the rounded ones.
-    if (redo := np.flatnonzero((digits < 10 ** 17) | (digits >= 10 ** 18))).size:
-        k[redo] += np.where(digits[redo] < 10 ** 17, -1, 1)
-        digits[redo], fraction[redo] = _scaled_digits(mantissa[redo], e2[redo], 17 - k[redo])
+    if digits.min(initial=10 ** 17) < 10 ** 17 or digits.max(initial=0) >= 10 ** 18:
+        redo = ((digits < 10 ** 17) | (digits >= 10 ** 18)).nonzero()[0]
+        index[redo] += np.where(digits[redo] < 10 ** 17, -1, 1)
+        digits[redo], fraction[redo] = _scaled_digits(mantissa[redo], e2[redo], index[redo])
     digits += fraction >= 0.5
-    k += (carry := digits == 10 ** 18)
-    digits[carry] = 10 ** 17
-    exponents, quads, lengths = _e17_tables()[1:]
-    groups = np.empty((x.size, 5), np.int64)  # D in groups of 4 digits, the first < 100
-    for j in (4, 3, 2, 1):  # // and a product: np.divmod is about 4x slower
-        quotient = digits // 10 ** 4
-        groups[:, j] = digits - quotient * 10 ** 4
-        digits = quotient
-    groups[:, 0] = digits
-    out = np.empty((x.size, 25), np.uint8)
-    out[:, 0] = np.where(negative := np.signbit(x), ord("-"), 0)
-    out[:, 2:20] = quads[groups].view(np.uint8).reshape(-1, 20)[:, 2:]  # the 18 digits
-    out[:, 1] = out[:, 2]
-    out[:, 2] = ord(".")
-    out[:, 20:] = exponents[index := k + 325].view(np.uint8).reshape(-1, 8)[:, :5]
-    fallback = np.flatnonzero(~finite | (np.abs(fraction - 0.5) < 2.0 ** -30))
+    if digits.max(initial=0) == 10 ** 18:  # 18 nines rounded up
+        index += (carry := digits == 10 ** 18)
+        digits[carry] = 10 ** 17
+    fraction[special] = 0.5  # to '%' with the ties
+    # The 16 last digits in 4-digit groups, in contiguous rows: 1st, 3rd, 2nd, 4th.
+    groups = np.empty((4, x.size), np.int64)
+    np.subtract(digits, (first := digits // 10 ** 8) * 10 ** 8, out=groups[3])
+    np.subtract(first, (digits := first // 10 ** 8) * 10 ** 8, out=groups[2])
+    np.floor_divide(groups[2:], 10 ** 4, out=groups[:2])
+    groups[2:] -= groups[:2] * 10 ** 4
+    out, words = np.empty((x.size, 25), np.uint8), quads.take(groups)
+    cells = out.view(cell)[:, 0]
+    cells["head"] = heads.take(digits + 100 * (negative := np.signbit(x)))
+    for j, row in enumerate((0, 2, 1, 3)):  # one store per word: 2x faster than (n, 4) words
+        cells["quads"][:, j] = words[row]
+    cells["exponent"], cells["tail"] = exponents.take(index), tails.take(index)
+    fallback = (np.abs(fraction - 0.5) < 2.0 ** -30).nonzero()[0]
     text = ["%.17e" % value for value in x[fallback].tolist()]
     if text:
         out[fallback] = np.array(text, dtype="S25").view(np.uint8).reshape(-1, 25)
@@ -632,12 +651,6 @@ def _text_cells(column) -> Cells:
 _bytes = functools.cache(lambda width: np.dtype(f"S{width}"))
 
 
-def _uniform(widths: np.ndarray) -> bool:
-    """Whether 3-D widths repeat their first row and column: compared as bytes, which
-    costs far less than numpy's reductions on a small chunk."""
-    return widths.tobytes() == widths[:1, :1].tobytes() * (widths.shape[0] * widths.shape[1])
-
-
 def _chunk(columns: list, runs: list) -> np.ndarray:
     """The rows of ``columns``, which broadcast to (outer, span), as CSV bytes in C order.
 
@@ -651,7 +664,8 @@ def _chunk(columns: list, runs: list) -> np.ndarray:
     numbers = [c for c, kind in zip(columns, kinds) if kind == "number"]
     if len({c.shape for c in numbers}) > 1:
         numbers = np.broadcast_arrays(*numbers)
-    formatted = _format_e17(np.stack(numbers, axis=-1), widths=True) if numbers else None
+    formatted = _format_e17(np.stack(numbers, axis=-1) if len(numbers) > 1 else numbers[0][
+        ..., None], widths=True) if numbers else None  # one column as a view: no copy
     # Cells of shape (outer or 1, span or 1, columns): one per run of adjacent numeric
     # columns, one per other column. Only those passed in as Cells are known to fit the runs.
     segments, varying, j = [], [], 0
@@ -663,26 +677,30 @@ def _chunk(columns: list, runs: list) -> np.ndarray:
             segments.append(columns[i][:, :, None] if kind == "cells" else _text_cells(columns[i]))
         varying += segments[-1:] if kind != "cells" else []
     outer, span, _ = map(max, zip(*(c.shape for c in segments)))
-    fixed = all(_uniform(c.widths[:, a:b]) for c in varying for a, b in runs)
-    if fixed:  # each column's width in each run
-        layout = [(a, b, [c.widths[0, min(a, c.shape[1] - 1)].tolist() for c in segments])
-                  for a, b in runs]
+    # Whether every run of the others repeats its first widths, compared as bytes: far cheaper
+    # than numpy's reductions on a small chunk.
+    fixed = all((w := c.widths[:, a:b]).tobytes() == w[:1, :1].tobytes() * (w.size // w.shape[2])
+                for c in varying for a, b in runs)
+    if fixed:  # each column's width in each run, from one take per segment
+        starts = [a for a, _ in runs]
+        layout = [(a, b, ws) for (a, b), ws in zip(runs, zip(*(
+            c.widths[0].take(starts, axis=0, mode="clip").tolist() for c in segments)))]
     else:  # every cell padded, from byte 0
         layout = [(0, span, [[-c.text.shape[-1]] * c.shape[2] for c in segments])]
     sizes = [(b - a) * sum(abs(w) + 1 for ws in widths for w in ws) for a, b, widths in layout]
     out, at = np.full((outer, sum(sizes)), ord(","), np.uint8), 0
     for (a, b, widths), size in zip(layout, sizes):
-        rows, at, pos = out[:, at:at + size].reshape(outer, b - a, -1), at + size, 0
+        row, pos, at = size // (b - a), at, at + size
         for c, ws in zip(segments, widths):
-            text, first = c.text[:, a:b] if c.shape[1] > b - a else c.text, 0
+            text, first = c.text[:, a:b] if c.shape[1] > 1 else c.text, 0
             for w, same in itertools.groupby(ws):  # adjacent columns of one width: one copy
                 count, start, width = len(list(same)), int(w > 0), abs(w)
                 if width:  # each cell copied as one S item; an empty flag copies nothing
-                    rows[:, :, pos:pos + count * (width + 1)].reshape(outer, b - a, count, -1)[
-                        ..., :width].view(_bytes(width))[...] = (
+                    np.ndarray((outer, b - a, count, 1), _bytes(width), out, pos,
+                               (out.strides[0], row, width + 1, 1))[...] = (
                         text[:, :, first:first + count, start:start + width].view(_bytes(width)))
                 pos, first = pos + count * (width + 1), first + count
-        rows[:, :, -1] = ord("\n")
+        out[:, at - size + row - 1:at:row] = ord("\n")
     return out if fixed else out[out != 0]
 
 

@@ -65,16 +65,18 @@ def mzi_sensitivity(alpha_c, phi, eta, rates: CavityRates, injection: Injection)
     _check_pair_port(n, m)
     alpha_c, phi, eta = np.broadcast_arrays(*(np.asarray(x, dtype=float)
                                              for x in (alpha_c, phi, eta)))
-    a2 = alpha_c * alpha_c
+    # Where a^2, N < 2^-600: scaled by 2^600, so that no term of Var ID or the gap is subnormal.
+    root = np.where(np.maximum(alpha_c * alpha_c, n) < 2.0 ** -600, 2.0 ** 300, 1.0)
+    a2, scaled_n, scaled_m = (alpha_c * root) * (alpha_c * root), n * root * root, m * root
     cosine, sine = np.cos(phi), np.sin(phi)
-    var_id = (eta * eta * (cosine * cosine * (a2 + n * (n + 2) + m * m)
-                           + sine * sine * (2 * a2 * v_min + n))
-              + eta * (1 - eta) * (a2 + n))
-    gap = np.abs((a2 - n) * sine)
-    pole = gap <= POLE_TOLERANCE * (a2 + n)
+    var_id = (eta * eta * (cosine * cosine * (a2 + scaled_n * (n + 2) + scaled_m * scaled_m)
+                           + sine * sine * (2 * a2 * v_min + scaled_n))
+              + eta * (1 - eta) * (a2 + scaled_n))
+    gap = np.abs((a2 - scaled_n) * sine)
+    pole = gap <= POLE_TOLERANCE * (a2 + scaled_n)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # only on pole rows
-        dphi = np.where(pole, math.inf, np.sqrt(var_id) / (eta * gap))
-    return dphi, eta * (a2 + n), pole
+        dphi = np.where(pole, math.inf, np.sqrt(var_id) * root / (eta * gap))
+    return dphi, eta * (a2 + scaled_n) / (root * root), pole
 
 
 def coherent_sensitivity(alpha_c, eta):

@@ -26,7 +26,10 @@ from ringmzi.constants import HBAR
 
 _PHYSICALITY_SLACK = 1e-9
 _POLE_TOLERANCE = 1e-9
-_BEAM_SPLITTER = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+# The pipeline runs in extended precision (80-bit on x86), whose exponent range holds a
+# subnormal double N as a normal number: its moments, slope and variance do not underflow.
+_COMPLEX = np.clongdouble
+_BEAM_SPLITTER = np.array([[1, 1], [1, -1]], dtype=_COMPLEX) / np.sqrt(np.longdouble(2))
 
 
 class PoleError(ValueError):
@@ -92,14 +95,14 @@ def mzi_input_state(alpha_c: complex, port: PairPort | None = None,
                     squeeze_phase: float = 0.0) -> GaussianPortState:
     """Coherent probe on port a_0; the pair port (commutator weight 2), or a
     plain vacuum mode without one, on port a_1."""
-    mean = np.zeros(2, dtype=complex)
-    number = np.zeros((2, 2), dtype=complex)
-    anomalous = np.zeros((2, 2), dtype=complex)
+    mean = np.zeros(2, dtype=_COMPLEX)
+    number = np.zeros((2, 2), dtype=_COMPLEX)
+    anomalous = np.zeros((2, 2), dtype=_COMPLEX)
     mean[0] = alpha_c
     if port is None:
-        comm = np.diag([1.0, 1.0]).astype(complex)
+        comm = np.diag([1.0, 1.0]).astype(_COMPLEX)
     else:
-        comm = np.diag([1.0, 2.0]).astype(complex)
+        comm = np.diag([1.0, 2.0]).astype(_COMPLEX)
         number[1, 1] = port.n
         rotation = np.exp(1j * squeeze_phase) if squeeze_phase else 1.0  # inf * (1+0j) is nan
         anomalous[1, 1] = port.m * rotation**2
@@ -175,7 +178,7 @@ def intensity_difference_stats(state: GaussianPortState) -> tuple[float, float]:
         val += 2.0 * (np.conj(mu[p]) * np.conj(mu[q]) * anomalous[p, q]).real
         val += 2.0 * (mu[p] * np.conj(mu[q]) * number[p, q]).real
         val += np.conj(mu[p]) * mu[q] * comm[p, q]
-        return float(val.real)
+        return val.real
 
     mean_id = state.port_photons(0) - state.port_photons(1)
     var_id = 0.0
@@ -241,12 +244,12 @@ def point_readout(point: Point, port: PairPort | None = None,
     # number is Hermitian, so d(number)_pp = 2 Re[(conj(dS) number S^T)_pp].
     d_number = (np.conj(d_map) @ state.number @ signal_map.T).diagonal()
     d_photons = 2.0 * (np.conj(output.mean) * (d_map @ state.mean) + d_number).real
-    slope = float(d_photons[0] - d_photons[1])
+    slope = d_photons[0] - d_photons[1]
     if abs(slope) <= _POLE_TOLERANCE * point.eta * state.total_photons():
         raise PoleError(f"signal slope vanishes at phi={point.phi}")
-    dphi = math.sqrt(max(var_id, 0.0)) / abs(slope)
-    return PointReadout(dphi=dphi, mean_id=mean_id, var_id=var_id, slope=slope,
-                        photons=output.total_photons())
+    dphi = np.sqrt(max(var_id, 0.0)) / abs(slope)
+    return PointReadout(dphi=float(dphi), mean_id=float(mean_id), var_id=float(var_id),
+                        slope=float(slope), photons=float(output.total_photons()))
 
 
 def closed_form(point: Point, rates, injection) -> tuple[float, float, bool]:
@@ -263,16 +266,18 @@ def closed_form(point: Point, rates, injection) -> tuple[float, float, bool]:
     n, m = port.n, port.m.real
     s = injection.sigma_n
     v_min = ((1 - s) ** 2 + 4 * s * (rates.gamma / rates.gamma_total)) / (1 + s) ** 2
-    eta, a2 = point.eta, point.alpha_c * point.alpha_c
+    eta, alpha_c = point.eta, point.alpha_c
+    root = 2.0 ** 300 if max(alpha_c * alpha_c, n) < 2.0 ** -600 else 1.0  # no subnormal term
+    a2, scaled_n, scaled_m = (alpha_c * root) * (alpha_c * root), n * root * root, m * root
     cosine, sine = float(np.cos(point.phi)), float(np.sin(point.phi))
-    var_id = (eta * eta * (cosine * cosine * (a2 + n * (n + 2) + m * m)
-                           + sine * sine * (2 * a2 * v_min + n))
-              + eta * (1 - eta) * (a2 + n))
-    gap = abs((a2 - n) * sine)
-    photons = eta * (a2 + n)
-    if gap <= _POLE_TOLERANCE * (a2 + n):
+    var_id = (eta * eta * (cosine * cosine * (a2 + scaled_n * (n + 2) + scaled_m * scaled_m)
+                           + sine * sine * (2 * a2 * v_min + scaled_n))
+              + eta * (1 - eta) * (a2 + scaled_n))
+    gap = abs((a2 - scaled_n) * sine)
+    photons = eta * (a2 + scaled_n) / (root * root)
+    if gap <= _POLE_TOLERANCE * (a2 + scaled_n):
         return math.inf, photons, True
-    return math.sqrt(var_id) / (eta * gap), photons, False
+    return math.sqrt(var_id) * root / (eta * gap), photons, False
 
 
 def coherent_reference(point: Point) -> float:

@@ -590,8 +590,17 @@ class TestFormatE17:
 
     @staticmethod
     def check(values) -> None:
+        """The text of each cell, and with widths: its bytes are the text from byte 0 or 1,
+        NUL-padded, and its width the text's length, negated where it starts at byte 0."""
         values = np.asarray(values, dtype=np.float64)
-        assert texts(_format_e17(values)) == ["%.17e" % value for value in values.tolist()]
+        expected = ["%.17e" % value for value in values.tolist()]
+        assert texts(_format_e17(values)) == expected
+        cells = _format_e17(values, widths=True)
+        later = (cells.text[:, 0] == 0).tolist()  # from byte 1
+        assert [bytes(cell).rstrip(b"\0") for cell in cells.text] == [
+            b"\0" * start + text.encode() for start, text in zip(later, expected)]
+        assert cells.widths.tolist() == [len(text) if start else -len(text)
+                                         for start, text in zip(later, expected)]
 
     @settings(max_examples=300, deadline=None)
     @given(bits=st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=64),
@@ -633,6 +642,20 @@ class TestFormatE17:
 
     def test_keeps_the_shape(self):
         assert _format_e17(np.zeros((3, 2))).shape == (3, 2, 25)
+
+    def test_input_layouts(self):
+        """A big-endian array, a transposed 2-D view and a strided slice are formatted as
+        '%.17e' and as their contiguous copies are."""
+        values = np.random.default_rng(5).standard_normal((40, 30))
+        values *= 10.0 ** np.arange(-150, 150, 10)  # 2- and 3-digit exponents
+        values[0, :4] = [0.0, -math.inf, math.nan, 5e-324]
+        for view in (values.astype(">f8"), values.T, values[::3, 1::2]):
+            cells = _format_e17(view, widths=True)
+            copy = _format_e17(np.ascontiguousarray(view, dtype=np.float64), widths=True)
+            assert cells.text.shape == view.shape + (25,) and cells.widths.shape == view.shape
+            assert texts(cells.text.reshape(-1, 25)) == ["%.17e" % v for v in view.ravel().tolist()]
+            np.testing.assert_array_equal(cells.text, copy.text)
+            np.testing.assert_array_equal(cells.widths, copy.widths)
 
 
 class TestDefaultPresets:

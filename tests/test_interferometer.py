@@ -4,7 +4,7 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import mzi_oracle as oracle
@@ -514,6 +514,20 @@ class TestArrayPath:
            phi=st.sampled_from(SPECIAL_PHASES) | st.floats(-7.0, 7.0),
            amplitudes=st.lists(st.just(0.0) | st.floats(1e-3, 1e6), min_size=1, max_size=6),
            near_pole=st.sampled_from([0.0, 1.0, 1 - 1e-10, 1 + 1e-10, 1 + 1e-8]))
+    # N = 1.48e-319 is subnormal: the pipeline's slope underflowed and it missed the pole
+    # (a relative gap of 2e-10), and its slope at alpha_c = 0 was 6.3e-5 off; then the
+    # closed form, at eta = 0.5, and at a gap of 2e-8, which it took for a pole.
+    @example(cross_coupling=0.125, alpha_loss=1.0, radius=0.0008148642645197752,
+             sigma_n=1.388908641308492e-160, eta=1.0, phi=HALF_PI, amplitudes=[1.0],
+             near_pole=1 + 1e-10)
+    @example(cross_coupling=0.125, alpha_loss=1.0, radius=0.0008148642645197752,
+             sigma_n=1.388908641308492e-160, eta=1.0, phi=HALF_PI, amplitudes=[0.0],
+             near_pole=0.0)
+    @example(cross_coupling=0.125, alpha_loss=1.0, radius=0.0008148642645197752,
+             sigma_n=1.388908641308492e-160, eta=0.5, phi=HALF_PI, amplitudes=[0.0],
+             near_pole=0.0)
+    @example(cross_coupling=0.125, alpha_loss=1.0, radius=0.001, sigma_n=1.388908641308492e-160,
+             eta=1.0, phi=HALF_PI, amplitudes=[0.0], near_pole=1 + 1e-8)
     def test_probe_batch_equals_pointwise(self, cross_coupling, alpha_loss, radius, sigma_n,
                                           eta, phi, amplitudes, near_pole):
         """A batch over alpha_c, with points on and next to the pole a^2 = N."""
