@@ -534,8 +534,8 @@ def _e17_tables():
         head = _SPLIT * hi - (_SPLIT * hi - hi)
         powers.append((hi, head, hi - head, (n * hd - hn * d) / (d * hd), e))
     exponents, powers = [b"e%+03d" % k for k in range(-325, 310)], np.array(powers)
-    widths, words = [19 + len(text) for text in exponents], lambda texts: np.frombuffer(
-        b"".join(texts), "<u4")
+    widths = [19 + len(text) for text in exponents]
+    words = lambda texts: np.frombuffer(b"".join(texts), "<u4")  # noqa: E731
     return (powers[:, :4].copy(), powers[:, 4].astype(np.int32), words(t[:4] for t in exponents),
             np.frombuffer(b"".join(t[4:] or b"\0" for t in exponents), np.uint8),
             np.array(widths + [-1 - width for width in widths], np.int8),
@@ -548,7 +548,7 @@ def _scaled_digits(m, e2, index):
     """floor and fraction of m 2^e2 10^(17 - k), k = index - 325, exact to about 2^-100: head
     = m hi, Dekker's exact error of it and m lo, each product written over a row of powers
     (gathered as rows, then transposed: 2x faster than a gather along axis 1)."""
-    hi, hi_head, hi_tail, lo = parts = _e17_tables()[0].take(index, axis=0).T.copy()
+    hi, hi_head, hi_tail, lo = _e17_tables()[0].take(index, axis=0).T.copy()
     head, m_head = m * hi, _SPLIT * m
     m_head -= m_head - m
     m_tail = m - m_head
@@ -602,9 +602,10 @@ def _format_e17(values, widths: bool = False):
         special = (~((magnitude > 0) & (magnitude < math.inf))).nonzero()[0]
         magnitude[special] = 1.0
     mantissa, e2 = np.frexp(magnitude)
-    index = (np.log10(magnitude, out=magnitude) + 325).astype(np.intp)  # floor(log10) + 325
+    # k + 325, floored before the offset (325 - 1e-17 rounds to 325). floor(log10) can still
+    # be one off: k is corrected from the floored digits, not the rounded ones.
+    index = (np.floor(np.log10(magnitude, out=magnitude), out=magnitude) + 325).astype(np.intp)
     digits, fraction = _scaled_digits(mantissa, e2, index)
-    # floor(log10) can be one off: correct k from the floored digits, not the rounded ones.
     if digits.min(initial=10 ** 17) < 10 ** 17 or digits.max(initial=0) >= 10 ** 18:
         redo = ((digits < 10 ** 17) | (digits >= 10 ** 18)).nonzero()[0]
         index[redo] += np.where(digits[redo] < 10 ** 17, -1, 1)
@@ -620,11 +621,10 @@ def _format_e17(values, widths: bool = False):
     np.subtract(first, (digits := first // 10 ** 8) * 10 ** 8, out=groups[2])
     np.floor_divide(groups[2:], 10 ** 4, out=groups[:2])
     groups[2:] -= groups[:2] * 10 ** 4
-    out, words = np.empty((x.size, 25), np.uint8), quads.take(groups)
-    cells = out.view(cell)[:, 0]
+    cells = (out := np.empty((x.size, 25), np.uint8)).view(cell)[:, 0]
     cells["head"] = heads.take(digits + 100 * (negative := np.signbit(x)))
-    for j, row in enumerate((0, 2, 1, 3)):  # one store per word: 2x faster than (n, 4) words
-        cells["quads"][:, j] = words[row]
+    for j, word in zip((0, 2, 1, 3), quads.take(groups)):  # per word: 2x faster than (n, 4)
+        cells["quads"][:, j] = word
     cells["exponent"], cells["tail"] = exponents.take(index), tails.take(index)
     fallback = (np.abs(fraction - 0.5) < 2.0 ** -30).nonzero()[0]
     text = ["%.17e" % value for value in x[fallback].tolist()]
@@ -664,8 +664,8 @@ def _chunk(columns: list, runs: list) -> np.ndarray:
     numbers = [c for c, kind in zip(columns, kinds) if kind == "number"]
     if len({c.shape for c in numbers}) > 1:
         numbers = np.broadcast_arrays(*numbers)
-    formatted = _format_e17(np.stack(numbers, axis=-1) if len(numbers) > 1 else numbers[0][
-        ..., None], widths=True) if numbers else None  # one column as a view: no copy
+    formatted = numbers and _format_e17(  # one column is formatted through a view: no copy
+        np.stack(numbers, axis=-1) if len(numbers) > 1 else numbers[0][..., None], widths=True)
     # Cells of shape (outer or 1, span or 1, columns): one per run of adjacent numeric
     # columns, one per other column. Only those passed in as Cells are known to fit the runs.
     segments, varying, j = [], [], 0
@@ -677,8 +677,7 @@ def _chunk(columns: list, runs: list) -> np.ndarray:
             segments.append(columns[i][:, :, None] if kind == "cells" else _text_cells(columns[i]))
         varying += segments[-1:] if kind != "cells" else []
     outer, span, _ = map(max, zip(*(c.shape for c in segments)))
-    # Whether every run of the others repeats its first widths, compared as bytes: far cheaper
-    # than numpy's reductions on a small chunk.
+    # Whether each run of the others holds one width: as bytes, cheaper than numpy's reductions.
     fixed = all((w := c.widths[:, a:b]).tobytes() == w[:1, :1].tobytes() * (w.size // w.shape[2])
                 for c in varying for a, b in runs)
     if fixed:  # each column's width in each run, from one take per segment
