@@ -66,8 +66,8 @@ def mzi_sensitivity(alpha_c, phi, eta, rates: CavityRates, injection: Injection)
     alpha_c, phi, eta = np.broadcast_arrays(*(np.asarray(x, dtype=float)
                                              for x in (alpha_c, phi, eta)))
     # Where a^2, N < 2^-600: scaled by 2^600, so that no term of Var ID or the gap is subnormal.
-    root = np.where(np.maximum(alpha_c * alpha_c, n) < 2.0 ** -600, 2.0 ** 300, 1.0)
-    a2, scaled_n, scaled_m = (alpha_c * root) * (alpha_c * root), n * root * root, m * root
+    root = np.where(alpha_c * alpha_c < 2.0 ** -600, 2.0 ** 300, 1.0) if n < 2.0 ** -600 else 1.0
+    a2, scaled_n, scaled_m = np.square(alpha_c * root), n * root * root, m * root
     cosine, sine = np.cos(phi), np.sin(phi)
     var_id = (eta * eta * (cosine * cosine * (a2 + scaled_n * (n + 2) + scaled_m * scaled_m)
                            + sine * sine * (2 * a2 * v_min + scaled_n))
