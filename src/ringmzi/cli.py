@@ -519,12 +519,11 @@ _SPLIT = 2.0 ** 27 + 1  # Dekker's split of a double into two 26-bit halves
 
 @functools.cache
 def _e17_tables():
-    """Built on the first write, from integers; at k + 325 for each decimal exponent k: rows
-    (hi, hi's Dekker halves, lo) and shifts with 10^(17 - k) = (hi + lo) 2^shift, hi in
-    [1/2, 2]; 'e-32' .. 'e+30' as words and the fifth bytes of 'e-325' .. 'e+309'; a cell's
-    signed width (see Cells), at 635 + k + 325 if negative. Then the '<u4' words of NUL or
-    '-', digit, '.', digit at D // 10^16 (+ 100 if negative) and of the digits 0000 .. 9999;
-    the dtype of a cell's 25 bytes as such words."""
+    """Built on the first write, from integers. At k + 325, k a decimal exponent: rows (hi, hi's
+    Dekker halves, lo) and shifts, 10^(17 - k) = (hi + lo) 2^shift, hi in [1/2, 2]; 'e-32' ..
+    'e+30' as '<u4' words, the fifth bytes of 'e-325' .. 'e+309'; the signed width (see Cells),
+    at 635 + k + 325 if negative. The '<u4' words of NUL or '-', digit, '.', digit at D // 10^16
+    (+ 100 if negative) and of 0000 .. 9999; the dtype of a cell's 25 bytes as such words."""
     powers = []
     for p in _POWER_RANGE:
         e = (10 ** abs(p)).bit_length() * (1 if p >= 0 else -1)
@@ -545,9 +544,8 @@ def _e17_tables():
 
 
 def _scaled_digits(m, e2, index):
-    """floor and fraction of m 2^e2 10^(17 - k), k = index - 325, exact to about 2^-100: head
-    = m hi, Dekker's exact error of it and m lo, each product written over a row of powers
-    (gathered as rows, then transposed: 2x faster than a gather along axis 1)."""
+    """floor and fraction of m 2^e2 10^(17 - k), k = index - 325, exact to about 2^-100: Dekker's
+    product, each term written over a row of powers gathered as rows (2x faster than by column)."""
     hi, hi_head, hi_tail, lo = _e17_tables()[0].take(index, axis=0).T.copy()
     head, m_head = m * hi, _SPLIT * m
     m_head -= m_head - m

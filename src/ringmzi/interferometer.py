@@ -65,8 +65,11 @@ def mzi_sensitivity(alpha_c, phi, eta, rates: CavityRates, injection: Injection)
     _check_pair_port(n, m)
     alpha_c, phi, eta = np.broadcast_arrays(*(np.asarray(x, dtype=float)
                                              for x in (alpha_c, phi, eta)))
-    # Where a^2, N < 2^-600: scaled by 2^600, so that no term of Var ID or the gap is subnormal.
-    root = np.where(alpha_c * alpha_c < 2.0 ** -600, 2.0 ** 300, 1.0) if n < 2.0 ** -600 else 1.0
+    # A physical port (M^2 <= N (N + 2)) with N and a^2 below 2^-600 is scaled: a power of two
+    # takes a and sqrt(N) to about 1, so that no term is subnormal.
+    tiny = n < 2.0 ** -600 and abs(m) <= math.sqrt(n * (n + 2))  # in roots: M^2 underflows
+    root = np.where(alpha_c * alpha_c < 2.0 ** -600, np.ldexp(1.0, np.minimum(-np.frexp(np.maximum(
+        np.abs(alpha_c), math.sqrt(n)))[1], 1023)), 1.0) if tiny else 1.0
     a2, scaled_n, scaled_m = np.square(alpha_c * root), n * root * root, m * root
     cosine, sine = np.cos(phi), np.sin(phi)
     var_id = (eta * eta * (cosine * cosine * (a2 + scaled_n * (n + 2) + scaled_m * scaled_m)
@@ -76,7 +79,7 @@ def mzi_sensitivity(alpha_c, phi, eta, rates: CavityRates, injection: Injection)
     pole = gap <= POLE_TOLERANCE * (a2 + scaled_n)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # only on pole rows
         dphi = np.where(pole, math.inf, np.sqrt(var_id) * root / (eta * gap))
-    return dphi, eta * (a2 + scaled_n) / (root * root), pole
+    return dphi, eta * (a2 + scaled_n) / root / root, pole
 
 
 def coherent_sensitivity(alpha_c, eta):

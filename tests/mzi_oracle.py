@@ -26,10 +26,7 @@ from ringmzi.constants import HBAR
 
 _PHYSICALITY_SLACK = 1e-9
 _POLE_TOLERANCE = 1e-9
-# The pipeline runs in extended precision (80-bit on x86), whose exponent range holds a
-# subnormal double N as a normal number: its moments, slope and variance do not underflow.
-_COMPLEX = np.clongdouble
-_BEAM_SPLITTER = np.array([[1, 1], [1, -1]], dtype=_COMPLEX) / np.sqrt(np.longdouble(2))
+_BEAM_SPLITTER = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
 
 class PoleError(ValueError):
@@ -94,15 +91,22 @@ class GaussianPortState:
 def mzi_input_state(alpha_c: complex, port: PairPort | None = None,
                     squeeze_phase: float = 0.0) -> GaussianPortState:
     """Coherent probe on port a_0; the pair port (commutator weight 2), or a
-    plain vacuum mode without one, on port a_1."""
-    mean = np.zeros(2, dtype=_COMPLEX)
-    number = np.zeros((2, 2), dtype=_COMPLEX)
-    anomalous = np.zeros((2, 2), dtype=_COMPLEX)
+    plain vacuum mode without one, on port a_1.
+
+    Where a^2 and N are below 2^-600 and M^2 <= N (N + 2), as mzi_sensitivity scales them,
+    the state, and so the pipeline, is in extended precision (80-bit on x86), whose exponent
+    range holds a subnormal double as a normal number: no moment then underflows."""
+    tiny = port is not None and max(abs(alpha_c) ** 2, port.n) < 2.0 ** -600 and (
+        abs(port.m) <= math.sqrt(port.n * (port.n + 2)))
+    dtype = np.clongdouble if tiny else complex
+    mean = np.zeros(2, dtype=dtype)
+    number = np.zeros((2, 2), dtype=dtype)
+    anomalous = np.zeros((2, 2), dtype=dtype)
     mean[0] = alpha_c
     if port is None:
-        comm = np.diag([1.0, 1.0]).astype(_COMPLEX)
+        comm = np.diag([1.0, 1.0]).astype(dtype)
     else:
-        comm = np.diag([1.0, 2.0]).astype(_COMPLEX)
+        comm = np.diag([1.0, 2.0]).astype(dtype)
         number[1, 1] = port.n
         rotation = np.exp(1j * squeeze_phase) if squeeze_phase else 1.0  # inf * (1+0j) is nan
         anomalous[1, 1] = port.m * rotation**2
@@ -266,15 +270,16 @@ def closed_form(point: Point, rates, injection) -> tuple[float, float, bool]:
     n, m = port.n, port.m.real
     s = injection.sigma_n
     v_min = ((1 - s) ** 2 + 4 * s * (rates.gamma / rates.gamma_total)) / (1 + s) ** 2
-    eta, alpha_c = point.eta, point.alpha_c
-    root = 2.0 ** 300 if max(alpha_c * alpha_c, n) < 2.0 ** -600 else 1.0  # no subnormal term
+    eta, alpha_c, root = point.eta, point.alpha_c, 1.0
+    if max(alpha_c * alpha_c, n) < 2.0 ** -600 and abs(m) <= math.sqrt(n * (n + 2)):
+        root = math.ldexp(1.0, min(-math.frexp(max(abs(alpha_c), math.sqrt(n)))[1], 1023))
     a2, scaled_n, scaled_m = (alpha_c * root) * (alpha_c * root), n * root * root, m * root
     cosine, sine = float(np.cos(point.phi)), float(np.sin(point.phi))
     var_id = (eta * eta * (cosine * cosine * (a2 + scaled_n * (n + 2) + scaled_m * scaled_m)
                            + sine * sine * (2 * a2 * v_min + scaled_n))
               + eta * (1 - eta) * (a2 + scaled_n))
     gap = abs((a2 - scaled_n) * sine)
-    photons = eta * (a2 + scaled_n) / (root * root)
+    photons = eta * (a2 + scaled_n) / root / root
     if gap <= _POLE_TOLERANCE * (a2 + scaled_n):
         return math.inf, photons, True
     return math.sqrt(var_id) * root / (eta * gap), photons, False
