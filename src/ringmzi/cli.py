@@ -593,7 +593,7 @@ def _format_e17(values, widths: bool = False):
     3-digit exponent. A '%' cell starts at byte 0 and is as long as its text. The others
     are written as words: sign, digit, '.', digit; 4 x 4 digits; 'e+NN'; a last byte.
     """
-    _, _, exponents, tails, lengths, heads, quads, cell = _e17_tables()
+    _, _, exponents, tails, lengths, heads, quads, record = _e17_tables()
     x = np.asarray(values, dtype=np.float64).ravel()
     magnitude, special = np.abs(x), []  # special: the indices of 0, inf and nan
     if not 0 < magnitude.min(initial=1.0) <= magnitude.max(initial=1.0) < math.inf:
@@ -619,7 +619,7 @@ def _format_e17(values, widths: bool = False):
     np.subtract(first, (digits := first // 10 ** 8) * 10 ** 8, out=groups[2])
     np.floor_divide(groups[2:], 10 ** 4, out=groups[:2])
     groups[2:] -= groups[:2] * 10 ** 4
-    cells = (out := np.empty((x.size, 25), np.uint8)).view(cell)[:, 0]
+    cells = (out := np.empty((x.size, 25), np.uint8)).view(record)[:, 0]
     cells["head"] = heads.take(digits + 100 * (negative := np.signbit(x)))
     for j, word in zip((0, 2, 1, 3), quads.take(groups)):  # per word: 2x faster than (n, 4)
         cells["quads"][:, j] = word
