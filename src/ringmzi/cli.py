@@ -13,9 +13,11 @@ import functools
 import hashlib
 import itertools
 import math
+import os
+import stat
 import sys
 from collections.abc import Callable, Iterable
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import InitVar, dataclass, field, fields
 
 import numpy as np
@@ -724,18 +726,40 @@ def _chunks(block: list):
                             slice(j0, j1) if c.shape[1] > 1 else slice(None)] for c in block], runs)
 
 
+@contextmanager
+def _overwrite(path: str):
+    """A binary handle that writes over the file at path from byte 0, creating it if need be.
+
+    The file is opened without O_TRUNC: freeing a previous file's blocks first costs more
+    than writing over them. Once the handle is closed, a regular file is cut at the end of
+    what reached it, also after a failure, so no byte of a longer previous file remains.
+    """
+    # O_BINARY (Windows only): without it the C runtime writes each '\n' as '\r\n'.
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        with open(fd, "wb", closefd=False) as handle:
+            yield handle
+    finally:
+        try:
+            if stat.S_ISREG(os.fstat(fd).st_mode):  # /dev/null and FIFOs take no cut
+                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+        finally:
+            os.close(fd)
+
+
 def write_table(table: ResultTable, path: str | None) -> None:
     """Write the table as CSV with '#'-prefixed metadata lines.
 
     Each block goes out in _chunks: numbers as Python's '%.17e' byte for byte
     ('inf', 'nan' as such), text, preformatted numbers and flags as is. The bytes
-    go to the file or to stdout's binary buffer. Output bytes are a pure function
-    of the table contents, so identical configurations produce identical files.
+    go over the file in place (see _overwrite) or to stdout's binary buffer. Output
+    bytes are a pure function of the table contents, so identical configurations
+    produce identical files.
     """
     header = [f"# {k}={table.meta[k]}" for k in sorted(table.meta)] + [",".join(table.columns)]
     if path is None:
         sys.stdout.flush()  # text already written to stdout goes first
-    with nullcontext(sys.stdout.buffer) if path is None else open(path, "wb") as handle:
+    with nullcontext(sys.stdout.buffer) if path is None else _overwrite(path) as handle:
         handle.write(("\n".join(header) + "\n").encode())
         for block in table.blocks:
             for chunk in _chunks(block):

@@ -1,9 +1,13 @@
+import errno
 import hashlib
+import io
 import math
 import os
+import stat
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -753,6 +757,97 @@ class TestWriteTable:
         assert main(args + ["--out", str(path_a)]) == 0
         assert main(args + ["--out", str(path_b)]) == 0
         assert path_a.read_bytes() == path_b.read_bytes()
+
+    SWEEP = ["squeezing", "--set", "sweep.points=2001"]
+
+    @pytest.fixture
+    def fresh(self, tmp_path):
+        """The bytes of the 2001-point sweep written to a new path."""
+        path = tmp_path / "fresh.csv"
+        assert main(self.SWEEP + ["--out", str(path)]) == 0
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("case", ["longer", "shorter", "identical", "symlink", "mode"])
+    def test_overwrite_equals_fresh_write(self, case, fresh, tmp_path):
+        """Written over an existing file, the sweep has the bytes of a write to a new path.
+        The file keeps its inode; a symlink is written through and kept; a mode is kept."""
+        old = tmp_path / "old.csv"
+        if case == "shorter":
+            assert main(["rates", "--out", str(old)]) == 0
+        elif case == "identical":
+            old.write_bytes(fresh)
+        else:
+            assert main(["jsi", "--out", str(old)]) == 0  # the default 200 x 200 table
+        assert len(old.read_bytes()) != len(fresh) or case == "identical"
+        out = old
+        if case == "symlink":
+            out = tmp_path / "link.csv"
+            out.symlink_to(old)
+        elif case == "mode":
+            old.chmod(0o600)
+        inode = old.stat().st_ino
+        assert main(self.SWEEP + ["--out", str(out)]) == 0
+        assert old.read_bytes() == fresh
+        assert old.stat().st_ino == inode
+        assert out.is_symlink() == (case == "symlink")
+        if case == "mode":
+            assert stat.S_IMODE(old.stat().st_mode) == 0o600
+
+    class _SmallDisk(io.FileIO):
+        """A file that takes `room` bytes, then fails every write as a full disk does."""
+        room = 0
+
+        def write(self, data):
+            if not self.room:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            count = super().write(memoryview(data)[:self.room])
+            self.room -= count
+            return count
+
+    @pytest.mark.parametrize("failure,room", [("chunks", None), ("disk", 0), ("disk", 5000)])
+    def test_failed_write_leaves_no_previous_byte(self, failure, room, fresh, tmp_path,
+                                                  monkeypatch, capsys):
+        """A write that fails after its first chunk, or whose flush at close fails, exits 3
+        and leaves a prefix of the new table: nothing of the longer file it wrote over."""
+        path = tmp_path / "old.csv"
+        path.write_bytes(b"\xff" * 2 * len(fresh))  # no byte of it is CSV text
+        if failure == "chunks":
+            monkeypatch.setattr(cli, "_WRITE_BLOCK_ROWS", 500)  # the sweep in five chunks
+            chunks = cli._chunks
+
+            def first_chunk_only(block):
+                yield next(chunks(block))
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            monkeypatch.setattr(cli, "_chunks", first_chunk_only)
+        else:
+            def small_disk_open(file, mode, closefd=True):
+                raw = self._SmallDisk(file, mode, closefd=closefd)
+                raw.room = room
+                return io.BufferedWriter(raw)
+            monkeypatch.setattr(cli, "open", small_disk_open, raising=False)
+        assert main(self.SWEEP + ["--out", str(path)]) == 3
+        assert "cannot write output" in capsys.readouterr().err
+        left = path.read_bytes()
+        assert fresh.startswith(left)
+        if failure == "chunks":
+            assert 0 < len(left) < len(fresh)  # the header and the first chunk
+        else:
+            assert len(left) == room
+
+    def test_dev_null(self):
+        assert main(["rates", "--out", os.devnull]) == 0
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+    def test_fifo_receives_the_file_bytes(self, fresh, tmp_path):
+        fifo = tmp_path / "table.pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert main(self.SWEEP + ["--out", str(fifo)]) == 0
+        reader.join(timeout=60)
+        assert not reader.is_alive()
+        assert received == [fresh]
 
 
 class TestMain:
