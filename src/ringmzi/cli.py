@@ -731,8 +731,9 @@ def _overwrite(path: str):
     """A binary handle that writes over the file at path from byte 0, creating it if need be.
 
     The file is opened without O_TRUNC: freeing a previous file's blocks first costs more
-    than writing over them. Once the handle is closed, a regular file is cut at the end of
-    what reached it, also after a failure, so no byte of a longer previous file remains.
+    than writing over them. Once the handle is closed, a regular file that is longer than
+    what reached it is cut there, also after a failure, so no byte of the previous file
+    remains. A new file, or one the table outgrew, takes no cut.
     """
     # O_BINARY (Windows only): without it the C runtime writes each '\n' as '\r\n'.
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
@@ -741,8 +742,11 @@ def _overwrite(path: str):
             yield handle
     finally:
         try:
-            if stat.S_ISREG(os.fstat(fd).st_mode):  # /dev/null and FIFOs take no cut
-                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+            st = os.fstat(fd)
+            if stat.S_ISREG(st.st_mode):  # /dev/null and FIFOs take no cut (and cannot seek)
+                end = os.lseek(fd, 0, os.SEEK_CUR)
+                if st.st_size > end:
+                    os.ftruncate(fd, end)
         finally:
             os.close(fd)
 
@@ -774,7 +778,8 @@ def _parser() -> argparse.ArgumentParser:
         description="Microring squeezed-light interferometry design tables.")
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", help="path to a key-value configuration file")
-    parser.add_argument("--out", help="output CSV path (default: stdout)")
+    parser.add_argument("--out", help="output CSV path (default: stdout); an existing file is "
+                        "overwritten in place, and only exit status 0 means a complete table")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override a configuration entry (repeatable)")
     return parser

@@ -804,13 +804,19 @@ class TestWriteTable:
             self.room -= count
             return count
 
-    @pytest.mark.parametrize("failure,room", [("chunks", None), ("disk", 0), ("disk", 5000)])
-    def test_failed_write_leaves_no_previous_byte(self, failure, room, fresh, tmp_path,
-                                                  monkeypatch, capsys):
+    @pytest.mark.parametrize("failure,room,old", [
+        pytest.param("chunks", None, "longer", id="chunks"),
+        pytest.param("disk", 0, "longer", id="disk-0"),
+        pytest.param("disk", 5000, "longer", id="disk-5000"),
+        pytest.param("disk", 5000, "shorter", id="disk-5000-over-shorter")])
+    def test_failed_write_leaves_no_previous_byte(self, failure, room, old, fresh,
+                                                  tmp_path, monkeypatch, capsys):
         """A write that fails after its first chunk, or whose flush at close fails, exits 3
-        and leaves a prefix of the new table: nothing of the longer file it wrote over."""
+        and leaves a prefix of the new table: nothing of the file it wrote over, whether
+        that was longer than the prefix or shorter."""
         path = tmp_path / "old.csv"
-        path.write_bytes(b"\xff" * 2 * len(fresh))  # no byte of it is CSV text
+        old_bytes = 2 * len(fresh) if old == "longer" else 2500
+        path.write_bytes(b"\xff" * old_bytes)  # no byte of it is CSV text
         if failure == "chunks":
             monkeypatch.setattr(cli, "_WRITE_BLOCK_ROWS", 500)  # the sweep in five chunks
             chunks = cli._chunks
