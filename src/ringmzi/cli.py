@@ -9,6 +9,7 @@ code (0 success, 2 config error, 3 I/O error).
 from __future__ import annotations
 
 import argparse
+import bisect
 import functools
 import hashlib
 import itertools
@@ -60,6 +61,10 @@ _NONNEGATIVE_SWEEPS = ("sigma_n", "p_c", "alpha_c", "sensor_length")
 
 # Rows formatted per write; bounds the text held in memory for large tables.
 _WRITE_BLOCK_ROWS = 4096
+# A chunk of one row is cut where its widths change, unless the cuts that adds to the runs
+# passed in average fewer than _RUN_ROWS rows each: it is then compacted (see _chunk). One
+# more run costs about what compacting 80 rows does (measured from 16 to 4096 rows).
+_RUN_ROWS = 80
 
 # A sweep table is held whole, at up to about 0.5 KB per point (phase sweep);
 # the bound applies to jsi.points (per axis) as well.
@@ -150,8 +155,9 @@ class ResultTable:
     A block holds one column per entry of ``columns``. Its columns broadcast to
     one length, or to one 2-D shape whose rows are the table's rows in C order.
     A numeric column is a float, int or bool array, or its cells formatted by
-    ``_format_e17`` (Cells); ``flag`` is a bytes or str array. ``data`` is either
-    the whole table as one block of 1-D columns or a LazyBlocks.
+    ``_format_e17`` (Cells). ``flag`` is the Cells of ``_flags``, whose four kinds
+    have four widths, or a bytes or str array. ``data`` is either the whole table
+    as one block of 1-D columns or a LazyBlocks.
     """
 
     columns: list[str]
@@ -161,7 +167,7 @@ class ResultTable:
 
     def __post_init__(self, data) -> None:
         if not isinstance(data, LazyBlocks):
-            data = [np.asarray(column) for column in data]
+            data = [c if isinstance(c, Cells) else np.asarray(c) for c in data]
             lengths = {column.shape for column in data}
             if len(data) != len(self.columns) or len(lengths) != 1 or len(lengths.pop()) != 1:
                 raise ConfigError("result columns must match the column names and share one length")
@@ -314,11 +320,18 @@ def _resolve_drive(cfg: RunConfig, rates: CavityRates, gain: float):
     return injection, alpha_c, pump_power
 
 
-def _flags(size: int, threshold=False, domain=False, pole=False) -> np.ndarray:
-    """Flag column of bytes from row masks: threshold outranks domain, domain outranks pole."""
-    flags = np.where(threshold, b"threshold",
-                     np.where(domain, b"domain", np.where(pole, b"pole", b"")))
-    return np.broadcast_to(flags, size)
+# The flag kinds by code, as cells from byte 0 (see Cells): their text and signed widths.
+_FLAG_TEXT = np.array([b"", b"pole", b"domain", b"threshold"], "S9").view(np.uint8).reshape(4, 9)
+_FLAG_WIDTHS = np.array([0, -4, -6, -9], np.int8)
+
+
+def _flags(size: int, threshold=False, domain=False, pole=False) -> Cells:
+    """Flag column as Cells from row masks: threshold outranks domain, domain outranks pole."""
+    kind = np.where(threshold, 3, np.where(domain, 2, np.where(pole, 1, 0)))
+    if kind.ndim:
+        return Cells(_FLAG_TEXT.take(kind, axis=0), _FLAG_WIDTHS.take(kind))
+    return Cells(np.broadcast_to(_FLAG_TEXT[kind], (size, 9)),  # one kind: a read-only view
+                 np.broadcast_to(_FLAG_WIDTHS[kind], size))
 
 
 # The keys the rates, then the four-wave-mixing strength, are derived from.
@@ -417,9 +430,16 @@ def _run_jsi(cfg: RunConfig, rates: CavityRates, gain: float):
     axis = np.linspace(-span, span, cfg.jsi_points)
     cells = _format_e17(axis, widths=True)  # each axis value formatted once
     idler, per = cells[None], max(1, _WRITE_BLOCK_ROWS // axis.size)  # signal rows per block
-    return ["delta_ws", "delta_wi", "value"], LazyBlocks(-(-axis.size // per), lambda k: [
-        cells[k * per:(k + 1) * per, None], idler,
-        jsi_density(rates, injection, axis[k * per:(k + 1) * per, None], axis)])
+    marks = idler.cuts[1]  # where the axis cells change width, found once per table
+
+    def block(k: int) -> list:
+        a, b = k * per, (k + 1) * per
+        signal = cells[a:b, None]  # its Cells.cuts, from the marks inside (a, b)
+        signal.cuts = [[m - a for m in marks[bisect.bisect_right(marks, a):
+                                             bisect.bisect_left(marks, b)]], []]
+        return [signal, idler, jsi_density(rates, injection, axis[a:b, None], axis)]
+
+    return ["delta_ws", "delta_wi", "value"], LazyBlocks(-(-axis.size // per), block)
 
 
 def _run_meanfield(cfg: RunConfig, rates: CavityRates, gain: float):
@@ -525,7 +545,8 @@ def _e17_tables():
     Dekker halves, lo) and shifts, 10^(17 - k) = (hi + lo) 2^shift, hi in [1/2, 2]; 'e-32' ..
     'e+30' as '<u4' words, the fifth bytes of 'e-325' .. 'e+309'; the signed width (see Cells),
     at 635 + k + 325 if negative. The '<u4' words of NUL or '-', digit, '.', digit at D // 10^16
-    (+ 100 if negative) and of 0000 .. 9999; the dtype of a cell's 25 bytes as such words."""
+    (+ 100 if negative) and of 0000 .. 9999; the dtype of a cell's 25 bytes as such words. The
+    cells of 0, -0, inf, -inf, nan, nan (at 2 isinf + 4 isnan + signbit), and their widths."""
     powers = []
     for p in _POWER_RANGE:
         e = (10 ** abs(p)).bit_length() * (1 if p >= 0 else -1)
@@ -537,12 +558,15 @@ def _e17_tables():
     exponents, powers = [b"e%+03d" % k for k in range(-325, 310)], np.array(powers)
     widths = [19 + len(text) for text in exponents]
     words = lambda texts: np.frombuffer(b"".join(texts), "<u4")  # noqa: E731
+    special = [b"%.17e" % value for value in (0.0, -0.0, math.inf, -math.inf, math.nan, math.nan)]
     return (powers[:, :4].copy(), powers[:, 4].astype(np.int32), words(t[:4] for t in exponents),
             np.frombuffer(b"".join(t[4:] or b"\0" for t in exponents), np.uint8),
             np.array(widths + [-1 - width for width in widths], np.int8),
             words(s + b"%d.%d" % divmod(i, 10) for s in (b"\0", b"-") for i in range(100)),
             words(b"%04d" % i for i in range(10 ** 4)),
-            np.dtype([("head", "<u4"), ("quads", "<u4", 4), ("exponent", "<u4"), ("tail", "u1")]))
+            np.dtype([("head", "<u4"), ("quads", "<u4", 4), ("exponent", "<u4"), ("tail", "u1")]),
+            np.array(special, "S25").view(np.uint8).reshape(-1, 25),
+            np.array([-len(text) for text in special], np.int8))
 
 
 def _scaled_digits(m, e2, index):
@@ -590,17 +614,18 @@ def _format_e17(values, widths: bool = False):
     with ``widths``, as Cells.
 
     The 18 significant digits D = round(|x| 10^(17-k)) are taken in double-double
-    arithmetic; 0, inf, nan and values within 2^-30 of a rounding tie go to '%'. A
-    cell is 23 bytes, plus 1 for a '-' in byte 0 (else byte 0 is a NUL) and 1 for a
-    3-digit exponent. A '%' cell starts at byte 0 and is as long as its text. The others
-    are written as words: sign, digit, '.', digit; 4 x 4 digits; 'e+NN'; a last byte.
+    arithmetic; values within 2^-30 of a rounding tie go to '%'. A cell is 23 bytes,
+    plus 1 for a '-' in byte 0 (else byte 0 is a NUL) and 1 for a 3-digit exponent. A
+    '%' cell, and a cell of 0, inf or nan (copied from a table), starts at byte 0 and is
+    as long as its text. The others are written as words: sign, digit, '.', digit;
+    4 x 4 digits; 'e+NN'; a last byte.
     """
-    _, _, exponents, tails, lengths, heads, quads, record = _e17_tables()
+    _, _, exponents, tails, lengths, heads, quads, record, specials, special_widths = _e17_tables()
     x = np.asarray(values, dtype=np.float64).ravel()
     magnitude, special = np.abs(x), []  # special: the indices of 0, inf and nan
     if not 0 < magnitude.min(initial=1.0) <= magnitude.max(initial=1.0) < math.inf:
         special = (~((magnitude > 0) & (magnitude < math.inf))).nonzero()[0]
-        magnitude[special] = 1.0
+        magnitude[special] = 1.0  # 10^17 exactly, whose fraction is 0: no '%' below
     mantissa, e2 = np.frexp(magnitude)
     # k + 325, floored before the offset (325 - 1e-17 rounds to 325). floor(log10) can still
     # be one off: k is corrected from the floored digits, not the rounded ones.
@@ -614,7 +639,6 @@ def _format_e17(values, widths: bool = False):
     if digits.max(initial=0) == 10 ** 18:  # 18 nines rounded up
         index += (carry := digits == 10 ** 18)
         digits[carry] = 10 ** 17
-    fraction[special] = 0.5  # to '%' with the ties
     # The 16 last digits in 4-digit groups, in contiguous rows: 1st, 3rd, 2nd, 4th.
     groups = np.empty((4, x.size), np.int64)
     np.subtract(digits, (first := digits // 10 ** 8) * 10 ** 8, out=groups[3])
@@ -630,12 +654,17 @@ def _format_e17(values, widths: bool = False):
     text = ["%.17e" % value for value in x[fallback].tolist()]
     if text:
         out[fallback] = np.array(text, dtype="S25").view(np.uint8).reshape(-1, 25)
+    if len(special):
+        code = 2 * np.isinf(x[special]) + 4 * np.isnan(x[special]) + negative[special]
+        out[special] = specials.take(code, axis=0)
     out = out.reshape(np.shape(values) + (25,))
     if not widths:
         return out
     width = lengths.take(index + 635 * negative)
     if text:
         width[fallback] = [-len(cell) for cell in text]
+    if len(special):
+        width[special] = special_widths.take(code)
     return Cells(out, width.reshape(np.shape(values)))
 
 
@@ -655,9 +684,12 @@ def _chunk(columns: list, runs: list) -> np.ndarray:
     """The rows of ``columns``, which broadcast to (outer, span), as CSV bytes in C order.
 
     Numbers are formatted together. Each Cells column passed in has one width in each
-    span [a, b) of ``runs``. If every other column does too, the rows of each run are
-    copied at those widths through one (outer, b - a, row) view; otherwise every cell
-    is copied NUL-padded and the NULs are removed.
+    span [a, b) of ``runs``. A chunk of one row (outer = 1) is cut further, wherever a
+    column's cell width changes; in a chunk of several rows, the other columns must fit
+    the runs as they are. The rows of each run are copied at their widths through one
+    (outer, b - a, row) view, as 2-D bytes. Where a run of several rows mixes widths, or
+    a chunk of one row is cut further once per fewer than _RUN_ROWS rows, every cell is
+    copied NUL-padded and the NULs are removed.
     """
     kinds = ["cells" if isinstance(c, Cells) else "text" if c.dtype.kind in "SU" else "number"
              for c in columns]
@@ -677,9 +709,19 @@ def _chunk(columns: list, runs: list) -> np.ndarray:
             segments.append(columns[i][:, :, None] if kind == "cells" else _text_cells(columns[i]))
         varying += segments[-1:] if kind != "cells" else []
     outer, span, _ = map(max, zip(*(c.shape for c in segments)))
-    # Whether each run of the others holds one width: as bytes, cheaper than numpy's reductions.
-    fixed = all((w := c.widths[:, a:b]).tobytes() == w[:1, :1].tobytes() * (w.size // w.shape[2])
-                for c in varying for a, b in runs)
+    if outer == 1:  # cut where the widths of any column change; per column, 4x faster than any()
+        changed = np.zeros(span - 1, bool)
+        for c in segments:
+            for w in c.widths[0].T if c.shape[1] > 1 else ():
+                changed |= w[1:] != w[:-1]
+        cuts = np.flatnonzero(changed)
+        if fixed := (cuts.size + 1 - len(runs)) * _RUN_ROWS < span:
+            marks = [0, *(cuts + 1).tolist(), span]
+            runs = list(zip(marks, marks[1:]))
+    else:  # whether each run of the others holds one width: as bytes, cheaper than numpy's
+        fixed = all((w := c.widths[:, a:b]).tobytes()
+                    == w[:1, :1].tobytes() * (w.size // w.shape[2])
+                    for c in varying for a, b in runs)
     if fixed:  # each column's width in each run, from one take per segment
         starts = [a for a, _ in runs]
         layout = [(a, b, ws) for (a, b), ws in zip(runs, zip(*(
@@ -691,13 +733,13 @@ def _chunk(columns: list, runs: list) -> np.ndarray:
     for (a, b, widths), size in zip(layout, sizes):
         row, pos, at = size // (b - a), at, at + size
         for c, ws in zip(segments, widths):
-            text, first = c.text[:, a:b] if c.shape[1] > 1 else c.text, 0
+            part, first = slice(a, b) if c.shape[1] > 1 else slice(None), 0
             for w, same in itertools.groupby(ws):  # adjacent columns of one width: one copy
                 count, start, width = len(list(same)), int(w > 0), abs(w)
                 if width:  # each cell copied as one S item; an empty flag copies nothing
                     np.ndarray((outer, b - a, count, 1), _bytes(width), out, pos,
-                               (out.strides[0], row, width + 1, 1))[...] = (
-                        text[:, :, first:first + count, start:start + width].view(_bytes(width)))
+                               (out.strides[0], row, width + 1, 1))[...] = c.text[
+                        :, part, first:first + count, start:start + width].view(_bytes(width))
                 pos, first = pos + count * (width + 1), first + count
         out[:, at - size + row - 1:at:row] = ord("\n")
     return out if fixed else out[out != 0]
@@ -706,12 +748,12 @@ def _chunk(columns: list, runs: list) -> np.ndarray:
 def _chunks(block: list):
     """The rows of a block as _chunk bytes of at most _WRITE_BLOCK_ROWS rows each.
 
-    A 1-D block is one row of 2-D columns. A 2-D block is also cut where the widths of
-    a Cells column change, along either axis.
+    A 1-D block is one row of 2-D columns, which _chunk cuts itself. A 2-D block is
+    also cut where the widths of a Cells column change, along either axis.
     """
     block = [c if len(c.shape) == 2 else c[None] for c in block]
     outer, span = map(max, zip(*(c.shape for c in block)))
-    cuts = [c.cuts for c in block if isinstance(c, Cells)]
+    cuts = [c.cuts for c in block if isinstance(c, Cells)] if outer > 1 else []
     if not cuts and outer * span <= _WRITE_BLOCK_ROWS:  # one chunk, one run
         yield _chunk(block, [(0, span)])
         return

@@ -5,13 +5,21 @@ import numpy as np
 from ringmzi.cli import Cells
 
 
+def read(cell: bytes):
+    """A cell's text as a float, or as a string where it is a flag."""
+    text = cell.replace(b"\0", b"").decode("ascii")
+    try:
+        return float(text)
+    except ValueError:  # '', 'pole', 'domain' or 'threshold'
+        return text
+
+
 def cells(column) -> np.ndarray:
-    """One column as an array of Python floats and strings: formatted cells are read back,
-    bytes decoded."""
+    """One column as an array of Python floats and strings: formatted number and flag cells
+    are read back, bytes decoded."""
     if isinstance(column, Cells):
         text = column.text.reshape(-1, column.text.shape[-1])
-        return np.array([float(bytes(cell).replace(b"\0", b"")) for cell in text]).reshape(
-            column.shape)
+        return np.array([read(bytes(cell)) for cell in text]).reshape(column.shape)
     if column.dtype.kind == "S":
         return np.char.decode(column, "ascii")
     return column

@@ -19,7 +19,7 @@ import pytest
 import exact_moments
 import mzi_oracle as oracle
 from tables import rows
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from ringmzi import (REFERENCE_GEOMETRY, CavityRates, Injection, decay_ratio, derive_rates,
                      fwm_gain, pole_coherent_amplitude, threshold_power)
@@ -457,7 +457,7 @@ def e17_rows(*columns) -> bytes:
 
 class TestRowAssembly:
     """Rows filled at fixed widths, or compacted where a column mixes widths, are the bytes of
-    '%.17e' row by row, written to a file and to stdout alike."""
+    '%.17e' row by row, written to a file and to stdout alike. Flag cells are their text."""
 
     @staticmethod
     def written(table_or_argv, tmp_path, capsysbinary) -> bytes:
@@ -542,13 +542,103 @@ class TestRowAssembly:
                                     _format_e17(blocks[k][1], widths=True), blocks[k][2]]))
         assert self.written(table, tmp_path, capsysbinary) == b"s,i,v\n" + b"".join(
             e17_rows(*block) for block in blocks)
-        # Cut at the signal's widths: 4, 4 and 1 chunks. The last chunk of the first block
-        # mixes widths only across idler runs.
+        # Cut at the signal's widths: 4, 4 and 1 chunks. The chunk of two rows of the first
+        # block mixes widths within idler runs: compacted. A chunk of one row is cut where any
+        # column's widths change, unless that adds a cut per fewer than 80 rows: rows 2 and 3
+        # of the first block, 8 cells each, are compacted; row 4 adds no cut.
         assert [chunk.ndim for block in table.blocks for chunk in cli._chunks(block)] == [
             1, 1, 1, 2, 2, 2, 2, 2, 2]
         np.testing.assert_array_equal(np.array(rows(table)), np.array(
             [row for block in blocks for row in zip(*(c.ravel().tolist() for c in
                                                       np.broadcast_arrays(*block)))]))
+
+    def test_signal_cuts_are_the_axis_cuts(self):
+        """Each jsi block's signal cells carry the cuts their own widths give."""
+        for text in ("jsi.points=7", "jsi.points=200", "jsi.points=501\njsi.span=1e-95"):
+            blocks = list(run_command(parse_config(text, command="jsi")).blocks)
+            assert len(blocks) > 1 or text == "jsi.points=7"
+            for signal, _, _ in blocks:
+                assert signal.cuts == cli.Cells(signal.text, signal.widths).cuts
+
+    # Cells of every width: +-0, +-inf, nan, subnormals, 2- and 3-digit exponents.
+    WIDTHS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -4.9e-322,
+              2.2250738585072014e-308, -1e-100, 9.999999999999999e99, 1e100, -1.5, 0.1, 1e300]
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), size=st.integers(1, 400), numbers=st.integers(1, 4),
+           flag=st.sampled_from(["flags", "U", "S", None]), block_rows=st.sampled_from([4096, 7]),
+           seed=st.integers(0, 3))
+    def test_one_dimensional_tables(self, data, size, numbers, flag, block_rows, seed,
+                                    monkeypatch, tmp_path, capsysbinary):
+        """Numbers of every width and exact ties, in runs or cell by cell, beside flags of
+        every kind from _flags or as str or bytes: '%.17e' row by row, whether a chunk is
+        cut into runs or compacted."""
+        monkeypatch.setattr(cli, "_WRITE_BLOCK_ROWS", block_rows)
+        pool = self.WIDTHS + exact_ties(2, seed)
+
+        def column(strategy):
+            """Drawn cell by cell, or as a few runs of one drawn value each."""
+            if data.draw(st.booleans()):
+                return data.draw(st.lists(strategy, min_size=size, max_size=size))
+            inner = st.lists(st.integers(1, size - 1), max_size=5) if size > 1 else st.just([])
+            marks = sorted({0, size, *data.draw(inner)})
+            return [cell for a, b in zip(marks, marks[1:])
+                    for cell in [data.draw(strategy)] * (b - a)]
+
+        values = [np.array(column(st.sampled_from(pool) | st.floats())) for _ in range(numbers)]
+        for k, scale in enumerate(data.draw(st.lists(st.booleans(), min_size=numbers,
+                                                     max_size=numbers))):
+            if scale:  # values that differ within a run of one width (or overflow to inf)
+                with np.errstate(over="ignore"):
+                    values[k] = values[k] * np.linspace(1.0, 1.5, size)
+        names, columns = [f"x{k}" for k in range(numbers)], list(values)
+        if flag == "flags":
+            threshold, domain, pole = (np.array(column(st.booleans())) for _ in range(3))
+            labels = np.where(threshold, "threshold",
+                              np.where(domain, "domain", np.where(pole, "pole", ""))).tolist()
+            columns.append(cli._flags(size, threshold=threshold, domain=domain, pole=pole))
+        elif flag:
+            labels = column(st.sampled_from(["", "pole", "domain", "threshold"]))
+            columns.append(np.array(labels).astype(flag))
+        names += ["flag"] if flag else []
+        table = ResultTable(columns=names, data=columns, meta={})
+        cells = [["%.17e" % v for v in column.tolist()] for column in values]
+        assert self.written(table, tmp_path, capsysbinary).decode() == "".join(
+            ",".join(row) + "\n" for row in [names, *zip(*cells, *([labels] if flag else []))])
+
+    @pytest.mark.parametrize("cuts,strided", [(0, True), (4, True), (5, False), (399, False)])
+    def test_runs_or_compaction_by_run_count(self, cuts, strided):
+        """A chunk of one row, of a 1-D table or of a 2-D block, is cut where its widths
+        change, unless that adds a cut per fewer than _RUN_ROWS rows: 4 cuts of 400 rows are
+        written in runs, 5 compacted."""
+        signs = np.ones(400)
+        for k in range(cuts):  # every change of sign is a change of width
+            signs[(k + 1) * 400 // (cuts + 1):] *= -1
+        values = np.linspace(1.0, 2.0, 400) * signs
+        assert [chunk.ndim == 2 for chunk in cli._chunks([values, cli._flags(400)])] == [strided]
+        # Two signal cells of two widths: one chunk of one row each.
+        block = [_format_e17(np.array([[-1.0], [1.0]]), widths=True),
+                 _format_e17(np.linspace(1.0, 2.0, 400)[None], widths=True),
+                 np.vstack([values] * 2)]
+        assert [chunk.ndim == 2 for chunk in cli._chunks(block)] == [strided] * 2
+
+    @pytest.mark.parametrize("settings,strided", [
+        (["sweep.points=2001"], True),  # 3 changes of width
+        (["pump.sigma_n=0.3", "sweep.start=-1e4", "sweep.stop=1e4", "sweep.points=2001"], False),
+        ([], False),  # the default: 3 changes in 181 rows
+    ])
+    def test_squeezing_sweeps(self, settings, strided, tmp_path, capsysbinary):
+        """A sweep with a change of width per 80 rows or more is written in runs; one whose
+        widths change more often (734 changes in 2001 rows, 3 in 181) is compacted. Both
+        read back as '%.17e' and the flag text."""
+        cfg = parse_config("\n".join(settings), command="squeezing")
+        assert self.strided(cfg) == [strided]
+        argv = ["squeezing"] + [arg for setting in settings for arg in ("--set", setting)]
+        body = self.written(argv, tmp_path, capsysbinary).split(b"\n", 3)[3]
+        assert body.decode() == "".join(
+            ",".join("%.17e" % v if isinstance(v, float) else v for v in row) + "\n"
+            for row in rows(run_command(cfg)))
 
 
 class TestImport:
