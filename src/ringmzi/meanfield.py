@@ -201,7 +201,7 @@ def _depletion(n_empty: np.ndarray, clamp: float) -> np.ndarray:
         active &= ~done
     k = np.flatnonzero(active)[0]
     raise ConvergenceError(f"no depletion root at empty-cavity pump number {n_empty.flat[k]} "
-                           f"within {NEWTON_MAX_STEPS} Newton steps")
+                           f"within {NEWTON_MAX_STEPS} Newton steps", k)
 
 
 def _max_relative_rate(state: MomentState, rate: MomentState) -> np.ndarray:
@@ -243,7 +243,7 @@ def _steady_states(rates: CavityRates, gain: float, alpha_l) -> MomentState:
     if len(missed):
         k = missed[0]
         raise ConvergenceError(f"steady state at drive {drive.flat[k]} changes at relative rate "
-                               f"{rate.flat[k]:.3g} per 1/Gamma (limit {CONVERGENCE_TOL})")
+                               f"{rate.flat[k]:.3g} per 1/Gamma (limit {CONVERGENCE_TOL})", k)
     phase = np.exp(1j * np.angle(drive))
     return MomentState(a_p=state.a_p * phase, a_pp=state.a_pp * phase**2, n_p=state.n_p,
                        n_s=state.n_s, n_i=state.n_i, m_si=state.m_si * phase**2)
@@ -275,17 +275,25 @@ def comparison_columns(rates: CavityRates, gain: float, sigma_ns) -> dict[str, n
     """Linearized vs mean-field steady state over a sigma_n grid, one array per column.
 
     Columns sigma_n, ns_lin, ns_mf, np_lin, np_mf; at threshold
-    (1 - sigma_n <= THRESHOLD_MARGIN) and above it ns_lin is inf.
+    (1 - sigma_n <= THRESHOLD_MARGIN) and above it ns_lin is inf. A point whose
+    drive |alpha_l| or np_lin overflows raises ConvergenceError, as does one
+    whose steady state misses its stop rule.
     """
     gamma_total = rates.gamma_total
     sigma_ns = np.asarray(sigma_ns, dtype=float)
-    sigma = sigma_ns * gamma_total
-    drives = drive_for_sigma(rates, gain, sigma)
+    with np.errstate(over="ignore"):  # checked below
+        sigma = sigma_ns * gamma_total
+        drives = drive_for_sigma(rates, gain, sigma)
+        np_lin = 4.0 * rates.kappa * np.float_power(drives, 2) / gamma_total**2
+    if not np.isfinite(np_lin).all():
+        k = np.flatnonzero(~np.isfinite(np_lin))[0]
+        raise ConvergenceError(f"the drive |alpha_l| = {float(drives.flat[k])!r} is too large: "
+                               "|alpha_l|^2 overflows", k)
     states = _steady_states(rates, gain, drives)
     below = 1.0 - sigma_ns > THRESHOLD_MARGIN
     ns_lin = lin_steady_state(rates, np.where(below, sigma, 0.0)).n_s
     return {"sigma_n": sigma_ns,
             "ns_lin": np.where(below, ns_lin, math.inf),
             "ns_mf": states.n_s,
-            "np_lin": 4.0 * rates.kappa * np.float_power(drives, 2) / gamma_total**2,
+            "np_lin": np_lin,
             "np_mf": states.n_p}

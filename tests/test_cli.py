@@ -342,7 +342,8 @@ class TestArrayTables:
         assert all(math.isinf(cell) for cell in rows(table)[0][2:5])
 
     def test_flags_across_write_blocks(self, tmp_path):
-        """Flags and values stay in their rows past the 4096-row write block."""
+        """Flags and values stay in their rows past the first write block."""
+        assert 9001 > cli._WRITE_BLOCK_ROWS
         text = ("sweep.variable = phi\nsweep.start = 0\nsweep.stop = 6.283185307179586\n"
                 "sweep.points = 9001\nsweep.scale = linear")
         path = tmp_path / "phase.csv"
@@ -418,28 +419,44 @@ class TestStreamedJsi:
         self.check([f"jsi.span={span!r}", f"jsi.points={points}", f"pump.sigma_n={sigma_n!r}"])
 
     def test_more_rows_than_a_write_block(self):
-        """70 x 70 = 4900 rows, more than the 4096 rows of one write block."""
-        self.check(["jsi.points=70", "pump.sigma_n=0.995"])
+        """More rows than one write block holds (100 x 100 at 8192 rows): several blocks."""
+        points = math.isqrt(cli._WRITE_BLOCK_ROWS) + 10
+        table = run_command(parse_config(f"jsi.points={points}", command="jsi"))
+        assert len(list(table.blocks)) > 1
+        self.check([f"jsi.points={points}", "pump.sigma_n=0.995"])
+
+    @staticmethod
+    def write_peak(points: int) -> int:
+        """The tracemalloc peak of a points x points table written to the null device. The
+        formatter's tables are built first: built inside, they would be traced too."""
+        cli._e17_tables()
+        cfg = parse_config(f"jsi.points = {points}", command="jsi")
+        tracemalloc.start()
+        try:
+            write_table(run_command(cfg), os.devnull)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
     def test_memory_is_linear_in_points(self):
         """A 400 x 400 table (three columns of 3.8 MB) is written in under 1.28 MB, the peak
         of the NUL-compacting writer."""
-        cfg = parse_config("jsi.points = 400", command="jsi")
-        tracemalloc.start()
-        try:
-            write_table(run_command(cfg), os.devnull)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.28e6
+        assert self.write_peak(400) < 1.28e6
+
+    def test_memory_does_not_grow_with_the_table(self):
+        """An 800 x 800 table, four times the rows, peaks within 10% of a 400 x 400 one."""
+        assert self.write_peak(800) <= 1.1 * self.write_peak(400)
 
     def test_rows_and_text_columns_across_write_blocks(self, tmp_path):
-        """Blocks mixing formatted cells and arrays split at 4096 rows, and re-iterate for rows."""
-        values = np.linspace(-1.0, 1.0, 5000) * 1e9
+        """Blocks mixing formatted cells and arrays split at _WRITE_BLOCK_ROWS rows, and
+        re-iterate for rows."""
+        size = cli._WRITE_BLOCK_ROWS + 904
+        values = np.linspace(-1.0, 1.0, size) * 1e9
         text = _format_e17(values, widths=True)
-        flags = np.array(["", "pole"] * 2500)
+        flags = np.where(np.arange(size) % 2, "pole", "")
         table = ResultTable(columns=["a", "b", "flag"], meta={},
                             data=LazyBlocks(2, lambda k: [text, values * (k + 1), flags]))
+        assert len(list(cli._chunks(next(iter(table.blocks))))) == 2
         path = tmp_path / "blocks.csv"
         write_table(table, str(path))
         expected = [[a, b * (k + 1), flag] for k in range(2)
@@ -567,8 +584,8 @@ class TestRowAssembly:
     @settings(max_examples=80, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data(), size=st.integers(1, 400), numbers=st.integers(1, 4),
-           flag=st.sampled_from(["flags", "U", "S", None]), block_rows=st.sampled_from([4096, 7]),
-           seed=st.integers(0, 3))
+           flag=st.sampled_from(["flags", "U", "S", None]),
+           block_rows=st.sampled_from([cli._WRITE_BLOCK_ROWS, 7]), seed=st.integers(0, 3))
     def test_one_dimensional_tables(self, data, size, numbers, flag, block_rows, seed,
                                     monkeypatch, tmp_path, capsysbinary):
         """Numbers of every width and exact ties, in runs or cell by cell, beside flags of
@@ -1004,6 +1021,24 @@ class TestMain:
         err = capsys.readouterr().err
         assert message in err
         assert "Traceback" not in err
+
+    # sigma_n is the first failing point of the 22-point grid from 0.1: the second, 0.1 +
+    # (stop - 0.1)/21, for the stop rule; the first for the overflow.
+    @pytest.mark.parametrize("setting,sigma_n,cause", [
+        ("sweep.stop=1e12", 47619047619.14286, "changes at relative rate 9.6e-08"),
+        ("sweep.stop=1e30", 4.761904761904762e+28, "changes at relative rate"),
+        # sigma Gamma^2/(8 g kappa) overflows at kappa = 1.2e-289 Hz: the drive is inf.
+        ("geometry.cross_coupling=1e-300", 0.1, "the drive |alpha_l| = inf is too large"),
+    ])
+    def test_meanfield_out_of_reach_names_sigma_n(self, setting, sigma_n, cause, capsys):
+        """A steady state that misses its stop rule, or whose drive overflows, exits 2 with
+        the sigma_n and the keys it comes from, not a traceback."""
+        assert main(["meanfield", "--set", setting]) == 2
+        err = capsys.readouterr().err
+        assert f"no mean-field steady state at sigma_n = {sigma_n!r}: " in err
+        assert cause in err
+        assert "(from sweep.start, sweep.stop, geometry.ring_length, " in err
+        assert "geometry.cross_coupling" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("argv,key,variable", [
         (["improvement"], "sensor.length=1e4", "sensor_length"),
