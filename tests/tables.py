@@ -1,8 +1,8 @@
-"""Row view of a ringmzi.cli.ResultTable (tests only)."""
+"""Row view of a ringmzi.table.ResultTable (tests only)."""
 
 import numpy as np
 
-from ringmzi.cli import Cells
+from ringmzi.table import Cells
 
 
 def read(cell: bytes):
@@ -16,12 +16,10 @@ def read(cell: bytes):
 
 def cells(column) -> np.ndarray:
     """One column as an array of Python floats and strings: formatted number and flag cells
-    are read back, bytes decoded."""
+    are read back."""
     if isinstance(column, Cells):
         text = column.text.reshape(-1, column.text.shape[-1])
         return np.array([read(bytes(cell)) for cell in text]).reshape(column.shape)
-    if column.dtype.kind == "S":
-        return np.char.decode(column, "ascii")
     return column
 
 

@@ -25,8 +25,11 @@ from ringmzi import (REFERENCE_GEOMETRY, CavityRates, Injection, decay_ratio, de
                      fwm_gain, pole_coherent_amplitude, threshold_power)
 from ringmzi.cavity_io import jsi as jsi_density
 from ringmzi import cli
-from ringmzi.cli import (ConfigError, LazyBlocks, ResultTable, _format_e17, _parser,
-                         _resolve_drive, main, parse_config, run_command, write_table)
+from ringmzi import table as writer
+from ringmzi.cli import _parser, _resolve_drive, main, run_command
+from ringmzi.config import parse_config
+from ringmzi.errors import ConfigError
+from ringmzi.table import Cells, LazyBlocks, ResultTable, format_e17, write_table
 from ringmzi.constants import HBAR
 
 
@@ -212,6 +215,33 @@ class TestCommands:
         assert rows(lossless)[0][2] > rows(strong)[0][2]
 
 
+class TestBlockShapes:
+    @pytest.mark.parametrize("command,text,flag", [
+        *((command, "", None) for command in cli.COMMANDS),
+        ("jsi", "jsi.points = 101", None),  # 81 signal rows per block, then 20
+        *((command, "pump.sigma_n = 1.2\nsweep.points = 5", "threshold")
+          for command in ("squeezing", "sensitivity", "pole", "improvement")),
+        ("sensitivity", "sweep.variable = phi\nsweep.start = 0\n"
+                        "sweep.stop = 3.141592653589793\nsweep.points = 101", "pole"),
+    ])
+    def test_every_block_fits_its_columns(self, command, text, flag):
+        """Each builder's blocks hold a column per name, each an array of numbers or Cells,
+        that broadcast to one 1-D length or one 2-D shape, the shape of every array; only
+        jsi has several blocks."""
+        table = run(command, text)
+        blocks = list(table.blocks)
+        assert (len(blocks) > 1) == (command == "jsi")
+        for block in blocks:
+            assert len(block) == len(table.columns)
+            assert all(isinstance(c, Cells) or c.dtype.kind in "fiub" for c in block)
+            shape = np.broadcast_shapes(*(c.shape for c in block))
+            assert len(shape) == (2 if command == "jsi" else 1)
+            assert {len(c.shape) for c in block} == {len(shape)}
+            assert {c.shape for c in block if not isinstance(c, Cells)} == {shape}
+        if flag is not None:
+            assert flag in {row[-1] for row in rows(table)}
+
+
 class TestPhaseSweep:
     """Phase sweeps of the sensitivity command."""
 
@@ -343,7 +373,7 @@ class TestArrayTables:
 
     def test_flags_across_write_blocks(self, tmp_path):
         """Flags and values stay in their rows past the first write block."""
-        assert 9001 > cli._WRITE_BLOCK_ROWS
+        assert 9001 > writer.WRITE_BLOCK_ROWS
         text = ("sweep.variable = phi\nsweep.start = 0\nsweep.stop = 6.283185307179586\n"
                 "sweep.points = 9001\nsweep.scale = linear")
         path = tmp_path / "phase.csv"
@@ -420,7 +450,7 @@ class TestStreamedJsi:
 
     def test_more_rows_than_a_write_block(self):
         """More rows than one write block holds (100 x 100 at 8192 rows): several blocks."""
-        points = math.isqrt(cli._WRITE_BLOCK_ROWS) + 10
+        points = math.isqrt(writer.WRITE_BLOCK_ROWS) + 10
         table = run_command(parse_config(f"jsi.points={points}", command="jsi"))
         assert len(list(table.blocks)) > 1
         self.check([f"jsi.points={points}", "pump.sigma_n=0.995"])
@@ -429,7 +459,7 @@ class TestStreamedJsi:
     def write_peak(points: int) -> int:
         """The tracemalloc peak of a points x points table written to the null device. The
         formatter's tables are built first: built inside, they would be traced too."""
-        cli._e17_tables()
+        writer._e17_tables()
         cfg = parse_config(f"jsi.points = {points}", command="jsi")
         tracemalloc.start()
         try:
@@ -448,19 +478,21 @@ class TestStreamedJsi:
         assert self.write_peak(800) <= 1.1 * self.write_peak(400)
 
     def test_rows_and_text_columns_across_write_blocks(self, tmp_path):
-        """Blocks mixing formatted cells and arrays split at _WRITE_BLOCK_ROWS rows, and
+        """Blocks mixing formatted cells, arrays and flags split at WRITE_BLOCK_ROWS rows, and
         re-iterate for rows."""
-        size = cli._WRITE_BLOCK_ROWS + 904
+        size = writer.WRITE_BLOCK_ROWS + 904
         values = np.linspace(-1.0, 1.0, size) * 1e9
-        text = _format_e17(values, widths=True)
-        flags = np.where(np.arange(size) % 2, "pole", "")
+        text = format_e17(values)
+        pole = np.arange(size) % 2 == 1
+        flags = writer.flags(size, pole=pole)
         table = ResultTable(columns=["a", "b", "flag"], meta={},
-                            data=LazyBlocks(2, lambda k: [text, values * (k + 1), flags]))
-        assert len(list(cli._chunks(next(iter(table.blocks))))) == 2
+                            blocks=LazyBlocks(2, lambda k: [text, values * (k + 1), flags]))
+        assert len(list(writer._chunks(next(iter(table.blocks))))) == 2
         path = tmp_path / "blocks.csv"
         write_table(table, str(path))
+        labels = np.where(pole, "pole", "").tolist()
         expected = [[a, b * (k + 1), flag] for k in range(2)
-                    for a, b, flag in zip(values.tolist(), values.tolist(), flags.tolist())]
+                    for a, b, flag in zip(values.tolist(), values.tolist(), labels)]
         assert path.read_text() == "a,b,flag\n" + "".join(
             "%.17e,%.17e,%s\n" % tuple(row) for row in expected)
         assert rows(table) == expected
@@ -501,7 +533,7 @@ class TestRowAssembly:
     def strided(cfg) -> list[bool]:
         """Per chunk of the table: whether it was filled at fixed widths (2-D bytes)."""
         return [chunk.ndim == 2 for block in run_command(cfg).blocks
-                for chunk in cli._chunks(block)]
+                for chunk in writer._chunks(block)]
 
     @pytest.mark.parametrize("points", [6, 7, 200])
     def test_odd_and_even_points(self, points, tmp_path, capsysbinary):
@@ -538,8 +570,8 @@ class TestRowAssembly:
     @pytest.mark.parametrize("block_rows", [4, 5])
     def test_signal_row_longer_than_a_write_block(self, block_rows, monkeypatch, tmp_path,
                                                    capsysbinary):
-        """jsi.points above _WRITE_BLOCK_ROWS: one signal row is cut into several chunks."""
-        monkeypatch.setattr(cli, "_WRITE_BLOCK_ROWS", block_rows)
+        """jsi.points above WRITE_BLOCK_ROWS: one signal row is cut into several chunks."""
+        monkeypatch.setattr(writer, "WRITE_BLOCK_ROWS", block_rows)
         self.check_jsi(["jsi.points=7"], tmp_path, capsysbinary)
         cfg = parse_config("jsi.points=7", command="jsi")
         assert len(self.strided(cfg)) > 7
@@ -554,28 +586,20 @@ class TestRowAssembly:
         mixed[1, 1], mixed[2, 2], mixed[3, 3], mixed[4, 5:7] = math.inf, math.nan, -0.0, 1e-300
         blocks = [(signal, idler, mixed), (signal, idler, uniform),
                   (signal[:2], idler, uniform[:2])]
-        table = ResultTable(columns=["s", "i", "v"], meta={}, data=LazyBlocks(
-            len(blocks), lambda k: [_format_e17(blocks[k][0], widths=True),
-                                    _format_e17(blocks[k][1], widths=True), blocks[k][2]]))
+        table = ResultTable(columns=["s", "i", "v"], meta={}, blocks=LazyBlocks(
+            len(blocks), lambda k: [format_e17(blocks[k][0]),
+                                    format_e17(blocks[k][1]), blocks[k][2]]))
         assert self.written(table, tmp_path, capsysbinary) == b"s,i,v\n" + b"".join(
             e17_rows(*block) for block in blocks)
         # Cut at the signal's widths: 4, 4 and 1 chunks. The chunk of two rows of the first
         # block mixes widths within idler runs: compacted. A chunk of one row is cut where any
         # column's widths change, unless that adds a cut per fewer than 80 rows: rows 2 and 3
         # of the first block, 8 cells each, are compacted; row 4 adds no cut.
-        assert [chunk.ndim for block in table.blocks for chunk in cli._chunks(block)] == [
+        assert [chunk.ndim for block in table.blocks for chunk in writer._chunks(block)] == [
             1, 1, 1, 2, 2, 2, 2, 2, 2]
         np.testing.assert_array_equal(np.array(rows(table)), np.array(
             [row for block in blocks for row in zip(*(c.ravel().tolist() for c in
                                                       np.broadcast_arrays(*block)))]))
-
-    def test_signal_cuts_are_the_axis_cuts(self):
-        """Each jsi block's signal cells carry the cuts their own widths give."""
-        for text in ("jsi.points=7", "jsi.points=200", "jsi.points=501\njsi.span=1e-95"):
-            blocks = list(run_command(parse_config(text, command="jsi")).blocks)
-            assert len(blocks) > 1 or text == "jsi.points=7"
-            for signal, _, _ in blocks:
-                assert signal.cuts == cli.Cells(signal.text, signal.widths).cuts
 
     # Cells of every width: +-0, +-inf, nan, subnormals, 2- and 3-digit exponents.
     WIDTHS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -4.9e-322,
@@ -584,14 +608,14 @@ class TestRowAssembly:
     @settings(max_examples=80, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data(), size=st.integers(1, 400), numbers=st.integers(1, 4),
-           flag=st.sampled_from(["flags", "U", "S", None]),
-           block_rows=st.sampled_from([cli._WRITE_BLOCK_ROWS, 7]), seed=st.integers(0, 3))
+           flag=st.booleans(),
+           block_rows=st.sampled_from([writer.WRITE_BLOCK_ROWS, 7]), seed=st.integers(0, 3))
     def test_one_dimensional_tables(self, data, size, numbers, flag, block_rows, seed,
                                     monkeypatch, tmp_path, capsysbinary):
         """Numbers of every width and exact ties, in runs or cell by cell, beside flags of
-        every kind from _flags or as str or bytes: '%.17e' row by row, whether a chunk is
-        cut into runs or compacted."""
-        monkeypatch.setattr(cli, "_WRITE_BLOCK_ROWS", block_rows)
+        every kind from flags: '%.17e' row by row, whether a chunk is cut into runs or
+        compacted."""
+        monkeypatch.setattr(writer, "WRITE_BLOCK_ROWS", block_rows)
         pool = self.WIDTHS + exact_ties(2, seed)
 
         def column(strategy):
@@ -610,16 +634,13 @@ class TestRowAssembly:
                 with np.errstate(over="ignore"):
                     values[k] = values[k] * np.linspace(1.0, 1.5, size)
         names, columns = [f"x{k}" for k in range(numbers)], list(values)
-        if flag == "flags":
+        if flag:
             threshold, domain, pole = (np.array(column(st.booleans())) for _ in range(3))
             labels = np.where(threshold, "threshold",
                               np.where(domain, "domain", np.where(pole, "pole", ""))).tolist()
-            columns.append(cli._flags(size, threshold=threshold, domain=domain, pole=pole))
-        elif flag:
-            labels = column(st.sampled_from(["", "pole", "domain", "threshold"]))
-            columns.append(np.array(labels).astype(flag))
+            columns.append(writer.flags(size, threshold=threshold, domain=domain, pole=pole))
         names += ["flag"] if flag else []
-        table = ResultTable(columns=names, data=columns, meta={})
+        table = ResultTable(columns=names, blocks=[columns], meta={})
         cells = [["%.17e" % v for v in column.tolist()] for column in values]
         assert self.written(table, tmp_path, capsysbinary).decode() == "".join(
             ",".join(row) + "\n" for row in [names, *zip(*cells, *([labels] if flag else []))])
@@ -633,12 +654,13 @@ class TestRowAssembly:
         for k in range(cuts):  # every change of sign is a change of width
             signs[(k + 1) * 400 // (cuts + 1):] *= -1
         values = np.linspace(1.0, 2.0, 400) * signs
-        assert [chunk.ndim == 2 for chunk in cli._chunks([values, cli._flags(400)])] == [strided]
+        chunks = writer._chunks([values, writer.flags(400)])
+        assert [chunk.ndim == 2 for chunk in chunks] == [strided]
         # Two signal cells of two widths: one chunk of one row each.
-        block = [_format_e17(np.array([[-1.0], [1.0]]), widths=True),
-                 _format_e17(np.linspace(1.0, 2.0, 400)[None], widths=True),
+        block = [format_e17(np.array([[-1.0], [1.0]])),
+                 format_e17(np.linspace(1.0, 2.0, 400)[None]),
                  np.vstack([values] * 2)]
-        assert [chunk.ndim == 2 for chunk in cli._chunks(block)] == [strided] * 2
+        assert [chunk.ndim == 2 for chunk in writer._chunks(block)] == [strided] * 2
 
     @pytest.mark.parametrize("settings,strided", [
         (["sweep.points=2001"], True),  # 3 changes of width
@@ -680,7 +702,7 @@ class TestPresetRuntime:
 
 
 def texts(cells) -> list[str]:
-    """_format_e17 cells as strings."""
+    """The text of format_e17 cells as strings."""
     return [bytes(cell).replace(b"\0", b"").decode("ascii") for cell in cells]
 
 
@@ -697,16 +719,16 @@ def exact_ties(count: int, seed: int = 0) -> list[float]:
 
 
 class TestFormatE17:
-    """_format_e17 writes the bytes of Python's '%.17e'."""
+    """format_e17 writes the bytes of Python's '%.17e'."""
 
     @staticmethod
     def check(values) -> None:
-        """The text of each cell, and with widths: its bytes are the text from byte 0 or 1,
-        NUL-padded, and its width the text's length, negated where it starts at byte 0."""
+        """The text of each cell: its bytes are the text from byte 0 or 1, NUL-padded, and its
+        width the text's length, negated where it starts at byte 0."""
         values = np.asarray(values, dtype=np.float64)
         expected = ["%.17e" % value for value in values.tolist()]
-        assert texts(_format_e17(values)) == expected
-        cells = _format_e17(values, widths=True)
+        cells = format_e17(values)
+        assert texts(cells.text) == expected
         later = (cells.text[:, 0] == 0).tolist()  # from byte 1
         assert [bytes(cell).rstrip(b"\0") for cell in cells.text] == [
             b"\0" * start + text.encode() for start, text in zip(later, expected)]
@@ -738,7 +760,7 @@ class TestFormatE17:
             self.check(-values)
         # Both doubles lie within 5e-18 relative below their power of ten: k is one
         # less from the floored digits, but the 18 digits of 1e153 round up to 10^18.
-        assert texts(_format_e17(np.array([1e-305, 1e153]))) == [
+        assert texts(format_e17(np.array([1e-305, 1e153])).text) == [
             "9.99999999999999996e-306", "1.00000000000000000e+153"]
 
     def test_exact_and_near_ties(self):
@@ -752,7 +774,8 @@ class TestFormatE17:
         self.check(rng.integers(-10 ** 15, 10 ** 15, 20_000).astype(float))
 
     def test_keeps_the_shape(self):
-        assert _format_e17(np.zeros((3, 2))).shape == (3, 2, 25)
+        cells = format_e17(np.zeros((3, 2)))
+        assert cells.text.shape == (3, 2, 25) and cells.widths.shape == (3, 2)
 
     def test_input_layouts(self):
         """A big-endian array, a transposed 2-D view and a strided slice are formatted as
@@ -761,8 +784,8 @@ class TestFormatE17:
         values *= 10.0 ** np.arange(-150, 150, 10)  # 2- and 3-digit exponents
         values[0, :4] = [0.0, -math.inf, math.nan, 5e-324]
         for view in (values.astype(">f8"), values.T, values[::3, 1::2]):
-            cells = _format_e17(view, widths=True)
-            copy = _format_e17(np.ascontiguousarray(view, dtype=np.float64), widths=True)
+            cells = format_e17(view)
+            copy = format_e17(np.ascontiguousarray(view, dtype=np.float64))
             assert cells.text.shape == view.shape + (25,) and cells.widths.shape == view.shape
             assert texts(cells.text.reshape(-1, 25)) == ["%.17e" % v for v in view.ravel().tolist()]
             np.testing.assert_array_equal(cells.text, copy.text)
@@ -789,7 +812,9 @@ class TestDefaultPresets:
 
 class TestWriteTable:
     def test_metadata_and_values(self, tmp_path):
-        table = ResultTable(columns=["x", "flag"], data=[[1.5, math.inf], ["", "pole"]],
+        table = ResultTable(columns=["x", "flag"],
+                            blocks=[[np.array([1.5, math.inf]),
+                                     writer.flags(2, pole=np.array([False, True]))]],
                             meta={"tool_version": "0.1.0", "config_sha256": "ab"})
         path = tmp_path / "out.csv"
         write_table(table, str(path))
@@ -800,20 +825,13 @@ class TestWriteTable:
         assert lines[3].startswith("1.5")
         assert lines[4] == "inf,pole"
 
-    def test_rectangular_enforced(self):
-        with pytest.raises(ConfigError):
-            ResultTable(columns=["a", "b"], data=[[1.0]], meta={})
-        with pytest.raises(ConfigError):
-            ResultTable(columns=["a", "b"], data=np.zeros((3, 4)), meta={})
-        with pytest.raises(ConfigError):
-            ResultTable(columns=["a", "b"], data=[np.zeros(4), np.zeros(3)], meta={})
-
     def test_array_rows_write_like_lists(self, tmp_path):
         """Columns write the bytes of their rows formatted one by one, across write blocks."""
         values = np.linspace(-1.0, 1.0, 3 * 5000).reshape(-1, 3) * 1e9
         values[7] = [math.inf, -math.inf, math.nan]
         path = tmp_path / "columns.csv"
-        write_table(ResultTable(columns=["a", "b", "c"], data=list(values.T), meta={}), str(path))
+        write_table(ResultTable(columns=["a", "b", "c"], blocks=[list(values.T)], meta={}),
+                    str(path))
         text = path.read_text()
         assert text == "a,b,c\n" + "".join("%.17e,%.17e,%.17e\n" % tuple(row)
                                            for row in values.tolist())
@@ -822,17 +840,17 @@ class TestWriteTable:
         assert lines[8] == "inf,-inf,nan"
         assert lines[1] == ",".join(format(v, ".17e") for v in values[0])
 
-    @pytest.mark.parametrize("kind", ["U", "S"])
-    @pytest.mark.parametrize("count", [1, 79, 81, cli._WRITE_BLOCK_ROWS + 79])
-    def test_every_flag_kind_as_str_or_bytes(self, kind, count, tmp_path):
-        """'U' and 'S' flag cells write as text beside 0, inf and nan, from one row up to a
+    @pytest.mark.parametrize("count", [1, 79, 81, writer.WRITE_BLOCK_ROWS + 79])
+    def test_every_flag_kind_from_masks(self, count, tmp_path):
+        """Flag cells of every kind write as text beside 0, inf and nan, from one row up to a
         table whose last write block is short, and read back as str."""
         values = np.random.default_rng(count).standard_normal((2, count)) * 1e5
         special = np.array([[0.0, math.inf, math.nan], [-math.inf, math.nan, -0.0]])
         values[:, :3] = special[:, :count]
         flags = (["threshold", "domain", "pole", ""] * count)[:count]
-        table = ResultTable(columns=["a", "b", "flag"], meta={},
-                            data=[*values, np.array(flags).astype(kind)])
+        kind = np.arange(count) % 4
+        table = ResultTable(columns=["a", "b", "flag"], meta={}, blocks=[[
+            *values, writer.flags(count, threshold=kind == 0, domain=kind == 1, pole=kind == 2)]])
         path = tmp_path / "flags.csv"
         write_table(table, str(path))
         assert path.read_text() == "a,b,flag\n" + "".join(
@@ -843,8 +861,8 @@ class TestWriteTable:
         """The shape of the rates table, with every special value a cell can hold."""
         values = [0.0, -0.0, math.inf, -math.inf, math.nan, 1.5, -2.5e-300, 6.02214076e23]
         path = tmp_path / "row.csv"
-        write_table(ResultTable(columns=list("abcdefgh"), data=[[v] for v in values], meta={}),
-                    str(path))
+        write_table(ResultTable(columns=list("abcdefgh"), blocks=[[np.array([v]) for v in values]],
+                                meta={}), str(path))
         assert path.read_text() == "a,b,c,d,e,f,g,h\n%s\n" % ",".join("%.17e" % v for v in values)
 
     @pytest.mark.parametrize("count", [1, 100])
@@ -852,8 +870,8 @@ class TestWriteTable:
         """As '%.17e' writes them, in a table of any size."""
         ints, bools = np.arange(count) - 7, np.arange(count) % 2 == 0
         path = tmp_path / "ints.csv"
-        write_table(ResultTable(columns=["n", "b", "x"], data=[ints, bools, ints / 3], meta={}),
-                    str(path))
+        write_table(ResultTable(columns=["n", "b", "x"], blocks=[[ints, bools, ints / 3]],
+                                meta={}), str(path))
         assert path.read_text() == "n,b,x\n" + "".join(
             "%.17e,%.17e,%.17e\n" % row for row in zip(ints.tolist(), bools.tolist(),
                                                      (ints / 3).tolist()))
@@ -925,19 +943,19 @@ class TestWriteTable:
         old_bytes = 2 * len(fresh) if old == "longer" else 2500
         path.write_bytes(b"\xff" * old_bytes)  # no byte of it is CSV text
         if failure == "chunks":
-            monkeypatch.setattr(cli, "_WRITE_BLOCK_ROWS", 500)  # the sweep in five chunks
-            chunks = cli._chunks
+            monkeypatch.setattr(writer, "WRITE_BLOCK_ROWS", 500)  # the sweep in five chunks
+            chunks = writer._chunks
 
             def first_chunk_only(block):
                 yield next(chunks(block))
                 raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-            monkeypatch.setattr(cli, "_chunks", first_chunk_only)
+            monkeypatch.setattr(writer, "_chunks", first_chunk_only)
         else:
             def small_disk_open(file, mode, closefd=True):
                 raw = self._SmallDisk(file, mode, closefd=closefd)
                 raw.room = room
                 return io.BufferedWriter(raw)
-            monkeypatch.setattr(cli, "open", small_disk_open, raising=False)
+            monkeypatch.setattr(writer, "open", small_disk_open, raising=False)
         assert main(self.SWEEP + ["--out", str(path)]) == 3
         assert "cannot write output" in capsys.readouterr().err
         left = path.read_bytes()

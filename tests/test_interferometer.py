@@ -14,8 +14,10 @@ from mzi_oracle import (PairPort, Point, PoleError, gaussian_moment,
 from ringmzi import (REFERENCE_GEOMETRY, CavityRates, DomainError, Injection, ThresholdError,
                      coherent_sensitivity, critical_length, decay_ratio, derive_rates,
                      efficiency, mzi_sensitivity, photon_flux, pole_coherent_amplitude)
-from ringmzi.cli import ConfigError, parse_config, run_command
+from ringmzi.cli import run_command
+from ringmzi.config import parse_config
 from ringmzi.constants import HBAR
+from ringmzi.errors import ConfigError
 from ringmzi.interferometer import _check_pair_port
 
 HALF_PI = math.pi / 2
