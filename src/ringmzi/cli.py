@@ -29,11 +29,23 @@ from .table import LazyBlocks, ResultTable, flags, format_e17, write_table
 COMMANDS = ("rates", "squeezing", "jsi", "meanfield", "sensitivity", "pole", "improvement")
 
 
+def _require_coupling(rates: CavityRates) -> None:
+    """ConfigError naming geometry.cross_coupling where kappa = 0: an uncoupled ring has no
+    threshold and takes no drive."""
+    if rates.kappa <= 0:
+        raise ConfigError(f"kappa = {rates.kappa!r} must be positive for a threshold to exist "
+                          "(from geometry.cross_coupling)")
+
+
 def _resolve_drive(cfg: RunConfig, rates: CavityRates, gain: float):
     """(injection, alpha_c, pump_power) for the configured pump block."""
+    _require_coupling(rates)
     omega_p = cfg.geometry.pump_frequency()
     if cfg.p_l is not None:
-        injection = sigma_from_power(cfg.p_l, rates, gain, omega_p, cfg.delta_p)
+        try:
+            injection = sigma_from_power(cfg.p_l, rates, gain, omega_p, cfg.delta_p)
+        except DomainError as exc:  # p_l / P_th overflows
+            raise ConfigError(f"{exc} (from pump.p_l)") from exc
         pump_power = cfg.p_l
     else:
         injection = Injection(cfg.sigma_n)
@@ -53,7 +65,7 @@ _GAIN_KEYS = ("geometry.ring_length", "geometry.n_g", "geometry.n2", "geometry.a
 
 def _derive(cfg: RunConfig) -> tuple[CavityRates, float]:
     """(rates, gain) of the geometry, once the rates, g, gamma_nl and P_th are checked
-    finite: a value that overflows is a ConfigError naming the keys it comes from."""
+    finite and g positive: a value that fails is a ConfigError naming the keys it comes from."""
     def fail(problem: str, keys) -> ConfigError:
         return ConfigError(f"{problem} (from {', '.join(keys)})")
 
@@ -61,11 +73,17 @@ def _derive(cfg: RunConfig) -> tuple[CavityRates, float]:
         rates = derive_rates(cfg.geometry)
     except DomainError as exc:  # a rate is not finite
         raise fail(str(exc), _RATE_KEYS) from exc
-    strength = fwm_gain(cfg.geometry)
+    try:
+        strength = fwm_gain(cfg.geometry)
+    except OverflowError as exc:  # omega_p**2 of a Python float raises
+        raise fail("g must be finite: omega_p^2 = (2 pi c/lambda_p)^2 overflows",
+                   _GAIN_KEYS) from exc
     if not math.isfinite(strength.gain + strength.gamma_nl):
         raise fail(f"g = {strength.gain!r} and gamma_nl = {strength.gamma_nl!r} must be finite",
                    _GAIN_KEYS)
-    if strength.gain > 0 and rates.kappa > 0:  # else there is no threshold: the commands say so
+    if strength.gain <= 0:  # n2 = 0, or g underflows: no pairs and no threshold
+        raise fail(f"g = {strength.gain!r} must be positive", _GAIN_KEYS)
+    if rates.kappa > 0:  # else _require_coupling, after improvement checks its decay ratio
         p_th = threshold_power(rates, strength.gain, cfg.geometry.pump_frequency(), cfg.delta_p)
         if not 0 < p_th < math.inf:
             raise fail(f"p_th = {p_th!r} must be positive and finite",
@@ -89,6 +107,17 @@ def _check_probe(alpha_c, cfg: RunConfig) -> None:
                       f"2 alpha_c^2 overflows (from {_probe_keys(cfg)})")
 
 
+def _check_coherent(column, flagged, alpha_c, cfg: RunConfig) -> None:
+    """ConfigError naming the keys of the probe amplitude alpha_c unless ``column``, built on
+    the coherent reference 1/(sqrt(eta) alpha_c |sin phi|), is finite on every row not
+    otherwise flagged: the small-amplitude mirror of _check_probe."""
+    if np.isfinite(column[~flagged]).all():
+        return
+    raise ConfigError(f"the probe amplitude alpha_c = {float(np.min(alpha_c))!r} is too small: "
+                      "a column built on 1/(sqrt(eta) alpha_c |sin phi|) overflows "
+                      f"(from {_probe_keys(cfg)})")
+
+
 def run_command(cfg: RunConfig) -> ResultTable:
     """Evaluate one command; per-point physics errors become flagged rows."""
     if cfg.command not in COMMANDS:
@@ -109,6 +138,7 @@ def run_command(cfg: RunConfig) -> ResultTable:
 
 
 def _run_rates(cfg: RunConfig, rates: CavityRates, gain: float):
+    _require_coupling(rates)
     omega_p = cfg.geometry.pump_frequency()
     strength = fwm_gain(cfg.geometry)
     p_th = threshold_power(rates, gain, omega_p, cfg.delta_p)
@@ -133,10 +163,13 @@ def _run_squeezing(cfg: RunConfig, rates: CavityRates, gain: float):
 def _run_jsi(cfg: RunConfig, rates: CavityRates, gain: float):
     injection, _, _ = _resolve_drive(cfg, rates, gain)
     if injection.sigma_n >= 1:  # before any row, as rows are computed lazily
-        raise ConfigError(f"jsi needs a drive below threshold, got sigma_n = {injection.sigma_n!r}")
+        raise ConfigError(f"jsi needs a drive below threshold, got sigma_n = {injection.sigma_n!r} "
+                          f"(from {'pump.sigma_n' if cfg.p_l is None else 'pump.p_l'})")
     span = cfg.jsi_span if cfg.jsi_span is not None else 3.0 * rates.gamma_total
     if not math.isfinite(span / rates.gamma_total):
         raise ConfigError(f"jsi.span = {span!r} is more than 1e308 Gamma = {rates.gamma_total!r}")
+    if not math.isfinite(2 * span):
+        raise ConfigError(f"jsi.span = {span!r} is too large: the axis width 2 jsi.span overflows")
     axis = np.linspace(-span, span, cfg.jsi_points)
     cells = format_e17(axis)  # each axis value formatted once
     idler, per = cells[None], max(1, table.WRITE_BLOCK_ROWS // axis.size)  # signal rows per block
@@ -149,6 +182,7 @@ def _run_jsi(cfg: RunConfig, rates: CavityRates, gain: float):
 
 
 def _run_meanfield(cfg: RunConfig, rates: CavityRates, gain: float):
+    _require_coupling(rates)
     grid = cfg.sweep.grid()
     try:
         columns = comparison_columns(rates, gain, grid)
@@ -189,6 +223,7 @@ def _run_sensitivity(cfg: RunConfig, rates: CavityRates, gain: float):
     with np.errstate(divide="ignore", over="ignore"):  # both only where the row is inf
         coherent = np.where(sine > POLE_TOLERANCE, coherent_sensitivity(alpha_c, eta) / sine,
                             math.inf)
+    _check_coherent(coherent, domain | pole, alpha_c, cfg)
     quantum = HBAR * omega_p
     with np.errstate(divide="ignore"):  # no photons at all: a domain row
         snl = 1.0 / np.sqrt(photons + pump_power / quantum)
@@ -222,6 +257,7 @@ def _run_improvement(cfg: RunConfig, rates: CavityRates, gain: float):
     if not math.isfinite(gamma):
         raise ConfigError(f"improvement.decay_ratio = {ratio!r} with kappa = {rates.kappa!r} "
                           f"(geometry.cross_coupling) gives gamma = {gamma!r}, not finite")
+    _require_coupling(rates)
     ring = CavityRates(kappa=rates.kappa, gamma=gamma)
     if cfg.p_l is not None:  # sigma_n = p_l / P_th of this ring
         p_th = threshold_power(ring, gain, cfg.geometry.pump_frequency(), cfg.delta_p)
@@ -242,8 +278,9 @@ def _run_improvement(cfg: RunConfig, rates: CavityRates, gain: float):
         return columns, [[lengths, eta, np.full(lengths.size, math.inf),
                           flags(lengths.size, threshold=True)]]
     domain = eta == 0  # a long sensor's e^(-alpha L) underflows: no light reaches the detector
-    with np.errstate(invalid="ignore"):  # inf/inf on domain rows
+    with np.errstate(invalid="ignore", over="ignore"):  # inf/inf on domain rows; overflow
         factor = np.where(domain | pole, math.inf, coherent_sensitivity(alpha_c, eta) / squeezed)
+    _check_coherent(factor, domain | pole, alpha_c, cfg)
     return columns, [[lengths, eta, factor, flags(lengths.size, domain=domain, pole=pole)]]
 
 

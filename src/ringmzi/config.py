@@ -57,17 +57,24 @@ class SweepSpec:
         if self.scale not in ("linear", "log"):
             raise ConfigError(f"sweep.scale must be linear or log, got {self.scale!r}")
         if self.scale == "log" and (self.start <= 0 or self.stop <= 0):
-            raise ConfigError("log sweeps need positive start/stop")
+            raise ConfigError("log sweeps need positive sweep.start and sweep.stop")
         if self.start == self.stop:
             raise ConfigError("sweep.start and sweep.stop must differ")
         if self.variable in _NONNEGATIVE_SWEEPS and min(self.start, self.stop) < 0:
-            raise ConfigError(f"a {self.variable} sweep must not go below 0, "
-                              f"got {self.start} .. {self.stop}")
+            raise ConfigError(f"a {self.variable} sweep must not go below 0, got "
+                              f"sweep.start .. sweep.stop = {self.start} .. {self.stop}")
 
     def grid(self) -> np.ndarray:
-        if self.scale == "log":
-            return np.logspace(math.log10(self.start), math.log10(self.stop), self.points)
-        return np.linspace(self.start, self.stop, self.points)
+        """The sweep's points; a ConfigError where one of them leaves the float range."""
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            if self.scale == "log":
+                grid = np.logspace(math.log10(self.start), math.log10(self.stop), self.points)
+            else:
+                grid = np.linspace(self.start, self.stop, self.points)
+        if not np.isfinite(grid).all():
+            raise ConfigError(f"the {self.scale} sweep from {self.start!r} to {self.stop!r} has "
+                              "points beyond the float range (from sweep.start, sweep.stop)")
+        return grid
 
 
 KNOWN_KEYS = (tuple(f"geometry.{f.name}" for f in fields(RingGeometry)) + tuple(_FIELDS)
@@ -163,8 +170,8 @@ def parse_config(text: str, command: str = "") -> RunConfig:
         geometry = RingGeometry(**{f.name: number(f"geometry.{f.name}",
                                                   getattr(REFERENCE_GEOMETRY, f.name))
                                    for f in fields(RingGeometry)})
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
+    except DomainError as exc:  # each message starts with the field it checks
+        raise ConfigError(f"geometry.{exc}") from exc
 
     setting = {}  # the value of each key of _FIELDS
 
@@ -213,7 +220,8 @@ def parse_config(text: str, command: str = "") -> RunConfig:
         sweep = SweepSpec(variable, number("sweep.start", start), number("sweep.stop", stop),
                           number("sweep.points", points), values.get("sweep.scale", (scale,))[0])
     elif sweep_set:
-        raise ConfigError(f"command {command!r} does not take a sweep")
+        key = next(key for key in values if key.startswith("sweep."))
+        raise fail(key, f"is set, but command {command!r} does not take a sweep")
 
     for key, default in (("jsi.points", 200), ("jsi.span", None), ("pump.delta_p", 0.0),
                          ("sensor.phi", math.pi / 2), ("improvement.decay_ratio", None)):

@@ -289,7 +289,8 @@ def comparison_columns(rates: CavityRates, gain: float, sigma_ns) -> dict[str, n
         k = np.flatnonzero(~np.isfinite(np_lin))[0]
         raise ConvergenceError(f"the drive |alpha_l| = {float(drives.flat[k])!r} is too large: "
                                "|alpha_l|^2 overflows", k)
-    states = _steady_states(rates, gain, drives)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow misses the stop rule
+        states = _steady_states(rates, gain, drives)
     below = 1.0 - sigma_ns > THRESHOLD_MARGIN
     ns_lin = lin_steady_state(rates, np.where(below, sigma, 0.0)).n_s
     return {"sigma_n": sigma_ns,

@@ -203,7 +203,9 @@ def efficiency(alpha_loss: float, length):
     length = np.asarray(length, dtype=float)
     if np.any(length < 0):
         raise DomainError(f"length must be non-negative, got {length}")
-    eta = np.fromiter(map(math.exp, (-alpha_loss * length).ravel().tolist()), float, length.size)
+    with np.errstate(over="ignore"):  # -inf: e^(-inf) is 0
+        exponent = -alpha_loss * length
+    eta = np.fromiter(map(math.exp, exponent.ravel().tolist()), float, length.size)
     return float(eta[0]) if length.ndim == 0 else eta.reshape(length.shape)
 
 
@@ -221,7 +223,8 @@ def fwm_gain(geom: RingGeometry) -> FwmStrength:
 
 
 def threshold_power(rates: CavityRates, gain: float, omega_p: float, delta_p: float = 0.0) -> float:
-    """Waveguide pump power at the oscillation threshold [W]; inf or nan where it overflows.
+    """Waveguide pump power at the oscillation threshold [W]; inf or nan where it leaves the
+    float range, nan where 2·g·kappa underflows to 0.
 
     P_th = Gamma·hbar·omega_p·|Gamma/2 - i*delta_p|^2 / (2·g·kappa); on
     resonance this reduces to Gamma^3·hbar·omega_p/(8·g·kappa).
@@ -232,7 +235,10 @@ def threshold_power(rates: CavityRates, gain: float, omega_p: float, delta_p: fl
         raise DomainError(f"kappa must be positive for a threshold to exist, got {rates.kappa}")
     half = rates.gamma_total / 2.0
     lorentz = half * half + delta_p * delta_p
-    return rates.gamma_total * HBAR * omega_p * lorentz / (2.0 * gain * rates.kappa)
+    coupling = 2.0 * gain * rates.kappa
+    if coupling == 0:
+        return math.nan
+    return rates.gamma_total * HBAR * omega_p * lorentz / coupling
 
 
 def sigma_from_power(power: float, rates: CavityRates, gain: float, omega_p: float,

@@ -59,10 +59,8 @@ _FLAG_WIDTHS = np.array([0, -4, -6, -9], np.int8)
 def flags(size: int, threshold=False, domain=False, pole=False) -> Cells:
     """Flag column as Cells from row masks: threshold outranks domain, domain outranks pole."""
     kind = np.where(threshold, 3, np.where(domain, 2, np.where(pole, 1, 0)))
-    if kind.ndim:
-        return Cells(_FLAG_TEXT.take(kind, axis=0), _FLAG_WIDTHS.take(kind))
-    return Cells(np.broadcast_to(_FLAG_TEXT[kind], (size, 9)),  # one kind: a read-only view
-                 np.broadcast_to(_FLAG_WIDTHS[kind], size))
+    return Cells(np.broadcast_to(_FLAG_TEXT.take(kind, axis=0), (size, 9)),
+                 np.broadcast_to(_FLAG_WIDTHS.take(kind), (size,)))
 
 
 _POWER_RANGE = range(342, -293, -1)  # 10^(17 - k) for every decimal exponent k of a finite float
@@ -189,19 +187,14 @@ def format_e17(values) -> Cells:
     for j, word in zip((0, 2, 1, 3), words):  # per word: 2x faster than (n, 4)
         cells["quads"][:, j] = word
     cells["exponent"], cells["tail"] = exponents.take(index), tails.take(index)
-    text = ["%.17e" % value for value in x[fallback].tolist()]
-    if text:
-        out[fallback] = np.array(text, dtype="S25").view(np.uint8).reshape(-1, 25)
-    if len(special):
-        code = 2 * np.isinf(x[special]) + 4 * np.isnan(x[special]) + negative[special]
-        out[special] = specials.take(code, axis=0)
-    out = out.reshape(np.shape(values) + (25,))
     width = lengths.take(index + 635 * negative)
-    if text:
+    if text := ["%.17e" % value for value in x[fallback].tolist()]:
+        out[fallback] = np.array(text, dtype="S25").view(np.uint8).reshape(-1, 25)
         width[fallback] = [-len(cell) for cell in text]
     if len(special):
-        width[special] = special_widths.take(code)
-    return Cells(out, width.reshape(np.shape(values)))
+        code = 2 * np.isinf(x[special]) + 4 * np.isnan(x[special]) + negative[special]
+        out[special], width[special] = specials.take(code, axis=0), special_widths.take(code)
+    return Cells(out.reshape(np.shape(values) + (25,)), width.reshape(np.shape(values)))
 
 
 # One dtype object per width: parsing "S25" at every copy costs more than a small copy.
@@ -277,9 +270,6 @@ def _chunks(block: list):
     block = [c if len(c.shape) == 2 else c[None] for c in block]
     outer, span = map(max, zip(*(c.shape for c in block)))
     cuts = [c.cuts for c in block if isinstance(c, Cells)] if outer > 1 else []
-    if not cuts and outer * span <= WRITE_BLOCK_ROWS:  # one chunk, one run
-        yield _chunk(block, [(0, span)])
-        return
     row_marks = sorted({*range(0, outer, max(1, WRITE_BLOCK_ROWS // span)), outer,
                         *(i for rows, _ in cuts for i in rows)})
     for j0 in range(0, span, WRITE_BLOCK_ROWS):
