@@ -67,19 +67,19 @@ def to_db(value):
 
 
 def _pair_moments(rates: CavityRates, injection: Injection, delta_s=0.0, delta_i=0.0,
-                  anomalous: bool = True):
+                  anomalous: bool = True, scale: float = 1.0):
     """(x, n_s, m_si e^(-i phi_sigma), V_sq) at detunings delta_s, delta_i [rad/s].
 
-    The closed forms of the module docstring, in units of Gamma; the
-    detunings may be floats or broadcastable arrays. m_si is None unless
-    ``anomalous``: its complex arithmetic would double the cost of the jsi.
-    Raises ThresholdError at sigma_n >= 1.
+    The closed forms of the module docstring, in units of Gamma; the detunings may be floats or
+    broadcastable arrays. m_si is None unless ``anomalous``: its complex arithmetic would double
+    the cost of the jsi. n_s and m_si come divided by scale^2 and scale, a power of two, which
+    keeps a tiny drive's from rounding to subnormals. Raises ThresholdError at sigma_n >= 1.
     """
     s = injection.sigma_n
     if s >= 1:
         raise ThresholdError(f"at/above threshold: sigma_n = {s!r} >= 1")
     gamma_total = rates.gamma_total
-    x = rates.kappa / gamma_total
+    x, t = rates.kappa / gamma_total, s / scale
     u, v = delta_s / gamma_total, delta_i / gamma_total
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # if D overflows: below
         uv = 4 * u * v
@@ -87,15 +87,15 @@ def _pair_moments(rates: CavityRates, injection: Injection, delta_s=0.0, delta_i
         # Squares as products: a float ** that overflows raises.
         near, apart = uv + (1 - s) * (1 + s), (delta_s - delta_i) / gamma_total
         denominator = near * near + 4 * apart * apart
-        n_s = 4 * s * s * x / denominator
-        m_si = -2 * x * s * (uv - 1 - s * s - 2j * (u + v)) / denominator if anomalous else None
+        n_s = 4 * t * t * x / denominator
+        m_si = -2 * x * t * (uv - 1 - s * s - 2j * (u + v)) / denominator if anomalous else None
         if not np.isfinite(denominator).all():  # there sqrt(D) = 4 g h, g = max(|u|, |v|)
             finite, g = np.isfinite(denominator), np.maximum(abs(u), abs(v))
             h = np.hypot(u / g * v + (1 - s) * (1 + s) / (4 * g), (u / g - v / g) / 2)
-            n_s = np.where(finite, n_s, s * s * x / g / h / (4 * g) / h)[()]
+            n_s = np.where(finite, n_s, t * t * x / g / h / (4 * g) / h)[()]
             if anomalous:  # the numerator over 4 g
                 scaled = u / g * v - (1 + s * s) / (4 * g) - 0.5j * (u / g + v / g)
-                m_si = np.where(finite, m_si, -x * s * scaled / 2 / g / h / h)[()]
+                m_si = np.where(finite, m_si, -x * t * scaled / 2 / g / h / h)[()]
     v_squeezed = ((1 - s) ** 2 + 4 * s * (rates.gamma / gamma_total)) / (1 + s) ** 2
     return x, n_s, m_si, v_squeezed
 

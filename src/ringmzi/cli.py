@@ -200,7 +200,7 @@ def _run_sensitivity(cfg: RunConfig, rates: CavityRates, gain: float):
     grid = sweep.grid()
     eta = cfg.eta_value
     omega_p = cfg.geometry.pump_frequency()
-    if sweep.variable == "p_c":  # at phi = pi/2; sensor.phi is not read
+    if sweep.variable == "p_c":  # at phi = pi/2
         with np.errstate(over="ignore"):  # a flux beyond the float range: _check_probe
             alpha_c, phi = np.sqrt(grid / (HBAR * omega_p)), math.pi / 2
         columns = ["p_c", "alpha_c", "dphi_squeezed", "dphi_coherent", "dphi_snl", "flag"]

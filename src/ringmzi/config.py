@@ -16,7 +16,7 @@ from .params import REFERENCE_GEOMETRY, RingGeometry, efficiency
 # geometry.* and sweep.* keys are the fields of RingGeometry and SweepSpec.
 _FIELDS = {
     "pump.sigma_n": "sigma_n", "pump.p_l": "p_l", "pump.p_c": "p_c", "pump.alpha_c": "alpha_c",
-    "pump.delta_p": "delta_p", "sensor.phi": "phi", "sensor.eta": "eta",
+    "pump.delta_p": "delta_p", "sensor.eta": "eta",
     "sensor.length": "sensor_length", "sensor.alpha_loss": "sensor_alpha_loss",
     "jsi.span": "jsi_span", "jsi.points": "jsi_points", "improvement.decay_ratio": "decay_ratio",
 }
@@ -28,7 +28,7 @@ _SWEEPS = {
     "squeezing": {"phi_lo": (0.0, math.pi, 181, "linear", ())},
     "meanfield": {"sigma_n": (0.1, 1.15, 22, "linear", ("pump.sigma_n", "pump.p_l"))},
     "sensitivity": {"p_c": (1e-8, 1.0, 161, "log", ("pump.p_c", "pump.alpha_c")),
-                    "phi": (None, None, 101, "linear", ("sensor.phi",))},
+                    "phi": (None, None, 101, "linear", ())},
     "pole": {"alpha_c": (1e1, 1e6, 201, "log", ("pump.alpha_c", "pump.p_c"))},
     "improvement": {"sensor_length": (1e-3, 1e2, 181, "log", ("sensor.length", "sensor.eta"))},
 }
@@ -92,7 +92,6 @@ class RunConfig:
     p_c: float | None
     alpha_c: float | None
     delta_p: float
-    phi: float
     eta: float | None
     sensor_length: float | None
     sensor_alpha_loss: float
@@ -224,12 +223,12 @@ def parse_config(text: str, command: str = "") -> RunConfig:
         raise fail(key, f"is set, but command {command!r} does not take a sweep")
 
     for key, default in (("jsi.points", 200), ("jsi.span", None), ("pump.delta_p", 0.0),
-                         ("sensor.phi", math.pi / 2), ("improvement.decay_ratio", None)):
+                         ("improvement.decay_ratio", None)):
         setting[key] = number(key, default)
     span = setting["jsi.span"]
     if span is not None and not (math.isfinite(span) and span > 0):
         raise fail("jsi.span", "must be positive and finite")
-    for key in ("pump.alpha_c", "pump.p_c", "pump.delta_p", "sensor.phi"):
+    for key in ("pump.alpha_c", "pump.p_c", "pump.delta_p"):
         if setting[key] is not None and not math.isfinite(setting[key]):
             raise fail(key, "must be finite")
     ratio = setting["improvement.decay_ratio"]

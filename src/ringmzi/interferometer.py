@@ -60,19 +60,21 @@ def mzi_sensitivity(alpha_c, phi, eta, rates: CavityRates, injection: Injection)
     with the readout; ThresholdError at sigma_n >= 1 and the DomainError of
     _check_pair_port hold for every point alike.
     """
-    _, n_s, m_si, v_min = _pair_moments(rates, injection)
-    n, m = 2 * n_s, 2 * m_si.real
-    _check_pair_port(n, m)
     alpha_c, phi, eta = np.broadcast_arrays(*(np.asarray(x, dtype=float)
                                              for x in (alpha_c, phi, eta)))
-    # A physical port (M^2 <= N (N + 2)) with N and a^2 below 2^-600 is scaled: a power of two
-    # takes a and sqrt(N) to about 1, so that no term is subnormal.
-    tiny = n < 2.0 ** -600 and abs(m) <= math.sqrt(n * (n + 2))  # in roots: M^2 underflows
+    # N = n scale^2 and M = m scale: n and m keep every digit where a tiny drive's N is subnormal;
+    # root takes a and sqrt(N) to about 1 where both lie below 2^-600, so no term is subnormal.
+    scale = math.ldexp(1.0, min(math.frexp(injection.sigma_n)[1], 0))
+    _, n_s, m_si, v_min = _pair_moments(rates, injection, scale=scale)
+    n, m = 2 * n_s, 2 * m_si.real
+    big_n = n * scale * scale
+    _check_pair_port(big_n, m * scale)
     root = np.where(alpha_c * alpha_c < 2.0 ** -600, np.ldexp(1.0, np.minimum(-np.frexp(np.maximum(
-        np.abs(alpha_c), math.sqrt(n)))[1], 1023)), 1.0) if tiny else 1.0
-    a2, scaled_n, scaled_m = np.square(alpha_c * root), n * root * root, m * root
+        np.abs(alpha_c), scale * math.sqrt(n)))[1], 1023)), 1.0) if big_n < 2.0 ** -600 else 1.0
+    unit = scale * root  # N root^2 = n unit^2 and M root = m unit
+    a2, scaled_n, scaled_m = np.square(alpha_c * root), n * unit * unit, m * unit
     cosine, sine = np.cos(phi), np.sin(phi)
-    var_id = (eta * eta * (cosine * cosine * (a2 + scaled_n * (n + 2) + scaled_m * scaled_m)
+    var_id = (eta * eta * (cosine * cosine * (a2 + scaled_n * (big_n + 2) + scaled_m * scaled_m)
                            + sine * sine * (2 * a2 * v_min + scaled_n))
               + eta * (1 - eta) * (a2 + scaled_n))
     gap = np.abs((a2 - scaled_n) * sine)
@@ -116,4 +118,5 @@ def pole_coherent_amplitude(rates: CavityRates, injection: Injection) -> float:
     alpha_c^2 = N = 2 n_s, with n_s as mzi_sensitivity takes it, so that
     mzi_sensitivity flags this amplitude a pole at phi = pi/2.
     """
-    return math.sqrt(2 * _pair_moments(rates, injection)[1])
+    scale = math.ldexp(1.0, min(math.frexp(injection.sigma_n)[1], 0))  # as mzi_sensitivity's
+    return scale * math.sqrt(2 * _pair_moments(rates, injection, scale=scale)[1])

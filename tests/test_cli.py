@@ -43,7 +43,6 @@ class TestParseConfig:
         assert cfg.geometry == REFERENCE_GEOMETRY
         assert cfg.sigma_n == 0.99895
         assert cfg.alpha_c == 1e5
-        assert cfg.phi == pytest.approx(math.pi / 2)
         assert cfg.eta == 1.0
 
     def test_comments_and_overrides(self):
@@ -101,16 +100,16 @@ class TestParseConfig:
             parse_config("sweep.points = 7", command="rates")
 
     @pytest.mark.parametrize("command,text,digest", [
-        ("squeezing", "", "b72a6ededed2a915c6490f390b1cf46ec1de4634960d78de98cf8bc914137590"),
-        ("rates", "", "b275d4eba7e4fa82a842be4c43df5d988d240444407253a4b518cb9bb7f4a99d"),
+        ("squeezing", "", "e3e5a2a462a7a99519a9b1ba30d8d56c645cfa27ce2807fb383372c9535600d2"),
+        ("rates", "", "5199eb63ae7de76d728e76268ad2d731c4d60c75a2a726a03dda8814c3eb34bb"),
         ("squeezing", "sweep.points = 7\npump.sigma_n = 0.9",
-         "c75a6eaa1c7ed292c61db9543ebcdca72417feb815685aebc7647fcc28969cde"),
+         "c6b5afda08c20b3b026c5b4ab9ec0376024f38d2b802066ef9662e4a7d253719"),
         ("sensitivity", "sweep.variable = phi\nsweep.start = 0.1\nsweep.stop = 3\nsweep.points = 9",
-         "cfc5d078e24655ddf2662f6f07a91ccb1cc9f50979717c239b90b426699dff76"),
+         "f09d821d1e1ce306a29923d3dc20d48e0ee226bc51fe0e954f143642bca071fd"),
         ("sensitivity", "sensor.length = 1\npump.p_l = 0.01",
-         "6d97acfcc8bfd8b8aff0c0d518e63f234dc6a53357175e31971afc7fcc4edc3b"),
+         "ca885539e32746d744958cea8624cf0e3e831d1383529671614e3d9d49c14ddd"),
         ("jsi", "jsi.span = 1e9\njsi.points = 4\ngeometry.n2 = 3e-19",
-         "77181882242ba9d96ce9fbbe3baa252a97baecc09e7c68415e9f867fb8c49d0d"),
+         "7b9cc7940e16e30e44d1a95fa3dc65f671433b7922b19ea9a695a24316465baa"),
     ])
     def test_config_sha256_is_pinned(self, command, text, digest):
         """The hashed text (docs/formats.md) is built from repr of floats: platform-stable."""
@@ -794,13 +793,13 @@ class TestFormatE17:
 
 class TestDefaultPresets:
     @pytest.mark.parametrize("command,digest", [
-        ("rates", "633ac860088c6fa235bedba7c34b5bb95ea08d738ff72994c31cf8cf887d141c"),
-        ("squeezing", "dd2ccefcca9000d57093fab2de5dd165dc7d1ab8f1125621ac42985f7904d2ae"),
-        ("jsi", "528f9b27f9901dd22d0530476fd90789c71d841d748a0f7eb3a1717ca5192dfd"),
-        ("meanfield", "bb71a71dbf64a9dc6acd550730a468f77a0d8d36de9fc794fcfbff878347614d"),
-        ("sensitivity", "f641c3ed5c5fd72ef7274677df1c5dff739a15c6811d8067c7ae3828b47e5bf0"),
-        ("pole", "2e91c16eda112ace96696acbc70b9f5095be56104d0f4abe6b9c43a2dd4c42c9"),
-        ("improvement", "9041d8b6c7201dcfc4dc26333e598c5d4ef4c27054254ecba11a3a1198913bd7"),
+        ("rates", "619d294842e371271523401cbc859d39c341b15a99f4e83356f131f69b0e0b97"),
+        ("squeezing", "31f293793ecc6199215c5cf79fa83d755ced790783f8dcd009707ce5603b57c2"),
+        ("jsi", "fb82491fdd83ad1988b638468d59f1882e1b278ec1b427a27043a561370f68ee"),
+        ("meanfield", "ad86817454e5023b5b53b7a0babfd8adaacda4f72be8ed6a3abc9580dbe8c6f5"),
+        ("sensitivity", "da3af680503c41f95f4562058616b3a6ef06bd4bd869afcc1686e465610ed560"),
+        ("pole", "4599a81f3af948357ed97df4a6797323b79873c4719fd17dccd9467de48690b9"),
+        ("improvement", "a54f4722e2c3e05c6b84da2c002def8fcf43a4ca9355b12f2dcb7f64a0483967"),
     ])
     def test_csv_bytes_are_pinned(self, command, digest, tmp_path):
         """The default CSVs keep the bytes that '%.17e' row by row wrote; the pair-moment
@@ -1008,8 +1007,6 @@ class TestMain:
     @pytest.mark.parametrize("command,setting,message", [
         ("rates", "pump.delta_p=inf", "line 2: pump.delta_p must be finite, got 'inf'"),
         ("sensitivity", "pump.delta_p=inf", "line 2: pump.delta_p must be finite, got 'inf'"),
-        ("squeezing", "sensor.phi=inf", "line 2: sensor.phi must be finite, got 'inf'"),
-        ("sensitivity", "sensor.phi=inf", "line 2: sensor.phi must be finite, got 'inf'"),
         ("improvement", "improvement.decay_ratio=-1",
          "line 2: improvement.decay_ratio must be positive, got '-1'"),
         # kappa/decay_ratio overflows: the message names the key, not gamma alone.
@@ -1029,10 +1026,10 @@ class TestMain:
         ("improvement", "geometry.cross_coupling=1e-300 pump.p_l=1e-3 improvement.decay_ratio=1e10"
          " sweep.points=2", "p_th = 0.0 must be positive and finite "
          "(from improvement.decay_ratio, geometry.cross_coupling, pump.p_l)"),
-    ], ids=["rates-delta_p", "sensitivity-delta_p", "squeezing-phi", "sensitivity-phi",
-            "decay_ratio-negative", "decay_ratio-overflow", "decay_ratio-zero-kappa",
-            "improvement-alpha_c", "improvement-p_c", "sensitivity-negative-length",
-            "pole-negative-length", "improvement-ring-p_th-underflow"])
+    ], ids=["rates-delta_p", "sensitivity-delta_p", "decay_ratio-negative",
+            "decay_ratio-overflow", "decay_ratio-zero-kappa", "improvement-alpha_c",
+            "improvement-p_c", "sensitivity-negative-length", "pole-negative-length",
+            "improvement-ring-p_th-underflow"])
     def test_out_of_range_value_names_its_key(self, command, setting, message, capsys):
         """``setting`` is one or more space-separated KEY=VALUE pairs, one --set each."""
         assert main([command] + [arg for pair in setting.split() for arg in ("--set", pair)]) == 2
@@ -1061,8 +1058,6 @@ class TestMain:
     @pytest.mark.parametrize("argv,key,variable", [
         (["improvement"], "sensor.length=1e4", "sensor_length"),
         (["improvement"], "sensor.eta=0.5", "sensor_length"),
-        (["sensitivity", "--set", "sweep.variable=phi", "--set", "sweep.start=0",
-          "--set", "sweep.stop=1"], "sensor.phi=0.1", "phi"),
         (["sensitivity"], "pump.p_c=1e-3", "p_c"),
         (["sensitivity"], "pump.alpha_c=1e4", "p_c"),
         (["pole"], "pump.alpha_c=1e4", "alpha_c"),
@@ -1079,9 +1074,6 @@ class TestMain:
                 in capsys.readouterr().err)
 
     @pytest.mark.parametrize("command,key", [("squeezing", "pump.delta_p=1e9"),
-                                             ("sensitivity", "sensor.phi=0.3"),
-                                             ("pole", "sensor.phi=0.3"),
-                                             ("improvement", "sensor.phi=0.3"),
                                              ("squeezing", "pump.alpha_c=1e4")])
     def test_key_a_command_never_reads_stays_accepted(self, command, key, capsys):
         """One file serves all seven commands, so an unread key is not an error."""
@@ -1276,6 +1268,14 @@ class TestMain:
         """The direct mean-field solve has no integration horizon to set."""
         assert main(["meanfield", "--set", "meanfield.t_max_factor=3e6"]) == 2
         assert "unknown key 'meanfield.t_max_factor'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_retired_phase_key(self, command, capsys):
+        """The MZI tables are taken at phi = pi/2 or over the phase sweep: no command reads a
+        phase key."""
+        assert main([command, "--set", "sensor.phi=0.3"]) == 2
+        err = capsys.readouterr().err
+        assert "line 2: unknown key 'sensor.phi'" in err and "Traceback" not in err
 
     def test_unknown_key_exit_code(self, capsys):
         assert main(["rates", "--set", "geometry.nope=1"]) == 2

@@ -2,9 +2,12 @@
 
 import contextlib
 import io
+import math
 import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ringmzi.cli import COMMANDS, main
 from ringmzi.config import KNOWN_KEYS
@@ -14,43 +17,73 @@ EXTREMES = [0.0, -0.0, *(sign * magnitude for magnitude in (5e-324, 2.2e-308, 1e
                          for sign in (1, -1))]
 NUMERIC_KEYS = [key for key in KNOWN_KEYS if key not in ("sweep.variable", "sweep.scale")]
 SWEEPING = ("squeezing", "meanfield", "sensitivity", "pole", "improvement")
+# Each command after the small grids (sweep.points=7 where it sweeps, jsi.points=5), which
+# alone exit 0, and the sensitivity phase sweep, whose variable is not numeric.
+BASES = {**{command: ["jsi.points=5", *(["sweep.points=7"] if command in SWEEPING else [])]
+            for command in COMMANDS},
+         "sensitivity-phase": ["jsi.points=5", "sweep.points=7", "sweep.variable=phi",
+                               "sweep.start=0.5", "sweep.stop=1"]}
 
 
-def run(command: str, settings: list[str], key: str, path) -> tuple[int | None, str]:
-    """(exit status, what is wrong) of one call, one --set per setting, with every warning
+def run(command: str, assignments: list[str], keys: str, path) -> tuple[int | None, str]:
+    """(exit status, what is wrong) of one call, one --set per assignment, with every warning
     an error. What is wrong: an exception, which the console shows as a traceback; on
-    exit 2, a message without ``key``; on exit 0, a nan cell, or an inf on a row without
-    a flag (rates and jsi have no flag column, so no inf at all)."""
+    exit 2, a message that names none of ``keys`` (space-separated); on exit 0, a nan cell,
+    an inf on a row without a flag (rates and jsi have no flag column, so no inf at all), or
+    a dphi_* or variance cell at or below 0."""
     err = io.StringIO()
     try:
         with warnings.catch_warnings(), contextlib.redirect_stderr(err):
             warnings.simplefilter("error")
             status = main([command, "--out", str(path),
-                           *(arg for setting in settings for arg in ("--set", setting))])
+                           *(arg for pair in assignments for arg in ("--set", pair))])
     except Exception as exc:  # noqa: BLE001 - any escape is a traceback at the console
         return None, f"raised {type(exc).__name__}: {exc}"
     if status != 0:
-        return status, "" if status == 2 and key in err.getvalue() else repr(err.getvalue())
+        named = any(key in err.getvalue() for key in keys.split())
+        return status, "" if status == 2 and named else repr(err.getvalue())
     header, *body = [line.split(",") for line in path.read_text().splitlines()
                      if not line.startswith("#")]
     flagged = header[-1] == "flag"
+    positive = [k for k, name in enumerate(header) if name == "variance" or name[:5] == "dphi_"]
     wrong = [row for row in body if "nan" in row
-             or {"inf", "-inf"} & set(row) and not (flagged and row[-1])]
+             or {"inf", "-inf"} & set(row) and not (flagged and row[-1])
+             or any(float(row[k]) <= 0 for k in positive)]
     return status, f"row {wrong[0]}" if wrong else ""
 
 
-@pytest.mark.parametrize("command", COMMANDS)
-def test_every_numeric_key_at_every_extreme(command, tmp_path):
-    """Each call sets one key after the small grids (sweep.points=7 where the command
-    sweeps, jsi.points=5, which alone exit 0). It exits 0 or 2 with nothing wrong (see
-    run): exit 2 names the key."""
-    grids = ["jsi.points=5", *(["sweep.points=7"] if command in SWEEPING else [])]
-    failures = [f"{command} {key}={value!r}: exit {status} {wrong}"
+@pytest.mark.parametrize("base", BASES)
+def test_every_numeric_key_at_every_extreme(base, tmp_path):
+    """Each call sets one key after the base's settings. It exits 0 or 2 with nothing
+    wrong (see run): exit 2 names the key."""
+    command = base.split("-")[0]
+    failures = [f"{base} {key}={value!r}: exit {status} {wrong}"
                 for key in NUMERIC_KEYS for value in EXTREMES
-                for status, wrong in [run(command, grids + [f"{key}={value!r}"], key,
+                for status, wrong in [run(command, BASES[base] + [f"{key}={value!r}"], key,
                                           tmp_path / "table.csv")]
                 if status not in (0, 2) or wrong]
     assert not failures, "\n".join(failures)
+
+
+# Finite doubles of either sign across the whole exponent range, 0 and subnormals included.
+FINITE = st.builds(lambda sign, mantissa, exponent: sign * math.ldexp(mantissa, exponent),
+                   st.sampled_from([1.0, -1.0]), st.floats(0.5, 1.0, exclude_max=True),
+                   st.integers(-1075, 1024))
+
+
+@pytest.mark.parametrize("base", BASES)
+# Every example writes the one table path: the function-scoped tmp_path is safe to share.
+@settings(derandomize=True, max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(pairs=st.lists(st.tuples(st.sampled_from(NUMERIC_KEYS), FINITE), min_size=1,
+                      max_size=2, unique_by=lambda pair: pair[0]))
+def test_finite_floats_of_one_key_and_of_pairs(base, pairs, tmp_path):
+    """One or two keys at finite doubles after the base's settings, under the rules of run:
+    exit 2 names one of the keys set."""
+    lines = BASES[base] + [f"{key}={value!r}" for key, value in pairs]
+    status, wrong = run(base.split("-")[0], lines, " ".join(key for key, _ in pairs),
+                        tmp_path / "table.csv")
+    assert status in (0, 2) and not wrong, (lines, status, wrong)
 
 
 @pytest.mark.parametrize("command,setting,status,key", [
