@@ -10,8 +10,9 @@ class ThresholdError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """A steady-state solve missed its stop rule, or its drive overflows; ``index`` is the
-    flat index of the first grid point that failed, where there is a grid."""
+    """A steady-state solve missed its stop rule, or its empty-cavity pump number
+    overflows; ``index`` is the flat index of the first grid point that failed, where there
+    is a grid."""
 
     def __init__(self, message: str, index: int | None = None) -> None:
         super().__init__(message)

@@ -2,31 +2,33 @@
 
 Tracks the minimal moment set {<a_p>, <a_p a_p>, <a_p^+ a_p>, <a_s^+ a_s>,
 <a_i^+ a_i>, <a_s a_i>} of the driven three-mode cavity in the co-rotating
-frame. Mixed pump-pair moments are factorized (e.g. <a_p^+ a_p a_s a_i> ->
-<a_p^+ a_p><a_s a_i>), which keeps the pump dynamical and exhibits pump
-depletion at threshold, while the signal/idler sector stays linear:
+frame, in units of Gamma: time in 1/Gamma, the real waveguide drive a_l as
+f = sqrt(k) a_l/G and the pair coupling as c = g/G. Mixed pump-pair moments
+are factorized (e.g. <a_p^+ a_p a_s a_i> -> <a_p^+ a_p><a_s a_i>), which
+keeps the pump dynamical and exhibits pump depletion at threshold, while the
+signal/idler sector stays linear:
 
-    d<a_p>/dt   = sqrt(k) a_l - (G/2)<a_p> - 2 g <a_p>* <a_s a_i>
-    d<a_p^2>/dt = 2 sqrt(k) a_l <a_p> - G <a_p^2> - g (4<n_p>+2) <a_s a_i>
-    d<n_p>/dt   = 2 sqrt(k) Re(a_l* <a_p>) - G <n_p> - 4 g Re(<a_p^2><a_s a_i>*)
-    d<n_s>/dt   = 2 g Re(<a_p^2><a_s a_i>*) - G <n_s>        (same for n_i)
-    d<a_s a_i>/dt = g <a_p^2> (<n_s>+<n_i>+1) - G <a_s a_i>
+    d<a_p>/dt   = f - <a_p>/2 - 2 c <a_p>* <a_s a_i>
+    d<a_p^2>/dt = 2 f <a_p> - <a_p^2> - c (4<n_p>+2) <a_s a_i>
+    d<n_p>/dt   = 2 f Re<a_p> - <n_p> - 4 c Re(<a_p^2><a_s a_i>*)
+    d<n_s>/dt   = 2 c Re(<a_p^2><a_s a_i>*) - <n_s>        (same for n_i)
+    d<a_s a_i>/dt = c <a_p^2> (<n_s>+<n_i>+1) - <a_s a_i>
 
-The linearized counterpart replaces 2 g <a_p^2> by the externally fixed
-injection sigma and drops the pump equations; its steady state
-n_s = sigma^2/(2(Gamma^2 - sigma^2)) exists only below threshold.
+The linearized counterpart replaces 2 c <a_p^2> by the externally fixed
+injection sigma_n and drops the pump equations; its steady state
+n_s = sigma_n^2/(2(1 - sigma_n^2)) exists only below threshold.
 
-The steady state is solved directly. With y = 2 g |<a_p^2>|/G the
+The steady state is solved directly. With y = 2 c <a_p^2> the
 signal/idler equations give n_s = n_i = y^2/(2(1-y^2)) and
-|<a_s a_i>| = y/(2(1-y^2)). Pair emission damps the pump amplitude by the
-factor 1 + d, d = 4 g |<a_s a_i>|/G, so in the frame where a_l is real
-<a_p> = 2 sqrt(k) |a_l|/(G(1+d)), and the <n_p> and <a_p^2> equations
-follow. What is left is one residual, G y/(2g) - <a_p^2>, which equals
-(1-d)/(1+d) (N(d) - N_0) with N_0 = 4 k |a_l|^2/G^2 the empty-cavity pump
-number and
+<a_s a_i> = y/(2(1-y^2)). Pair emission damps the pump amplitude by the
+factor 1 + d, d = 4 c <a_s a_i>, so <a_p> = 2 f/(1+d), and the <n_p> and
+<a_p^2> equations follow. What is left is one residual, C y - <a_p^2>,
+which equals (1-d)/(1+d) (N(d) - N_0) with N_0 = 4 f^2 = sigma_n C the
+empty-cavity pump number and
 
-    N(d) = C y (1+d)^2 + d(1+d)/(2(1-d)),    C = G/(2g),    y = y(d).
+    N(d) = C y (1+d)^2 + d(1+d)/(2(1-d)),    C = 1/(2c) = G/(2g),    y = y(d).
 
+So a steady state depends on the cavity only through C and N_0.
 N(d) rises from 0 to infinity on 0 <= d < 1, so the first root reached from
 vacuum (the smallest y) is the unique root with d < 1; the residual has a
 second root at d > 1. The root is solved in r = d/(1-d), which keeps both a
@@ -40,8 +42,6 @@ y = N_0/C far below and, for y = 1 - eps near threshold, the quadratic
 eps^2 + (delta + 1/C) eps - 1/C = 0 with delta = N_0/C - 1; far above,
 y is about 1 and x = 1 - d solves 4 C x^2 + (N_0 + 3/2 - 4 C) x - 1 = 0.
 Each estimate overshoots d in the other's regime, so the smaller is taken.
-A complex a_l rotates <a_p> by its phase and <a_p^2>, <a_s a_i> by twice
-it.
 """
 
 from __future__ import annotations
@@ -51,12 +51,11 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, ThresholdError
+from .errors import ConvergenceError, DomainError
 from .params import CavityRates
 
-# Stop rule every returned steady state meets: each moment (real and
-# imaginary parts apart) changes by less than CONVERGENCE_TOL of
-# max(|moment|, 1e-6) per 1/Gamma.
+# Stop rule every returned steady state meets: each moment changes by less
+# than CONVERGENCE_TOL of max(|moment|, 1e-6) per 1/Gamma.
 CONVERGENCE_TOL = 1e-9
 # Grid points with 1 - sigma_n at or below this count as at threshold, the
 # 1e12 conditioning limit of the scattering solve; float rounding of a grid
@@ -76,48 +75,20 @@ class MomentState:
     m_si: complex = 0.0
 
 
-def mf_derivatives(state: MomentState, rates: CavityRates, gain: float,
-                   alpha_l: complex) -> MomentState:
-    """Time derivative of the mean-field moment set."""
-    gamma_total = rates.gamma_total
-    sqk = math.sqrt(rates.kappa)
-    pair_rate = 2.0 * gain * (state.a_pp * np.conj(state.m_si)).real
+def mf_derivatives(state: MomentState, drive: float, coupling: float) -> MomentState:
+    """Time derivative of the mean-field moment set per 1/Gamma.
+
+    drive = sqrt(kappa) a_l/Gamma for a real waveguide drive a_l, coupling = g/Gamma.
+    """
+    pair_rate = 2.0 * coupling * (state.a_pp * np.conj(state.m_si)).real
     return MomentState(
-        a_p=sqk * alpha_l - gamma_total / 2 * state.a_p - 2 * gain * np.conj(state.a_p) * state.m_si,
-        a_pp=2 * sqk * alpha_l * state.a_p - gamma_total * state.a_pp
-        - gain * (4 * state.n_p + 2) * state.m_si,
-        n_p=2 * sqk * (np.conj(alpha_l) * state.a_p).real - gamma_total * state.n_p - 2 * pair_rate,
-        n_s=pair_rate - gamma_total * state.n_s,
-        n_i=pair_rate - gamma_total * state.n_i,
-        m_si=gain * state.a_pp * (state.n_s + state.n_i + 1) - gamma_total * state.m_si,
+        a_p=drive - state.a_p / 2 - 2 * coupling * np.conj(state.a_p) * state.m_si,
+        a_pp=2 * drive * state.a_p - state.a_pp - coupling * (4 * state.n_p + 2) * state.m_si,
+        n_p=2 * drive * np.real(state.a_p) - state.n_p - 2 * pair_rate,
+        n_s=pair_rate - state.n_s,
+        n_i=pair_rate - state.n_i,
+        m_si=coupling * state.a_pp * (state.n_s + state.n_i + 1) - state.m_si,
     )
-
-
-def lin_steady_state(rates: CavityRates, sigma) -> MomentState:
-    """Analytic fixed point of the linearized moment equations; sigma may be an array.
-
-    n_s = n_i = |sigma|^2/(2(Gamma^2-|sigma|^2)),
-    m_si = sigma*Gamma/(2(Gamma^2-|sigma|^2)); requires |sigma| < Gamma.
-    """
-    gamma_total = rates.gamma_total
-    magnitude = np.abs(sigma)
-    if np.any(magnitude >= gamma_total):
-        raise ThresholdError(f"no linearized steady state at |sigma|={np.max(magnitude)} "
-                             f">= {gamma_total}")
-    mag2 = np.float_power(magnitude, 2)  # pow, as Python's float ** rounds it
-    denom = 2.0 * (gamma_total**2 - mag2)
-    return MomentState(n_s=mag2 / denom, n_i=mag2 / denom, m_si=sigma * gamma_total / denom)
-
-
-def drive_for_sigma(rates: CavityRates, gain: float, sigma):
-    """Waveguide drive amplitude |alpha_l| producing a given on-resonance sigma.
-
-    Inverts sigma = 8*g*kappa*|alpha_l|^2/Gamma^2 [sqrt(Hz)]; sigma may be an
-    array.
-    """
-    if gain <= 0 or rates.kappa <= 0:
-        raise DomainError("gain and kappa must be positive")
-    return np.sqrt(sigma * rates.gamma_total**2 / (8.0 * gain * rates.kappa))
 
 
 def _bisect(excess, lo, hi, midpoint):
@@ -157,8 +128,9 @@ def _excess(depletion: np.ndarray, n_empty: np.ndarray, clamp: float):
 
 def _depletion_start(n_empty: np.ndarray, clamp: float) -> np.ndarray:
     """Closed-form estimate of r = d/(1-d); see the module docstring."""
+    # hypot, as the square of C - N_0 overflows for C beyond about 1e154.
     y = 2.0 * n_empty / (clamp + 1.0 + n_empty
-                         + np.sqrt((clamp - n_empty) ** 2 + 2.0 * (clamp + n_empty) + 1.0))
+                         + np.hypot(clamp - n_empty, np.sqrt(2.0 * (clamp + n_empty) + 1.0)))
     b = n_empty + 1.5 - 4.0 * clamp
     root = np.hypot(b, 4.0 * math.sqrt(clamp))
     x = np.where(b > 0, 2.0 / (root + np.abs(b)), (root + np.abs(b)) / (8.0 * clamp))
@@ -205,48 +177,34 @@ def _depletion(n_empty: np.ndarray, clamp: float) -> np.ndarray:
 
 
 def _max_relative_rate(state: MomentState, rate: MomentState) -> np.ndarray:
-    """Largest |d moment/dt|/max(|moment|, 1e-6) per point, parts apart."""
+    """Largest |d moment/dt|/max(|moment|, 1e-6) per point."""
     worst = 0.0
     for name in (f.name for f in fields(MomentState)):
         value, change = getattr(state, name), getattr(rate, name)
-        for part in (np.real, np.imag):
-            worst = np.maximum(worst, np.abs(part(change)) / np.maximum(np.abs(part(value)), 1e-6))
+        worst = np.maximum(worst, np.abs(change) / np.maximum(np.abs(value), 1e-6))
     return worst
 
 
-def _steady_states(rates: CavityRates, gain: float, alpha_l) -> MomentState:
-    """Steady states reached from vacuum, one per drive; fields are arrays.
+def _steady_states(n_empty: np.ndarray, clamp: float) -> MomentState:
+    """Steady states reached from vacuum at C = Gamma/(2g), one per empty-cavity pump
+    number N_0 in the array n_empty; fields are arrays, real as the drive is.
 
-    Raises ConvergenceError when a state misses the stop rule against
-    mf_derivatives; the rule is checked where a_l is real, since a
-    phase rotation maps steady states onto steady states exactly.
+    Raises ConvergenceError when a state misses the stop rule against mf_derivatives.
     """
-    if gain < 0:
-        raise DomainError(f"gain must be non-negative, got {gain}")
-    gamma_total = rates.gamma_total
-    drive = np.asarray(alpha_l, dtype=complex)
-    amplitude = np.abs(drive)
-    empty_pump = 2.0 * math.sqrt(rates.kappa) * amplitude / gamma_total
-    n_empty = empty_pump**2
-    if gain > 0:
-        clamp = gamma_total / (2.0 * gain)
-        d, twice_m, y = _pair_moments(_depletion(n_empty, clamp), clamp)
-    else:
-        d = twice_m = y = np.zeros_like(n_empty)
+    d, twice_m, y = _pair_moments(_depletion(n_empty, clamp), clamp)
+    amplitude = np.sqrt(n_empty)
     pump = n_empty / (1.0 + d)
     n_p = pump - y * twice_m
-    state = MomentState(a_p=empty_pump / (1.0 + d) + 0j, a_pp=pump - d * (n_p + 0.5) + 0j,
-                        n_p=n_p, n_s=y * twice_m / 2, n_i=y * twice_m / 2,
-                        m_si=twice_m / 2 + 0j)
-    rate = _max_relative_rate(state, mf_derivatives(state, rates, gain, amplitude)) / gamma_total
+    state = MomentState(a_p=amplitude / (1.0 + d), a_pp=pump - d * (n_p + 0.5), n_p=n_p,
+                        n_s=y * twice_m / 2, n_i=y * twice_m / 2, m_si=twice_m / 2)
+    rate = _max_relative_rate(state, mf_derivatives(state, amplitude / 2, 0.5 / clamp))
     missed = np.flatnonzero(~(rate < CONVERGENCE_TOL))
     if len(missed):
         k = missed[0]
-        raise ConvergenceError(f"steady state at drive {drive.flat[k]} changes at relative rate "
+        raise ConvergenceError(f"steady state at empty-cavity pump number "
+                               f"{float(n_empty.flat[k])!r} changes at relative rate "
                                f"{rate.flat[k]:.3g} per 1/Gamma (limit {CONVERGENCE_TOL})", k)
-    phase = np.exp(1j * np.angle(drive))
-    return MomentState(a_p=state.a_p * phase, a_pp=state.a_pp * phase**2, n_p=state.n_p,
-                       n_s=state.n_s, n_i=state.n_i, m_si=state.m_si * phase**2)
+    return state
 
 
 def validity_bound(rates: CavityRates, gain: float, error_tol: float) -> float:
@@ -274,27 +232,26 @@ def validity_bound(rates: CavityRates, gain: float, error_tol: float) -> float:
 def comparison_columns(rates: CavityRates, gain: float, sigma_ns) -> dict[str, np.ndarray]:
     """Linearized vs mean-field steady state over a sigma_n grid, one array per column.
 
-    Columns sigma_n, ns_lin, ns_mf, np_lin, np_mf; at threshold
-    (1 - sigma_n <= THRESHOLD_MARGIN) and above it ns_lin is inf. A point whose
-    drive |alpha_l| or np_lin overflows raises ConvergenceError, as does one
-    whose steady state misses its stop rule.
+    Columns sigma_n, ns_lin, ns_mf, np_lin, np_mf. np_lin is the empty-cavity pump
+    number N_0 = sigma_n C, C = Gamma/(2g), since sigma = 2 g N_0; at threshold
+    (1 - sigma_n <= THRESHOLD_MARGIN) and above it ns_lin is inf. A point whose N_0
+    overflows raises ConvergenceError, as does one whose steady state misses its
+    stop rule.
     """
-    gamma_total = rates.gamma_total
+    clamp = rates.gamma_total / (2.0 * gain)
     sigma_ns = np.asarray(sigma_ns, dtype=float)
-    with np.errstate(over="ignore"):  # checked below
-        sigma = sigma_ns * gamma_total
-        drives = drive_for_sigma(rates, gain, sigma)
-        np_lin = 4.0 * rates.kappa * np.float_power(drives, 2) / gamma_total**2
-    if not np.isfinite(np_lin).all():
-        k = np.flatnonzero(~np.isfinite(np_lin))[0]
-        raise ConvergenceError(f"the drive |alpha_l| = {float(drives.flat[k])!r} is too large: "
-                               "|alpha_l|^2 overflows", k)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below; C = inf at 0 is nan
+        n_empty = sigma_ns * clamp
+    if not np.isfinite(n_empty).all():
+        k = np.flatnonzero(~np.isfinite(n_empty))[0]
+        raise ConvergenceError(f"the empty-cavity pump number sigma_n Gamma/(2g) overflows "
+                               f"at Gamma/(2g) = {clamp!r}", k)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow misses the stop rule
-        states = _steady_states(rates, gain, drives)
+        states = _steady_states(n_empty, clamp)
     below = 1.0 - sigma_ns > THRESHOLD_MARGIN
-    ns_lin = lin_steady_state(rates, np.where(below, sigma, 0.0)).n_s
+    s = np.where(below, sigma_ns, 0.0)
     return {"sigma_n": sigma_ns,
-            "ns_lin": np.where(below, ns_lin, math.inf),
+            "ns_lin": np.where(below, s * s / (2.0 * (1.0 - s) * (1.0 + s)), math.inf),
             "ns_mf": states.n_s,
-            "np_lin": np_lin,
+            "np_lin": n_empty,
             "np_mf": states.n_p}

@@ -1,10 +1,14 @@
 """Oracles for the mean-field steady state (tests only).
 
 Integrates ringmzi.meanfield.mf_derivatives from vacuum with LSODA (or a
-fixed-step RK4) until every moment changes relatively less than
-convergence_tol per 1/rate_scale of integration time. The direct solve in
-ringmzi.meanfield is checked against it; its stop rule leaves an error of
-about convergence_tol/(1 - sigma_n) below threshold.
+fixed-step RK4), in time units of 1/Gamma, until every moment changes
+relatively less than convergence_tol per unit of integration time. The
+direct solve in ringmzi.meanfield is checked against it; its stop rule
+leaves an error of about convergence_tol/(1 - sigma_n) below threshold.
+
+absolute_derivatives is the same right-hand side in Hz, with the waveguide
+drive a_l in sqrt(Hz): the reference that the substitution into units of
+Gamma is checked against.
 
 bisected_depletion solves the direct solve's scalar root by bisection to
 adjacent floats, the reference for its Newton iteration. mf_steady_state and
@@ -15,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from typing import Callable
+
+import math
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -33,18 +39,16 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Integration settings for the steady-state search.
+    """Integration settings for the steady-state search, in time units of 1/Gamma.
 
-    rate_scale sets the time unit for the convergence test: the solver is
-    converged when every moment changes relatively less than
-    convergence_tol per 1/rate_scale of integration time.
+    The solver is converged when every moment changes relatively less than
+    convergence_tol per 1/Gamma of integration time.
     """
 
-    dt: float
-    t_max: float
+    dt: float = 0.01
+    t_max: float = 200.0
     convergence_tol: float = 1e-9
     method: str = "adaptive"
-    rate_scale: float = 1.0
 
     def __post_init__(self) -> None:
         if self.dt <= 0:
@@ -55,17 +59,6 @@ class SolverConfig:
             raise DomainError(f"convergence_tol must be positive, got {self.convergence_tol}")
         if self.method not in ("adaptive", "fixed"):
             raise DomainError(f"method must be 'adaptive' or 'fixed', got {self.method!r}")
-        if self.rate_scale <= 0:
-            raise DomainError(f"rate_scale must be positive, got {self.rate_scale}")
-
-    @classmethod
-    def for_rates(cls, rates: CavityRates, **overrides) -> "SolverConfig":
-        """Defaults tied to the only relevant timescale 1/Gamma."""
-        gamma_total = rates.gamma_total
-        settings = {"dt": 0.01 / gamma_total, "t_max": 200.0 / gamma_total,
-                    "rate_scale": gamma_total}
-        settings.update(overrides)
-        return cls(**settings)
 
 
 def _pack(state: MomentState) -> np.ndarray:
@@ -88,23 +81,39 @@ def _unpack(y: np.ndarray) -> MomentState:
     )
 
 
-def lin_derivatives(state: MomentState, rates: CavityRates, sigma: complex) -> MomentState:
-    """Time derivative of the linearized signal/idler moments (pump frozen)."""
-    gamma_total = rates.gamma_total
-    pair_rate = (np.conj(sigma) * state.m_si).real
+def lin_derivatives(state: MomentState, sigma_n: float) -> MomentState:
+    """Time derivative per 1/Gamma of the linearized signal/idler moments (pump frozen)."""
+    pair_rate = sigma_n * np.real(state.m_si)
     return MomentState(
         a_p=0.0,
         a_pp=0.0,
         n_p=0.0,
-        n_s=pair_rate - gamma_total * state.n_s,
-        n_i=pair_rate - gamma_total * state.n_i,
-        m_si=sigma / 2 * (state.n_s + state.n_i + 1) - gamma_total * state.m_si,
+        n_s=pair_rate - state.n_s,
+        n_i=pair_rate - state.n_i,
+        m_si=sigma_n / 2 * (state.n_s + state.n_i + 1) - state.m_si,
     )
 
 
-def _max_rel_rate(y: np.ndarray, dy: np.ndarray, rate_scale: float) -> float:
+def absolute_derivatives(state: MomentState, rates: CavityRates, gain: float,
+                         alpha_l: complex) -> MomentState:
+    """Time derivative of the mean-field moment set in Hz, driven by alpha_l [sqrt(Hz)]."""
+    gamma_total = rates.gamma_total
+    sqk = math.sqrt(rates.kappa)
+    pair_rate = 2.0 * gain * (state.a_pp * np.conj(state.m_si)).real
+    return MomentState(
+        a_p=sqk * alpha_l - gamma_total / 2 * state.a_p - 2 * gain * np.conj(state.a_p) * state.m_si,
+        a_pp=2 * sqk * alpha_l * state.a_p - gamma_total * state.a_pp
+        - gain * (4 * state.n_p + 2) * state.m_si,
+        n_p=2 * sqk * (np.conj(alpha_l) * state.a_p).real - gamma_total * state.n_p - 2 * pair_rate,
+        n_s=pair_rate - gamma_total * state.n_s,
+        n_i=pair_rate - gamma_total * state.n_i,
+        m_si=gain * state.a_pp * (state.n_s + state.n_i + 1) - gamma_total * state.m_si,
+    )
+
+
+def _max_rel_rate(y: np.ndarray, dy: np.ndarray) -> float:
     scale = np.maximum(np.abs(y), 1e-6)
-    return float(np.max(np.abs(dy) / scale)) / rate_scale
+    return float(np.max(np.abs(dy) / scale))
 
 
 def steady_state(derivative_fn: Callable[[MomentState], MomentState],
@@ -123,14 +132,14 @@ def steady_state(derivative_fn: Callable[[MomentState], MomentState],
         return _pack(derivative_fn(_unpack(y)))
 
     y0 = _pack(initial)
-    if _max_rel_rate(y0, rhs(0.0, y0), cfg.rate_scale) < cfg.convergence_tol:
+    if _max_rel_rate(y0, rhs(0.0, y0)) < cfg.convergence_tol:
         return initial
 
     if cfg.method == "fixed":
         return _steady_state_fixed(rhs, y0, cfg)
 
     def converged(_t: float, y: np.ndarray) -> float:
-        return _max_rel_rate(y, rhs(0.0, y), cfg.rate_scale) - cfg.convergence_tol
+        return _max_rel_rate(y, rhs(0.0, y)) - cfg.convergence_tol
 
     converged.terminal = True
     converged.direction = -1
@@ -154,8 +163,8 @@ def steady_state(derivative_fn: Callable[[MomentState], MomentState],
 
 
 def _steady_state_fixed(rhs, y0: np.ndarray, cfg: SolverConfig) -> MomentState:
-    """Classic RK4 with step dt; convergence checked once per 1/rate_scale."""
-    steps_per_check = max(1, int(round(1.0 / (cfg.rate_scale * cfg.dt))))
+    """Classic RK4 with step dt; convergence checked once per 1/Gamma."""
+    steps_per_check = max(1, int(round(1.0 / cfg.dt)))
     y = y0.copy()
     t = 0.0
     while t < cfg.t_max:
@@ -168,17 +177,19 @@ def _steady_state_fixed(rhs, y0: np.ndarray, cfg: SolverConfig) -> MomentState:
             t += cfg.dt
         if np.max(np.abs(y)) > DIVERGENCE_LIMIT:
             raise DivergenceError("moments grew beyond the divergence limit")
-        if _max_rel_rate(y, rhs(t, y), cfg.rate_scale) < cfg.convergence_tol:
+        if _max_rel_rate(y, rhs(t, y)) < cfg.convergence_tol:
             return _unpack(y)
     raise ConvergenceError(f"no steady state within t_max={cfg.t_max}")
 
 
-def marched_steady_state(rates: CavityRates, gain: float, alpha_l: complex,
+def marched_steady_state(n_empty: float, clamp: float,
                          cfg: SolverConfig | None = None) -> MomentState:
-    """Mean-field steady state reached by time-marching from vacuum."""
+    """Mean-field steady state reached by time-marching from vacuum, at the empty-cavity
+    pump number N_0 = n_empty and C = Gamma/(2g)."""
     if cfg is None:
-        cfg = SolverConfig.for_rates(rates, t_max=3e6 / rates.gamma_total)
-    return steady_state(lambda s: mf_derivatives(s, rates, gain, alpha_l), VACUUM, cfg)
+        cfg = SolverConfig(t_max=3e6)
+    drive, coupling = math.sqrt(n_empty) / 2, 0.5 / clamp
+    return steady_state(lambda s: mf_derivatives(s, drive, coupling), VACUUM, cfg)
 
 
 def bisected_depletion(n_empty: np.ndarray, clamp: float) -> np.ndarray:
@@ -204,9 +215,9 @@ def bisected_depletion(n_empty: np.ndarray, clamp: float) -> np.ndarray:
     return np.where(n_empty > 0, root, 0.0)
 
 
-def mf_steady_state(rates: CavityRates, gain: float, alpha_l: complex) -> MomentState:
-    """Mean-field steady state of the direct solve reached from vacuum, one drive."""
-    states = _steady_states(rates, gain, alpha_l)
+def mf_steady_state(n_empty: float, clamp: float) -> MomentState:
+    """Mean-field steady state of the direct solve reached from vacuum, one N_0."""
+    states = _steady_states(np.asarray(n_empty, dtype=float), clamp)
     return MomentState(**{f.name: getattr(states, f.name).item() for f in fields(MomentState)})
 
 

@@ -289,7 +289,9 @@ def coherent_reference(point: Point) -> float:
     """Coherent probe with a vacuum port at phi = pi/2, 1/(sqrt(eta) alpha_c)."""
     if point.alpha_c <= 0:
         raise DomainError("alpha_c must be positive for the coherent sensitivity")
-    return 1.0 / (math.sqrt(point.eta) * point.alpha_c)
+    product = math.sqrt(point.eta) * point.alpha_c
+    # A product that rounds to 0 is below 2.5e-324, so its reciprocal overflows.
+    return 1.0 / product if product else math.inf
 
 
 def sensitivity_rows(cfg, rates, injection, alpha_c: float, pump_power: float,

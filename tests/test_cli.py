@@ -796,7 +796,7 @@ class TestDefaultPresets:
         ("rates", "619d294842e371271523401cbc859d39c341b15a99f4e83356f131f69b0e0b97"),
         ("squeezing", "31f293793ecc6199215c5cf79fa83d755ced790783f8dcd009707ce5603b57c2"),
         ("jsi", "fb82491fdd83ad1988b638468d59f1882e1b278ec1b427a27043a561370f68ee"),
-        ("meanfield", "ad86817454e5023b5b53b7a0babfd8adaacda4f72be8ed6a3abc9580dbe8c6f5"),
+        ("meanfield", "52cc699976fb57f489cbdf6fd9c1ba09962e0e19f32f190a064e11d0cedc2ab7"),
         ("sensitivity", "da3af680503c41f95f4562058616b3a6ef06bd4bd869afcc1686e465610ed560"),
         ("pole", "4599a81f3af948357ed97df4a6797323b79873c4719fd17dccd9467de48690b9"),
         ("improvement", "a54f4722e2c3e05c6b84da2c002def8fcf43a4ca9355b12f2dcb7f64a0483967"),
@@ -1038,22 +1038,59 @@ class TestMain:
         assert "Traceback" not in err
 
     # sigma_n is the first failing point of the 22-point grid from 0.1: the second, 0.1 +
-    # (stop - 0.1)/21, for the stop rule; the first for the overflow.
+    # (stop - 0.1)/21, for the stop rule; for the overflow the first whose sigma_n C does.
     @pytest.mark.parametrize("setting,sigma_n,cause", [
         ("sweep.stop=1e12", 47619047619.14286, "changes at relative rate 9.6e-08"),
         ("sweep.stop=1e30", 4.761904761904762e+28, "changes at relative rate"),
-        # sigma Gamma^2/(8 g kappa) overflows at kappa = 1.2e-289 Hz: the drive is inf.
-        ("geometry.cross_coupling=1e-300", 0.1, "the drive |alpha_l| = inf is too large"),
+        # N_0 = sigma_n C overflows at C = Gamma/(2g) = 3.6e8.
+        ("sweep.stop=1e300", 5.238095238095239e+299,
+         "the empty-cavity pump number sigma_n Gamma/(2g) overflows at Gamma/(2g) = "),
+        # C itself overflows, g being 3.6e-305: N_0 = 0 C is not a number at sigma_n = 0.
+        ("geometry.n2=5e-324 sweep.start=0 sweep.scale=linear", 0.0,
+         "the empty-cavity pump number sigma_n Gamma/(2g) overflows at Gamma/(2g) = inf"),
     ])
+    @pytest.mark.filterwarnings("error")
     def test_meanfield_out_of_reach_names_sigma_n(self, setting, sigma_n, cause, capsys):
-        """A steady state that misses its stop rule, or whose drive overflows, exits 2 with
-        the sigma_n and the keys it comes from, not a traceback."""
-        assert main(["meanfield", "--set", setting]) == 2
+        """A steady state that misses its stop rule, or whose empty-cavity pump number
+        overflows, exits 2 with the sigma_n and the keys it comes from, not a traceback.
+        ``setting`` is one or more space-separated KEY=VALUE pairs, one --set each."""
+        argv = [arg for pair in setting.split() for arg in ("--set", pair)]
+        assert main(["meanfield"] + argv) == 2
         err = capsys.readouterr().err
         assert f"no mean-field steady state at sigma_n = {sigma_n!r}: " in err
         assert cause in err
         assert "(from sweep.start, sweep.stop, geometry.ring_length, " in err
         assert "geometry.cross_coupling" in err and "Traceback" not in err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("settings", [
+        # kappa = 1.2e-289 Hz, where the waveguide drive in sqrt(Hz) overflows.
+        ["geometry.cross_coupling=1e-300"],
+        # C = 8.6e189, whose square overflows.
+        ["geometry.n2=1e-200", "sweep.stop=0.99"],
+    ], ids=["tiny-kappa", "tiny-g"])
+    def test_meanfield_far_from_the_reference_ring(self, settings, tmp_path):
+        """The solve runs in units of Gamma: rings whose absolute drive leaves the float
+        range exit 0 with finite cells (ns_lin inf only on threshold rows), np_lin =
+        sigma_n C, and ns_mf = ns_lin within 2e-14 where C is so large that the pump
+        does not deplete below threshold."""
+        path = tmp_path / "meanfield.csv"
+        assert main(["meanfield", "--out", str(path)]
+                    + [arg for pair in settings for arg in ("--set", pair)]) == 0
+        header, *body = [line.split(",") for line in path.read_text().splitlines()
+                         if not line.startswith("#")]
+        columns = dict(zip(header, map(list, zip(*body))))
+        flag = np.array(columns.pop("flag"))
+        sigma_n, ns_lin, ns_mf, np_lin, np_mf = (np.array(columns[name], dtype=float)
+                                                 for name in header[:-1])
+        assert np.isfinite([ns_mf, np_lin, np_mf]).all()
+        assert np.array_equal(np.isinf(ns_lin), flag == "threshold")
+        assert np.isfinite(ns_lin[flag == ""]).all() and (flag == "").any()
+        cfg = parse_config("\n".join(settings), command="meanfield")
+        clamp = derive_rates(cfg.geometry).gamma_total / (2 * fwm_gain(cfg.geometry).gain)
+        assert np_lin == pytest.approx(sigma_n * clamp, rel=4e-16)
+        if clamp > 1e150:
+            assert ns_mf == pytest.approx(ns_lin, rel=2e-14)
 
     @pytest.mark.parametrize("argv,key,variable", [
         (["improvement"], "sensor.length=1e4", "sensor_length"),

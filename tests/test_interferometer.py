@@ -535,7 +535,8 @@ class TestArrayPath:
     # (a relative gap of 2e-10), and its slope at alpha_c = 0 was 6.3e-5 off; then the
     # closed form, at eta = 0.5, and at a gap of 2e-8, which it took for a pole. At
     # sigma_n = 1.6e-162 the float N = 2e-323 is 3% below the exact one: a closed form on
-    # that N reads dphi 1.9% (phi = 0.5) and 19% (phi = 1.0) off.
+    # that N reads dphi 1.9% (phi = 0.5) and 19% (phi = 1.0) off. At sigma_n = 5e-324 the
+    # pole amplitude is 1.5e-323, and sqrt(eta) alpha_c rounds to 0 in the coherent reference.
     @example(cross_coupling=0.125, alpha_loss=1.0, radius=0.0008484518022431566,
              sigma_n=1.6408061761055254e-162, eta=1.0, phi=0.5, amplitudes=[0.0], near_pole=0.0)
     @example(cross_coupling=0.125, alpha_loss=1.0, radius=0.0008484518022431566,
@@ -551,6 +552,8 @@ class TestArrayPath:
              near_pole=0.0)
     @example(cross_coupling=0.125, alpha_loss=1.0, radius=0.001, sigma_n=1.388908641308492e-160,
              eta=1.0, phi=HALF_PI, amplitudes=[0.0], near_pole=1 + 1e-8)
+    @example(cross_coupling=0.125, alpha_loss=1.0, radius=0.001, sigma_n=5e-324, eta=0.015625,
+             phi=0.0, amplitudes=[0.0], near_pole=1.0)
     def test_probe_batch_equals_pointwise(self, cross_coupling, alpha_loss, radius, sigma_n,
                                           eta, phi, amplitudes, near_pole):
         """A batch over alpha_c, with points on and next to the pole a^2 = N."""

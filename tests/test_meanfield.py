@@ -1,136 +1,120 @@
 """Tests of ringmzi.meanfield.
 
-The time-marching tests (TestLinearized integration cases, the fixed-step
-and dt-halving cases and SolverConfig validation) exercise the LSODA/RK4
-oracle in tests/mf_oracle.py, which TestOracleAgreement compares with the
-direct solve. TestNewtonRoot compares the direct solve's Newton root with
-the bisection oracle there.
+The solve works in units of Gamma: a sigma_n enters as the empty-cavity pump
+number N_0 = sigma_n C, C = Gamma/(2g), and time in units of 1/Gamma.
+TestUnitsOfGamma holds its right-hand side against the absolute one in Hz
+of tests/mf_oracle.py. The time-marching tests (TestLinearized integration
+cases, the fixed-step and dt-halving cases and SolverConfig validation)
+exercise the LSODA/RK4 oracle there, which TestOracleAgreement compares with
+the direct solve. TestNewtonRoot compares the direct solve's Newton root
+with the bisection oracle there.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mf_oracle import (VACUUM, DivergenceError, SolverConfig, _max_rel_rate, _pack,
-                       bisected_depletion, comparison_curve, lin_derivatives,
-                       marched_steady_state, mf_steady_state, steady_state)
-from ringmzi import (CavityRates, ConvergenceError, DomainError, MomentState, ThresholdError,
-                     drive_for_sigma, lin_steady_state, mf_derivatives, validity_bound)
+from mf_oracle import (VACUUM, DivergenceError, SolverConfig, _max_rel_rate, _pack, _unpack,
+                       absolute_derivatives, bisected_depletion, comparison_curve,
+                       lin_derivatives, marched_steady_state, mf_steady_state, steady_state)
+from ringmzi import (CavityRates, ConvergenceError, DomainError, MomentState, mf_derivatives,
+                     validity_bound)
 import ringmzi.meanfield as meanfield
 
 
-def solver_for(rates, **overrides):
-    return SolverConfig.for_rates(rates, **overrides)
+def _pump_numbers(rates, gain, sigma_ns):
+    """(N_0, C) at each sigma_n, as comparison_columns forms them: N_0 = sigma_n C,
+    C = Gamma/(2g)."""
+    clamp = rates.gamma_total / (2.0 * gain)
+    return np.asarray(sigma_ns, dtype=float) * clamp, clamp
+
+
+def _state_at(rates, gain, sigma_n):
+    """The direct solve's steady state at one sigma_n."""
+    return mf_steady_state(*_pump_numbers(rates, gain, sigma_n))
+
+
+def _ns_linearized(sigma_n):
+    return sigma_n**2 / (2 * (1 - sigma_n**2))
 
 
 class TestDerivatives:
     def test_vacuum_is_fixed_point(self, rates, gain):
-        derivative = mf_derivatives(VACUUM, rates, gain, 0.0)
+        derivative = mf_derivatives(VACUUM, 0.0, gain / rates.gamma_total)
         assert derivative == VACUUM
 
-    def test_pump_decouples_without_gain(self, rates):
-        """g = 0 leaves a driven empty cavity: n_p -> 4 kappa |a_l|^2 / Gamma^2."""
-        alpha_l = 1e7
-        state = mf_steady_state(rates, 0.0, alpha_l)
-        expected = 4 * rates.kappa * alpha_l**2 / rates.gamma_total**2
-        assert state.n_p == pytest.approx(expected, rel=1e-6)
-        # the resonant intracavity pump 2 sqrt(kappa) a_l / Gamma
-        assert state.a_p == pytest.approx(2 * math.sqrt(rates.kappa) * alpha_l / rates.gamma_total,
-                                          rel=1e-6)
-        assert state.n_s == pytest.approx(0.0, abs=1e-12)
-
     def test_pair_symmetry(self, rates, gain):
-        alpha_l = drive_for_sigma(rates, gain, 0.8 * rates.gamma_total)
-        state = mf_steady_state(rates, gain, alpha_l)
+        state = _state_at(rates, gain, 0.8)
         assert state.n_s == pytest.approx(state.n_i, rel=1e-9)
 
     def test_matches_linearized_below_threshold(self, rates, gain):
-        """Cross-module oracle: MF n_s ~ sigma^2/(2(Gamma^2-sigma^2)) at sigma_n=0.95."""
-        sigma = 0.95 * rates.gamma_total
-        mf = mf_steady_state(rates, gain, drive_for_sigma(rates, gain, sigma))
-        lin = lin_steady_state(rates, sigma)
-        assert mf.n_s == pytest.approx(lin.n_s, rel=0.05)
+        """Cross-module oracle: MF n_s ~ sigma_n^2/(2(1-sigma_n^2)) at sigma_n=0.95."""
+        assert _state_at(rates, gain, 0.95).n_s == pytest.approx(_ns_linearized(0.95), rel=0.05)
 
 
 class TestLinearized:
-    def test_decay_to_vacuum(self, rates):
+    def test_decay_to_vacuum(self):
         initial = MomentState(n_s=5.0, n_i=5.0, m_si=1.0 + 0.5j)
-        state = steady_state(lambda s: lin_derivatives(s, rates, 0.0),
-                             initial, solver_for(rates))
+        state = steady_state(lambda s: lin_derivatives(s, 0.0), initial, SolverConfig())
         assert state.n_s == pytest.approx(0.0, abs=1e-9)
         assert abs(state.m_si) == pytest.approx(0.0, abs=1e-9)
 
-    def test_integrated_matches_analytic(self, rates):
-        sigma = 0.9 * rates.gamma_total
-        integrated = steady_state(lambda s: lin_derivatives(s, rates, sigma),
-                                  VACUUM, solver_for(rates))
-        analytic = lin_steady_state(rates, sigma)
-        assert integrated.n_s == pytest.approx(analytic.n_s, rel=1e-6)
-        assert integrated.m_si == pytest.approx(analytic.m_si, rel=1e-6)
+    def test_integrated_matches_analytic(self):
+        """n_s = sigma_n^2/(2(1-sigma_n^2)), m_si = sigma_n/(2(1-sigma_n^2))."""
+        sigma_n = 0.9
+        integrated = steady_state(lambda s: lin_derivatives(s, sigma_n), VACUUM, SolverConfig())
+        assert integrated.n_s == pytest.approx(_ns_linearized(sigma_n), rel=1e-6)
+        assert integrated.m_si == pytest.approx(sigma_n / (2 * (1 - sigma_n**2)), rel=1e-6)
 
-    def test_analytic_form(self, rates):
-        sigma = 0.5 * rates.gamma_total
-        state = lin_steady_state(rates, sigma)
-        gamma_total = rates.gamma_total
-        assert state.n_s == pytest.approx(sigma**2 / (2 * (gamma_total**2 - sigma**2)),
-                                          rel=1e-14)
-        assert state.m_si == pytest.approx(sigma * gamma_total / (2 * (gamma_total**2 - sigma**2)),
-                                           rel=1e-14)
+    def test_analytic_form(self, rates, gain):
+        """The linearized columns: ns_lin = sigma_n^2/(2(1-sigma_n^2)), np_lin = sigma_n C."""
+        columns = meanfield.comparison_columns(rates, gain, [0.5])
+        assert columns["ns_lin"][0] == pytest.approx(_ns_linearized(0.5), rel=1e-14)
+        assert columns["np_lin"][0] == pytest.approx(0.5 * rates.gamma_total / (2 * gain),
+                                                     rel=1e-14)
 
-    def test_above_threshold_diverges(self, rates):
-        sigma = 1.05 * rates.gamma_total
-        cfg = solver_for(rates, t_max=5e3 / rates.gamma_total)
+    def test_above_threshold_diverges(self):
         with pytest.raises(DivergenceError):
-            steady_state(lambda s: lin_derivatives(s, rates, sigma), VACUUM, cfg)
+            steady_state(lambda s: lin_derivatives(s, 1.05), VACUUM, SolverConfig(t_max=5e3))
 
-    def test_at_threshold_never_settles(self, rates):
-        sigma = rates.gamma_total
+    def test_at_threshold_never_settles(self):
         with pytest.raises((ConvergenceError, DivergenceError)):
-            steady_state(lambda s: lin_derivatives(s, rates, sigma), VACUUM,
-                         solver_for(rates))
-
-    def test_analytic_rejects_threshold(self, rates):
-        with pytest.raises(ThresholdError):
-            lin_steady_state(rates, rates.gamma_total)
+            steady_state(lambda s: lin_derivatives(s, 1.0), VACUUM, SolverConfig())
 
 
 class TestSteadyState:
     def test_vacuum_trivial(self, rates, gain):
-        assert mf_steady_state(rates, gain, 0.0) == VACUUM
+        assert _state_at(rates, gain, 0.0) == VACUUM
 
     def test_converges_below_threshold(self, rates, gain):
-        alpha_l = drive_for_sigma(rates, gain, 0.5 * rates.gamma_total)
-        state = mf_steady_state(rates, gain, alpha_l)
+        state = _state_at(rates, gain, 0.5)
         assert math.isfinite(state.n_s)
         assert state.n_s > 0
 
     def test_pump_clamps_above_threshold(self, rates, gain):
-        """MF pump depletes: n_p stays pinned near Gamma/(2g) past threshold."""
+        """MF pump depletes: n_p stays pinned near C = Gamma/(2g) past threshold."""
         clamp = rates.gamma_total / (2 * gain)
         values = {}
         for sigma_n in (1.05, 1.15):
-            alpha_l = drive_for_sigma(rates, gain, sigma_n * rates.gamma_total)
-            values[sigma_n] = mf_steady_state(rates, gain, alpha_l).n_p
+            values[sigma_n] = _state_at(rates, gain, sigma_n).n_p
             assert values[sigma_n] == pytest.approx(clamp, rel=0.05)
         # the linearized pump would grow by (1.15/1.05) between these points
         assert values[1.15] / values[1.05] < 1.02
 
     def test_fixed_step_agrees_with_adaptive(self, rates, gain):
-        alpha_l = drive_for_sigma(rates, gain, 0.6 * rates.gamma_total)
-        adaptive = marched_steady_state(rates, gain, alpha_l, solver_for(rates))
-        fixed = marched_steady_state(rates, gain, alpha_l, solver_for(rates, method="fixed"))
+        point = _pump_numbers(rates, gain, 0.6)
+        adaptive = marched_steady_state(*point, SolverConfig())
+        fixed = marched_steady_state(*point, SolverConfig(method="fixed"))
         assert fixed.n_s == pytest.approx(adaptive.n_s, rel=1e-6)
 
     def test_invariant_under_dt_halving(self, rates, gain):
-        alpha_l = drive_for_sigma(rates, gain, 0.6 * rates.gamma_total)
-        gamma_total = rates.gamma_total
-        coarse = marched_steady_state(rates, gain, alpha_l,
-                                      solver_for(rates, method="fixed", dt=0.02 / gamma_total))
-        fine = marched_steady_state(rates, gain, alpha_l,
-                                    solver_for(rates, method="fixed", dt=0.01 / gamma_total))
+        point = _pump_numbers(rates, gain, 0.6)
+        coarse = marched_steady_state(*point, SolverConfig(method="fixed", dt=0.02))
+        fine = marched_steady_state(*point, SolverConfig(method="fixed", dt=0.01))
         assert fine.n_s == pytest.approx(coarse.n_s, rel=1e-6)
         assert fine.n_p == pytest.approx(coarse.n_p, rel=1e-6)
 
@@ -159,8 +143,7 @@ class TestComparisonCurve:
         assert math.isinf(above["ns_lin"])
 
     def test_moment_bound(self, rates, gain):
-        alpha_l = drive_for_sigma(rates, gain, 0.95 * rates.gamma_total)
-        state = mf_steady_state(rates, gain, alpha_l)
+        state = _state_at(rates, gain, 0.95)
         assert abs(state.m_si) ** 2 <= state.n_s * (state.n_i + 1) * (1 + 1e-9)
 
 
@@ -184,8 +167,7 @@ class TestMomentInvariants:
     def test_pump_coherence_bound(self, rates, gain):
         """|<a_p>|^2 <= <a_p^+ a_p>: pair emission adds incoherent pump population."""
         for sigma_n in (0.5, 0.95):
-            alpha_l = drive_for_sigma(rates, gain, sigma_n * rates.gamma_total)
-            state = mf_steady_state(rates, gain, alpha_l)
+            state = _state_at(rates, gain, sigma_n)
             assert abs(state.a_p) ** 2 <= state.n_p * (1 + 1e-9)
 
 
@@ -193,11 +175,49 @@ def _cavity(kappa_exp, gamma_exp, gain_exp):
     return CavityRates(kappa=10.0**kappa_exp, gamma=10.0**gamma_exp), 10.0**gain_exp
 
 
+def _term_sizes(state, rates, gain, alpha_l):
+    """Sum of the magnitudes of the terms of each absolute_derivatives component, packed:
+    the scale its rounding is relative to."""
+    gamma_total, drive = rates.gamma_total, math.sqrt(rates.kappa) * abs(alpha_l)
+    a_p, a_pp, m_si = abs(state.a_p), abs(state.a_pp), abs(state.m_si)
+    n_p, n_s, n_i = abs(state.n_p), abs(state.n_s), abs(state.n_i)
+    pair = 2 * gain * a_pp * m_si
+    sizes = [drive + gamma_total * a_p / 2 + 2 * gain * a_p * m_si,
+             2 * drive * a_p + gamma_total * a_pp + gain * (4 * n_p + 2) * m_si,
+             2 * drive * a_p + gamma_total * n_p + 2 * pair,
+             pair + gamma_total * n_s, pair + gamma_total * n_i,
+             gain * a_pp * (n_s + n_i + 1) + gamma_total * m_si]
+    return np.array(sizes)[[0, 0, 1, 1, 2, 3, 4, 5, 5]]
+
+
+class TestUnitsOfGamma:
+    @settings(max_examples=300, deadline=None)
+    @given(kappa_exp=st.floats(6, 11), gamma_exp=st.floats(5, 10), gain_exp=st.floats(-3, 3),
+           sigma_exp=st.floats(-3, 3),
+           moments=st.lists(st.floats(-1e9, 1e9), min_size=9, max_size=9))
+    def test_gamma_times_rates_are_the_absolute_rates(self, kappa_exp, gamma_exp, gain_exp,
+                                                      sigma_exp, moments):
+        """Gamma times mf_derivatives at drive sqrt(kappa) a_l/Gamma and coupling g/Gamma is
+        the right-hand side in Hz at the waveguide drive a_l, within rounding, over random
+        (complex) states and cavities."""
+        rates, gain = _cavity(kappa_exp, gamma_exp, gain_exp)
+        gamma_total = rates.gamma_total
+        # The drive of sigma_n: sigma = 8 g kappa |a_l|^2/Gamma^2 [sqrt(Hz)].
+        alpha_l = math.sqrt(10.0**sigma_exp * gamma_total**3 / (8.0 * gain * rates.kappa))
+        state = _unpack(np.array(moments))
+        scaled = mf_derivatives(state, math.sqrt(rates.kappa) * alpha_l / gamma_total,
+                                gain / gamma_total)
+        absolute = absolute_derivatives(state, rates, gain, alpha_l)
+        error = np.abs(gamma_total * _pack(scaled) - _pack(absolute))
+        bound = 8 * np.finfo(float).eps * _term_sizes(state, rates, gain, alpha_l)
+        assert np.all(error <= bound), error / bound
+
+
 class TestDirectSolve:
     @settings(max_examples=300, deadline=None)
     @given(kappa_exp=st.floats(6, 11), gamma_exp=st.floats(5, 10), gain_exp=st.floats(-3, 3),
-           sigma_exp=st.floats(-3, 3), phase=st.floats(-math.pi, math.pi))
-    def test_invariants(self, kappa_exp, gamma_exp, gain_exp, sigma_exp, phase):
+           sigma_exp=st.floats(-3, 3))
+    def test_invariants(self, kappa_exp, gamma_exp, gain_exp, sigma_exp):
         """Physical bounds and the stop rule over random cavities and drives.
 
         The bounds allow 1e-12 relative for rounding: they are equalities
@@ -205,66 +225,39 @@ class TestDirectSolve:
         """
         rates, gain = _cavity(kappa_exp, gamma_exp, gain_exp)
         sigma_n = 10.0**sigma_exp
-        amplitude = drive_for_sigma(rates, gain, sigma_n * rates.gamma_total)
-        state = mf_steady_state(rates, gain, amplitude * np.exp(1j * phase))
+        n_empty, clamp = _pump_numbers(rates, gain, sigma_n)
+        state = mf_steady_state(n_empty, clamp)
         assert state.n_s >= 0 and state.n_i >= 0 and state.n_p >= 0
         assert abs(state.a_p) ** 2 <= state.n_p * (1 + 1e-12)
         assert abs(state.m_si) ** 2 <= state.n_s * (state.n_i + 1) * (1 + 1e-12)
         if 1 - sigma_n > 1e-12:
-            ns_lin = lin_steady_state(rates, sigma_n * rates.gamma_total).n_s
-            assert state.n_s <= ns_lin * (1 + 1e-12)
-        # The old time-marching stop rule, in the frame where the drive is real.
-        frame = mf_steady_state(rates, gain, amplitude)
-        rate = mf_derivatives(frame, rates, gain, amplitude)
-        assert _max_rel_rate(_pack(frame), _pack(rate), rates.gamma_total) < 1e-9
-
-    def test_empty_cavity_without_gain(self, rates):
-        """g = 0: a_p = 2 sqrt(kappa) alpha_l/Gamma, n_p = |a_p|^2, no pairs."""
-        for alpha_l in (1e7, 3e6 * np.exp(2.1j)):
-            state = mf_steady_state(rates, 0.0, alpha_l)
-            a_p = 2 * math.sqrt(rates.kappa) * alpha_l / rates.gamma_total
-            assert state.a_p == pytest.approx(a_p, rel=1e-15)
-            assert state.a_pp == pytest.approx(a_p**2, rel=1e-14)
-            assert state.n_p == pytest.approx(abs(a_p) ** 2, rel=1e-14)
-            assert state.n_s == state.n_i == 0.0
-            assert state.m_si == 0.0
-
-    @pytest.mark.parametrize("sigma_n", [0.5, 0.999, 2.0, 10.0])
-    def test_complex_drive_rotates_phases(self, rates, gain, sigma_n):
-        amplitude = drive_for_sigma(rates, gain, sigma_n * rates.gamma_total)
-        phase = np.exp(0.7j)
-        real = mf_steady_state(rates, gain, amplitude)
-        rotated = mf_steady_state(rates, gain, amplitude * phase)
-        assert rotated.n_p == pytest.approx(real.n_p, rel=1e-14)
-        assert rotated.n_s == pytest.approx(real.n_s, rel=1e-12)
-        assert rotated.a_p == pytest.approx(real.a_p * phase, rel=1e-14)
-        assert rotated.a_pp == pytest.approx(real.a_pp * phase**2, rel=1e-12)
-        assert rotated.m_si == pytest.approx(real.m_si * phase**2, rel=1e-12)
-
-    def test_rejects_negative_gain(self, rates):
-        with pytest.raises(DomainError):
-            mf_steady_state(rates, -1.0, 1e7)
+            assert state.n_s <= _ns_linearized(sigma_n) * (1 + 1e-12)
+        # The time-marching stop rule, per 1/Gamma.
+        rate = mf_derivatives(state, math.sqrt(n_empty) / 2, gain / rates.gamma_total)
+        assert _max_rel_rate(_pack(state), _pack(rate)) < 1e-9
 
     def test_curve_matches_pointwise_solve(self, rates, gain):
         grid = [0.2, 0.99, 1.3]
         for record in comparison_curve(rates, gain, grid):
-            sigma = record["sigma_n"] * rates.gamma_total
-            state = mf_steady_state(rates, gain, drive_for_sigma(rates, gain, sigma))
+            state = _state_at(rates, gain, record["sigma_n"])
             assert (record["ns_mf"], record["np_mf"]) == (state.n_s, state.n_p)
 
-    def test_linear_columns_round_as_python_floats(self, rates, gain):
-        """ns_lin and np_lin equal the per-row Python float formulas bit for bit."""
-        gamma_total = rates.gamma_total
+    def test_linear_columns_match_exact_rationals(self, rates, gain):
+        """ns_lin within 6e-16 of sigma_n^2/(2(1 - sigma_n^2)) (five roundings), and np_lin
+        within 4e-16 of sigma_n Gamma/(2g), both taken in exact rationals of the floats."""
         grid = np.concatenate([np.linspace(0.1, 1.15, 22), np.linspace(0.9, 0.999, 16),
+                               [1 - 1e-9, 1 - 2e-12, 1 - 1.1e-12],
                                np.random.default_rng(5).uniform(0.0, 1.0, 20000)])
         columns = meanfield.comparison_columns(rates, gain, grid)
-        for k, sigma_n in enumerate(grid.tolist()):
-            sigma = sigma_n * gamma_total
-            alpha_l = math.sqrt(sigma * gamma_total**2 / (8.0 * gain * rates.kappa))
-            assert columns["np_lin"][k] == 4.0 * rates.kappa * alpha_l**2 / gamma_total**2
+        clamp = Fraction(rates.gamma_total) / (2 * Fraction(gain))
+        ns_tol, np_tol = Fraction(6e-16), Fraction(4e-16)
+        for sigma_n, ns_lin, np_lin in zip(grid.tolist(), columns["ns_lin"].tolist(),
+                                           columns["np_lin"].tolist()):
+            s = Fraction(sigma_n)
+            assert abs(Fraction(np_lin) - s * clamp) <= np_tol * s * clamp, sigma_n
             if 1.0 - sigma_n > 1e-12:
-                mag2 = abs(sigma) ** 2
-                assert columns["ns_lin"][k] == mag2 / (2.0 * (gamma_total**2 - mag2)), sigma_n
+                exact = s * s / (2 * (1 - s * s))
+                assert abs(Fraction(ns_lin) - exact) <= ns_tol * exact, sigma_n
 
     def test_threshold_margin(self, rates, gain):
         """1 - sigma_n <= 1e-12 counts as threshold: ns_lin is inf there."""
@@ -292,9 +285,9 @@ class TestOracleAgreement:
         sigma_n = 1, where relaxation is slowest).
         """
         for sigma_n in ORACLE_GRIDS[grid]:
-            drive = drive_for_sigma(rates, gain, sigma_n * rates.gamma_total)
-            direct = mf_steady_state(rates, gain, drive)
-            marched = marched_steady_state(rates, gain, drive)
+            point = _pump_numbers(rates, gain, sigma_n)
+            direct = mf_steady_state(*point)
+            marched = marched_steady_state(*point)
             tolerance = 3e-9 * (1 + 1 / max(abs(1 - sigma_n), 1e-4))
             for name in ("a_p", "a_pp", "n_p", "n_s", "n_i", "m_si"):
                 assert getattr(direct, name) == pytest.approx(getattr(marched, name),
@@ -306,19 +299,12 @@ class TestValidityBoundRoot:
         """The bound is the last float at which the deviation stays within tolerance."""
 
         def deviation(sigma_n):
-            sigma = sigma_n * rates.gamma_total
-            ns_mf = mf_steady_state(rates, gain, drive_for_sigma(rates, gain, sigma)).n_s
-            return abs(lin_steady_state(rates, sigma).n_s - ns_mf) / ns_mf
+            ns_mf = _state_at(rates, gain, sigma_n).n_s
+            ns_lin = sigma_n * sigma_n / (2.0 * (1.0 - sigma_n) * (1.0 + sigma_n))
+            return abs(ns_lin - ns_mf) / ns_mf
 
         bound = validity_bound(rates, gain, 0.05)
         assert deviation(bound) <= 0.05 < deviation(np.nextafter(bound, 1.0))
-
-
-def _root_inputs(rates, gain, sigma_ns):
-    """(N_0, C) of the depletion root at each sigma_n, as _steady_states forms them."""
-    drives = drive_for_sigma(rates, gain, np.asarray(sigma_ns) * rates.gamma_total)
-    empty_pump = 2.0 * math.sqrt(rates.kappa) * drives / rates.gamma_total
-    return empty_pump**2, rates.gamma_total / (2.0 * gain)
 
 
 def _ulps_around_one(count):
@@ -336,10 +322,10 @@ class TestNewtonRoot:
     @pytest.mark.parametrize("grid", sorted(GRIDS))
     def test_moments_match_bisection(self, rates, gain, grid, monkeypatch):
         """Every moment agrees with the bisected root's within 1e-11 relative."""
-        drives = drive_for_sigma(rates, gain, np.asarray(self.GRIDS[grid]) * rates.gamma_total)
-        newton = meanfield._steady_states(rates, gain, drives)
+        point = _pump_numbers(rates, gain, self.GRIDS[grid])
+        newton = meanfield._steady_states(*point)
         monkeypatch.setattr(meanfield, "_depletion", bisected_depletion)
-        bisected = meanfield._steady_states(rates, gain, drives)
+        bisected = meanfield._steady_states(*point)
         for name in ("a_p", "a_pp", "n_p", "n_s", "n_i", "m_si"):
             assert getattr(newton, name) == pytest.approx(getattr(bisected, name), rel=1e-11,
                                                           abs=0.0), name
@@ -355,7 +341,7 @@ class TestNewtonRoot:
 
         excess = meanfield._excess
         monkeypatch.setattr(meanfield, "_excess", counted)
-        meanfield._depletion(*_root_inputs(rates, gain, self.GRIDS[grid]))
+        meanfield._depletion(*_pump_numbers(rates, gain, self.GRIDS[grid]))
         assert 1 <= len(calls) <= 8
 
     @settings(max_examples=300, deadline=None)
@@ -364,13 +350,12 @@ class TestNewtonRoot:
     def test_residual_within_rounding(self, kappa_exp, gamma_exp, gain_exp, sigma_exps):
         """|N(d) - N_0| at the root: within 8 ulps of N_0 (the bisection's within 4)."""
         rates, gain = _cavity(kappa_exp, gamma_exp, gain_exp)
-        n_empty, clamp = _root_inputs(rates, gain, 10.0 ** np.array(sigma_exps))
+        n_empty, clamp = _pump_numbers(rates, gain, 10.0 ** np.array(sigma_exps))
         ulp = np.spacing(n_empty)
         newton = np.abs(meanfield._excess(meanfield._depletion(n_empty, clamp), n_empty, clamp)[0])
         bisected = np.abs(meanfield._excess(bisected_depletion(n_empty, clamp), n_empty, clamp)[0])
         assert np.all(newton <= 8 * ulp), newton / ulp
         assert np.all(bisected <= 4 * ulp), bisected / ulp
-
     def test_slope_is_the_derivative(self):
         """The analytic slope against a central difference, below, at and above threshold."""
         clamp = 3.5e8
