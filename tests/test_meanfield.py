@@ -47,6 +47,19 @@ class TestDerivatives:
         derivative = mf_derivatives(VACUUM, 0.0, gain / rates.gamma_total)
         assert derivative == VACUUM
 
+    def test_pump_decouples_without_gain(self):
+        """Coupling 0 leaves a driven empty cavity: from vacuum the pump settles at
+        <a_p> = 2 f, <a_p^2> = n_p = 4 f^2 = N_0, an exact fixed point, and no pairs."""
+        drive = 3.0
+        empty = MomentState(a_p=2 * drive, a_pp=4 * drive**2, n_p=4 * drive**2)
+        assert mf_derivatives(empty, drive, 0.0) == VACUUM
+        state = steady_state(lambda s: mf_derivatives(s, drive, 0.0), VACUUM, SolverConfig())
+        assert state.a_p == pytest.approx(2 * drive, rel=1e-6)
+        assert state.a_pp == pytest.approx(4 * drive**2, rel=1e-6)
+        assert state.n_p == pytest.approx(4 * drive**2, rel=1e-6)
+        assert state.n_s == state.n_i == 0.0
+        assert state.m_si == 0.0
+
     def test_pair_symmetry(self, rates, gain):
         state = _state_at(rates, gain, 0.8)
         assert state.n_s == pytest.approx(state.n_i, rel=1e-9)
@@ -213,6 +226,31 @@ class TestUnitsOfGamma:
         assert np.all(error <= bound), error / bound
 
 
+# Cavities with the reference ring's Gamma/(2g), as (kappa, gamma, gain) factors of the
+# reference rates: both scalings by a power of 2 are exact, as is the even split of Gamma.
+SAME_CLAMP = {
+    "scaled-down": lambda kappa, gamma, gain: (kappa * 2.0**-40, gamma * 2.0**-40,
+                                               gain * 2.0**-40),
+    "scaled-up": lambda kappa, gamma, gain: (kappa * 2.0**60, gamma * 2.0**60, gain * 2.0**60),
+    "even-split": lambda kappa, gamma, gain: ((kappa + gamma) / 2, (kappa + gamma) / 2, gain),
+}
+
+
+class TestUnitsOfGammaColumns:
+    @pytest.mark.parametrize("cavity", sorted(SAME_CLAMP))
+    def test_columns_depend_only_on_the_clamp(self, rates, gain, cavity):
+        """Every column is the same, bit for bit, on a cavity with the same Gamma/(2g):
+        neither the scale of the rates nor the split of Gamma into kappa and gamma enters."""
+        kappa, gamma, other_gain = SAME_CLAMP[cavity](rates.kappa, rates.gamma, gain)
+        other = CavityRates(kappa=kappa, gamma=gamma)
+        assert other.gamma_total / (2 * other_gain) == rates.gamma_total / (2 * gain)
+        grid = np.concatenate([np.linspace(0.1, 1.15, 22), [1 - 1e-9, 2.0, 10.0, 100.0]])
+        expected = meanfield.comparison_columns(rates, gain, grid)
+        columns = meanfield.comparison_columns(other, other_gain, grid)
+        for name, column in expected.items():
+            assert np.array_equal(columns[name], column), name
+
+
 class TestDirectSolve:
     @settings(max_examples=300, deadline=None)
     @given(kappa_exp=st.floats(6, 11), gamma_exp=st.floats(5, 10), gain_exp=st.floats(-3, 3),
@@ -235,6 +273,30 @@ class TestDirectSolve:
         # The time-marching stop rule, per 1/Gamma.
         rate = mf_derivatives(state, math.sqrt(n_empty) / 2, gain / rates.gamma_total)
         assert _max_rel_rate(_pack(state), _pack(rate)) < 1e-9
+
+    @pytest.mark.parametrize("sigma_n", [0.5, 0.999, 2.0, 10.0])
+    def test_real_drive_reaches_the_first_root(self, rates, gain, sigma_n):
+        """The moments of the real drive sqrt(N_0)/2 are real and in phase with it
+        (<a_p>, <a_p^2>, <a_s a_i> > 0), at the root with pump damping d = 2<a_s a_i>/C
+        below 1, the first reached from vacuum."""
+        n_empty, clamp = _pump_numbers(rates, gain, [sigma_n])
+        state = meanfield._steady_states(n_empty, clamp)
+        for name in ("a_p", "a_pp", "n_p", "n_s", "n_i", "m_si"):
+            assert getattr(state, name).dtype == np.float64, name
+        assert state.a_p[0] > 0 and state.a_pp[0] > 0 and state.m_si[0] > 0
+        assert 2 * state.m_si[0] / clamp < 1
+
+    def test_tiny_gain_approaches_the_empty_cavity(self):
+        """At C = Gamma/(2g) = 1e12 the pump barely depletes below threshold: <a_p> =
+        sqrt(N_0), <a_p^2> = n_p = N_0 and n_s = sigma_n^2/(2(1-sigma_n^2)) within 1e-9."""
+        clamp = 1e12
+        for sigma_n in (0.1, 0.5, 0.95):
+            n_empty = sigma_n * clamp
+            state = mf_steady_state(n_empty, clamp)
+            assert state.a_p == pytest.approx(math.sqrt(n_empty), rel=1e-9)
+            assert state.a_pp == pytest.approx(n_empty, rel=1e-9)
+            assert state.n_p == pytest.approx(n_empty, rel=1e-9)
+            assert state.n_s == pytest.approx(_ns_linearized(sigma_n), rel=1e-9)
 
     def test_curve_matches_pointwise_solve(self, rates, gain):
         grid = [0.2, 0.99, 1.3]
