@@ -29,31 +29,20 @@ from .table import LazyBlocks, ResultTable, flags, format_e17, write_table
 COMMANDS = ("rates", "squeezing", "jsi", "meanfield", "sensitivity", "pole", "improvement")
 
 
-def _require_coupling(rates: CavityRates) -> None:
-    """ConfigError naming geometry.cross_coupling where kappa = 0: an uncoupled ring has no
-    threshold and takes no drive."""
-    if rates.kappa <= 0:
-        raise ConfigError(f"kappa = {rates.kappa!r} must be positive for a threshold to exist "
-                          "(from geometry.cross_coupling)")
-
-
 def _resolve_drive(cfg: RunConfig, rates: CavityRates, gain: float):
-    """(injection, alpha_c, pump_power) for the configured pump block."""
-    _require_coupling(rates)
+    """(injection, alpha_c) for the configured pump block."""
     omega_p = cfg.geometry.pump_frequency()
     if cfg.p_l is not None:
         try:
             injection = sigma_from_power(cfg.p_l, rates, gain, omega_p, cfg.delta_p)
         except DomainError as exc:  # p_l / P_th overflows
             raise ConfigError(f"{exc} (from pump.p_l)") from exc
-        pump_power = cfg.p_l
     else:
         injection = Injection(cfg.sigma_n)
-        pump_power = cfg.sigma_n * threshold_power(rates, gain, omega_p, cfg.delta_p)
     alpha_c = cfg.alpha_c
     if alpha_c is None:
         alpha_c = math.sqrt(cfg.p_c / (HBAR * omega_p))
-    return injection, alpha_c, pump_power
+    return injection, alpha_c
 
 
 # The keys the rates, then the four-wave-mixing strength, are derived from.
@@ -63,9 +52,15 @@ _GAIN_KEYS = ("geometry.ring_length", "geometry.n_g", "geometry.n2", "geometry.a
               "geometry.lambda_p")
 
 
+def _check_threshold(p_th: float, keys) -> None:
+    """ConfigError naming ``keys`` unless the threshold power p_th is positive and finite."""
+    if not 0 < p_th < math.inf:
+        raise ConfigError(f"p_th = {p_th!r} must be positive and finite (from {', '.join(keys)})")
+
+
 def _derive(cfg: RunConfig) -> tuple[CavityRates, float]:
-    """(rates, gain) of the geometry, once the rates, g, gamma_nl and P_th are checked
-    finite and g positive: a value that fails is a ConfigError naming the keys it comes from."""
+    """(rates, gain) of the geometry, once the rates, g, gamma_nl and P_th are checked finite,
+    and g and kappa positive: a value that fails is a ConfigError naming the keys it comes from."""
     def fail(problem: str, keys) -> ConfigError:
         return ConfigError(f"{problem} (from {', '.join(keys)})")
 
@@ -78,16 +73,18 @@ def _derive(cfg: RunConfig) -> tuple[CavityRates, float]:
     except OverflowError as exc:  # omega_p**2 of a Python float raises
         raise fail("g must be finite: omega_p^2 = (2 pi c/lambda_p)^2 overflows",
                    _GAIN_KEYS) from exc
+    except ZeroDivisionError as exc:  # c A_eff L underflows to 0
+        raise fail("g must be finite: c A_eff L underflows to 0", _GAIN_KEYS) from exc
     if not math.isfinite(strength.gain + strength.gamma_nl):
         raise fail(f"g = {strength.gain!r} and gamma_nl = {strength.gamma_nl!r} must be finite",
                    _GAIN_KEYS)
     if strength.gain <= 0:  # n2 = 0, or g underflows: no pairs and no threshold
         raise fail(f"g = {strength.gain!r} must be positive", _GAIN_KEYS)
-    if rates.kappa > 0:  # else _require_coupling, after improvement checks its decay ratio
-        p_th = threshold_power(rates, strength.gain, cfg.geometry.pump_frequency(), cfg.delta_p)
-        if not 0 < p_th < math.inf:
-            raise fail(f"p_th = {p_th!r} must be positive and finite",
-                       _RATE_KEYS + _GAIN_KEYS[1:] + ("pump.delta_p",))
+    if rates.kappa <= 0:  # an uncoupled ring has no threshold and takes no drive
+        raise fail(f"kappa = {rates.kappa!r} must be positive for a threshold to exist",
+                   ("geometry.cross_coupling",))
+    p_th = threshold_power(rates, strength.gain, cfg.geometry.pump_frequency(), cfg.delta_p)
+    _check_threshold(p_th, _RATE_KEYS + _GAIN_KEYS[1:] + ("pump.delta_p",))
     return rates, strength.gain
 
 
@@ -138,7 +135,6 @@ def run_command(cfg: RunConfig) -> ResultTable:
 
 
 def _run_rates(cfg: RunConfig, rates: CavityRates, gain: float):
-    _require_coupling(rates)
     omega_p = cfg.geometry.pump_frequency()
     strength = fwm_gain(cfg.geometry)
     p_th = threshold_power(rates, gain, omega_p, cfg.delta_p)
@@ -149,7 +145,7 @@ def _run_rates(cfg: RunConfig, rates: CavityRates, gain: float):
 
 
 def _run_squeezing(cfg: RunConfig, rates: CavityRates, gain: float):
-    injection, _, _ = _resolve_drive(cfg, rates, gain)
+    injection, _ = _resolve_drive(cfg, rates, gain)
     phi_lo = cfg.sweep.grid()
     columns = ["phi_lo", "variance", "variance_db", "flag"]
     try:
@@ -161,7 +157,7 @@ def _run_squeezing(cfg: RunConfig, rates: CavityRates, gain: float):
 
 
 def _run_jsi(cfg: RunConfig, rates: CavityRates, gain: float):
-    injection, _, _ = _resolve_drive(cfg, rates, gain)
+    injection, _ = _resolve_drive(cfg, rates, gain)
     if injection.sigma_n >= 1:  # before any row, as rows are computed lazily
         raise ConfigError(f"jsi needs a drive below threshold, got sigma_n = {injection.sigma_n!r} "
                           f"(from {'pump.sigma_n' if cfg.p_l is None else 'pump.p_l'})")
@@ -182,7 +178,6 @@ def _run_jsi(cfg: RunConfig, rates: CavityRates, gain: float):
 
 
 def _run_meanfield(cfg: RunConfig, rates: CavityRates, gain: float):
-    _require_coupling(rates)
     grid = cfg.sweep.grid()
     try:
         columns = comparison_columns(rates, gain, grid)
@@ -195,11 +190,13 @@ def _run_meanfield(cfg: RunConfig, rates: CavityRates, gain: float):
 
 
 def _run_sensitivity(cfg: RunConfig, rates: CavityRates, gain: float):
-    injection, alpha_c, pump_power = _resolve_drive(cfg, rates, gain)
+    injection, alpha_c = _resolve_drive(cfg, rates, gain)
     sweep = cfg.sweep
     grid = sweep.grid()
     eta = cfg.eta_value
     omega_p = cfg.geometry.pump_frequency()
+    pump_power = (cfg.p_l if cfg.p_l is not None
+                  else cfg.sigma_n * threshold_power(rates, gain, omega_p, cfg.delta_p))
     if sweep.variable == "p_c":  # at phi = pi/2
         with np.errstate(over="ignore"):  # a flux beyond the float range: _check_probe
             alpha_c, phi = np.sqrt(grid / (HBAR * omega_p)), math.pi / 2
@@ -236,7 +233,7 @@ def _run_sensitivity(cfg: RunConfig, rates: CavityRates, gain: float):
 
 
 def _run_pole(cfg: RunConfig, rates: CavityRates, gain: float):
-    injection, _, _ = _resolve_drive(cfg, rates, gain)
+    injection, _ = _resolve_drive(cfg, rates, gain)
     alpha_c = cfg.sweep.grid()
     _check_probe(alpha_c, cfg)
     columns = ["alpha_c", "dphi_squeezed", "flag"]
@@ -252,19 +249,16 @@ def _run_improvement(cfg: RunConfig, rates: CavityRates, gain: float):
     # Sweep protocol: gamma adjusted at fixed kappa to reach the target
     # decay ratio, sigma_n held at the configured value.
     ratio = cfg.decay_ratio if cfg.decay_ratio is not None else decay_ratio(rates)
-    # A configured ratio is positive (parse_config); the geometry's is 0 where kappa = 0.
+    # A configured ratio is positive (parse_config); the geometry's kappa/gamma can underflow to 0.
     gamma = rates.kappa / ratio if ratio > 0 else math.nan
     if not math.isfinite(gamma):
         raise ConfigError(f"improvement.decay_ratio = {ratio!r} with kappa = {rates.kappa!r} "
                           f"(geometry.cross_coupling) gives gamma = {gamma!r}, not finite")
-    _require_coupling(rates)
     ring = CavityRates(kappa=rates.kappa, gamma=gamma)
     if cfg.p_l is not None:  # sigma_n = p_l / P_th of this ring
-        p_th = threshold_power(ring, gain, cfg.geometry.pump_frequency(), cfg.delta_p)
-        if not 0 < p_th < math.inf:
-            raise ConfigError(f"the improvement ring's p_th = {p_th!r} must be positive and finite "
-                              "(from improvement.decay_ratio, geometry.cross_coupling, pump.p_l)")
-    injection, alpha_c, _ = _resolve_drive(cfg, ring, gain)
+        _check_threshold(threshold_power(ring, gain, cfg.geometry.pump_frequency(), cfg.delta_p),
+                         ("improvement.decay_ratio", "geometry.cross_coupling", "pump.p_l"))
+    injection, alpha_c = _resolve_drive(cfg, ring, gain)
     lengths = cfg.sweep.grid()
     columns = ["sensor_length", "eta", "improvement", "flag"]
     eta = efficiency(cfg.sensor_alpha_loss, lengths)

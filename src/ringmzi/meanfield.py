@@ -80,7 +80,8 @@ def mf_derivatives(state: MomentState, drive: float, coupling: float) -> MomentS
 
     drive = sqrt(kappa) a_l/Gamma for a real waveguide drive a_l, coupling = g/Gamma.
     """
-    pair_rate = 2.0 * coupling * (state.a_pp * np.conj(state.m_si)).real
+    # The coupling scales a_pp first: a_pp m_si alone is of order C^2, C = 1/(2c).
+    pair_rate = (2.0 * coupling * state.a_pp * np.conj(state.m_si)).real
     return MomentState(
         a_p=drive - state.a_p / 2 - 2 * coupling * np.conj(state.a_p) * state.m_si,
         a_pp=2 * drive * state.a_p - state.a_pp - coupling * (4 * state.n_p + 2) * state.m_si,
@@ -236,8 +237,10 @@ def comparison_columns(rates: CavityRates, gain: float, sigma_ns) -> dict[str, n
     number N_0 = sigma_n C, C = Gamma/(2g), since sigma = 2 g N_0; at threshold
     (1 - sigma_n <= THRESHOLD_MARGIN) and above it ns_lin is inf. A point whose N_0
     overflows raises ConvergenceError, as does one whose steady state misses its
-    stop rule.
+    stop rule. A gain g <= 0 (no pairs, no threshold) raises DomainError.
     """
+    if gain <= 0:
+        raise DomainError(f"gain must be positive for pairs and a threshold, got {gain!r}")
     clamp = rates.gamma_total / (2.0 * gain)
     sigma_ns = np.asarray(sigma_ns, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below; C = inf at 0 is nan

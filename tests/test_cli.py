@@ -301,11 +301,13 @@ class TestArrayTables:
         if cfg.command == "improvement":
             ratio = cfg.decay_ratio if cfg.decay_ratio is not None else decay_ratio(rates)
             ring = CavityRates(kappa=rates.kappa, gamma=rates.kappa / ratio)
-            injection, alpha_c, _ = _resolve_drive(cfg, ring, gain)
+            injection, alpha_c = _resolve_drive(cfg, ring, gain)
             return oracle.improvement_rows(cfg, ring, injection, alpha_c, grid)
-        injection, alpha_c, power = _resolve_drive(cfg, rates, gain)
+        injection, alpha_c = _resolve_drive(cfg, rates, gain)
         if cfg.command == "pole":
             return oracle.pole_rows(cfg, rates, injection, grid)
+        power = cfg.p_l if cfg.p_l is not None else cfg.sigma_n * threshold_power(
+            rates, gain, cfg.geometry.pump_frequency(), cfg.delta_p)
         return oracle.sensitivity_rows(cfg, rates, injection, alpha_c, power, grid)
 
     @settings(max_examples=60, deadline=None)
@@ -1011,9 +1013,10 @@ class TestMain:
          "line 2: improvement.decay_ratio must be positive, got '-1'"),
         # kappa/decay_ratio overflows: the message names the key, not gamma alone.
         ("improvement", "improvement.decay_ratio=1e-300", "improvement.decay_ratio = 1e-300"),
-        # kappa = 0 makes the geometry's own ratio 0: no ZeroDivisionError traceback.
+        # kappa = 0, whose own decay ratio would be 0: the ring is rejected before the ratio
+        # is read, with no ZeroDivisionError traceback.
         ("improvement", "geometry.cross_coupling=0",
-         "improvement.decay_ratio = 0.0 with kappa = 0.0 (geometry.cross_coupling)"),
+         "kappa = 0.0 must be positive for a threshold to exist (from geometry.cross_coupling)"),
         # An infinite probe wrote every improvement row 'inf,pole'.
         ("improvement", "pump.alpha_c=inf", "line 2: pump.alpha_c must be finite, got 'inf'"),
         ("improvement", "pump.p_c=inf", "line 2: pump.p_c must be finite, got 'inf'"),
@@ -1026,10 +1029,16 @@ class TestMain:
         ("improvement", "geometry.cross_coupling=1e-300 pump.p_l=1e-3 improvement.decay_ratio=1e10"
          " sweep.points=2", "p_th = 0.0 must be positive and finite "
          "(from improvement.decay_ratio, geometry.cross_coupling, pump.p_l)"),
+        # A line without '=' or without a value, and a phase sweep, which has no default
+        # bounds, given none.
+        ("rates", "pump.sigma_n", "line 2: expected 'section.key = value', got 'pump.sigma_n'"),
+        ("rates", "pump.sigma_n=", "line 2: empty value for 'pump.sigma_n'"),
+        ("sensitivity", "sweep.variable=phi", "sweep.start and sweep.stop are required"),
     ], ids=["rates-delta_p", "sensitivity-delta_p", "decay_ratio-negative",
             "decay_ratio-overflow", "decay_ratio-zero-kappa", "improvement-alpha_c",
             "improvement-p_c", "sensitivity-negative-length", "pole-negative-length",
-            "improvement-ring-p_th-underflow"])
+            "improvement-ring-p_th-underflow", "no-equals", "empty-value",
+            "phase-sweep-without-bounds"])
     def test_out_of_range_value_names_its_key(self, command, setting, message, capsys):
         """``setting`` is one or more space-separated KEY=VALUE pairs, one --set each."""
         assert main([command] + [arg for pair in setting.split() for arg in ("--set", pair)]) == 2
@@ -1068,12 +1077,14 @@ class TestMain:
         ["geometry.cross_coupling=1e-300"],
         # C = 8.6e189, whose square overflows.
         ["geometry.n2=1e-200", "sweep.stop=0.99"],
-    ], ids=["tiny-kappa", "tiny-g"])
+        # C = 8.6e289, across threshold, where a_pp m_si is of order C^2.
+        ["geometry.n2=1e-300"],
+    ], ids=["tiny-kappa", "tiny-g", "tinier-g"])
     def test_meanfield_far_from_the_reference_ring(self, settings, tmp_path):
         """The solve runs in units of Gamma: rings whose absolute drive leaves the float
         range exit 0 with finite cells (ns_lin inf only on threshold rows), np_lin =
-        sigma_n C, and ns_mf = ns_lin within 2e-14 where C is so large that the pump
-        does not deplete below threshold."""
+        sigma_n C, and ns_mf = ns_lin within 2e-14 below threshold where C is so large
+        that the pump does not deplete there."""
         path = tmp_path / "meanfield.csv"
         assert main(["meanfield", "--out", str(path)]
                     + [arg for pair in settings for arg in ("--set", pair)]) == 0
@@ -1090,7 +1101,8 @@ class TestMain:
         clamp = derive_rates(cfg.geometry).gamma_total / (2 * fwm_gain(cfg.geometry).gain)
         assert np_lin == pytest.approx(sigma_n * clamp, rel=4e-16)
         if clamp > 1e150:
-            assert ns_mf == pytest.approx(ns_lin, rel=2e-14)
+            below = flag == ""
+            assert ns_mf[below] == pytest.approx(ns_lin[below], rel=2e-14)
 
     @pytest.mark.parametrize("argv,key,variable", [
         (["improvement"], "sensor.length=1e4", "sensor_length"),

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import math
 import warnings
 
@@ -60,6 +61,26 @@ def test_every_numeric_key_at_every_extreme(base, tmp_path):
     failures = [f"{base} {key}={value!r}: exit {status} {wrong}"
                 for key in NUMERIC_KEYS for value in EXTREMES
                 for status, wrong in [run(command, BASES[base] + [f"{key}={value!r}"], key,
+                                          tmp_path / "table.csv")]
+                if status not in (0, 2) or wrong]
+    assert not failures, "\n".join(failures)
+
+
+GEOMETRY_KEYS = [key for key in NUMERIC_KEYS if key.startswith("geometry.")]
+# The distinct extremes >= 0: a ring is derived from every pair of them.
+NONNEGATIVE = [0.0, *(value for value in EXTREMES if value > 0)]
+
+
+@pytest.mark.parametrize("base", ["rates", "meanfield"])
+def test_every_pair_of_geometry_keys_at_nonnegative_extremes(base, tmp_path):
+    """Two geometry keys at once, each at every extreme >= 0, under the rules of run: exit 2
+    names one of the two keys. A pair can fail where neither key alone does, as when
+    c A_eff L underflows to 0."""
+    failures = [f"{base} {pair}: exit {status} {wrong}"
+                for first, second in itertools.combinations(GEOMETRY_KEYS, 2)
+                for a, b in itertools.product(NONNEGATIVE, repeat=2)
+                for pair in [[f"{first}={a!r}", f"{second}={b!r}"]]
+                for status, wrong in [run(base, BASES[base] + pair, f"{first} {second}",
                                           tmp_path / "table.csv")]
                 if status not in (0, 2) or wrong]
     assert not failures, "\n".join(failures)

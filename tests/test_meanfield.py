@@ -175,6 +175,22 @@ class TestValidityBound:
         loose = validity_bound(rates, gain, 0.5)
         assert tight < loose < 1.0
 
+    def test_upper_end_where_the_pump_does_not_deplete(self):
+        """At C = Gamma/(2g) = 5.5e20 the deviation stays within tolerance up to the
+        bracket's upper end, which is returned."""
+        assert validity_bound(CavityRates(kappa=1e9, gamma=1e8), 1e-12, 0.05) == 1.0 - 1e-9
+
+    @pytest.mark.parametrize("nonpositive", [-1.0, 0.0])
+    def test_rejects_gain_without_pairs(self, nonpositive):
+        """g <= 0 gives no pairs and no threshold: comparison_columns, and validity_bound
+        through it, raise DomainError naming the gain, not a bare ValueError or
+        ZeroDivisionError."""
+        rates = CavityRates(kappa=1e9, gamma=1e8)
+        with pytest.raises(DomainError, match=f"gain must be positive .*{nonpositive!r}"):
+            meanfield.comparison_columns(rates, nonpositive, [0.5])
+        with pytest.raises(DomainError, match="gain must be positive"):
+            validity_bound(rates, nonpositive, 0.05)
+
 
 class TestMomentInvariants:
     def test_pump_coherence_bound(self, rates, gain):
