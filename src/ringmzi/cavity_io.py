@@ -71,9 +71,11 @@ def _pair_moments(rates: CavityRates, injection: Injection, delta_s=0.0, delta_i
     """(x, n_s, m_si e^(-i phi_sigma), V_sq) at detunings delta_s, delta_i [rad/s].
 
     The closed forms of the module docstring, in units of Gamma; the detunings may be floats or
-    broadcastable arrays. m_si is None unless ``anomalous``: its complex arithmetic would double
-    the cost of the jsi. n_s and m_si come divided by scale^2 and scale, a power of two, which
-    keeps a tiny drive's from rounding to subnormals. Raises ThresholdError at sigma_n >= 1.
+    broadcastable arrays. Where D overflows, floats turn inf without a warning; jsi evaluates
+    arrays under np.errstate. m_si is None unless ``anomalous``: its complex arithmetic would
+    double the cost of the jsi. n_s and m_si come divided by scale^2 and scale, a power of two,
+    which keeps a tiny drive's from rounding to subnormals. Raises ThresholdError at
+    sigma_n >= 1.
     """
     s = injection.sigma_n
     if s >= 1:
@@ -81,21 +83,20 @@ def _pair_moments(rates: CavityRates, injection: Injection, delta_s=0.0, delta_i
     gamma_total = rates.gamma_total
     x, t = rates.kappa / gamma_total, s / scale
     u, v = delta_s / gamma_total, delta_i / gamma_total
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # if D overflows: below
-        uv = 4 * u * v
-        # u - v taken in Hz: from the rounded u and v it loses up to 1e-13 near threshold.
-        # Squares as products: a float ** that overflows raises.
-        near, apart = uv + (1 - s) * (1 + s), (delta_s - delta_i) / gamma_total
-        denominator = near * near + 4 * apart * apart
-        n_s = 4 * t * t * x / denominator
-        m_si = -2 * x * t * (uv - 1 - s * s - 2j * (u + v)) / denominator if anomalous else None
-        if not np.isfinite(denominator).all():  # there sqrt(D) = 4 g h, g = max(|u|, |v|)
-            finite, g = np.isfinite(denominator), np.maximum(abs(u), abs(v))
-            h = np.hypot(u / g * v + (1 - s) * (1 + s) / (4 * g), (u / g - v / g) / 2)
-            n_s = np.where(finite, n_s, t * t * x / g / h / (4 * g) / h)[()]
-            if anomalous:  # the numerator over 4 g
-                scaled = u / g * v - (1 + s * s) / (4 * g) - 0.5j * (u / g + v / g)
-                m_si = np.where(finite, m_si, -x * t * scaled / 2 / g / h / h)[()]
+    uv = 4 * u * v
+    # u - v taken in Hz: from the rounded u and v it loses up to 1e-13 near threshold.
+    # Squares as products: a float ** that overflows raises.
+    near, apart = uv + (1 - s) * (1 + s), (delta_s - delta_i) / gamma_total
+    denominator = near * near + 4 * apart * apart
+    n_s = 4 * t * t * x / denominator
+    m_si = -2 * x * t * (uv - 1 - s * s - 2j * (u + v)) / denominator if anomalous else None
+    if not np.isfinite(denominator).all():  # there sqrt(D) = 4 g h, g = max(|u|, |v|)
+        finite, g = np.isfinite(denominator), np.maximum(abs(u), abs(v))
+        h = np.hypot(u / g * v + (1 - s) * (1 + s) / (4 * g), (u / g - v / g) / 2)
+        n_s = np.where(finite, n_s, t * t * x / g / h / (4 * g) / h)[()]
+        if anomalous:  # the numerator over 4 g
+            scaled = u / g * v - (1 + s * s) / (4 * g) - 0.5j * (u / g + v / g)
+            m_si = np.where(finite, m_si, -x * t * scaled / 2 / g / h / h)[()]
     v_squeezed = ((1 - s) ** 2 + 4 * s * (rates.gamma / gamma_total)) / (1 + s) ** 2
     return x, n_s, m_si, v_squeezed
 
@@ -122,8 +123,9 @@ def jsi(rates: CavityRates, injection: Injection, delta_ws, delta_wi):
     Phi(dw_s, dw_i) = n_s^2 + |m_si|^2 = n_s (x + 2 n_s) at detunings
     (+dw_s, -dw_i). Accepts scalars or broadcastable arrays for the offsets.
     """
-    x, n_s, _, _ = _pair_moments(rates, injection, np.asarray(delta_ws, dtype=float),
-                                 -np.asarray(delta_wi, dtype=float), anomalous=False)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # if D overflows
+        x, n_s, _, _ = _pair_moments(rates, injection, np.asarray(delta_ws, dtype=float),
+                                     -np.asarray(delta_wi, dtype=float), anomalous=False)
     value = n_s * (x + 2 * n_s)
     return float(value) if value.ndim == 0 else value
 

@@ -22,7 +22,7 @@ from .constants import HBAR
 from .errors import ConfigError, ConvergenceError, DomainError, ThresholdError
 from .interferometer import POLE_TOLERANCE, coherent_sensitivity, decay_ratio, mzi_sensitivity
 from .meanfield import comparison_columns
-from .params import (CavityRates, Injection, derive_rates, efficiency, fwm_gain,
+from .params import (CavityRates, FwmStrength, Injection, derive_rates, efficiency, fwm_gain,
                      sigma_from_power, threshold_power)
 from .table import LazyBlocks, ResultTable, flags, format_e17, write_table
 
@@ -58,9 +58,10 @@ def _check_threshold(p_th: float, keys) -> None:
         raise ConfigError(f"p_th = {p_th!r} must be positive and finite (from {', '.join(keys)})")
 
 
-def _derive(cfg: RunConfig) -> tuple[CavityRates, float]:
-    """(rates, gain) of the geometry, once the rates, g, gamma_nl and P_th are checked finite,
-    and g and kappa positive: a value that fails is a ConfigError naming the keys it comes from."""
+def _derive(cfg: RunConfig) -> tuple[CavityRates, FwmStrength, float]:
+    """(rates, strength, P_th) of the geometry, once the rates, g, gamma_nl and P_th are checked
+    finite, and g and kappa positive: a value that fails is a ConfigError naming the keys it
+    comes from. Every builder takes them, so each is derived once per table."""
     def fail(problem: str, keys) -> ConfigError:
         return ConfigError(f"{problem} (from {', '.join(keys)})")
 
@@ -85,7 +86,7 @@ def _derive(cfg: RunConfig) -> tuple[CavityRates, float]:
                    ("geometry.cross_coupling",))
     p_th = threshold_power(rates, strength.gain, cfg.geometry.pump_frequency(), cfg.delta_p)
     _check_threshold(p_th, _RATE_KEYS + _GAIN_KEYS[1:] + ("pump.delta_p",))
-    return rates, strength.gain
+    return rates, strength, p_th
 
 
 def _probe_keys(cfg: RunConfig) -> str:
@@ -119,7 +120,7 @@ def run_command(cfg: RunConfig) -> ResultTable:
     """Evaluate one command; per-point physics errors become flagged rows."""
     if cfg.command not in COMMANDS:
         raise ConfigError(f"unknown command {cfg.command!r}")
-    rates, gain = _derive(cfg)
+    derived = _derive(cfg)
     meta = {"tool_version": __version__, "config_sha256": cfg.config_sha256()}
     builder = {
         "rates": _run_rates,
@@ -130,34 +131,31 @@ def run_command(cfg: RunConfig) -> ResultTable:
         "pole": _run_pole,
         "improvement": _run_improvement,
     }[cfg.command]
-    columns, blocks = builder(cfg, rates, gain)
+    columns, blocks = builder(cfg, *derived)
     return ResultTable(columns=columns, blocks=blocks, meta=meta)
 
 
-def _run_rates(cfg: RunConfig, rates: CavityRates, gain: float):
-    omega_p = cfg.geometry.pump_frequency()
-    strength = fwm_gain(cfg.geometry)
-    p_th = threshold_power(rates, gain, omega_p, cfg.delta_p)
+def _run_rates(cfg: RunConfig, rates: CavityRates, strength: FwmStrength, p_th: float):
     columns = ["kappa", "gamma", "gamma_total", "t_round", "t_trans", "g", "gamma_nl", "p_th"]
     values = [rates.kappa, rates.gamma, rates.gamma_total, rates.t_round, rates.t_trans,
               strength.gain, strength.gamma_nl, p_th]
     return columns, [[np.array([value]) for value in values]]
 
 
-def _run_squeezing(cfg: RunConfig, rates: CavityRates, gain: float):
-    injection, _ = _resolve_drive(cfg, rates, gain)
+def _run_squeezing(cfg: RunConfig, rates: CavityRates, strength: FwmStrength, p_th: float):
+    injection, _ = _resolve_drive(cfg, rates, strength.gain)
     phi_lo = cfg.sweep.grid()
     columns = ["phi_lo", "variance", "variance_db", "flag"]
     try:
         variance = quadrature_variance(rates, injection, phi_lo)
     except ThresholdError:  # the injection, and so the flag, is fixed per table
         infinite = np.full(phi_lo.size, math.inf)
-        return columns, [[phi_lo, infinite, infinite, flags(phi_lo.size, threshold=True)]]
-    return columns, [[phi_lo, variance, to_db(variance), flags(phi_lo.size)]]
+        return columns, [[phi_lo, infinite, infinite, flags(threshold=True)]]
+    return columns, [[phi_lo, variance, to_db(variance), flags()]]
 
 
-def _run_jsi(cfg: RunConfig, rates: CavityRates, gain: float):
-    injection, _ = _resolve_drive(cfg, rates, gain)
+def _run_jsi(cfg: RunConfig, rates: CavityRates, strength: FwmStrength, p_th: float):
+    injection, _ = _resolve_drive(cfg, rates, strength.gain)
     if injection.sigma_n >= 1:  # before any row, as rows are computed lazily
         raise ConfigError(f"jsi needs a drive below threshold, got sigma_n = {injection.sigma_n!r} "
                           f"(from {'pump.sigma_n' if cfg.p_l is None else 'pump.p_l'})")
@@ -177,26 +175,25 @@ def _run_jsi(cfg: RunConfig, rates: CavityRates, gain: float):
     return ["delta_ws", "delta_wi", "value"], LazyBlocks(-(-axis.size // per), block)
 
 
-def _run_meanfield(cfg: RunConfig, rates: CavityRates, gain: float):
+def _run_meanfield(cfg: RunConfig, rates: CavityRates, strength: FwmStrength, p_th: float):
     grid = cfg.sweep.grid()
     try:
-        columns = comparison_columns(rates, gain, grid)
+        columns = comparison_columns(rates, strength.gain, grid)
     except ConvergenceError as exc:
         keys = ("sweep.start", "sweep.stop") + _RATE_KEYS + _GAIN_KEYS[1:]
         raise ConfigError(f"no mean-field steady state at sigma_n = {float(grid[exc.index])!r}: "
                           f"{exc} (from {', '.join(keys)})") from exc
-    flag = flags(columns["sigma_n"].size, threshold=np.isinf(columns["ns_lin"]))
+    flag = flags(threshold=np.isinf(columns["ns_lin"]))
     return [*columns, "flag"], [[*columns.values(), flag]]
 
 
-def _run_sensitivity(cfg: RunConfig, rates: CavityRates, gain: float):
-    injection, alpha_c = _resolve_drive(cfg, rates, gain)
+def _run_sensitivity(cfg: RunConfig, rates: CavityRates, strength: FwmStrength, p_th: float):
+    injection, alpha_c = _resolve_drive(cfg, rates, strength.gain)
     sweep = cfg.sweep
     grid = sweep.grid()
     eta = cfg.eta_value
     omega_p = cfg.geometry.pump_frequency()
-    pump_power = (cfg.p_l if cfg.p_l is not None
-                  else cfg.sigma_n * threshold_power(rates, gain, omega_p, cfg.delta_p))
+    pump_power = cfg.p_l if cfg.p_l is not None else cfg.sigma_n * p_th
     if sweep.variable == "p_c":  # at phi = pi/2
         with np.errstate(over="ignore"):  # a flux beyond the float range: _check_probe
             alpha_c, phi = np.sqrt(grid / (HBAR * omega_p)), math.pi / 2
@@ -211,7 +208,7 @@ def _run_sensitivity(cfg: RunConfig, rates: CavityRates, gain: float):
         squeezed, photons, pole = mzi_sensitivity(alpha_c, phi, eta, rates, injection)
     except ThresholdError:  # the drive, and so the flag, is fixed per table
         infinite = np.full(grid.size, math.inf)
-        return columns, [leading + [infinite] * 3 + [flags(grid.size, threshold=True)]]
+        return columns, [leading + [infinite] * 3 + [flags(threshold=True)]]
     # The coherent reference needs a probe: no probe is a domain row. A coherent probe with
     # a vacuum port reads 1/(sqrt(eta) alpha_c |sin phi|), a pole where its slope
     # eta N |sin phi| is within POLE_TOLERANCE eta N of zero; sin(pi/2) is exactly 1.
@@ -229,11 +226,11 @@ def _run_sensitivity(cfg: RunConfig, rates: CavityRates, gain: float):
     return columns, [leading + [np.where(domain | pole, math.inf, squeezed),
                                 np.where(domain, math.inf, coherent),
                                 np.where(domain, math.inf, snl),
-                                flags(grid.size, domain=domain, pole=pole)]]
+                                flags(domain=domain, pole=pole)]]
 
 
-def _run_pole(cfg: RunConfig, rates: CavityRates, gain: float):
-    injection, _ = _resolve_drive(cfg, rates, gain)
+def _run_pole(cfg: RunConfig, rates: CavityRates, strength: FwmStrength, p_th: float):
+    injection, _ = _resolve_drive(cfg, rates, strength.gain)
     alpha_c = cfg.sweep.grid()
     _check_probe(alpha_c, cfg)
     columns = ["alpha_c", "dphi_squeezed", "flag"]
@@ -241,11 +238,11 @@ def _run_pole(cfg: RunConfig, rates: CavityRates, gain: float):
         dphi, _, pole = mzi_sensitivity(alpha_c, math.pi / 2, cfg.eta_value, rates, injection)
     except ThresholdError:
         return columns, [[alpha_c, np.full(alpha_c.size, math.inf),
-                          flags(alpha_c.size, threshold=True)]]
-    return columns, [[alpha_c, dphi, flags(alpha_c.size, pole=pole)]]
+                          flags(threshold=True)]]
+    return columns, [[alpha_c, dphi, flags(pole=pole)]]
 
 
-def _run_improvement(cfg: RunConfig, rates: CavityRates, gain: float):
+def _run_improvement(cfg: RunConfig, rates: CavityRates, strength: FwmStrength, p_th: float):
     # Sweep protocol: gamma adjusted at fixed kappa to reach the target
     # decay ratio, sigma_n held at the configured value.
     ratio = cfg.decay_ratio if cfg.decay_ratio is not None else decay_ratio(rates)
@@ -256,9 +253,10 @@ def _run_improvement(cfg: RunConfig, rates: CavityRates, gain: float):
                           f"(geometry.cross_coupling) gives gamma = {gamma!r}, not finite")
     ring = CavityRates(kappa=rates.kappa, gamma=gamma)
     if cfg.p_l is not None:  # sigma_n = p_l / P_th of this ring
-        _check_threshold(threshold_power(ring, gain, cfg.geometry.pump_frequency(), cfg.delta_p),
-                         ("improvement.decay_ratio", "geometry.cross_coupling", "pump.p_l"))
-    injection, alpha_c = _resolve_drive(cfg, ring, gain)
+        ring_p_th = threshold_power(ring, strength.gain, cfg.geometry.pump_frequency(), cfg.delta_p)
+        _check_threshold(ring_p_th, ("improvement.decay_ratio", "geometry.cross_coupling",
+                                     "pump.p_l"))
+    injection, alpha_c = _resolve_drive(cfg, ring, strength.gain)
     lengths = cfg.sweep.grid()
     columns = ["sensor_length", "eta", "improvement", "flag"]
     eta = efficiency(cfg.sensor_alpha_loss, lengths)
@@ -270,12 +268,12 @@ def _run_improvement(cfg: RunConfig, rates: CavityRates, gain: float):
         squeezed, _, pole = mzi_sensitivity(alpha_c, math.pi / 2, eta, ring, injection)
     except ThresholdError:
         return columns, [[lengths, eta, np.full(lengths.size, math.inf),
-                          flags(lengths.size, threshold=True)]]
+                          flags(threshold=True)]]
     domain = eta == 0  # a long sensor's e^(-alpha L) underflows: no light reaches the detector
     with np.errstate(invalid="ignore", over="ignore"):  # inf/inf on domain rows; overflow
         factor = np.where(domain | pole, math.inf, coherent_sensitivity(alpha_c, eta) / squeezed)
     _check_coherent(factor, domain | pole, alpha_c, cfg)
-    return columns, [[lengths, eta, factor, flags(lengths.size, domain=domain, pole=pole)]]
+    return columns, [[lengths, eta, factor, flags(domain=domain, pole=pole)]]
 
 
 @functools.cache

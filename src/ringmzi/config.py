@@ -36,8 +36,9 @@ _SWEEPS = {
 # Sweep variables whose negative values have no meaning.
 _NONNEGATIVE_SWEEPS = ("sigma_n", "p_c", "alpha_c", "sensor_length")
 
-# A sweep table is held whole: at most about 260 B per point (meanfield, +260 MB peak RSS at
-# 1e6 points), about 95 B for the phase sweep. The bound applies to jsi.points (per axis) too.
+# A sweep table is held whole. At 1e6 points its peak RSS rises above the post-import baseline
+# by about 178 MB (meanfield), 95-102 MB (the sensitivity sweeps) and 49-72 MB (squeezing, pole,
+# improvement), so at most about 180 B per point. The bound applies to jsi.points too.
 MAX_SWEEP_POINTS = 1_000_000
 
 
@@ -65,12 +66,20 @@ class SweepSpec:
                               f"sweep.start .. sweep.stop = {self.start} .. {self.stop}")
 
     def grid(self) -> np.ndarray:
-        """The sweep's points; a ConfigError where one of them leaves the float range."""
+        """The sweep's points, by np.linspace's arithmetic (of the exponents, for a log sweep);
+        a ConfigError where one of them leaves the float range."""
+        start, stop = ((math.log10(self.start), math.log10(self.stop)) if self.scale == "log"
+                       else (self.start, self.stop))
+        grid, div = np.arange(self.points, dtype=float), self.points - 1
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            if (step := (stop - start) / div) == 0:  # a subnormal step: over div first
+                grid /= div
+                step = stop - start
+            grid *= step
+            grid += start
+            grid[-1] = stop
             if self.scale == "log":
-                grid = np.logspace(math.log10(self.start), math.log10(self.stop), self.points)
-            else:
-                grid = np.linspace(self.start, self.stop, self.points)
+                grid = 10.0 ** grid
         if not np.isfinite(grid).all():
             raise ConfigError(f"the {self.scale} sweep from {self.start!r} to {self.stop!r} has "
                               "points beyond the float range (from sweep.start, sweep.stop)")
@@ -99,7 +108,7 @@ class RunConfig:
     jsi_span: float | None
     jsi_points: int
     decay_ratio: float | None
-    resolved: dict[str, str]
+    resolved: dict[str, object]
 
     @property
     def eta_value(self) -> float:
@@ -109,9 +118,9 @@ class RunConfig:
         return efficiency(self.sensor_alpha_loss, self.sensor_length)
 
     def config_sha256(self) -> str:
-        canonical = "".join(f"{k} = {self.resolved[k]}\n" for k in sorted(self.resolved))
-        canonical = f"command = {self.command}\n" + canonical
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        # By line, sorted as by key: ' ' sorts before every character of a key.
+        canonical = "".join(sorted(f"{k} = {v}\n" for k, v in self.resolved.items()))
+        return hashlib.sha256(f"command = {self.command}\n{canonical}".encode()).hexdigest()
 
 
 def _parse_lines(text: str) -> list[tuple[int, str, str]]:
@@ -166,9 +175,8 @@ def parse_config(text: str, command: str = "") -> RunConfig:
         return int(value)
 
     try:
-        geometry = RingGeometry(**{f.name: number(f"geometry.{f.name}",
-                                                  getattr(REFERENCE_GEOMETRY, f.name))
-                                   for f in fields(RingGeometry)})
+        geometry = RingGeometry(**{name: number(f"geometry.{name}", default)
+                                   for name, default in vars(REFERENCE_GEOMETRY).items()})
     except DomainError as exc:  # each message starts with the field it checks
         raise ConfigError(f"geometry.{exc}") from exc
 
@@ -236,10 +244,9 @@ def parse_config(text: str, command: str = "") -> RunConfig:
         raise fail("improvement.decay_ratio", "must be positive")
 
     # The hashed text: every key but the sweep's, which enter only when set.
-    resolved = {f"geometry.{f.name}": getattr(geometry, f.name) for f in fields(RingGeometry)}
+    resolved = {f"geometry.{name}": value for name, value in vars(geometry).items()}
     resolved.update(setting)
     if sweep_set:
-        resolved.update((f"sweep.{f.name}", getattr(sweep, f.name)) for f in fields(SweepSpec))
-    return RunConfig(command=command, geometry=geometry, sweep=sweep,
-                     **{name: setting[key] for key, name in _FIELDS.items()},
-                     resolved={key: str(value) for key, value in resolved.items()})
+        resolved.update((f"sweep.{name}", value) for name, value in vars(sweep).items())
+    return RunConfig(command=command, geometry=geometry, sweep=sweep, resolved=resolved,
+                     **{name: setting[key] for key, name in _FIELDS.items()})

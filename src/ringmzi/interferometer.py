@@ -60,8 +60,7 @@ def mzi_sensitivity(alpha_c, phi, eta, rates: CavityRates, injection: Injection)
     with the readout; ThresholdError at sigma_n >= 1 and the DomainError of
     _check_pair_port hold for every point alike.
     """
-    alpha_c, phi, eta = np.broadcast_arrays(*(np.asarray(x, dtype=float)
-                                             for x in (alpha_c, phi, eta)))
+    alpha_c, phi, eta = (np.asarray(x, dtype=float) for x in (alpha_c, phi, eta))
     # N = n scale^2 and M = m scale: n and m keep every digit where a tiny drive's N is subnormal;
     # root takes a and sqrt(N) to about 1 where both lie below 2^-600, so no term is subnormal.
     scale = math.ldexp(1.0, min(math.frexp(injection.sigma_n)[1], 0))
@@ -72,7 +71,9 @@ def mzi_sensitivity(alpha_c, phi, eta, rates: CavityRates, injection: Injection)
     root = np.where(alpha_c * alpha_c < 2.0 ** -600, np.ldexp(1.0, np.minimum(-np.frexp(np.maximum(
         np.abs(alpha_c), scale * math.sqrt(n)))[1], 1023)), 1.0) if big_n < 2.0 ** -600 else 1.0
     unit = scale * root  # N root^2 = n unit^2 and M root = m unit
-    a2, scaled_n, scaled_m = np.square(alpha_c * root), n * unit * unit, m * unit
+    # a^2 takes the broadcast shape, and so every result does.
+    a2 = np.square(alpha_c * root, out=np.empty(np.broadcast(alpha_c, phi, eta).shape))
+    scaled_n, scaled_m = n * unit * unit, m * unit
     cosine, sine = np.cos(phi), np.sin(phi)
     var_id = (eta * eta * (cosine * cosine * (a2 + scaled_n * (big_n + 2) + scaled_m * scaled_m)
                            + sine * sine * (2 * a2 * v_min + scaled_n))

@@ -201,7 +201,7 @@ def efficiency(alpha_loss: float, length):
     if alpha_loss < 0:
         raise DomainError(f"alpha_loss must be non-negative, got {alpha_loss}")
     length = np.asarray(length, dtype=float)
-    if np.any(length < 0):
+    if (length < 0).any():
         raise DomainError(f"length must be non-negative, got {length}")
     with np.errstate(over="ignore"):  # -inf: e^(-inf) is 0
         exponent = -alpha_loss * length

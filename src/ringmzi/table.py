@@ -10,7 +10,6 @@ import os
 import stat
 import sys
 from collections.abc import Callable, Iterable
-from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,15 +55,16 @@ _FLAG_TEXT = np.array([b"", b"pole", b"domain", b"threshold"], "S9").view(np.uin
 _FLAG_WIDTHS = np.array([0, -4, -6, -9], np.int8)
 
 
-def flags(size: int, threshold=False, domain=False, pole=False) -> Cells:
-    """Flag column as Cells from row masks: threshold outranks domain, domain outranks pole."""
-    kind = np.where(threshold, 3, np.where(domain, 2, np.where(pole, 1, 0)))
-    return Cells(np.broadcast_to(_FLAG_TEXT.take(kind, axis=0), (size, 9)),
-                 np.broadcast_to(_FLAG_WIDTHS.take(kind), (size,)))
+def flags(threshold=False, domain=False, pole=False) -> Cells:
+    """Flag column as Cells from row masks, one cell for every row where no mask is an array:
+    threshold outranks domain, domain outranks pole."""
+    kind = np.where(threshold, 3, np.where(domain, 2, np.where(pole, 1, 0))).reshape(-1)
+    return Cells(_FLAG_TEXT.take(kind, axis=0), _FLAG_WIDTHS.take(kind))
 
 
 _POWER_RANGE = range(342, -293, -1)  # 10^(17 - k) for every decimal exponent k of a finite float
 _SPLIT = 2.0 ** 27 + 1  # Dekker's split of a double into two 26-bit halves
+_SPECIAL_EDGES = np.array([1.0, math.inf])  # |0|, inf and nan sort to 0, 1 and 2
 
 
 @functools.cache
@@ -73,8 +73,8 @@ def _e17_tables():
     Dekker halves, lo) and shifts, 10^(17 - k) = (hi + lo) 2^shift, hi in [1/2, 2]; 'e-32' ..
     'e+30' as '<u4' words, the fifth bytes of 'e-325' .. 'e+309'; the signed width (see Cells),
     at 635 + k + 325 if negative. The '<u4' words of NUL or '-', digit, '.', digit at D // 10^16
-    (+ 100 if negative) and of 0000 .. 9999; the dtype of a cell's 25 bytes as such words. The
-    cells of 0, -0, inf, -inf, nan, nan (at 2 isinf + 4 isnan + signbit), and their widths."""
+    (+ 100 if negative) and of 0000 .. 9999. The cells of 0, -0, inf, -inf, nan, nan (at
+    2 isinf + 4 isnan + signbit), and their widths."""
     powers = []
     for p in _POWER_RANGE:
         e = (10 ** abs(p)).bit_length() * (1 if p >= 0 else -1)
@@ -92,7 +92,6 @@ def _e17_tables():
             np.array(widths + [-1 - width for width in widths], np.int8),
             words(s + b"%d.%d" % divmod(i, 10) for s in (b"\0", b"-") for i in range(100)),
             words(b"%04d" % i for i in range(10 ** 4)),
-            np.dtype([("head", "<u4"), ("quads", "<u4", 4), ("exponent", "<u4"), ("tail", "u1")]),
             np.array(special, "S25").view(np.uint8).reshape(-1, 25),
             np.array([-len(text) for text in special], np.int8))
 
@@ -149,8 +148,9 @@ def format_e17(values) -> Cells:
     as long as its text. The others are written as words: sign, digit, '.', digit;
     4 x 4 digits; 'e+NN'; a last byte.
     """
-    _, _, exponents, tails, lengths, heads, quads, record, specials, special_widths = _e17_tables()
-    x = np.asarray(values, dtype=np.float64).ravel()
+    _, _, exponents, tails, lengths, heads, quads, specials, special_widths = _e17_tables()
+    x = np.asarray(values, dtype=np.float64)
+    shape, x = x.shape, x.ravel()
     magnitude, special = np.abs(x), []  # special: the indices of 0, inf and nan
     if not 0 < magnitude.min(initial=1.0) <= magnitude.max(initial=1.0) < math.inf:
         special = (~((magnitude > 0) & (magnitude < math.inf))).nonzero()[0]
@@ -179,22 +179,23 @@ def format_e17(values) -> Cells:
     del first
     np.floor_divide(groups[2:], 10 ** 4, out=groups[:2])
     groups[2:] -= groups[:2] * 10 ** 4
-    cells = (out := np.empty((x.size, 25), np.uint8)).view(record)[:, 0]
-    cells["head"] = heads.take(digits + 100 * (negative := np.signbit(x)))
+    # A cell's 25 bytes lead its 7 '<u4' words: head, 4 quads, exponent, last byte.
+    words = np.empty((x.size, 7), "<u4")
+    words[:, 0] = heads.take(digits + 100 * (negative := np.signbit(x)))
     del digits
-    words = quads.take(groups)
+    for j, word in zip((1, 3, 2, 4), quads.take(groups)):  # per word: 2x faster than (n, 4)
+        words[:, j] = word
     del groups
-    for j, word in zip((0, 2, 1, 3), words):  # per word: 2x faster than (n, 4)
-        cells["quads"][:, j] = word
-    cells["exponent"], cells["tail"] = exponents.take(index), tails.take(index)
-    width = lengths.take(index + 635 * negative)
-    if text := ["%.17e" % value for value in x[fallback].tolist()]:
+    words[:, 5], words[:, 6] = exponents.take(index), tails.take(index)
+    out, width = words.view(np.uint8)[:, :25], lengths.take(index + 635 * negative)
+    if fallback.size:
+        text = ["%.17e" % value for value in x[fallback].tolist()]
         out[fallback] = np.array(text, dtype="S25").view(np.uint8).reshape(-1, 25)
         width[fallback] = [-len(cell) for cell in text]
     if len(special):
-        code = 2 * np.isinf(x[special]) + 4 * np.isnan(x[special]) + negative[special]
+        code = 2 * _SPECIAL_EDGES.searchsorted(np.abs(x[special])) + negative[special]
         out[special], width[special] = specials.take(code, axis=0), special_widths.take(code)
-    return Cells(out.reshape(np.shape(values) + (25,)), width.reshape(np.shape(values)))
+    return Cells(out.reshape(shape + (25,)), width.reshape(shape))
 
 
 # One dtype object per width: parsing "S25" at every copy costs more than a small copy.
@@ -215,7 +216,7 @@ def _chunk(columns: list, runs: list) -> np.ndarray:
     cells = [isinstance(c, Cells) for c in columns]
     numbers = [c for c, is_cells in zip(columns, cells) if not is_cells]
     formatted = format_e17(  # one column is formatted through a view: no copy
-        np.stack(numbers, axis=-1) if len(numbers) > 1 else numbers[0][..., None])
+        np.array(numbers).transpose(1, 2, 0) if len(numbers) > 1 else numbers[0][..., None])
     # Cells of shape (outer or 1, span or 1, columns): one per run of adjacent numeric
     # columns, one per Cells column.
     segments, j = [], 0
@@ -226,14 +227,14 @@ def _chunk(columns: list, runs: list) -> np.ndarray:
             j += (count := len(list(group)))
             segments.append(formatted if count == len(numbers) else formatted[:, :, j - count:j])
     outer, span, _ = map(max, zip(*(c.shape for c in segments)))
-    if outer == 1:  # cut where the widths of any column change; per column, 4x faster than any()
-        changed = np.zeros(span - 1, bool)
+    if outer == 1:  # cut where the widths of any column change: each segment as one flat row
+        changed = np.zeros(span, bool)
         for c in segments:
-            for w in c.widths[0].T if c.shape[1] > 1 else ():
-                changed |= w[1:] != w[:-1]
-        cuts = np.flatnonzero(changed)
-        if fixed := (cuts.size + 1 - len(runs)) * _RUN_ROWS < span:
-            marks = [0, *(cuts + 1).tolist(), span]
+            if c.shape[1] > 1:  # a column broadcast along the row has no cut
+                w, k = c.widths.ravel(), c.shape[2]
+                changed[(w[k:] != w[:-k]).nonzero()[0] // k + 1] = True
+        if fixed := ((cuts := changed.nonzero()[0]).size + 1 - len(runs)) * _RUN_ROWS < span:
+            marks = [0, *cuts.tolist(), span]
             runs = list(zip(marks, marks[1:]))
     else:  # whether each run of the numbers holds one width: as bytes, cheaper than numpy's
         fixed = all((w := formatted.widths[:, a:b]).tobytes()
@@ -267,60 +268,52 @@ def _chunks(block: list):
     A 1-D block is one row of 2-D columns, which _chunk cuts itself. A 2-D block is
     also cut where the widths of a Cells column change, along either axis.
     """
-    block = [c if len(c.shape) == 2 else c[None] for c in block]
-    outer, span = map(max, zip(*(c.shape for c in block)))
-    cuts = [c.cuts for c in block if isinstance(c, Cells)] if outer > 1 else []
+    shapes = [c.shape if len(c.shape) == 2 else (1, *c.shape) for c in block]
+    outer, span = map(max, zip(*shapes))
+    cuts = [(c if len(c.shape) == 2 else c[None]).cuts
+            for c in block if isinstance(c, Cells)] if outer > 1 else []
     row_marks = sorted({*range(0, outer, max(1, WRITE_BLOCK_ROWS // span)), outer,
                         *(i for rows, _ in cuts for i in rows)})
     for j0 in range(0, span, WRITE_BLOCK_ROWS):
         j1 = min(j0 + WRITE_BLOCK_ROWS, span)
         marks = sorted({j0, j1, *(j for _, cols in cuts for j in cols if j0 < j < j1)})
         runs = [(a - j0, b - j0) for a, b in zip(marks, marks[1:])]
-        for i0, i1 in zip(row_marks, row_marks[1:]):
-            yield _chunk([c[slice(i0, i1) if c.shape[0] > 1 else slice(None),
-                            slice(j0, j1) if c.shape[1] > 1 else slice(None)] for c in block], runs)
-
-
-@contextmanager
-def _overwrite(path: str):
-    """A binary handle that writes over the file at path from byte 0, creating it if need be.
-
-    The file is opened without O_TRUNC: freeing a previous file's blocks first costs more
-    than writing over them. Once the handle is closed, a regular file that is longer than
-    what reached it is cut there, also after a failure, so no byte of the previous file
-    remains. A new file, or one the table outgrew, takes no cut.
-    """
-    # O_BINARY (Windows only): without it the C runtime writes each '\n' as '\r\n'.
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
-    try:
-        with open(fd, "wb", closefd=False) as handle:
-            yield handle
-    finally:
-        try:
-            st = os.fstat(fd)
-            if stat.S_ISREG(st.st_mode):  # /dev/null and FIFOs take no cut (and cannot seek)
-                end = os.lseek(fd, 0, os.SEEK_CUR)
-                if st.st_size > end:
-                    os.ftruncate(fd, end)
-        finally:
-            os.close(fd)
+        for i0, i1 in zip(row_marks, row_marks[1:]):  # a 1-D column gains its row axis here
+            yield _chunk([c[(slice(i0, i1) if rows > 1 else slice(None)) if len(c.shape) == 2
+                            else None, slice(j0, j1) if cols > 1 else slice(None)]
+                          for c, (rows, cols) in zip(block, shapes)], runs)
 
 
 def write_table(table: ResultTable, path: str | None) -> None:
     """Write the table as CSV with '#'-prefixed metadata lines.
 
     Each block goes out in _chunks: numbers as Python's '%.17e' byte for byte
-    ('inf', 'nan' as such), preformatted numbers and flags as is. The bytes
-    go over the file in place (see _overwrite) or to stdout's binary buffer. Output
-    bytes are a pure function of the table contents, so identical configurations
-    produce identical files.
+    ('inf', 'nan' as such), preformatted numbers and flags as is. Output bytes are a
+    pure function of the table contents, so identical configurations produce identical
+    files. They go to stdout's binary buffer, or over the file at path from byte 0,
+    which is created if need be. The file is opened without O_TRUNC: freeing a previous
+    file's blocks first costs more than writing over them. Once written, a regular file
+    that is longer than what reached it is cut there, also after a failure, so no byte
+    of the previous file remains. A new file, or one the table outgrew, takes no cut.
     """
     header = [f"# {k}={table.meta[k]}" for k in sorted(table.meta)] + [",".join(table.columns)]
+    # Unlike for loops, writelines and chain drop each chunk, and each block once its
+    # chunks are written, before they make the next.
+    text = itertools.chain([("\n".join(header) + "\n").encode()],
+                           itertools.chain.from_iterable(map(_chunks, table.blocks)))
     if path is None:
         sys.stdout.flush()  # text already written to stdout goes first
-    with nullcontext(sys.stdout.buffer) if path is None else _overwrite(path) as handle:
-        handle.write(("\n".join(header) + "\n").encode())
-        # Unlike for loops, writelines and chain drop each chunk, and each block once its
-        # chunks are written, before they make the next.
-        handle.writelines(itertools.chain.from_iterable(map(_chunks, table.blocks)))
-
+        sys.stdout.buffer.writelines(text)
+        return
+    # O_BINARY (Windows only): without it the C runtime writes each '\n' as '\r\n'.
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        with open(fd, "wb", closefd=False) as handle:
+            handle.writelines(text)
+    finally:
+        try:
+            st = os.fstat(fd)  # /dev/null and FIFOs take no cut (and cannot seek)
+            if stat.S_ISREG(st.st_mode) and st.st_size > (end := os.lseek(fd, 0, os.SEEK_CUR)):
+                os.ftruncate(fd, end)
+        finally:
+            os.close(fd)

@@ -485,7 +485,7 @@ class TestStreamedJsi:
         values = np.linspace(-1.0, 1.0, size) * 1e9
         text = format_e17(values)
         pole = np.arange(size) % 2 == 1
-        flags = writer.flags(size, pole=pole)
+        flags = writer.flags(pole=pole)
         table = ResultTable(columns=["a", "b", "flag"], meta={},
                             blocks=LazyBlocks(2, lambda k: [text, values * (k + 1), flags]))
         assert len(list(writer._chunks(next(iter(table.blocks))))) == 2
@@ -639,7 +639,7 @@ class TestRowAssembly:
             threshold, domain, pole = (np.array(column(st.booleans())) for _ in range(3))
             labels = np.where(threshold, "threshold",
                               np.where(domain, "domain", np.where(pole, "pole", ""))).tolist()
-            columns.append(writer.flags(size, threshold=threshold, domain=domain, pole=pole))
+            columns.append(writer.flags(threshold=threshold, domain=domain, pole=pole))
         names += ["flag"] if flag else []
         table = ResultTable(columns=names, blocks=[columns], meta={})
         cells = [["%.17e" % v for v in column.tolist()] for column in values]
@@ -655,7 +655,7 @@ class TestRowAssembly:
         for k in range(cuts):  # every change of sign is a change of width
             signs[(k + 1) * 400 // (cuts + 1):] *= -1
         values = np.linspace(1.0, 2.0, 400) * signs
-        chunks = writer._chunks([values, writer.flags(400)])
+        chunks = writer._chunks([values, writer.flags()])
         assert [chunk.ndim == 2 for chunk in chunks] == [strided]
         # Two signal cells of two widths: one chunk of one row each.
         block = [format_e17(np.array([[-1.0], [1.0]])),
@@ -815,7 +815,7 @@ class TestWriteTable:
     def test_metadata_and_values(self, tmp_path):
         table = ResultTable(columns=["x", "flag"],
                             blocks=[[np.array([1.5, math.inf]),
-                                     writer.flags(2, pole=np.array([False, True]))]],
+                                     writer.flags(pole=np.array([False, True]))]],
                             meta={"tool_version": "0.1.0", "config_sha256": "ab"})
         path = tmp_path / "out.csv"
         write_table(table, str(path))
@@ -851,7 +851,7 @@ class TestWriteTable:
         flags = (["threshold", "domain", "pole", ""] * count)[:count]
         kind = np.arange(count) % 4
         table = ResultTable(columns=["a", "b", "flag"], meta={}, blocks=[[
-            *values, writer.flags(count, threshold=kind == 0, domain=kind == 1, pole=kind == 2)]])
+            *values, writer.flags(threshold=kind == 0, domain=kind == 1, pole=kind == 2)]])
         path = tmp_path / "flags.csv"
         write_table(table, str(path))
         assert path.read_text() == "a,b,flag\n" + "".join(
@@ -1312,6 +1312,30 @@ class TestMain:
         assert _parser() is _parser()
         write_table(run("squeezing", "sweep.points = 4"), str(expected))
         assert second.read_bytes() == expected.read_bytes()
+
+    # The scaled preset: each 2001-point sweep and the sha256 of the table it writes.
+    SCALED = {
+        "squeezing": (["squeezing"],
+                      "f0112c6095b6a46f08d4e887ac13afcfe1ba741087f62ceb654291bf773613f2"),
+        "pole": (["pole"], "962c76b66a52b1679586d69504b4bf51219a1aca4ea71f565b0a9d305496c6c4"),
+        "improvement": (["improvement"],
+                        "db178a6b7417a4c42d2fab64ee161de97823b3d2361df1b6aa9ff72ec41e7ef9"),
+        "power": (["sensitivity"],
+                  "757f41bffce317accfba866b730953a8be283c6f665dde4e532772eca71e9b4c"),
+        "phase": (["sensitivity", "--set", "sweep.variable=phi", "--set", "sweep.start=0.3",
+                   "--set", "sweep.stop=2.8"],
+                  "3fb728b9feaaefe95fb74658e3a25d5f73dc47a564d8175a896f586e8be803b3"),
+    }
+
+    def test_successive_calls_share_no_state_in_any_layer(self, tmp_path):
+        """The five tables of the scaled preset, run twice in one interpreter, interleaved:
+        every call writes its pinned bytes, so no layer (parser, configuration, kernels,
+        writer) carries state from one call into the next."""
+        for turn in range(2):
+            for name, (argv, digest) in self.SCALED.items():
+                path = tmp_path / f"{name}-{turn}.csv"
+                assert main(argv + ["--set", "sweep.points=2001", "--out", str(path)]) == 0
+                assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, (name, turn)
 
     def test_retired_time_horizon_key(self, capsys):
         """The direct mean-field solve has no integration horizon to set."""
