@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, table
+from . import __version__
 from .cavity_io import jsi as jsi_density
 from .cavity_io import quadrature_variance, to_db
 from .config import RunConfig, parse_config
@@ -24,9 +24,7 @@ from .interferometer import POLE_TOLERANCE, coherent_sensitivity, decay_ratio, m
 from .meanfield import comparison_columns
 from .params import (CavityRates, FwmStrength, Injection, derive_rates, efficiency, fwm_gain,
                      sigma_from_power, threshold_power)
-from .table import LazyBlocks, ResultTable, flags, format_e17, write_table
-
-COMMANDS = ("rates", "squeezing", "jsi", "meanfield", "sensitivity", "pole", "improvement")
+from .table import ResultTable, flags, format_e17, write_table
 
 
 def _resolve_drive(cfg: RunConfig, rates: CavityRates, gain: float):
@@ -118,28 +116,19 @@ def _check_coherent(column, flagged, alpha_c, cfg: RunConfig) -> None:
 
 def run_command(cfg: RunConfig) -> ResultTable:
     """Evaluate one command; per-point physics errors become flagged rows."""
-    if cfg.command not in COMMANDS:
+    builder = _BUILDERS.get(cfg.command)
+    if builder is None:
         raise ConfigError(f"unknown command {cfg.command!r}")
-    derived = _derive(cfg)
-    meta = {"tool_version": __version__, "config_sha256": cfg.config_sha256()}
-    builder = {
-        "rates": _run_rates,
-        "squeezing": _run_squeezing,
-        "jsi": _run_jsi,
-        "meanfield": _run_meanfield,
-        "sensitivity": _run_sensitivity,
-        "pole": _run_pole,
-        "improvement": _run_improvement,
-    }[cfg.command]
-    columns, blocks = builder(cfg, *derived)
-    return ResultTable(columns=columns, blocks=blocks, meta=meta)
+    columns, data = builder(cfg, *_derive(cfg))
+    return ResultTable(columns, data, {"tool_version": __version__,
+                                       "config_sha256": cfg.config_sha256()})
 
 
 def _run_rates(cfg: RunConfig, rates: CavityRates, strength: FwmStrength, p_th: float):
     columns = ["kappa", "gamma", "gamma_total", "t_round", "t_trans", "g", "gamma_nl", "p_th"]
     values = [rates.kappa, rates.gamma, rates.gamma_total, rates.t_round, rates.t_trans,
               strength.gain, strength.gamma_nl, p_th]
-    return columns, [[np.array([value]) for value in values]]
+    return columns, [np.array([value]) for value in values]
 
 
 def _run_squeezing(cfg: RunConfig, rates: CavityRates, strength: FwmStrength, p_th: float):
@@ -150,8 +139,8 @@ def _run_squeezing(cfg: RunConfig, rates: CavityRates, strength: FwmStrength, p_
         variance = quadrature_variance(rates, injection, phi_lo)
     except ThresholdError:  # the injection, and so the flag, is fixed per table
         infinite = np.full(phi_lo.size, math.inf)
-        return columns, [[phi_lo, infinite, infinite, flags(threshold=True)]]
-    return columns, [[phi_lo, variance, to_db(variance), flags()]]
+        return columns, [phi_lo, infinite, infinite, flags(threshold=True)]
+    return columns, [phi_lo, variance, to_db(variance), flags()]
 
 
 def _run_jsi(cfg: RunConfig, rates: CavityRates, strength: FwmStrength, p_th: float):
@@ -166,13 +155,11 @@ def _run_jsi(cfg: RunConfig, rates: CavityRates, strength: FwmStrength, p_th: fl
         raise ConfigError(f"jsi.span = {span!r} is too large: the axis width 2 jsi.span overflows")
     axis = np.linspace(-span, span, cfg.jsi_points)
     cells = format_e17(axis)  # each axis value formatted once
-    idler, per = cells[None], max(1, table.WRITE_BLOCK_ROWS // axis.size)  # signal rows per block
 
-    def block(k: int) -> list:
-        a, b = k * per, (k + 1) * per
-        return [cells[a:b, None], idler, jsi_density(rates, injection, axis[a:b, None], axis)]
+    def value(rows: slice, cols: slice) -> np.ndarray:
+        return jsi_density(rates, injection, axis[rows, None], axis[cols])
 
-    return ["delta_ws", "delta_wi", "value"], LazyBlocks(-(-axis.size // per), block)
+    return ["delta_ws", "delta_wi", "value"], [cells[:, None], cells[None], value]
 
 
 def _run_meanfield(cfg: RunConfig, rates: CavityRates, strength: FwmStrength, p_th: float):
@@ -184,7 +171,7 @@ def _run_meanfield(cfg: RunConfig, rates: CavityRates, strength: FwmStrength, p_
         raise ConfigError(f"no mean-field steady state at sigma_n = {float(grid[exc.index])!r}: "
                           f"{exc} (from {', '.join(keys)})") from exc
     flag = flags(threshold=np.isinf(columns["ns_lin"]))
-    return [*columns, "flag"], [[*columns.values(), flag]]
+    return [*columns, "flag"], [*columns.values(), flag]
 
 
 def _run_sensitivity(cfg: RunConfig, rates: CavityRates, strength: FwmStrength, p_th: float):
@@ -208,7 +195,7 @@ def _run_sensitivity(cfg: RunConfig, rates: CavityRates, strength: FwmStrength, 
         squeezed, photons, pole = mzi_sensitivity(alpha_c, phi, eta, rates, injection)
     except ThresholdError:  # the drive, and so the flag, is fixed per table
         infinite = np.full(grid.size, math.inf)
-        return columns, [leading + [infinite] * 3 + [flags(threshold=True)]]
+        return columns, leading + [infinite] * 3 + [flags(threshold=True)]
     # The coherent reference needs a probe: no probe is a domain row. A coherent probe with
     # a vacuum port reads 1/(sqrt(eta) alpha_c |sin phi|), a pole where its slope
     # eta N |sin phi| is within POLE_TOLERANCE eta N of zero; sin(pi/2) is exactly 1.
@@ -223,10 +210,9 @@ def _run_sensitivity(cfg: RunConfig, rates: CavityRates, strength: FwmStrength, 
         snl = 1.0 / np.sqrt(photons + pump_power / quantum)
     if pump_power / quantum == math.inf:  # a pump flux beyond the float range; P is finite
         snl = math.sqrt(quantum) / np.sqrt(photons * quantum + pump_power)
-    return columns, [leading + [np.where(domain | pole, math.inf, squeezed),
-                                np.where(domain, math.inf, coherent),
-                                np.where(domain, math.inf, snl),
-                                flags(domain=domain, pole=pole)]]
+    return columns, leading + [np.where(domain | pole, math.inf, squeezed),
+                               np.where(domain, math.inf, coherent),
+                               np.where(domain, math.inf, snl), flags(domain=domain, pole=pole)]
 
 
 def _run_pole(cfg: RunConfig, rates: CavityRates, strength: FwmStrength, p_th: float):
@@ -237,9 +223,8 @@ def _run_pole(cfg: RunConfig, rates: CavityRates, strength: FwmStrength, p_th: f
     try:
         dphi, _, pole = mzi_sensitivity(alpha_c, math.pi / 2, cfg.eta_value, rates, injection)
     except ThresholdError:
-        return columns, [[alpha_c, np.full(alpha_c.size, math.inf),
-                          flags(threshold=True)]]
-    return columns, [[alpha_c, dphi, flags(pole=pole)]]
+        return columns, [alpha_c, np.full(alpha_c.size, math.inf), flags(threshold=True)]
+    return columns, [alpha_c, dphi, flags(pole=pole)]
 
 
 def _run_improvement(cfg: RunConfig, rates: CavityRates, strength: FwmStrength, p_th: float):
@@ -267,13 +252,19 @@ def _run_improvement(cfg: RunConfig, rates: CavityRates, strength: FwmStrength, 
     try:
         squeezed, _, pole = mzi_sensitivity(alpha_c, math.pi / 2, eta, ring, injection)
     except ThresholdError:
-        return columns, [[lengths, eta, np.full(lengths.size, math.inf),
-                          flags(threshold=True)]]
+        return columns, [lengths, eta, np.full(lengths.size, math.inf), flags(threshold=True)]
     domain = eta == 0  # a long sensor's e^(-alpha L) underflows: no light reaches the detector
     with np.errstate(invalid="ignore", over="ignore"):  # inf/inf on domain rows; overflow
         factor = np.where(domain | pole, math.inf, coherent_sensitivity(alpha_c, eta) / squeezed)
     _check_coherent(factor, domain | pole, alpha_c, cfg)
-    return columns, [[lengths, eta, factor, flags(domain=domain, pole=pole)]]
+    return columns, [lengths, eta, factor, flags(domain=domain, pole=pole)]
+
+
+# Each command's table builder: run_command looks it up, and the parser offers its names.
+_BUILDERS = {"rates": _run_rates, "squeezing": _run_squeezing, "jsi": _run_jsi,
+             "meanfield": _run_meanfield, "sensitivity": _run_sensitivity, "pole": _run_pole,
+             "improvement": _run_improvement}
+COMMANDS = tuple(_BUILDERS)
 
 
 @functools.cache

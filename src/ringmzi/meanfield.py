@@ -92,21 +92,6 @@ def mf_derivatives(state: MomentState, drive: float, coupling: float) -> MomentS
     )
 
 
-def _bisect(excess, lo, hi, midpoint):
-    """Narrow the brackets [lo, hi] of excess(lo) <= 0 < excess(hi) to adjacent floats.
-
-    ``excess`` is evaluated on every bracket at once; returns (lo, hi).
-    """
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    while True:
-        mid = midpoint(lo, hi)
-        inside = (lo < mid) & (mid < hi)
-        if not inside.any():
-            return lo, hi
-        above = excess(mid) > 0
-        lo, hi = np.where(inside & ~above, mid, lo), np.where(inside & above, mid, hi)
-
-
 def _pair_moments(depletion: np.ndarray, clamp: float):
     """(d, 2|<a_s a_i>|, y) at r = d/(1-d), clamp C = G/(2g)."""
     d = depletion / (1.0 + depletion)
@@ -223,11 +208,12 @@ def validity_bound(rates: CavityRates, gain: float, error_tol: float) -> float:
         ns_lin, ns_mf = columns["ns_lin"][0], columns["ns_mf"][0]
         return abs(ns_lin - ns_mf) / ns_mf - error_tol
 
-    hi = 1.0 - 1e-9
+    lo, hi = 0.0, 1.0 - 1e-9
     if excess(hi) <= 0:
         return hi
-    lo, _ = _bisect(excess, 0.0, hi, lambda lo, hi: 0.5 * (lo + hi))
-    return float(lo)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:  # bisected to adjacent floats
+        lo, hi = (lo, mid) if excess(mid) > 0 else (mid, hi)
+    return lo
 
 
 def comparison_columns(rates: CavityRates, gain: float, sigma_ns) -> dict[str, np.ndarray]:

@@ -1,5 +1,5 @@
-"""CSV table writer: the column blocks of a ResultTable as '%.17e' text and flag cells, in
-chunks of at most WRITE_BLOCK_ROWS rows, written over the output file in place or to stdout."""
+"""CSV table writer: the columns of a ResultTable as '%.17e' text and flag cells, in chunks
+of at most WRITE_BLOCK_ROWS rows, written over the output file in place or to stdout."""
 
 from __future__ import annotations
 
@@ -9,13 +9,12 @@ import math
 import os
 import stat
 import sys
-from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 # Rows formatted per write; bounds the text held in memory for large tables. A chunk costs
-# about 0.23 ms plus 84 ns per row (a jsi block), so fewer, larger chunks write faster; at
+# about 0.23 ms plus 84 ns per row (a jsi chunk), so fewer, larger chunks write faster; at
 # 8192 rows a 400 x 400 jsi write peaks at about 0.9 MB, traced.
 WRITE_BLOCK_ROWS = 8192
 # A chunk of one row is cut where its widths change, unless the cuts that adds to the runs
@@ -24,29 +23,21 @@ WRITE_BLOCK_ROWS = 8192
 _RUN_ROWS = 80
 
 
-class LazyBlocks:
-    """Re-iterable table blocks, each computed when reached: block k is ``make(k)``."""
-
-    def __init__(self, count: int, make: Callable[[int], list]) -> None:
-        self.count, self.make = count, make
-
-    def __iter__(self):
-        return map(self.make, range(self.count))
-
-
 @dataclass
 class ResultTable:
-    """Table with provenance metadata: a re-iterable sequence of column blocks.
+    """Table with provenance metadata: a name in ``columns`` and an entry in ``data`` per
+    column.
 
-    A block holds one column per entry of ``columns``: a float, int or bool array,
-    or Cells, the cells of numbers formatted by ``format_e17`` or the flags of
-    ``flags``, whose four kinds have four widths. A block has at least one array,
-    and its arrays share one shape, 1-D or 2-D, to which its Cells broadcast. The
-    rows of a 2-D block are the table's rows in C order.
+    An entry is a float, int or bool array; Cells, the cells of numbers formatted by
+    ``format_e17`` or the flags of ``flags``, whose four kinds have four widths; or a
+    function of (rows, cols) slices that returns the float array of the numbers there,
+    called once per chunk written. The arrays share one shape, 1-D or 2-D, to which the
+    Cells broadcast; a function spans a 2-D shape set by them. The rows of a 2-D table
+    are its cells in C order.
     """
 
     columns: list[str]
-    blocks: Iterable[list]
+    data: list
     meta: dict[str, str]
 
 
@@ -129,12 +120,6 @@ class Cells:
 
     def __getitem__(self, index) -> Cells:
         return Cells(self.text[index], self.widths[index])
-
-    @functools.cached_property
-    def cuts(self) -> list[list[int]]:
-        """Of 2-D cells, per axis: the indices whose widths differ from the ones before."""
-        return [(np.flatnonzero(np.diff(self.widths, axis=axis).any(axis=1 - axis)) + 1).tolist()
-                if self.shape[axis] > 1 else [] for axis in (0, 1)]
 
 
 def format_e17(values) -> Cells:
@@ -262,32 +247,36 @@ def _chunk(columns: list, runs: list) -> np.ndarray:
     return out if fixed else out[out != 0]
 
 
-def _chunks(block: list):
-    """The rows of a block as _chunk bytes of at most WRITE_BLOCK_ROWS rows each.
+def _chunks(data: list):
+    """The rows of a table's columns as _chunk bytes of at most WRITE_BLOCK_ROWS rows each.
 
-    A 1-D block is one row of 2-D columns, which _chunk cuts itself. A 2-D block is
-    also cut where the widths of a Cells column change, along either axis.
+    A 1-D table is one row of 2-D columns, which _chunk cuts itself. A 2-D table is cut
+    into whole rows, or each row into spans where it is longer than a chunk, and also
+    where the widths of a Cells column change, along either axis. A function column is
+    called on each chunk's rows and columns.
     """
-    shapes = [c.shape if len(c.shape) == 2 else (1, *c.shape) for c in block]
-    outer, span = map(max, zip(*shapes))
-    cuts = [(c if len(c.shape) == 2 else c[None]).cuts
-            for c in block if isinstance(c, Cells)] if outer > 1 else []
-    row_marks = sorted({*range(0, outer, max(1, WRITE_BLOCK_ROWS // span)), outer,
-                        *(i for rows, _ in cuts for i in rows)})
-    for j0 in range(0, span, WRITE_BLOCK_ROWS):
-        j1 = min(j0 + WRITE_BLOCK_ROWS, span)
-        marks = sorted({j0, j1, *(j for _, cols in cuts for j in cols if j0 < j < j1)})
-        runs = [(a - j0, b - j0) for a, b in zip(marks, marks[1:])]
-        for i0, i1 in zip(row_marks, row_marks[1:]):  # a 1-D column gains its row axis here
-            yield _chunk([c[(slice(i0, i1) if rows > 1 else slice(None)) if len(c.shape) == 2
-                            else None, slice(j0, j1) if cols > 1 else slice(None)]
-                          for c, (rows, cols) in zip(block, shapes)], runs)
+    grid = [c if callable(c) or len(c.shape) == 2 else c[None] for c in data]
+    outer, span = map(max, zip(*(c.shape for c in grid if not callable(c))))
+    row_marks, col_cuts = {0, outer, *range(0, outer, max(1, WRITE_BLOCK_ROWS // span))}, set()
+    for c in grid:  # per axis, the indices whose widths differ from the ones before
+        if isinstance(c, Cells) and outer > 1:
+            row_marks.update((np.flatnonzero(np.diff(c.widths, axis=0).any(axis=1)) + 1).tolist())
+            col_cuts.update((np.flatnonzero(np.diff(c.widths, axis=1).any(axis=0)) + 1).tolist())
+    row_marks, whole = sorted(row_marks), slice(None)
+    for i0, i1 in zip(row_marks, row_marks[1:]):
+        for j0 in range(0, span, WRITE_BLOCK_ROWS):
+            j1 = min(j0 + WRITE_BLOCK_ROWS, span)
+            marks = sorted({j0, j1, *(j for j in col_cuts if j0 < j < j1)})
+            rows, cols = slice(i0, i1), slice(j0, j1)
+            yield _chunk([c(rows, cols) if callable(c) else c[rows if c.shape[0] > 1 else whole,
+                                                             cols if c.shape[1] > 1 else whole]
+                          for c in grid], [(a - j0, b - j0) for a, b in zip(marks, marks[1:])])
 
 
 def write_table(table: ResultTable, path: str | None) -> None:
     """Write the table as CSV with '#'-prefixed metadata lines.
 
-    Each block goes out in _chunks: numbers as Python's '%.17e' byte for byte
+    The columns go out in _chunks: numbers as Python's '%.17e' byte for byte
     ('inf', 'nan' as such), preformatted numbers and flags as is. Output bytes are a
     pure function of the table contents, so identical configurations produce identical
     files. They go to stdout's binary buffer, or over the file at path from byte 0,
@@ -297,10 +286,8 @@ def write_table(table: ResultTable, path: str | None) -> None:
     of the previous file remains. A new file, or one the table outgrew, takes no cut.
     """
     header = [f"# {k}={table.meta[k]}" for k in sorted(table.meta)] + [",".join(table.columns)]
-    # Unlike for loops, writelines and chain drop each chunk, and each block once its
-    # chunks are written, before they make the next.
-    text = itertools.chain([("\n".join(header) + "\n").encode()],
-                           itertools.chain.from_iterable(map(_chunks, table.blocks)))
+    # Unlike a for loop, writelines drops each chunk before it makes the next.
+    text = itertools.chain([("\n".join(header) + "\n").encode()], _chunks(table.data))
     if path is None:
         sys.stdout.flush()  # text already written to stdout goes first
         sys.stdout.buffer.writelines(text)

@@ -27,7 +27,7 @@ from scipy.integrate import solve_ivp
 
 from ringmzi import (CavityRates, ConvergenceError, DomainError, MomentState, comparison_columns,
                      mf_derivatives)
-from ringmzi.meanfield import _bisect, _excess, _steady_states
+from ringmzi.meanfield import _excess, _steady_states
 
 DIVERGENCE_LIMIT = 1e30
 VACUUM = MomentState()
@@ -209,8 +209,14 @@ def bisected_depletion(n_empty: np.ndarray, clamp: float) -> np.ndarray:
     def excess(depletion):
         return _excess(depletion, n_empty, clamp)[0]
 
-    lo, hi = _bisect(excess, np.full_like(n_empty, np.finfo(float).tiny), 2.0 * n_empty + 1.0,
-                     midpoint)
+    lo, hi = np.full_like(n_empty, np.finfo(float).tiny), 2.0 * n_empty + 1.0
+    while True:  # every bracket at once, until none has a float inside
+        mid = midpoint(lo, hi)
+        inside = (lo < mid) & (mid < hi)
+        if not inside.any():
+            break
+        above = excess(mid) > 0
+        lo, hi = np.where(inside & ~above, mid, lo), np.where(inside & above, mid, hi)
     root = np.where(np.abs(excess(lo)) < np.abs(excess(hi)), lo, hi)
     return np.where(n_empty > 0, root, 0.0)
 

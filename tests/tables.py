@@ -24,6 +24,8 @@ def cells(column) -> np.ndarray:
 
 
 def rows(table) -> list[list]:
-    """The table row by row, the columns of each block broadcast to one shape."""
-    return [list(row) for block in table.blocks for row in zip(
-        *(column.ravel().tolist() for column in np.broadcast_arrays(*map(cells, block))))]
+    """The table row by row, its columns broadcast to one shape; a function column is called
+    once, on every row and column."""
+    columns = [cells(c(slice(None), slice(None)) if callable(c) else c) for c in table.data]
+    return [list(row) for row in zip(
+        *(column.ravel().tolist() for column in np.broadcast_arrays(*columns)))]

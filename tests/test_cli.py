@@ -29,7 +29,7 @@ from ringmzi import table as writer
 from ringmzi.cli import _parser, _resolve_drive, main, run_command
 from ringmzi.config import parse_config
 from ringmzi.errors import ConfigError
-from ringmzi.table import Cells, LazyBlocks, ResultTable, format_e17, write_table
+from ringmzi.table import Cells, ResultTable, format_e17, write_table
 from ringmzi.constants import HBAR
 
 
@@ -214,29 +214,35 @@ class TestCommands:
         assert rows(lossless)[0][2] > rows(strong)[0][2]
 
 
-class TestBlockShapes:
+class TestColumnShapes:
     @pytest.mark.parametrize("command,text,flag", [
         *((command, "", None) for command in cli.COMMANDS),
-        ("jsi", "jsi.points = 101", None),  # 81 signal rows per block, then 20
+        ("jsi", "jsi.points = 101", None),  # chunks of at most 81 signal rows
         *((command, "pump.sigma_n = 1.2\nsweep.points = 5", "threshold")
           for command in ("squeezing", "sensitivity", "pole", "improvement")),
         ("sensitivity", "sweep.variable = phi\nsweep.start = 0\n"
                         "sweep.stop = 3.141592653589793\nsweep.points = 101", "pole"),
     ])
-    def test_every_block_fits_its_columns(self, command, text, flag):
-        """Each builder's blocks hold a column per name, each an array of numbers or Cells,
-        that broadcast to one 1-D length or one 2-D shape, the shape of every array; only
-        jsi has several blocks."""
+    def test_every_table_fits_its_columns(self, command, text, flag):
+        """Each builder's table holds an entry per column name: an array of numbers or Cells,
+        which broadcast to one 1-D length or one 2-D shape, the shape of every array of
+        numbers; or, in jsi alone, a function of (rows, cols) slices that returns the numbers
+        there, of that 2-D shape on every row and column."""
         table = run(command, text)
-        blocks = list(table.blocks)
-        assert (len(blocks) > 1) == (command == "jsi")
-        for block in blocks:
-            assert len(block) == len(table.columns)
-            assert all(isinstance(c, Cells) or c.dtype.kind in "fiub" for c in block)
-            shape = np.broadcast_shapes(*(c.shape for c in block))
-            assert len(shape) == (2 if command == "jsi" else 1)
-            assert {len(c.shape) for c in block} == {len(shape)}
-            assert {c.shape for c in block if not isinstance(c, Cells)} == {shape}
+        assert len(table.data) == len(table.columns)
+        arrays = [c for c in table.data if not callable(c)]
+        functions = [c for c in table.data if callable(c)]
+        assert all(isinstance(c, Cells) or c.dtype.kind in "fiub" for c in arrays)
+        assert len(functions) == (command == "jsi")
+        shape = np.broadcast_shapes(*(c.shape for c in arrays))
+        assert len(shape) == (2 if command == "jsi" else 1)
+        assert {len(c.shape) for c in arrays} == {len(shape)}
+        wholes = [function(slice(None), slice(None)) for function in functions]
+        numbers = [c for c in arrays if not isinstance(c, Cells)] + wholes
+        assert {c.shape for c in numbers} == {shape}
+        for function, whole in zip(functions, wholes):
+            assert whole.dtype == np.float64
+            np.testing.assert_array_equal(function(slice(2, 5), slice(1, 4)), whole[2:5, 1:4])
         if flag is not None:
             assert flag in {row[-1] for row in rows(table)}
 
@@ -430,7 +436,7 @@ def jsi_oracle_body(cfg) -> str:
 
 
 class TestStreamedJsi:
-    """The jsi table, computed and written one signal row at a time."""
+    """The jsi table, computed and written one chunk at a time."""
 
     @staticmethod
     def check(settings):
@@ -450,10 +456,10 @@ class TestStreamedJsi:
         self.check([f"jsi.span={span!r}", f"jsi.points={points}", f"pump.sigma_n={sigma_n!r}"])
 
     def test_more_rows_than_a_write_block(self):
-        """More rows than one write block holds (100 x 100 at 8192 rows): several blocks."""
+        """More rows than one write block holds (100 x 100 at 8192 rows): several chunks."""
         points = math.isqrt(writer.WRITE_BLOCK_ROWS) + 10
         table = run_command(parse_config(f"jsi.points={points}", command="jsi"))
-        assert len(list(table.blocks)) > 1
+        assert len(list(writer._chunks(table.data))) > 1
         self.check([f"jsi.points={points}", "pump.sigma_n=0.995"])
 
     @staticmethod
@@ -478,22 +484,33 @@ class TestStreamedJsi:
         """An 800 x 800 table, four times the rows, peaks within 10% of a 400 x 400 one."""
         assert self.write_peak(800) <= 1.1 * self.write_peak(400)
 
+    @pytest.mark.parametrize("block_rows,points", [(writer.WRITE_BLOCK_ROWS, 200), (5, 7)])
+    def test_kernel_calls_stay_within_a_write_block(self, block_rows, points, monkeypatch):
+        """jsi_density is evaluated once per chunk, on each cell once: no call takes more
+        than WRITE_BLOCK_ROWS cells, also where one signal row is longer than that."""
+        monkeypatch.setattr(writer, "WRITE_BLOCK_ROWS", block_rows)
+        sizes = []
+
+        def counted(rates, injection, delta_s, delta_i):
+            sizes.append(np.broadcast(delta_s, delta_i).size)
+            return jsi_density(rates, injection, delta_s, delta_i)
+        monkeypatch.setattr(cli, "jsi_density", counted)
+        assert main(["jsi", "--set", f"jsi.points={points}", "--out", os.devnull]) == 0
+        assert sum(sizes) == points ** 2 and max(sizes) <= block_rows
+
     def test_rows_and_text_columns_across_write_blocks(self, tmp_path):
-        """Blocks mixing formatted cells, arrays and flags split at WRITE_BLOCK_ROWS rows, and
-        re-iterate for rows."""
+        """A table mixing formatted cells, arrays and flags splits at WRITE_BLOCK_ROWS rows,
+        and reads back as the same rows after it is written."""
         size = writer.WRITE_BLOCK_ROWS + 904
         values = np.linspace(-1.0, 1.0, size) * 1e9
-        text = format_e17(values)
         pole = np.arange(size) % 2 == 1
-        flags = writer.flags(pole=pole)
         table = ResultTable(columns=["a", "b", "flag"], meta={},
-                            blocks=LazyBlocks(2, lambda k: [text, values * (k + 1), flags]))
-        assert len(list(writer._chunks(next(iter(table.blocks))))) == 2
-        path = tmp_path / "blocks.csv"
+                            data=[format_e17(values), 2 * values, writer.flags(pole=pole)])
+        assert len(list(writer._chunks(table.data))) == 2
+        path = tmp_path / "chunks.csv"
         write_table(table, str(path))
         labels = np.where(pole, "pole", "").tolist()
-        expected = [[a, b * (k + 1), flag] for k in range(2)
-                    for a, b, flag in zip(values.tolist(), values.tolist(), labels)]
+        expected = [[a, 2 * a, flag] for a, flag in zip(values.tolist(), labels)]
         assert path.read_text() == "a,b,flag\n" + "".join(
             "%.17e,%.17e,%s\n" % tuple(row) for row in expected)
         assert rows(table) == expected
@@ -533,8 +550,7 @@ class TestRowAssembly:
     @staticmethod
     def strided(cfg) -> list[bool]:
         """Per chunk of the table: whether it was filled at fixed widths (2-D bytes)."""
-        return [chunk.ndim == 2 for block in run_command(cfg).blocks
-                for chunk in writer._chunks(block)]
+        return [chunk.ndim == 2 for chunk in writer._chunks(run_command(cfg).data)]
 
     @pytest.mark.parametrize("points", [6, 7, 200])
     def test_odd_and_even_points(self, points, tmp_path, capsysbinary):
@@ -577,30 +593,31 @@ class TestRowAssembly:
         cfg = parse_config("jsi.points=7", command="jsi")
         assert len(self.strided(cfg)) > 7
 
-    def test_hand_built_blocks_with_special_values(self, tmp_path, capsysbinary):
+    def test_hand_built_table_with_special_values(self, tmp_path, capsysbinary):
         """Axis cells of every width (-0.0, inf, nan, 3-digit exponents) against values that
-        mix widths, then values of one width."""
-        signal = np.array([-1.5, -0.0, 0.0, 2.5e100, math.nan])[:, None]
+        mix widths, then values of one width, in one 2-D table whose values are a function
+        of (rows, cols) slices."""
+        signal = np.array([-1.5, -0.0, 0.0, 2.5e100, math.nan] * 2 + [-1.5, -0.0])[:, None]
         idler = np.array([-math.inf, -2.0, 3.0, math.nan, 1e-300, 4.0, 5.0, -0.0])[None]
-        uniform = np.linspace(1.0, 9.0, signal.size * idler.size).reshape(signal.size, -1)
+        uniform = np.linspace(1.0, 9.0, 5 * idler.size).reshape(5, -1)
         mixed = uniform * np.where(np.arange(uniform.size) % 3, 1.0, -1.0).reshape(uniform.shape)
         mixed[1, 1], mixed[2, 2], mixed[3, 3], mixed[4, 5:7] = math.inf, math.nan, -0.0, 1e-300
-        blocks = [(signal, idler, mixed), (signal, idler, uniform),
-                  (signal[:2], idler, uniform[:2])]
-        table = ResultTable(columns=["s", "i", "v"], meta={}, blocks=LazyBlocks(
-            len(blocks), lambda k: [format_e17(blocks[k][0]),
-                                    format_e17(blocks[k][1]), blocks[k][2]]))
-        assert self.written(table, tmp_path, capsysbinary) == b"s,i,v\n" + b"".join(
-            e17_rows(*block) for block in blocks)
-        # Cut at the signal's widths: 4, 4 and 1 chunks. The chunk of two rows of the first
-        # block mixes widths within idler runs: compacted. A chunk of one row is cut where any
-        # column's widths change, unless that adds a cut per fewer than 80 rows: rows 2 and 3
-        # of the first block, 8 cells each, are compacted; row 4 adds no cut.
-        assert [chunk.ndim for block in table.blocks for chunk in writer._chunks(block)] == [
+        values = np.vstack([mixed, uniform, uniform[:2]])
+        table = ResultTable(columns=["s", "i", "v"], meta={}, data=[
+            format_e17(signal), format_e17(idler), lambda rows, cols: values[rows, cols]])
+        assert self.written(table, tmp_path, capsysbinary) == b"s,i,v\n" + e17_rows(
+            signal, idler, values)
+        # -1.5 and -0.0 are 24 bytes from byte 0, 0.0 23 from byte 0, 2.5e100 24 from byte 1
+        # and nan 3: the signal's widths change at rows 2, 3, 4, 5, 7, 8, 9 and 10, so the 12
+        # rows are cut into 9 chunks, [0, 2) .. [10, 12). The two rows of mixed in [0, 2) mix
+        # widths within the idler's runs: compacted. A chunk of one row is cut where any
+        # column's widths change, unless that adds a cut per fewer than 80 rows: rows 2 and 3,
+        # 8 cells each, are compacted; row 4 adds no cut to the idler's. The five chunks of
+        # uniform rows hold one width: in runs.
+        assert [chunk.ndim for chunk in writer._chunks(table.data)] == [
             1, 1, 1, 2, 2, 2, 2, 2, 2]
         np.testing.assert_array_equal(np.array(rows(table)), np.array(
-            [row for block in blocks for row in zip(*(c.ravel().tolist() for c in
-                                                      np.broadcast_arrays(*block)))]))
+            list(zip(*(c.ravel().tolist() for c in np.broadcast_arrays(signal, idler, values))))))
 
     # Cells of every width: +-0, +-inf, nan, subnormals, 2- and 3-digit exponents.
     WIDTHS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -4.9e-322,
@@ -641,14 +658,14 @@ class TestRowAssembly:
                               np.where(domain, "domain", np.where(pole, "pole", ""))).tolist()
             columns.append(writer.flags(threshold=threshold, domain=domain, pole=pole))
         names += ["flag"] if flag else []
-        table = ResultTable(columns=names, blocks=[columns], meta={})
+        table = ResultTable(columns=names, data=columns, meta={})
         cells = [["%.17e" % v for v in column.tolist()] for column in values]
         assert self.written(table, tmp_path, capsysbinary).decode() == "".join(
             ",".join(row) + "\n" for row in [names, *zip(*cells, *([labels] if flag else []))])
 
     @pytest.mark.parametrize("cuts,strided", [(0, True), (4, True), (5, False), (399, False)])
     def test_runs_or_compaction_by_run_count(self, cuts, strided):
-        """A chunk of one row, of a 1-D table or of a 2-D block, is cut where its widths
+        """A chunk of one row, of a 1-D table or of a 2-D table, is cut where its widths
         change, unless that adds a cut per fewer than _RUN_ROWS rows: 4 cuts of 400 rows are
         written in runs, 5 compacted."""
         signs = np.ones(400)
@@ -658,10 +675,10 @@ class TestRowAssembly:
         chunks = writer._chunks([values, writer.flags()])
         assert [chunk.ndim == 2 for chunk in chunks] == [strided]
         # Two signal cells of two widths: one chunk of one row each.
-        block = [format_e17(np.array([[-1.0], [1.0]])),
-                 format_e17(np.linspace(1.0, 2.0, 400)[None]),
-                 np.vstack([values] * 2)]
-        assert [chunk.ndim == 2 for chunk in writer._chunks(block)] == [strided] * 2
+        data = [format_e17(np.array([[-1.0], [1.0]])),
+                format_e17(np.linspace(1.0, 2.0, 400)[None]),
+                np.vstack([values] * 2)]
+        assert [chunk.ndim == 2 for chunk in writer._chunks(data)] == [strided] * 2
 
     @pytest.mark.parametrize("settings,strided", [
         (["sweep.points=2001"], True),  # 3 changes of width
@@ -814,8 +831,8 @@ class TestDefaultPresets:
 class TestWriteTable:
     def test_metadata_and_values(self, tmp_path):
         table = ResultTable(columns=["x", "flag"],
-                            blocks=[[np.array([1.5, math.inf]),
-                                     writer.flags(pole=np.array([False, True]))]],
+                            data=[np.array([1.5, math.inf]),
+                                  writer.flags(pole=np.array([False, True]))],
                             meta={"tool_version": "0.1.0", "config_sha256": "ab"})
         path = tmp_path / "out.csv"
         write_table(table, str(path))
@@ -831,7 +848,7 @@ class TestWriteTable:
         values = np.linspace(-1.0, 1.0, 3 * 5000).reshape(-1, 3) * 1e9
         values[7] = [math.inf, -math.inf, math.nan]
         path = tmp_path / "columns.csv"
-        write_table(ResultTable(columns=["a", "b", "c"], blocks=[list(values.T)], meta={}),
+        write_table(ResultTable(columns=["a", "b", "c"], data=list(values.T), meta={}),
                     str(path))
         text = path.read_text()
         assert text == "a,b,c\n" + "".join("%.17e,%.17e,%.17e\n" % tuple(row)
@@ -850,8 +867,8 @@ class TestWriteTable:
         values[:, :3] = special[:, :count]
         flags = (["threshold", "domain", "pole", ""] * count)[:count]
         kind = np.arange(count) % 4
-        table = ResultTable(columns=["a", "b", "flag"], meta={}, blocks=[[
-            *values, writer.flags(threshold=kind == 0, domain=kind == 1, pole=kind == 2)]])
+        table = ResultTable(columns=["a", "b", "flag"], meta={}, data=[
+            *values, writer.flags(threshold=kind == 0, domain=kind == 1, pole=kind == 2)])
         path = tmp_path / "flags.csv"
         write_table(table, str(path))
         assert path.read_text() == "a,b,flag\n" + "".join(
@@ -862,7 +879,7 @@ class TestWriteTable:
         """The shape of the rates table, with every special value a cell can hold."""
         values = [0.0, -0.0, math.inf, -math.inf, math.nan, 1.5, -2.5e-300, 6.02214076e23]
         path = tmp_path / "row.csv"
-        write_table(ResultTable(columns=list("abcdefgh"), blocks=[[np.array([v]) for v in values]],
+        write_table(ResultTable(columns=list("abcdefgh"), data=[np.array([v]) for v in values],
                                 meta={}), str(path))
         assert path.read_text() == "a,b,c,d,e,f,g,h\n%s\n" % ",".join("%.17e" % v for v in values)
 
@@ -871,7 +888,7 @@ class TestWriteTable:
         """As '%.17e' writes them, in a table of any size."""
         ints, bools = np.arange(count) - 7, np.arange(count) % 2 == 0
         path = tmp_path / "ints.csv"
-        write_table(ResultTable(columns=["n", "b", "x"], blocks=[[ints, bools, ints / 3]],
+        write_table(ResultTable(columns=["n", "b", "x"], data=[ints, bools, ints / 3],
                                 meta={}), str(path))
         assert path.read_text() == "n,b,x\n" + "".join(
             "%.17e,%.17e,%.17e\n" % row for row in zip(ints.tolist(), bools.tolist(),
@@ -947,8 +964,8 @@ class TestWriteTable:
             monkeypatch.setattr(writer, "WRITE_BLOCK_ROWS", 500)  # the sweep in five chunks
             chunks = writer._chunks
 
-            def first_chunk_only(block):
-                yield next(chunks(block))
+            def first_chunk_only(data):
+                yield next(chunks(data))
                 raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
             monkeypatch.setattr(writer, "_chunks", first_chunk_only)
         else:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mf_oracle import (VACUUM, DivergenceError, SolverConfig, _max_rel_rate, _pack, _unpack,
@@ -224,11 +224,16 @@ class TestUnitsOfGamma:
     @given(kappa_exp=st.floats(6, 11), gamma_exp=st.floats(5, 10), gain_exp=st.floats(-3, 3),
            sigma_exp=st.floats(-3, 3),
            moments=st.lists(st.floats(-1e9, 1e9), min_size=9, max_size=9))
+    # Subnormal results: 0.47 Gamma 2^-1074 off, 27 times the relative bound alone.
+    @example(kappa_exp=6.0, gamma_exp=8.0, gain_exp=0.0, sigma_exp=0.0,
+             moments=[0.0, 0.0, 0.0, 4.896e-303, 0.0, 0.0, 0.0, 0.0, 0.0])
     def test_gamma_times_rates_are_the_absolute_rates(self, kappa_exp, gamma_exp, gain_exp,
                                                       sigma_exp, moments):
         """Gamma times mf_derivatives at drive sqrt(kappa) a_l/Gamma and coupling g/Gamma is
         the right-hand side in Hz at the waveguide drive a_l, within rounding, over random
-        (complex) states and cavities."""
+        (complex) states and cavities. Rounding is 8 eps of the term sizes, but no finer
+        than 2 Gamma 2^-1074: a subnormal result rounds in absolute steps of 2^-1074, and
+        that floor lies below every normal double."""
         rates, gain = _cavity(kappa_exp, gamma_exp, gain_exp)
         gamma_total = rates.gamma_total
         # The drive of sigma_n: sigma = 8 g kappa |a_l|^2/Gamma^2 [sqrt(Hz)].
@@ -238,7 +243,8 @@ class TestUnitsOfGamma:
                                 gain / gamma_total)
         absolute = absolute_derivatives(state, rates, gain, alpha_l)
         error = np.abs(gamma_total * _pack(scaled) - _pack(absolute))
-        bound = 8 * np.finfo(float).eps * _term_sizes(state, rates, gain, alpha_l)
+        bound = (8 * np.finfo(float).eps * _term_sizes(state, rates, gain, alpha_l)
+                 + 2 * gamma_total * math.ulp(0.0))
         assert np.all(error <= bound), error / bound
 
 
