@@ -178,7 +178,7 @@ def _run_sensitivity(cfg: RunConfig, rates: CavityRates, strength: FwmStrength, 
     injection, alpha_c = _resolve_drive(cfg, rates, strength.gain)
     sweep = cfg.sweep
     grid = sweep.grid()
-    eta = cfg.eta_value
+    eta = cfg.eta
     omega_p = cfg.geometry.pump_frequency()
     pump_power = cfg.p_l if cfg.p_l is not None else cfg.sigma_n * p_th
     if sweep.variable == "p_c":  # at phi = pi/2
@@ -221,7 +221,7 @@ def _run_pole(cfg: RunConfig, rates: CavityRates, strength: FwmStrength, p_th: f
     _check_probe(alpha_c, cfg)
     columns = ["alpha_c", "dphi_squeezed", "flag"]
     try:
-        dphi, _, pole = mzi_sensitivity(alpha_c, math.pi / 2, cfg.eta_value, rates, injection)
+        dphi, _, pole = mzi_sensitivity(alpha_c, math.pi / 2, cfg.eta, rates, injection)
     except ThresholdError:
         return columns, [alpha_c, np.full(alpha_c.size, math.inf), flags(threshold=True)]
     return columns, [alpha_c, dphi, flags(pole=pole)]

@@ -12,14 +12,38 @@ import numpy as np
 from .errors import ConfigError, DomainError
 from .params import REFERENCE_GEOMETRY, RingGeometry, efficiency
 
-# The RunConfig field of each pump, sensor, jsi and improvement key. The
-# geometry.* and sweep.* keys are the fields of RingGeometry and SweepSpec.
-_FIELDS = {
-    "pump.sigma_n": "sigma_n", "pump.p_l": "p_l", "pump.p_c": "p_c", "pump.alpha_c": "alpha_c",
-    "pump.delta_p": "delta_p", "sensor.eta": "eta",
-    "sensor.length": "sensor_length", "sensor.alpha_loss": "sensor_alpha_loss",
-    "jsi.span": "jsi_span", "jsi.points": "jsi_points", "improvement.decay_ratio": "decay_ratio",
+# A sweep table is held whole. At 1e6 points its peak RSS rises above the post-import baseline
+# by about 178 MB (meanfield), 95-102 MB (the sensitivity sweeps) and 49-72 MB (squeezing, pole,
+# improvement), so at most about 180 B per point. The bound applies to jsi.points too.
+MAX_SWEEP_POINTS = 1_000_000
+_POINTS = f"an integer in [2, {MAX_SWEEP_POINTS}]"
+
+# Each number key of the pump, sensor, jsi, improvement and sweep sections: its RunConfig field
+# (a sweep key's is of RunConfig.sweep), its default (None: unset; a sweep key's is its
+# command's, in _SWEEPS, and sensor.alpha_loss's is geometry.alpha_loss) and the values it
+# accepts, where a square bracket includes its end and a round one excludes it. The
+# geometry.* keys are the fields of RingGeometry, which checks them.
+_NUMBERS = {
+    "pump.sigma_n": ("sigma_n", 0.99895, "in [0, inf)"),
+    "pump.p_l": ("p_l", None, "in [0, inf)"),
+    "pump.p_c": ("p_c", None, "in [0, inf)"),
+    "pump.alpha_c": ("alpha_c", 1e5, "in [0, inf)"),
+    "pump.delta_p": ("delta_p", 0.0, "in (-inf, inf)"),
+    "sensor.eta": ("eta", 1.0, "in (0, 1]"),
+    "sensor.length": ("sensor_length", None, "in [0, inf)"),
+    "sensor.alpha_loss": ("sensor_alpha_loss", None, "in [0, inf)"),
+    "jsi.span": ("jsi_span", None, "in (0, inf)"),
+    "jsi.points": ("jsi_points", 200, _POINTS),
+    "improvement.decay_ratio": ("decay_ratio", None, "in (0, inf]"),  # inf: a lossless ring
+    "sweep.start": ("start", None, "in (-inf, inf)"),
+    "sweep.stop": ("stop", None, "in (-inf, inf)"),
+    "sweep.points": ("points", None, _POINTS),
 }
+
+# Pairs of keys of which at most one is set; the first takes its default when neither is.
+_EXCLUSIVE = (("pump.sigma_n", "pump.p_l"), ("pump.alpha_c", "pump.p_c"),
+              ("sensor.eta", "sensor.length"))
+
 
 # Each sweeping command's variables, the first its default, and each variable's
 # default (start, stop, points, scale), phi without default bounds, and the keys it
@@ -36,11 +60,6 @@ _SWEEPS = {
 # Sweep variables whose negative values have no meaning.
 _NONNEGATIVE_SWEEPS = ("sigma_n", "p_c", "alpha_c", "sensor_length")
 
-# A sweep table is held whole. At 1e6 points its peak RSS rises above the post-import baseline
-# by about 178 MB (meanfield), 95-102 MB (the sensitivity sweeps) and 49-72 MB (squeezing, pole,
-# improvement), so at most about 180 B per point. The bound applies to jsi.points too.
-MAX_SWEEP_POINTS = 1_000_000
-
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -53,8 +72,6 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.start is None or self.stop is None:
             raise ConfigError("sweep.start and sweep.stop are required")
-        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
-            raise ConfigError("sweep.start and sweep.stop must be finite")
         if self.scale not in ("linear", "log"):
             raise ConfigError(f"sweep.scale must be linear or log, got {self.scale!r}")
         if self.scale == "log" and (self.start <= 0 or self.stop <= 0):
@@ -86,8 +103,8 @@ class SweepSpec:
         return grid
 
 
-KNOWN_KEYS = (tuple(f"geometry.{f.name}" for f in fields(RingGeometry)) + tuple(_FIELDS)
-              + tuple(f"sweep.{f.name}" for f in fields(SweepSpec)))
+KNOWN_KEYS = (tuple(f"geometry.{f.name}" for f in fields(RingGeometry)) + tuple(_NUMBERS)
+              + ("sweep.variable", "sweep.scale"))
 
 
 @dataclass
@@ -101,7 +118,7 @@ class RunConfig:
     p_c: float | None
     alpha_c: float | None
     delta_p: float
-    eta: float | None
+    eta: float  # sensor.eta, or e^(-alpha_loss * length) where sensor.length is set
     sensor_length: float | None
     sensor_alpha_loss: float
     sweep: SweepSpec | None
@@ -109,13 +126,6 @@ class RunConfig:
     jsi_points: int
     decay_ratio: float | None
     resolved: dict[str, object]
-
-    @property
-    def eta_value(self) -> float:
-        """The configured path efficiency: sensor.eta, or e^(-alpha_loss * length)."""
-        if self.sensor_length is None:
-            return self.eta
-        return efficiency(self.sensor_alpha_loss, self.sensor_length)
 
     def config_sha256(self) -> str:
         # By line, sorted as by key: ' ' sorts before every character of a key.
@@ -155,7 +165,7 @@ def parse_config(text: str, command: str = "") -> RunConfig:
         return ConfigError(f"line {lineno}: {key} {rule}, got {value!r}")
 
     def number(key: str, default):
-        """The key's value, or default if unset; *.points is an integer, 2 .. MAX_SWEEP_POINTS."""
+        """The key's value, or default if unset; a value its row of _NUMBERS accepts."""
         if key not in values:
             return default
         try:
@@ -164,53 +174,40 @@ def parse_config(text: str, command: str = "") -> RunConfig:
             value = math.nan
         if math.isnan(value):
             raise fail(key, "expects a number")
-        if not key.endswith(".points"):
+        if key not in _NUMBERS:  # a geometry key: RingGeometry checks it
             return value
-        if not math.isfinite(value) or value != int(value):
-            raise fail(key, "expects an integer")
-        if value < 2:
-            raise fail(key, "must be >= 2")
-        if value > MAX_SWEEP_POINTS:
-            raise fail(key, f"must be at most {MAX_SWEEP_POINTS}")
-        return int(value)
+        accepted = _NUMBERS[key][2]
+        interval, integer = accepted.rpartition("in ")[2], "integer" in accepted
+        low, high = map(float, interval[1:-1].split(","))
+        if not ((low <= value if interval[0] == "[" else low < value)
+                and (value <= high if interval[-1] == "]" else value < high)
+                and (not integer or value == int(value))):
+            raise fail(key, f"must be {accepted}")
+        return int(value) if integer else value
 
     try:
         geometry = RingGeometry(**{name: number(f"geometry.{name}", default)
                                    for name, default in vars(REFERENCE_GEOMETRY).items()})
-    except DomainError as exc:  # each message starts with the field it checks
-        raise ConfigError(f"geometry.{exc}") from exc
+    except DomainError as exc:  # each message starts with the field it checks, a key that is set
+        key = f"geometry.{exc}".split()[0]
+        raise ConfigError(f"line {values[key][1]}: geometry.{exc}") from exc
 
-    setting = {}  # the value of each key of _FIELDS
-
-    def either(first: str, second: str, default: float) -> None:
-        """Mutually exclusive keys; ``first`` is ``default`` when neither is set."""
-        setting[first], setting[second] = number(first, None), number(second, None)
-        if setting[first] is not None and setting[second] is not None:
-            raise ConfigError(f"{first} and {second} are mutually exclusive")
-        if setting[first] is None and setting[second] is None:
-            setting[first] = default
-
-    either("pump.sigma_n", "pump.p_l", 0.99895)
-    either("pump.alpha_c", "pump.p_c", 1e5)
-    for key in ("pump.sigma_n", "pump.p_l", "pump.alpha_c", "pump.p_c"):
-        if setting[key] is not None and setting[key] < 0:
-            raise ConfigError(f"{key} out of range: {setting[key]}")
-    either("sensor.eta", "sensor.length", 1.0)
-    eta, length = setting["sensor.eta"], setting["sensor.length"]
-    if eta is not None and not 0 < eta <= 1:
-        raise ConfigError(f"sensor.eta out of range (0, 1]: {eta}")
-    if length is not None and not 0 <= length < math.inf:
-        raise fail("sensor.length", "must be finite and >= 0")
+    setting = {key: number(key, default) for key, (_, default, _) in _NUMBERS.items()
+               if not key.startswith("sweep.")}
+    for first, second in _EXCLUSIVE:
+        if second in values:
+            if first in values:
+                raise ConfigError(f"{first} and {second} are mutually exclusive")
+            setting[first] = None
     loss = setting["sensor.alpha_loss"] = number("sensor.alpha_loss", geometry.alpha_loss)
-    if not 0 <= loss < math.inf:
-        raise fail("sensor.alpha_loss", "must be finite and >= 0")
+    eta, length = setting["sensor.eta"], setting["sensor.length"]
     if length is not None and command != "improvement":  # its sweep overrides the length
-        eta_length = efficiency(loss, length)
-        if not 0 < eta_length <= 1:
+        eta = efficiency(loss, length)
+        if not 0 < eta <= 1:
             raise ConfigError(
                 f"line {values['sensor.length'][1]}: sensor.length = "
                 f"{values['sensor.length'][0]!r} with sensor.alpha_loss = {loss!r} "
-                f"gives eta = e^(-alpha_loss * length) = {eta_length!r}, outside (0, 1]")
+                f"gives eta = e^(-alpha_loss * length) = {eta!r}, outside (0, 1]")
 
     sweep_set = any(key.startswith("sweep.") for key in values)
     sweep = None
@@ -230,23 +227,11 @@ def parse_config(text: str, command: str = "") -> RunConfig:
         key = next(key for key in values if key.startswith("sweep."))
         raise fail(key, f"is set, but command {command!r} does not take a sweep")
 
-    for key, default in (("jsi.points", 200), ("jsi.span", None), ("pump.delta_p", 0.0),
-                         ("improvement.decay_ratio", None)):
-        setting[key] = number(key, default)
-    span = setting["jsi.span"]
-    if span is not None and not (math.isfinite(span) and span > 0):
-        raise fail("jsi.span", "must be positive and finite")
-    for key in ("pump.alpha_c", "pump.p_c", "pump.delta_p"):
-        if setting[key] is not None and not math.isfinite(setting[key]):
-            raise fail(key, "must be finite")
-    ratio = setting["improvement.decay_ratio"]
-    if ratio is not None and ratio <= 0:
-        raise fail("improvement.decay_ratio", "must be positive")
-
     # The hashed text: every key but the sweep's, which enter only when set.
     resolved = {f"geometry.{name}": value for name, value in vars(geometry).items()}
     resolved.update(setting)
     if sweep_set:
         resolved.update((f"sweep.{name}", value) for name, value in vars(sweep).items())
+    setting["sensor.eta"] = eta  # resolved keeps None where sensor.length is set
     return RunConfig(command=command, geometry=geometry, sweep=sweep, resolved=resolved,
-                     **{name: setting[key] for key, name in _FIELDS.items()})
+                     **{_NUMBERS[key][0]: value for key, value in setting.items()})

@@ -298,7 +298,7 @@ def sensitivity_rows(cfg, rates, injection, alpha_c: float, pump_power: float,
                      grid: Sequence[float]) -> list[list]:
     """Rows of the sensitivity table (p_c or phi sweep) built point by point."""
     omega_p = cfg.geometry.pump_frequency()
-    eta = cfg.eta_value
+    eta = cfg.eta
     pump_flux = pump_power / (HBAR * omega_p)
 
     def snl(photons: float) -> float:
@@ -333,7 +333,7 @@ def sensitivity_rows(cfg, rates, injection, alpha_c: float, pump_power: float,
 
 def pole_rows(cfg, rates, injection, grid: Sequence[float]) -> list[list]:
     """Rows of the pole table built point by point."""
-    eta = cfg.eta_value
+    eta = cfg.eta
 
     def row(alpha_c: float) -> list:
         try:

@@ -27,10 +27,22 @@ from ringmzi.cavity_io import jsi as jsi_density
 from ringmzi import cli
 from ringmzi import table as writer
 from ringmzi.cli import _parser, _resolve_drive, main, run_command
-from ringmzi.config import parse_config
+from ringmzi.config import KNOWN_KEYS, parse_config
 from ringmzi.errors import ConfigError
 from ringmzi.table import Cells, ResultTable, format_e17, write_table
 from ringmzi.constants import HBAR
+
+
+# Each number key's accepted values, as docs/formats.md gives them: a square bracket includes
+# its end, a round one excludes it.
+ACCEPTED = {
+    "pump.sigma_n": "in [0, inf)", "pump.p_l": "in [0, inf)", "pump.p_c": "in [0, inf)",
+    "pump.alpha_c": "in [0, inf)", "pump.delta_p": "in (-inf, inf)", "sensor.eta": "in (0, 1]",
+    "sensor.length": "in [0, inf)", "sensor.alpha_loss": "in [0, inf)",
+    "jsi.span": "in (0, inf)", "jsi.points": "an integer in [2, 1000000]",
+    "improvement.decay_ratio": "in (0, inf]", "sweep.start": "in (-inf, inf)",
+    "sweep.stop": "in (-inf, inf)", "sweep.points": "an integer in [2, 1000000]",
+}
 
 
 def run(command, text=""):
@@ -63,6 +75,8 @@ class TestParseConfig:
     def test_range_error_names_field(self):
         with pytest.raises(ConfigError, match="cross_coupling"):
             parse_config("geometry.cross_coupling = 1.5", command="rates")
+        with pytest.raises(ConfigError, match="line 2: geometry.ring_length must be finite"):
+            parse_config("geometry.n_eff = 2\ngeometry.ring_length = inf", command="rates")
 
     def test_pump_conflict(self):
         with pytest.raises(ConfigError, match="mutually exclusive"):
@@ -87,9 +101,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="scale"):
             parse_config("sweep.variable = phi_lo\nsweep.start = 0\n"
                          "sweep.stop = 1\nsweep.scale = cubic", command="squeezing")
-        with pytest.raises(ConfigError, match="finite"):
+        with pytest.raises(ConfigError,
+                           match=r"line 1: sweep.start must be in \(-inf, inf\), got '-inf'"):
             parse_config("sweep.start = -inf", command="squeezing")
-        with pytest.raises(ConfigError, match="line 1: sweep.points expects an integer"):
+        with pytest.raises(ConfigError, match=r"line 1: sweep.points must be an integer in "
+                                              r"\[2, 1000000\], got 'inf'"):
             parse_config("sweep.points = inf", command="squeezing")
         with pytest.raises(ConfigError, match=r"sweeps one of \('alpha_c',\), got 'p_c'") as info:
             parse_config("sweep.variable = p_c\nsweep.points = 3", command="pole")
@@ -98,6 +114,30 @@ class TestParseConfig:
     def test_sweep_for_sweepless_command(self):
         with pytest.raises(ConfigError, match="does not take a sweep"):
             parse_config("sweep.points = 7", command="rates")
+
+    @pytest.mark.parametrize("key", [key for key in KNOWN_KEYS if not key.startswith("geometry.")
+                                     and key not in ("sweep.variable", "sweep.scale")])
+    def test_each_number_key_at_the_ends_of_its_interval(self, key, capsys):
+        """Each closed end is accepted; each open end, the nearest float outside each closed
+        end and, for an integer key, a fraction inside, exit 2 with the key, its line and the
+        values it accepts."""
+        accepted = ACCEPTED[key]
+        interval = accepted.rpartition("in ")[2]
+        ends = [float(end) for end in interval[1:-1].split(", ")]
+        command = "squeezing" if key.startswith("sweep.") else "rates"
+        rejected = [ends[0] + 0.5] if "integer" in accepted else []
+        for end, closed, away in zip(ends, (interval[0] == "[", interval[-1] == "]"),
+                                     (-math.inf, math.inf)):
+            if not closed:
+                rejected.append(end)
+                continue
+            assert parse_config(f"{key} = {end!r}", command=command).resolved[key] == end
+            if math.isfinite(end):
+                rejected.append(math.nextafter(end, away))
+        for value in rejected:
+            assert main([command, "--set", f"{key}={value!r}"]) == 2
+            assert (f"line 2: {key} must be {accepted}, got '{value!r}'"
+                    in capsys.readouterr().err)
 
     @pytest.mark.parametrize("command,text,digest", [
         ("squeezing", "", "e3e5a2a462a7a99519a9b1ba30d8d56c645cfa27ce2807fb383372c9535600d2"),
@@ -1024,10 +1064,11 @@ class TestMain:
         assert f"line 2: {key} expects a number" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,setting,message", [
-        ("rates", "pump.delta_p=inf", "line 2: pump.delta_p must be finite, got 'inf'"),
-        ("sensitivity", "pump.delta_p=inf", "line 2: pump.delta_p must be finite, got 'inf'"),
+        ("rates", "pump.delta_p=inf", "line 2: pump.delta_p must be in (-inf, inf), got 'inf'"),
+        ("sensitivity", "pump.delta_p=inf",
+         "line 2: pump.delta_p must be in (-inf, inf), got 'inf'"),
         ("improvement", "improvement.decay_ratio=-1",
-         "line 2: improvement.decay_ratio must be positive, got '-1'"),
+         "line 2: improvement.decay_ratio must be in (0, inf], got '-1'"),
         # kappa/decay_ratio overflows: the message names the key, not gamma alone.
         ("improvement", "improvement.decay_ratio=1e-300", "improvement.decay_ratio = 1e-300"),
         # kappa = 0, whose own decay ratio would be 0: the ring is rejected before the ratio
@@ -1035,13 +1076,13 @@ class TestMain:
         ("improvement", "geometry.cross_coupling=0",
          "kappa = 0.0 must be positive for a threshold to exist (from geometry.cross_coupling)"),
         # An infinite probe wrote every improvement row 'inf,pole'.
-        ("improvement", "pump.alpha_c=inf", "line 2: pump.alpha_c must be finite, got 'inf'"),
-        ("improvement", "pump.p_c=inf", "line 2: pump.p_c must be finite, got 'inf'"),
+        ("improvement", "pump.alpha_c=inf", "line 2: pump.alpha_c must be in [0, inf), got 'inf'"),
+        ("improvement", "pump.p_c=inf", "line 2: pump.p_c must be in [0, inf), got 'inf'"),
         # Without loss e^(-alpha_loss * length) is 1, a valid eta, for any length.
         ("sensitivity", "sensor.length=-5 sensor.alpha_loss=0",
-         "line 2: sensor.length must be finite and >= 0, got '-5'"),
+         "line 2: sensor.length must be in [0, inf), got '-5'"),
         ("pole", "sensor.length=-5 sensor.alpha_loss=0",
-         "line 2: sensor.length must be finite and >= 0, got '-5'"),
+         "line 2: sensor.length must be in [0, inf), got '-5'"),
         # The improvement ring's (Gamma/2)^2 underflows: P_th = 0 left p_l / P_th undefined.
         ("improvement", "geometry.cross_coupling=1e-300 pump.p_l=1e-3 improvement.decay_ratio=1e10"
          " sweep.points=2", "p_th = 0.0 must be positive and finite "
@@ -1166,12 +1207,13 @@ class TestMain:
     @pytest.mark.parametrize("points", ["0", "1", "-3"])
     def test_jsi_points_below_two_is_config_error(self, points, capsys):
         assert main(["jsi", "--set", f"jsi.points={points}"]) == 2
-        assert "jsi.points must be >= 2" in capsys.readouterr().err
+        assert (f"line 2: jsi.points must be an integer in [2, 1000000], got '{points}'"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("span", ["inf", "-inf", "0", "-1e9"])
     def test_jsi_span_must_be_positive_and_finite(self, span, capsys):
         assert main(["jsi", "--set", f"jsi.span={span}", "--set", "jsi.points=3"]) == 2
-        assert "line 2: jsi.span must be positive and finite" in capsys.readouterr().err
+        assert f"line 2: jsi.span must be in (0, inf), got '{span}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("sigma_n", ["1.2", "1.0"])
     def test_jsi_at_or_above_threshold_is_config_error(self, sigma_n, tmp_path, capsys):
@@ -1188,7 +1230,8 @@ class TestMain:
     def test_sensor_loss_must_be_finite_and_nonnegative(self, command, loss, capsys):
         assert main([command, "--set", "sensor.length=1", "--set",
                      f"sensor.alpha_loss={loss}"]) == 2
-        assert "line 3: sensor.alpha_loss must be finite and >= 0" in capsys.readouterr().err
+        assert (f"line 3: sensor.alpha_loss must be in [0, inf), got '{loss}'"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("command", ["sensitivity", "pole"])
     def test_dark_sensor_is_config_error(self, command, capsys):
@@ -1205,15 +1248,17 @@ class TestMain:
     def test_sweep_points_cap(self, capsys):
         """Refused while parsing, before any grid exists; the cap itself is accepted."""
         assert parse_config("sweep.points = 1000000", command="squeezing").sweep.points == 1_000_000
-        with pytest.raises(ConfigError, match="line 2: sweep.points must be at most 1000000"):
+        points = r"must be an integer in \[2, 1000000\], got '1000001'"
+        with pytest.raises(ConfigError, match=f"line 2: sweep.points {points}"):
             parse_config("\nsweep.points = 1000001", command="squeezing")
         assert main(["squeezing", "--set", "sweep.points=2e6"]) == 2
-        assert "line 2: sweep.points must be at most 1000000, got '2e6'" in capsys.readouterr().err
-        with pytest.raises(ConfigError, match="line 1: jsi.points must be at most 1000000"):
+        assert ("line 2: sweep.points must be an integer in [2, 1000000], got '2e6'"
+                in capsys.readouterr().err)
+        with pytest.raises(ConfigError, match=f"line 1: jsi.points {points}"):
             parse_config("jsi.points = 1000001", command="jsi")
         assert main(["jsi", "--set", "jsi.points=1000001"]) == 2
         err = capsys.readouterr().err
-        assert "line 2: jsi.points must be at most 1000000, got '1000001'" in err
+        assert "line 2: jsi.points must be an integer in [2, 1000000], got '1000001'" in err
         assert "Traceback" not in err
 
     def test_lossless_ring_improvement(self, capsys):

@@ -14,7 +14,8 @@ from ringmzi.cli import COMMANDS, main
 from ringmzi.config import KNOWN_KEYS
 
 EXTREMES = [0.0, -0.0, *(sign * magnitude for magnitude in (5e-324, 2.2e-308, 1e-300, 1e-160,
-                                                            1e154, 1e300, 1.7976931348623157e308)
+                                                            1e154, 1e300, 1.7976931348623157e308,
+                                                            math.inf)
                          for sign in (1, -1))]
 NUMERIC_KEYS = [key for key in KNOWN_KEYS if key not in ("sweep.variable", "sweep.scale")]
 SWEEPING = ("squeezing", "meanfield", "sensitivity", "pole", "improvement")

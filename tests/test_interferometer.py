@@ -87,16 +87,17 @@ class TestSensorSpec:
 
     def test_eta_from_length(self):
         cfg = parse_config("sensor.length = 2.0\nsensor.alpha_loss = 0.23", command="sensitivity")
-        assert cfg.eta_value == pytest.approx(efficiency(0.23, 2.0), rel=1e-14)
+        assert cfg.eta == pytest.approx(efficiency(0.23, 2.0), rel=1e-14)
 
     def test_requires_one_loss_description(self):
-        assert parse_config("", command="sensitivity").eta_value == 1.0
+        assert parse_config("", command="sensitivity").eta == 1.0
         with pytest.raises(ConfigError, match="mutually exclusive"):
             parse_config("sensor.eta = 0.5\nsensor.length = 1.0", command="sensitivity")
 
     def test_eta_range(self):
         for eta in ("1.5", "0"):
-            with pytest.raises(ConfigError, match="sensor.eta out of range"):
+            with pytest.raises(ConfigError,
+                               match=rf"line 1: sensor.eta must be in \(0, 1\], got '{eta}'"):
                 parse_config(f"sensor.eta = {eta}", command="sensitivity")
 
     @pytest.mark.parametrize("fields", [("pump.alpha_c", "inf"), ("sensor.length", "inf"),
