@@ -1,14 +1,11 @@
 """Batch command line: each command's table from a RunConfig, and ``main``.
 
-Every physics error at a grid point flags the row instead of aborting the
-run; only configuration problems change the exit code (0 success, 2 config
-error, 3 I/O error).
+Every physics error at a grid point flags the row instead of aborting the run; only usage and
+configuration problems change the exit code (0 success, 2 usage or config error, 3 I/O error).
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import math
 import sys
 
@@ -37,9 +34,7 @@ def _resolve_drive(cfg: RunConfig, rates: CavityRates, gain: float):
             raise ConfigError(f"{exc} (from pump.p_l)") from exc
     else:
         injection = Injection(cfg.sigma_n)
-    alpha_c = cfg.alpha_c
-    if alpha_c is None:
-        alpha_c = math.sqrt(cfg.p_c / (HBAR * omega_p))
+    alpha_c = cfg.alpha_c if cfg.alpha_c is not None else math.sqrt(cfg.p_c / (HBAR * omega_p))
     return injection, alpha_c
 
 
@@ -176,12 +171,10 @@ def _run_meanfield(cfg: RunConfig, rates: CavityRates, strength: FwmStrength, p_
 
 def _run_sensitivity(cfg: RunConfig, rates: CavityRates, strength: FwmStrength, p_th: float):
     injection, alpha_c = _resolve_drive(cfg, rates, strength.gain)
-    sweep = cfg.sweep
-    grid = sweep.grid()
-    eta = cfg.eta
+    grid = cfg.sweep.grid()
     omega_p = cfg.geometry.pump_frequency()
     pump_power = cfg.p_l if cfg.p_l is not None else cfg.sigma_n * p_th
-    if sweep.variable == "p_c":  # at phi = pi/2
+    if cfg.sweep.variable == "p_c":  # at phi = pi/2
         with np.errstate(over="ignore"):  # a flux beyond the float range: _check_probe
             alpha_c, phi = np.sqrt(grid / (HBAR * omega_p)), math.pi / 2
         columns = ["p_c", "alpha_c", "dphi_squeezed", "dphi_coherent", "dphi_snl", "flag"]
@@ -192,7 +185,7 @@ def _run_sensitivity(cfg: RunConfig, rates: CavityRates, strength: FwmStrength, 
         leading = [grid]
     _check_probe(alpha_c, cfg)
     try:
-        squeezed, photons, pole = mzi_sensitivity(alpha_c, phi, eta, rates, injection)
+        squeezed, photons, pole = mzi_sensitivity(alpha_c, phi, cfg.eta, rates, injection)
     except ThresholdError:  # the drive, and so the flag, is fixed per table
         infinite = np.full(grid.size, math.inf)
         return columns, leading + [infinite] * 3 + [flags(threshold=True)]
@@ -202,7 +195,7 @@ def _run_sensitivity(cfg: RunConfig, rates: CavityRates, strength: FwmStrength, 
     domain = np.asarray(alpha_c) <= 0
     sine = np.abs(np.sin(phi))
     with np.errstate(divide="ignore", over="ignore"):  # both only where the row is inf
-        coherent = np.where(sine > POLE_TOLERANCE, coherent_sensitivity(alpha_c, eta) / sine,
+        coherent = np.where(sine > POLE_TOLERANCE, coherent_sensitivity(alpha_c, cfg.eta) / sine,
                             math.inf)
     _check_coherent(coherent, domain | pole, alpha_c, cfg)
     quantum = HBAR * omega_p
@@ -260,51 +253,81 @@ def _run_improvement(cfg: RunConfig, rates: CavityRates, strength: FwmStrength, 
     return columns, [lengths, eta, factor, flags(domain=domain, pole=pole)]
 
 
-# Each command's table builder: run_command looks it up, and the parser offers its names.
+# Each command's table builder: run_command looks it up, and _read_argv accepts its names.
 _BUILDERS = {"rates": _run_rates, "squeezing": _run_squeezing, "jsi": _run_jsi,
              "meanfield": _run_meanfield, "sensitivity": _run_sensitivity, "pole": _run_pole,
              "improvement": _run_improvement}
 COMMANDS = tuple(_BUILDERS)
 
+_USAGE = ("usage: ringmzi [-h] [--config CONFIG] [--out OUT] [--set KEY=VALUE] "
+          f"{{{','.join(COMMANDS)}}}")
+_HELP = (f"{_USAGE}\n\nMicroring squeezed-light interferometry design tables.\n\n"
+         "  --config CONFIG  path to a key-value configuration file\n"
+         "  --out OUT        output CSV path (default: stdout); an existing file is overwritten\n"
+         "                   in place, and only exit status 0 means a complete table\n"
+         "  --set KEY=VALUE  override a configuration entry (repeatable)")
+_OPTIONS = {option[:end]: option for option in ("--help", "--config", "--out", "--set")
+            for end in range(3, len(option) + 1)} | {"-h": "--help"}  # all prefixes unique
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on the first call to main."""
-    parser = argparse.ArgumentParser(
-        prog="ringmzi",
-        description="Microring squeezed-light interferometry design tables.")
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--config", help="path to a key-value configuration file")
-    parser.add_argument("--out", help="output CSV path (default: stdout); an existing file is "
-                        "overwritten in place, and only exit status 0 means a complete table")
-    parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                        help="override a configuration entry (repeatable)")
-    return parser
+
+def _read_argv(argv: list[str]) -> tuple[str, str | None, str | None, list[str]]:
+    """(command, --config, --out, [--set ...]) of a command line; the command is '--help' for
+    -h or --help, and a usage error raises ValueError naming the token at fault."""
+    command, extra, found = None, [], {"--config": [None], "--out": [None], "--set": []}
+    for token in (tokens := iter(argv)):
+        name, equals, value = token.partition("=")
+        option = _OPTIONS.get(name)
+        if option == "--help":
+            return option, None, None, []
+        if option:
+            if not equals:
+                value = next(tokens, None)
+                # A value may be '-' or a negative number, but not another option.
+                if value is None or value[:1] == "-" and value[1:2] not in "0123456789.":
+                    raise ValueError(f"argument {option}: expected one argument")
+            found[option].append(value)
+        elif command is None and token in COMMANDS:
+            command = token
+        elif command is None and token[:1] != "-":
+            raise ValueError(f"argument command: invalid choice: {token!r}")
+        else:
+            extra.append(token)
+    if command is None or extra:
+        raise ValueError(f"unrecognized arguments: {' '.join(extra)}" if command else
+                         "the following arguments are required: command")
+    return command, found["--config"][-1], found["--out"][-1], found["--set"]
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        command, config, out, settings = _read_argv(sys.argv[1:] if argv is None else argv)
+    except ValueError as exc:
+        print(f"{_USAGE}\nringmzi: error: {exc}", file=sys.stderr)
+        return 2
+    if command == "--help":
+        print(_HELP)
+        return 0
 
     text = ""
-    if args.config is not None:
+    if config is not None:
         try:
-            with open(args.config, "r", encoding="utf-8") as handle:
+            with open(config, "r", encoding="utf-8") as handle:
                 text = handle.read()
         except OSError as exc:
             print(f"ringmzi: cannot read config: {exc}", file=sys.stderr)
             return 3
-    if args.set:
-        text += "\n" + "\n".join(args.set)
+    if settings:
+        text += "\n" + "\n".join(settings)
 
     try:
-        cfg = parse_config(text, command=args.command)
+        cfg = parse_config(text, command=command)
         result = run_command(cfg)
     except (ConfigError, DomainError) as exc:
         print(f"ringmzi: config error: {exc}", file=sys.stderr)
         return 2
 
     try:
-        write_table(result, args.out)
+        write_table(result, out)
     except OSError as exc:
         print(f"ringmzi: cannot write output: {exc}", file=sys.stderr)
         return 3

@@ -71,11 +71,11 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         if self.start is None or self.stop is None:
-            raise ConfigError("sweep.start and sweep.stop are required")
+            raise ConfigError(f"sweep.variable = {self.variable} needs sweep.start and sweep.stop")
         if self.scale not in ("linear", "log"):
             raise ConfigError(f"sweep.scale must be linear or log, got {self.scale!r}")
         if self.scale == "log" and (self.start <= 0 or self.stop <= 0):
-            raise ConfigError("log sweeps need positive sweep.start and sweep.stop")
+            raise ConfigError("sweep.start and sweep.stop must be positive for sweep.scale = log")
         if self.start == self.stop:
             raise ConfigError("sweep.start and sweep.stop must differ")
         if self.variable in _NONNEGATIVE_SWEEPS and min(self.start, self.stop) < 0:
@@ -197,7 +197,8 @@ def parse_config(text: str, command: str = "") -> RunConfig:
     for first, second in _EXCLUSIVE:
         if second in values:
             if first in values:
-                raise ConfigError(f"{first} and {second} are mutually exclusive")
+                raise ConfigError(f"line {max(values[first][1], values[second][1])}: {first} "
+                                  f"and {second} are mutually exclusive")
             setting[first] = None
     loss = setting["sensor.alpha_loss"] = number("sensor.alpha_loss", geometry.alpha_loss)
     eta, length = setting["sensor.eta"], setting["sensor.length"]
@@ -215,14 +216,19 @@ def parse_config(text: str, command: str = "") -> RunConfig:
         variables = _SWEEPS[command]
         variable = values.get("sweep.variable", (next(iter(variables)),))[0]
         if variable not in variables:
-            raise ConfigError(
-                f"command {command!r} sweeps one of {tuple(variables)}, got {variable!r}")
+            raise fail("sweep.variable", f"must be one of {tuple(variables)} for command "
+                                         f"{command!r}")
         start, stop, points, scale, overridden = variables[variable]
         for key in overridden:
             if key in values:
                 raise fail(key, f"is overridden by the {variable} sweep")
-        sweep = SweepSpec(variable, number("sweep.start", start), number("sweep.stop", stop),
-                          number("sweep.points", points), values.get("sweep.scale", (scale,))[0])
+        spec = (variable, number("sweep.start", start), number("sweep.stop", stop),
+                number("sweep.points", points), values.get("sweep.scale", (scale,))[0])
+        try:
+            sweep = SweepSpec(*spec)
+        except ConfigError as exc:  # at the line of the key it names that was set last
+            lines = [lineno for key, (_, lineno) in values.items() if key in str(exc)]
+            raise ConfigError(f"line {max(lines)}: {exc}") from exc
     elif sweep_set:
         key = next(key for key in values if key.startswith("sweep."))
         raise fail(key, f"is set, but command {command!r} does not take a sweep")

@@ -26,7 +26,7 @@ from ringmzi import (REFERENCE_GEOMETRY, CavityRates, Injection, decay_ratio, de
 from ringmzi.cavity_io import jsi as jsi_density
 from ringmzi import cli
 from ringmzi import table as writer
-from ringmzi.cli import _parser, _resolve_drive, main, run_command
+from ringmzi.cli import _resolve_drive, main, run_command
 from ringmzi.config import KNOWN_KEYS, parse_config
 from ringmzi.errors import ConfigError
 from ringmzi.table import Cells, ResultTable, format_e17, write_table
@@ -98,16 +98,18 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="points"):
             parse_config("sweep.variable = phi_lo\nsweep.start = 0\n"
                          "sweep.stop = 1\nsweep.points = 1", command="squeezing")
-        with pytest.raises(ConfigError, match="scale"):
+        with pytest.raises(ConfigError, match=r"^line 4: sweep.scale must be linear or log, "
+                                              r"got 'cubic'$"):
             parse_config("sweep.variable = phi_lo\nsweep.start = 0\n"
                          "sweep.stop = 1\nsweep.scale = cubic", command="squeezing")
         with pytest.raises(ConfigError,
-                           match=r"line 1: sweep.start must be in \(-inf, inf\), got '-inf'"):
+                           match=r"^line 1: sweep.start must be in \(-inf, inf\), got '-inf'"):
             parse_config("sweep.start = -inf", command="squeezing")
-        with pytest.raises(ConfigError, match=r"line 1: sweep.points must be an integer in "
+        with pytest.raises(ConfigError, match=r"^line 1: sweep.points must be an integer in "
                                               r"\[2, 1000000\], got 'inf'"):
             parse_config("sweep.points = inf", command="squeezing")
-        with pytest.raises(ConfigError, match=r"sweeps one of \('alpha_c',\), got 'p_c'") as info:
+        with pytest.raises(ConfigError, match=r"^line 1: sweep.variable must be one of "
+                           r"\('alpha_c',\) for command 'pole', got 'p_c'") as info:
             parse_config("sweep.variable = p_c\nsweep.points = 3", command="pole")
         assert "start" not in str(info.value) and "stop" not in str(info.value)
 
@@ -1091,12 +1093,25 @@ class TestMain:
         # bounds, given none.
         ("rates", "pump.sigma_n", "line 2: expected 'section.key = value', got 'pump.sigma_n'"),
         ("rates", "pump.sigma_n=", "line 2: empty value for 'pump.sigma_n'"),
-        ("sensitivity", "sweep.variable=phi", "sweep.start and sweep.stop are required"),
+        ("sensitivity", "sweep.variable=phi",
+         "line 2: sweep.variable = phi needs sweep.start and sweep.stop"),
+        # The sweep's own rules, at the line of the key set last of those they name.
+        ("squeezing", "sweep.variable=x",
+         "line 2: sweep.variable must be one of ('phi_lo',) for command 'squeezing', got 'x'"),
+        ("squeezing", "sweep.scale=cubic", "line 2: sweep.scale must be linear or log, got "
+         "'cubic'"),
+        ("rates", "pump.sigma_n=0.5 pump.p_l=1e-3",
+         "line 3: pump.sigma_n and pump.p_l are mutually exclusive"),
+        ("squeezing", "sweep.start=1 sweep.stop=1", "line 3: sweep.start and sweep.stop must "
+         "differ"),
+        ("pole", "sweep.start=-1",
+         "line 2: sweep.start and sweep.stop must be positive for sweep.scale = log"),
     ], ids=["rates-delta_p", "sensitivity-delta_p", "decay_ratio-negative",
             "decay_ratio-overflow", "decay_ratio-zero-kappa", "improvement-alpha_c",
             "improvement-p_c", "sensitivity-negative-length", "pole-negative-length",
             "improvement-ring-p_th-underflow", "no-equals", "empty-value",
-            "phase-sweep-without-bounds"])
+            "phase-sweep-without-bounds", "unknown-variable", "unknown-scale",
+            "exclusive-pump-keys", "equal-bounds", "negative-log-bound"])
     def test_out_of_range_value_names_its_key(self, command, setting, message, capsys):
         """``setting`` is one or more space-separated KEY=VALUE pairs, one --set each."""
         assert main([command] + [arg for pair in setting.split() for arg in ("--set", pair)]) == 2
@@ -1371,9 +1386,61 @@ class TestMain:
         assert main(["squeezing", "--set", "pump.sigma_n=0.5", "--set", "sweep.points=3",
                      "--out", str(first)]) == 0
         assert main(["squeezing", "--set", "sweep.points=4", "--out", str(second)]) == 0
-        assert _parser() is _parser()
         write_table(run("squeezing", "sweep.points = 4"), str(expected))
         assert second.read_bytes() == expected.read_bytes()
+
+    # The command-line contract: each case's argv, exit status and the text its stream
+    # holds (stderr for a usage error, stdout for the help, nothing for a table written to
+    # {out}). {out} and {other} are output paths and {cfg} a config file; {bad} is one that
+    # does not parse, which only a later --config may hide. An exit-0 table case writes the
+    # bytes of SPACED, and only to {out}.
+    SPACED = ["squeezing", "--config", "{cfg}", "--set", "sweep.points=3", "--out", "{out}"]
+    CONTRACT = {
+        "no-command": (["--out", "{out}"], 2, ["usage: ringmzi", "required: command"]),
+        "unknown-command": (["bogus", "--out", "{out}"], 2, ["usage: ringmzi", "'bogus'"]),
+        "set-without-value": (["rates", "--out", "{out}", "--set"], 2,
+                              ["usage: ringmzi", "argument --set: expected one argument"]),
+        "unknown-option": (["rates", "--bogus", "--out", "{out}"], 2,
+                           ["usage: ringmzi", "unrecognized arguments: --bogus"]),
+        "second-command": (["rates", "--out", "{out}", "squeezing"], 2,
+                           ["usage: ringmzi", "unrecognized arguments: squeezing"]),
+        "short-help": (["-h"], 0, [*cli.COMMANDS, "--config", "--out", "--set"]),
+        "long-help-after-options": (["squeezing", "--out", "{out}", "--help"], 0,
+                                    [*cli.COMMANDS, "--config", "--out", "--set"]),
+        "spaced": (SPACED, 0, []),
+        "equals": (["squeezing", "--config={cfg}", "--set=sweep.points=3", "--out={out}"], 0, []),
+        "prefixes": (["squeezing", "--conf", "{cfg}", "--se", "sweep.points=3", "--o", "{out}"],
+                     0, []),
+        "options-first": (SPACED[1:] + ["squeezing"], 0, []),
+        "last-out-wins": (["--out", "{other}"] + SPACED, 0, []),
+        "last-config-wins": (["--config", "{bad}"] + SPACED, 0, []),
+    }
+
+    @pytest.mark.parametrize("case", CONTRACT)
+    def test_command_line_contract(self, case, tmp_path, capsys):
+        """Usage errors exit 2 with the usage line and the bad token on stderr and write no
+        table; -h or --help prints every command and option on stdout and exits 0; every
+        spelling of the options writes the bytes of the spaced form."""
+        paths = {name: tmp_path / name for name in ("out", "other", "cfg", "bad", "expected")}
+        paths["cfg"].write_text("pump.sigma_n = 0.5\n")
+        paths["bad"].write_text("pump.bogus = 1\n")
+        argv, status, texts = self.CONTRACT[case]
+        try:
+            code = main([arg.format(**paths) for arg in argv])
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == status
+        if texts:  # a usage error, on stderr, or the help, on stdout: no table
+            stream, silent = (captured.err, captured.out) if status else (captured.out,
+                                                                          captured.err)
+            assert all(text in stream for text in texts), stream
+            assert silent == "" and not paths["out"].exists()
+        else:
+            assert captured.out == captured.err == "" and not paths["other"].exists()
+            assert main([arg.format(out=paths["expected"], cfg=paths["cfg"])
+                         for arg in self.SPACED]) == 0
+            assert paths["out"].read_bytes() == paths["expected"].read_bytes()
 
     # The scaled preset: each 2001-point sweep and the sha256 of the table it writes.
     SCALED = {

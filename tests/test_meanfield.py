@@ -219,6 +219,40 @@ def _term_sizes(state, rates, gain, alpha_l):
     return np.array(sizes)[[0, 0, 1, 1, 2, 3, 4, 5, 5]]
 
 
+def _subnormal_floors(state, rates, gain):
+    """The absolute rounding error below the normal range that the two right-hand sides
+    (Gamma times mf_derivatives, and absolute_derivatives) can add, packed.
+
+    A product whose exact value is below 2^-1022 rounds to a multiple of 2^-1074, an error
+    of up to u = 2^-1075 that no relative bound covers, and each later factor scales it; a
+    sum or difference with a subnormal result is exact. Over the drawn cavities the rates,
+    g, g/Gamma and the drives are normal, so only a product that takes a moment can be
+    subnormal; a complex product rounds each of its (up to two) real products. In units of
+    u, with M = |Re m_si| + |Im m_si| and N = |n_s + n_i + 1|:
+
+    - mf_derivatives, per 1/Gamma: a_p: a_p/2, then 2c conj(a_p) (1 per component) times
+      m_si (M) and its two products: M + 3. a_pp: 2 D a_p and c (4 n_p + 2) m_si: 2. The
+      pair rate (2c a_pp conj(m_si)).real: 2c a_pp (1 per component) times m_si, and its
+      two products: M + 2; n_p is 2 D Re a_p less twice that: 2M + 5; n_s and n_i: M + 2.
+      m_si: c a_pp (1) times N, and that product: N + 1. Each is then scaled by Gamma, and
+      the product Gamma x rounds once more: 1.
+    - absolute_derivatives, in Hz: a_p: Gamma/2 a_p, then 2g conj(a_p) times m_si: M + 3.
+      a_pp: 2 sqrt(kappa) a_l a_p, Gamma a_pp and g (4 n_p + 2) m_si: 3. The pair rate
+      2g (a_pp conj(m_si)).real: its two products times 2g, and that product: 4g + 1; n_p
+      adds (conj(a_l) a_p).real (1, a_l being real) times 2 sqrt(kappa), that product and
+      Gamma n_p: 2 sqrt(kappa) + 8g + 4; n_s and n_i: 4g + 2. m_si: g a_pp (1) times N,
+      that product and Gamma m_si: N + 2.
+    """
+    gamma_total, sqk = rates.gamma_total, math.sqrt(rates.kappa)
+    m = abs(state.m_si.real) + abs(state.m_si.imag)
+    n = abs(state.n_s + state.n_i + 1)
+    scaled = [m + 3, 2, 2 * m + 5, m + 2, m + 2, n + 1]
+    absolute = [m + 3, 3, 2 * sqk + 8 * gain + 4, 4 * gain + 2, 4 * gain + 2, n + 2]
+    floors = [gamma_total * s + 1 + a for s, a in zip(scaled, absolute)]
+    # In whole steps of 2^-1074, as u itself is not a double.
+    return np.ceil(np.array(floors) / 2)[[0, 0, 1, 1, 2, 3, 4, 5, 5]] * math.ulp(0.0)
+
+
 class TestUnitsOfGamma:
     @settings(max_examples=300, deadline=None)
     @given(kappa_exp=st.floats(6, 11), gamma_exp=st.floats(5, 10), gain_exp=st.floats(-3, 3),
@@ -227,13 +261,16 @@ class TestUnitsOfGamma:
     # Subnormal results: 0.47 Gamma 2^-1074 off, 27 times the relative bound alone.
     @example(kappa_exp=6.0, gamma_exp=8.0, gain_exp=0.0, sigma_exp=0.0,
              moments=[0.0, 0.0, 0.0, 4.896e-303, 0.0, 0.0, 0.0, 0.0, 0.0])
+    # A subnormal 2 c a_pp = 1.7e-313 whose rounding the later factors 2 m_si scale: n_p is
+    # 2.46 Gamma 2^-1074 off, above a floor of 2 Gamma 2^-1074 that assumed no growth.
+    @example(kappa_exp=6.0, gamma_exp=5.0, gain_exp=0.0, sigma_exp=0.0,
+             moments=[0.0, 0.0, 0.0, 9.520625543637255e-308, 0.0, 0.0, 0.0, 0.0, 5.0])
     def test_gamma_times_rates_are_the_absolute_rates(self, kappa_exp, gamma_exp, gain_exp,
                                                       sigma_exp, moments):
         """Gamma times mf_derivatives at drive sqrt(kappa) a_l/Gamma and coupling g/Gamma is
         the right-hand side in Hz at the waveguide drive a_l, within rounding, over random
-        (complex) states and cavities. Rounding is 8 eps of the term sizes, but no finer
-        than 2 Gamma 2^-1074: a subnormal result rounds in absolute steps of 2^-1074, and
-        that floor lies below every normal double."""
+        (complex) states and cavities. Rounding is 8 eps of the term sizes plus the absolute
+        floor of _subnormal_floors."""
         rates, gain = _cavity(kappa_exp, gamma_exp, gain_exp)
         gamma_total = rates.gamma_total
         # The drive of sigma_n: sigma = 8 g kappa |a_l|^2/Gamma^2 [sqrt(Hz)].
@@ -244,7 +281,7 @@ class TestUnitsOfGamma:
         absolute = absolute_derivatives(state, rates, gain, alpha_l)
         error = np.abs(gamma_total * _pack(scaled) - _pack(absolute))
         bound = (8 * np.finfo(float).eps * _term_sizes(state, rates, gain, alpha_l)
-                 + 2 * gamma_total * math.ulp(0.0))
+                 + _subnormal_floors(state, rates, gain))
         assert np.all(error <= bound), error / bound
 
 
