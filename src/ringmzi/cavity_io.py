@@ -17,43 +17,20 @@ v = delta_i/Gamma, and they are evaluated in these units:
 
 D is a sum of squares, and (1 - s)(1 + s) >= 1.1e-16 for any float s < 1,
 so below threshold nothing cancels or divides by zero, whatever the rates
-in Hz. Beyond about 1e77 Gamma D overflows; there the forms are evaluated
-with sqrt(D) = 4 g h, g = max(|u|, |v|). The threshold is the one rule
-sigma_n >= 1. The moments are reproduced by the numeric scattering solve,
-which the tests keep as their oracle.
+in Hz. Beyond about 1e77 Gamma D overflows; there n_s, and so the jsi,
+is evaluated with sqrt(D) = 4 g h, g = max(|u|, |v|). The threshold is the
+one rule sigma_n >= 1. The moments are reproduced by the numeric scattering
+solve, which the tests keep as their oracle.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ThresholdError
+from .errors import ThresholdError
 from .params import CavityRates, Injection
-
-
-@dataclass(frozen=True)
-class Detunings:
-    """Evaluation detunings [rad/s].
-
-    delta_s = omega - omega_s and delta_i = omega - omega_i. For the
-    frequency-paired (signal, idler) axes used by the joint spectrum, the
-    convention is delta_s = +offset_s and delta_i = -offset_i.
-    """
-
-    delta_s: float = 0.0
-    delta_i: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name in ("delta_s", "delta_i"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite")
-
-
-ZERO_DETUNING = Detunings()
 
 
 def to_db(value):
@@ -73,9 +50,10 @@ def _pair_moments(rates: CavityRates, injection: Injection, delta_s=0.0, delta_i
     The closed forms of the module docstring, in units of Gamma; the detunings may be floats or
     broadcastable arrays. Where D overflows, floats turn inf without a warning; jsi evaluates
     arrays under np.errstate. m_si is None unless ``anomalous``: its complex arithmetic would
-    double the cost of the jsi. n_s and m_si come divided by scale^2 and scale, a power of two,
-    which keeps a tiny drive's from rounding to subnormals. Raises ThresholdError at
-    sigma_n >= 1.
+    double the cost of the jsi. m_si is evaluated only where D is finite, as it is at zero
+    detuning, where D = ((1 - s)(1 + s))^2 <= 1. n_s and m_si come divided by scale^2 and
+    scale, a power of two, which keeps a tiny drive's from rounding to subnormals. Raises
+    ThresholdError at sigma_n >= 1.
     """
     s = injection.sigma_n
     if s >= 1:
@@ -94,27 +72,8 @@ def _pair_moments(rates: CavityRates, injection: Injection, delta_s=0.0, delta_i
         finite, g = np.isfinite(denominator), np.maximum(abs(u), abs(v))
         h = np.hypot(u / g * v + (1 - s) * (1 + s) / (4 * g), (u / g - v / g) / 2)
         n_s = np.where(finite, n_s, t * t * x / g / h / (4 * g) / h)[()]
-        if anomalous:  # the numerator over 4 g
-            scaled = u / g * v - (1 + s * s) / (4 * g) - 0.5j * (u / g + v / g)
-            m_si = np.where(finite, m_si, -x * t * scaled / 2 / g / h / h)[()]
     v_squeezed = ((1 - s) ** 2 + 4 * s * (rates.gamma / gamma_total)) / (1 + s) ** 2
     return x, n_s, m_si, v_squeezed
-
-
-def photon_flux(rates: CavityRates, injection: Injection,
-                detunings: Detunings = ZERO_DETUNING) -> float:
-    """Output signal photon-flux spectral density n_s [Hz]."""
-    return _pair_moments(rates, injection, detunings.delta_s, detunings.delta_i)[1]
-
-
-def anomalous_moment(rates: CavityRates, injection: Injection,
-                     detunings: Detunings = ZERO_DETUNING) -> complex:
-    """Anomalous pair moment <b_i b_s> (complex spectral density).
-
-    At zero detuning this is 2 x s (1 + s^2)/((1 - s)(1 + s))^2 e^(i phi_sigma).
-    """
-    m_si = _pair_moments(rates, injection, detunings.delta_s, detunings.delta_i)[2]
-    return m_si * cmath.exp(1j * injection.phi_sigma)
 
 
 def jsi(rates: CavityRates, injection: Injection, delta_ws, delta_wi):
@@ -145,22 +104,3 @@ def quadrature_variance(rates: CavityRates, injection: Injection, phi_lo):
     phase = np.asarray(phi_lo, dtype=float) + injection.phi_sigma / 2
     value = v_squeezed + 4.0 * m_si.real * np.cos(phase) ** 2
     return float(value) if value.ndim == 0 else value
-
-
-def variance_extrema(rates: CavityRates, injection: Injection) -> tuple[float, float]:
-    """(V_squeezed, V_antisqueezed) quadrature variances.
-
-    Equal by construction to the general variance at phi_lo = pi/2 and 0;
-    algebraically V_sq = 1 - 4 x s/(1 + s)^2 and V_anti = 1 + 4 x s/(1 - s)^2
-    (this corrected pairing of the denominators is the one consistent with
-    the moment solve and with the reported decibel values; the commonly
-    printed forms have the two denominators interchanged).
-    """
-    return (quadrature_variance(rates, injection, math.pi / 2),
-            quadrature_variance(rates, injection, 0.0))
-
-
-def squeezing_parameter(rates: CavityRates, injection: Injection,
-                        detunings: Detunings = ZERO_DETUNING) -> float:
-    """Squeezing parameter r = asinh(sqrt(n_s))."""
-    return math.asinh(math.sqrt(photon_flux(rates, injection, detunings)))

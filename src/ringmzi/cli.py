@@ -1,7 +1,12 @@
 """Batch command line: each command's table from a RunConfig, and ``main``.
 
-Every physics error at a grid point flags the row instead of aborting the run; only usage and
-configuration problems change the exit code (0 success, 2 usage or config error, 3 I/O error).
+A grid point at or above threshold, with an undefined quantity or on a sensitivity pole flags
+its row (`threshold`, `domain`, `pole`; docs/formats.md) and the run goes on. Four physics
+errors are configuration errors instead, which write no table: a `jsi` drive at or above
+threshold (that table has no flag column), a `meanfield` grid point with no steady state in
+reach, a probe whose 2 alpha_c^2 overflows (_check_probe), and a probe whose coherent
+reference overflows on an unflagged row (_check_coherent). Exit codes: 0 success, 2 usage or
+configuration error, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -110,7 +115,8 @@ def _check_coherent(column, flagged, alpha_c, cfg: RunConfig) -> None:
 
 
 def run_command(cfg: RunConfig) -> ResultTable:
-    """Evaluate one command; per-point physics errors become flagged rows."""
+    """Evaluate one command; per-point physics errors become flagged rows, bar the four of the
+    module docstring."""
     builder = _BUILDERS.get(cfg.command)
     if builder is None:
         raise ConfigError(f"unknown command {cfg.command!r}")

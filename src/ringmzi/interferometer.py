@@ -100,24 +100,3 @@ def decay_ratio(rates: CavityRates) -> float:
     if rates.gamma == 0:
         return math.inf
     return rates.kappa / rates.gamma
-
-
-def critical_length(alpha_loss: float) -> float:
-    """Sensor length 2/alpha_loss beyond which squeezing stops helping.
-
-    The corresponding efficiency is e^(-2), about 13.5%.
-    """
-    if alpha_loss <= 0:
-        raise DomainError(f"alpha_loss must be positive, got {alpha_loss}")
-    return 2.0 / alpha_loss
-
-
-def pole_coherent_amplitude(rates: CavityRates, injection: Injection) -> float:
-    """Coherent amplitude at which the squeezed sensitivity diverges.
-
-    The pole sits where the coherent flux matches the total squeezed flux:
-    alpha_c^2 = N = 2 n_s, with n_s as mzi_sensitivity takes it, so that
-    mzi_sensitivity flags this amplitude a pole at phi = pi/2.
-    """
-    scale = math.ldexp(1.0, min(math.frexp(injection.sigma_n)[1], 0))  # as mzi_sensitivity's
-    return scale * math.sqrt(2 * _pair_moments(rates, injection, scale=scale)[1])

@@ -193,29 +193,6 @@ def _steady_states(n_empty: np.ndarray, clamp: float) -> MomentState:
     return state
 
 
-def validity_bound(rates: CavityRates, gain: float, error_tol: float) -> float:
-    """Largest sigma_n at which the linearized n_s stays within error_tol of mean field.
-
-    Brackets the root of the relative deviation |n_s,lin - n_s,MF|/n_s,MF
-    minus error_tol in (0, 1 - 1e-9]; the deviation grows monotonically
-    towards threshold as pump depletion sets in.
-    """
-    if not 0.0 < error_tol <= 0.5:
-        raise DomainError(f"error_tol must lie in (0, 0.5], got {error_tol}")
-
-    def excess(sigma_n) -> float:
-        columns = comparison_columns(rates, gain, [sigma_n])
-        ns_lin, ns_mf = columns["ns_lin"][0], columns["ns_mf"][0]
-        return abs(ns_lin - ns_mf) / ns_mf - error_tol
-
-    lo, hi = 0.0, 1.0 - 1e-9
-    if excess(hi) <= 0:
-        return hi
-    while lo < (mid := 0.5 * (lo + hi)) < hi:  # bisected to adjacent floats
-        lo, hi = (lo, mid) if excess(mid) > 0 else (mid, hi)
-    return lo
-
-
 def comparison_columns(rates: CavityRates, gain: float, sigma_ns) -> dict[str, np.ndarray]:
     """Linearized vs mean-field steady state over a sigma_n grid, one array per column.
 

@@ -214,8 +214,6 @@ def fwm_gain(geom: RingGeometry) -> FwmStrength:
 
     Uses the degenerate approximation g = hbar·omega_p^2·v_g^2·n2/(c·A_eff·L).
     """
-    if geom.a_eff <= 0 or geom.ring_length <= 0:
-        raise DomainError("a_eff and ring_length must be positive")
     omega_p = geom.pump_frequency()
     v_g = C_VACUUM / geom.n_g
     gain = HBAR * omega_p**2 * v_g**2 * geom.n2 / (C_VACUUM * geom.a_eff * geom.ring_length)

@@ -12,7 +12,8 @@ Gamma is checked against.
 
 bisected_depletion solves the direct solve's scalar root by bisection to
 adjacent floats, the reference for its Newton iteration. mf_steady_state and
-comparison_curve are one-point and row-by-row views of the direct solve.
+comparison_curve are one-point and row-by-row views of the direct solve, and
+validity_bound bisects its deviation from the linearization to a tolerance.
 """
 
 from __future__ import annotations
@@ -232,3 +233,26 @@ def comparison_curve(rates: CavityRates, gain: float, sigma_ns) -> list[dict[str
     columns = comparison_columns(rates, gain, sigma_ns)
     return [dict(zip(columns, row)) for row in zip(*(column.tolist()
                                                      for column in columns.values()))]
+
+
+def validity_bound(rates: CavityRates, gain: float, error_tol: float) -> float:
+    """Largest sigma_n at which the linearized n_s stays within error_tol of mean field.
+
+    Brackets the root of the relative deviation |n_s,lin - n_s,MF|/n_s,MF
+    minus error_tol in (0, 1 - 1e-9]; the deviation grows monotonically
+    towards threshold as pump depletion sets in.
+    """
+    if not 0.0 < error_tol <= 0.5:
+        raise DomainError(f"error_tol must lie in (0, 0.5], got {error_tol}")
+
+    def excess(sigma_n) -> float:
+        columns = comparison_columns(rates, gain, [sigma_n])
+        ns_lin, ns_mf = columns["ns_lin"][0], columns["ns_mf"][0]
+        return abs(ns_lin - ns_mf) / ns_mf - error_tol
+
+    lo, hi = 0.0, 1.0 - 1e-9
+    if excess(hi) <= 0:
+        return hi
+    while lo < (mid := 0.5 * (lo + hi)) < hi:  # bisected to adjacent floats
+        lo, hi = (lo, mid) if excess(mid) > 0 else (mid, hi)
+    return lo

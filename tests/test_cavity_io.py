@@ -8,14 +8,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from ringmzi import (REFERENCE_GEOMETRY, CavityRates, Detunings, Injection,
-                     ThresholdError, anomalous_moment, derive_rates, jsi, photon_flux,
-                     quadrature_variance, squeezing_parameter, to_db, variance_extrema)
+from ringmzi import (REFERENCE_GEOMETRY, CavityRates, Injection, ThresholdError, derive_rates,
+                     jsi, quadrature_variance, to_db)
 import exact_moments
-from scattering_oracle import drift_matrix, output_transfer, transfer_moments
+from scattering_oracle import closed_moments, drift_matrix, output_transfer, transfer_moments
 
 SIGMA_N_GRID = np.linspace(0.0, 0.99, 10)
 DETUNING_GRID = np.linspace(-2.0, 2.0, 10)  # units of Gamma
+EXTREMA = [math.pi / 2, 0.0]  # the LO phases of V_sq and V_anti for a real positive drive
 
 
 def inj(rates, sigma_n, phi=0.0):
@@ -24,8 +24,7 @@ def inj(rates, sigma_n, phi=0.0):
 
 class TestDriftMatrix:
     def test_uncoupled_eigenvalues(self, rates):
-        detunings = Detunings(delta_s=3e8, delta_i=-1e8)
-        matrix = drift_matrix(rates, inj(rates, 0.0), detunings)
+        matrix = drift_matrix(rates, inj(rates, 0.0), 3e8, -1e8)
         eigen = sorted(np.linalg.eigvals(matrix), key=lambda z: (z.imag, z.real))
         expected = sorted([1j * 3e8 - rates.gamma / 2, -1j * 3e8 - rates.gamma / 2,
                            1j * -1e8 - rates.gamma / 2, -1j * -1e8 - rates.gamma / 2],
@@ -39,7 +38,7 @@ class TestDriftMatrix:
         assert matrix[1, 2] == pytest.approx(np.conj(sigma) / 2, rel=1e-12)
 
     def test_trace(self, rates):
-        matrix = drift_matrix(rates, inj(rates, 0.7), Detunings(delta_s=1e8, delta_i=2e8))
+        matrix = drift_matrix(rates, inj(rates, 0.7), 1e8, 2e8)
         assert np.trace(matrix) == pytest.approx(-2 * rates.gamma, rel=1e-12)
 
 
@@ -48,7 +47,7 @@ class TestOutputTransfer:
         rates = CavityRates(kappa=1e9, gamma=0.0)
         injection = inj(rates, 0.0)
         for delta in (-2e9, 0.0, 5e8):
-            tm = output_transfer(rates, injection, Detunings(delta_s=delta, delta_i=delta))
+            tm = output_transfer(rates, injection, delta, delta)
             assert np.allclose(tm.s_in @ tm.s_in.conj().T, np.eye(4), atol=1e-12)
             assert np.allclose(tm.s_gamma, 0.0)
 
@@ -68,12 +67,10 @@ class TestOutputTransfer:
         for sigma_n in SIGMA_N_GRID:
             injection = inj(rates, sigma_n, phi=0.37)
             for delta in DETUNING_GRID:
-                detunings = Detunings(delta_s=delta * gamma_total,
-                                      delta_i=-0.6 * delta * gamma_total)
+                detunings = (delta * gamma_total, -0.6 * delta * gamma_total)
                 n_s, n_i, m_si = transfer_moments(
-                    output_transfer(rates, injection, detunings))
-                n_closed = photon_flux(rates, injection, detunings)
-                m_closed = anomalous_moment(rates, injection, detunings)
+                    output_transfer(rates, injection, *detunings))
+                n_closed, m_closed = closed_moments(rates, injection, *detunings)
                 scale = max(abs(n_closed), 1e-12)
                 worst = max(worst, abs(n_s - n_closed) / scale,
                             abs(n_i - n_closed) / scale,
@@ -83,30 +80,30 @@ class TestOutputTransfer:
 
 class TestPhotonFlux:
     def test_vacuum(self, rates):
-        assert photon_flux(rates, inj(rates, 0.0)) == 0.0
+        assert closed_moments(rates, inj(rates, 0.0))[0] == 0.0
 
     def test_reference_operating_point(self, rates):
-        assert photon_flux(rates, inj(rates, 0.99895)) == pytest.approx(8.78e5, rel=1e-3)
+        assert closed_moments(rates, inj(rates, 0.99895))[0] == pytest.approx(8.78e5, rel=1e-3)
 
     def test_detuned_against_expansion(self, rates):
         """Independent expansion of the detuned denominator."""
         gamma_total = rates.gamma_total
         injection = inj(rates, 0.8)
-        detunings = Detunings(delta_s=gamma_total, delta_i=gamma_total)
         sigma = 0.8 * gamma_total
         xi = ((4 * gamma_total**2 - sigma**2) ** 2
               + 8 * gamma_total**4 + gamma_total**4)
         expected = 4 * sigma**2 * rates.kappa * gamma_total / (xi - 2 * sigma**2 * gamma_total**2)
-        assert photon_flux(rates, injection, detunings) == pytest.approx(expected, rel=1e-12)
+        n_s = closed_moments(rates, injection, gamma_total, gamma_total)[0]
+        assert n_s == pytest.approx(expected, rel=1e-12)
 
     def test_threshold_guard(self, rates):
         with pytest.raises(ThresholdError):
-            photon_flux(rates, inj(rates, 1.0))
+            closed_moments(rates, inj(rates, 1.0))
 
 
 class TestAnomalousMoment:
     def test_vacuum(self, rates):
-        assert anomalous_moment(rates, inj(rates, 0.0)) == 0.0
+        assert closed_moments(rates, inj(rates, 0.0))[1] == 0.0
 
     def test_zero_detuning_closed_form(self, rates):
         gamma_total = rates.gamma_total
@@ -114,7 +111,7 @@ class TestAnomalousMoment:
         sigma = 0.6 * gamma_total
         expected = 2 * rates.kappa * sigma * (gamma_total**2 + sigma**2) / (
             gamma_total**2 - sigma**2) ** 2
-        value = anomalous_moment(rates, injection)
+        value = closed_moments(rates, injection)[1]
         assert value.imag == pytest.approx(0.0, abs=1e-12 * abs(value))
         assert value.real == pytest.approx(expected, rel=1e-12)
         assert value.real > 0
@@ -126,23 +123,21 @@ class TestAnomalousMoment:
         lossless ring (kappa = Gamma).
         """
         for sigma_n in (0.3, 0.9, 0.99895):
-            injection = inj(rates, sigma_n)
-            n_s = photon_flux(rates, injection)
-            m2 = abs(anomalous_moment(rates, injection)) ** 2
+            n_s, m_si = closed_moments(rates, inj(rates, sigma_n))
+            m2 = abs(m_si) ** 2
             expected = n_s**2 + n_s * rates.kappa / rates.gamma_total
             assert m2 == pytest.approx(expected, rel=1e-9)
             assert m2 <= n_s * (n_s + 1) * (1 + 1e-12)
 
     def test_saturation_when_lossless(self):
         rates = CavityRates(kappa=1e9, gamma=0.0)
-        injection = inj(rates, 0.9)
-        n_s = photon_flux(rates, injection)
-        m2 = abs(anomalous_moment(rates, injection)) ** 2
+        n_s, m_si = closed_moments(rates, inj(rates, 0.9))
+        m2 = abs(m_si) ** 2
         assert m2 == pytest.approx(n_s * (n_s + 1), rel=1e-9)
 
     def test_drive_phase_carried(self, rates):
-        aligned = anomalous_moment(rates, inj(rates, 0.5))
-        rotated = anomalous_moment(rates, inj(rates, 0.5, phi=0.8))
+        aligned = closed_moments(rates, inj(rates, 0.5))[1]
+        rotated = closed_moments(rates, inj(rates, 0.5, phi=0.8))[1]
         assert rotated == pytest.approx(aligned * cmath.exp(1j * 0.8), rel=1e-12)
 
 
@@ -173,9 +168,8 @@ class TestJsi:
         rng = np.random.default_rng(9)
         for _ in range(20):
             dws, dwi = rng.uniform(-2, 2, size=2) * rates.gamma_total
-            detunings = Detunings(delta_s=dws, delta_i=-dwi)
-            expected = (photon_flux(rates, injection, detunings) ** 2
-                        + abs(anomalous_moment(rates, injection, detunings)) ** 2)
+            n_s, m_si = closed_moments(rates, injection, dws, -dwi)
+            expected = n_s**2 + abs(m_si) ** 2
             assert jsi(rates, injection, dws, dwi) == pytest.approx(expected, rel=1e-9)
 
     def test_broadcasts(self, rates):
@@ -194,7 +188,7 @@ class TestQuadratureVariance:
         (0.99895, -15.0, 65.46),
     ])
     def test_reported_decibels(self, rates, sigma_n, db_sq, db_anti):
-        v_sq, v_anti = variance_extrema(rates, inj(rates, sigma_n))
+        v_sq, v_anti = quadrature_variance(rates, inj(rates, sigma_n), EXTREMA)
         assert to_db(v_sq) == pytest.approx(db_sq, abs=0.2)
         assert to_db(v_anti) == pytest.approx(db_anti, abs=0.1)
 
@@ -204,7 +198,7 @@ class TestQuadratureVariance:
         for sigma_n in (0.1, 0.5, 0.9, 0.99):
             injection = inj(rates, sigma_n)
             sigma = sigma_n * gamma_total
-            v_sq, v_anti = variance_extrema(rates, injection)
+            v_sq, v_anti = quadrature_variance(rates, injection, EXTREMA)
             assert v_sq == pytest.approx(
                 1 - 4 * rates.kappa * sigma / (gamma_total + sigma) ** 2, rel=1e-12)
             assert v_anti == pytest.approx(
@@ -212,7 +206,7 @@ class TestQuadratureVariance:
 
     def test_extrema_are_the_general_variance(self, rates):
         injection = inj(rates, 0.9)
-        v_sq, v_anti = variance_extrema(rates, injection)
+        v_sq, v_anti = quadrature_variance(rates, injection, EXTREMA)
         assert v_sq == quadrature_variance(rates, injection, math.pi / 2)
         assert v_anti == quadrature_variance(rates, injection, 0.0)
 
@@ -224,7 +218,8 @@ class TestQuadratureVariance:
             assert rotated == pytest.approx(aligned, rel=1e-12)
 
     def test_monotonic_in_injection(self, rates):
-        values = [variance_extrema(rates, inj(rates, s)) for s in np.linspace(0.05, 0.99, 12)]
+        values = [quadrature_variance(rates, inj(rates, s), EXTREMA)
+                  for s in np.linspace(0.05, 0.99, 12)]
         squeezed = [v[0] for v in values]
         anti = [v[1] for v in values]
         assert all(a > b for a, b in zip(squeezed, squeezed[1:]))
@@ -232,19 +227,19 @@ class TestQuadratureVariance:
 
     def test_uncertainty_product(self, rates):
         for sigma_n in np.linspace(0.1, 0.999, 15):
-            v_sq, v_anti = variance_extrema(rates, inj(rates, sigma_n))
+            v_sq, v_anti = quadrature_variance(rates, inj(rates, sigma_n), EXTREMA)
             assert v_sq * v_anti >= 1.0 - 1e-12
 
     def test_lossless_limits(self):
         rates = CavityRates(kappa=1e9, gamma=0.0)
-        v_sq, v_anti = variance_extrema(rates, inj(rates, 0.9999))
+        v_sq, v_anti = quadrature_variance(rates, inj(rates, 0.9999), EXTREMA)
         assert v_sq * v_anti == pytest.approx(1.0, rel=1e-6)
         assert v_sq < 1e-7
         assert v_anti > 1e7
 
     def test_critical_coupling_floor(self):
         rates = CavityRates(kappa=1e9, gamma=1e9)
-        v_sq, _ = variance_extrema(rates, inj(rates, 0.9999))
+        v_sq, _ = quadrature_variance(rates, inj(rates, 0.9999), EXTREMA)
         assert v_sq == pytest.approx(0.5, abs=1e-3)
 
     def test_coupling_regimes(self, geometry):
@@ -254,7 +249,7 @@ class TestQuadratureVariance:
         variances = {}
         for label, alpha_loss in (("over", 0.23), ("critical", 7.28), ("under", 23.04)):
             rates = derive_rates(replace(geometry, alpha_loss=alpha_loss))
-            variances[label] = variance_extrema(rates, inj(rates, 0.95))[0]
+            variances[label] = quadrature_variance(rates, inj(rates, 0.95), math.pi / 2)
         assert variances["over"] < variances["critical"] < variances["under"]
         assert to_db(variances["under"]) > -3.0
 
@@ -270,20 +265,22 @@ class TestToDb:
 
 class TestSqueezingParameter:
     def test_vacuum(self, rates):
-        assert squeezing_parameter(rates, inj(rates, 0.0)) == 0.0
+        assert math.asinh(math.sqrt(closed_moments(rates, inj(rates, 0.0))[0])) == 0.0
 
     def test_reference_value(self, rates):
-        assert squeezing_parameter(rates, inj(rates, 0.99895)) == pytest.approx(7.54, abs=0.02)
+        r = math.asinh(math.sqrt(closed_moments(rates, inj(rates, 0.99895))[0]))
+        assert r == pytest.approx(7.54, abs=0.02)
 
     def test_inverse_identity(self, rates):
         """r = 1 exactly where the flux crosses sinh(1)^2."""
         target = math.sinh(1.0) ** 2
 
         def flux_gap(sigma_n):
-            return photon_flux(rates, inj(rates, sigma_n)) - target
+            return closed_moments(rates, inj(rates, sigma_n))[0] - target
 
         sigma_n = brentq(flux_gap, 0.1, 0.99, xtol=1e-15)
-        assert squeezing_parameter(rates, inj(rates, sigma_n)) == pytest.approx(1.0, rel=1e-9)
+        r = math.asinh(math.sqrt(closed_moments(rates, inj(rates, sigma_n))[0]))
+        assert r == pytest.approx(1.0, rel=1e-9)
 
 
 def _ring(cross_coupling, alpha_loss, radius):
@@ -328,9 +325,9 @@ class TestRandomGeometryInvariants:
                                      delta_s, delta_i):
         """0 <= n_s < inf at detunings up to 1000 Gamma on either mode."""
         rates = _ring(cross_coupling, alpha_loss, radius)
-        detunings = Detunings(delta_s=delta_s * rates.gamma_total,
-                              delta_i=delta_i * rates.gamma_total)
-        assert 0.0 <= photon_flux(rates, inj(rates, sigma_n), detunings) < math.inf
+        n_s = closed_moments(rates, inj(rates, sigma_n), delta_s * rates.gamma_total,
+                             delta_i * rates.gamma_total)[0]
+        assert 0.0 <= n_s < math.inf
 
 
 # Relative error bound against exact_moments; the absolute term covers moments whose
@@ -369,13 +366,11 @@ class TestUnitsOfGamma:
         rates = derive_rates(replace(REFERENCE_GEOMETRY, cross_coupling=cross_coupling,
                                      alpha_loss=alpha_loss, ring_length=10.0**log_length))
         injection = inj(rates, sigma_n, phi=drive_phase)
-        detunings = Detunings(delta_s=delta_s * rates.gamma_total,
-                              delta_i=delta_i * rates.gamma_total)
-        n_s, m_si = exact_moments.pair_moments(rates, injection, detunings.delta_s,
-                                               detunings.delta_i)
-        assert_exact(photon_flux(rates, injection, detunings), n_s)
-        assert_exact(anomalous_moment(rates, injection, detunings), m_si)
-        dws, dwi = detunings.delta_s, -detunings.delta_i
+        delta_s, delta_i = delta_s * rates.gamma_total, delta_i * rates.gamma_total
+        for value, exact in zip(closed_moments(rates, injection, delta_s, delta_i),
+                                exact_moments.pair_moments(rates, injection, delta_s, delta_i)):
+            assert_exact(value, exact)
+        dws, dwi = delta_s, -delta_i
         assert_exact(jsi(rates, injection, dws, dwi),
                      exact_moments.jsi(rates, injection, dws, dwi))
         aligned = inj(rates, sigma_n)
@@ -393,15 +388,13 @@ class TestUnitsOfGamma:
     def test_where_the_denominator_overflows(self, sigma_n, drive_phase, log_s, log_i, signs,
                                              kind):
         """Detunings up to 1e300 rad/s, beyond 1e77 Gamma where D overflows: no warning, and
-        n_s, m_si and the jsi equal the 100-digit values, a subnormal within 4 of its steps."""
+        n_s and the jsi equal the 100-digit values, a subnormal within 4 of its steps."""
         rates = derive_rates(REFERENCE_GEOMETRY)
         injection = inj(rates, sigma_n, phi=drive_phase)
         delta_s = signs[0] * 10.0 ** log_s
         delta_i = {"apart": signs[1] * 10.0 ** log_i, "equal": delta_s, "idler at 0": 0.0}[kind]
-        n_s, m_si = exact_moments.pair_moments(rates, injection, delta_s, delta_i)
-        detunings = Detunings(delta_s=delta_s, delta_i=delta_i)
-        for value, exact in ((photon_flux(rates, injection, detunings), n_s),
-                             (anomalous_moment(rates, injection, detunings), m_si),
+        n_s = exact_moments.pair_moments(rates, injection, delta_s, delta_i)[0]
+        for value, exact in ((closed_moments(rates, injection, delta_s, delta_i)[0], n_s),
                              (jsi(rates, injection, delta_s, -delta_i),
                               exact_moments.jsi(rates, injection, delta_s, -delta_i))):
             exact = complex(exact)

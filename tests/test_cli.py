@@ -21,8 +21,9 @@ import mzi_oracle as oracle
 from tables import rows
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from mzi_oracle import pole_coherent_amplitude
 from ringmzi import (REFERENCE_GEOMETRY, CavityRates, Injection, decay_ratio, derive_rates,
-                     fwm_gain, pole_coherent_amplitude, threshold_power)
+                     fwm_gain, threshold_power)
 from ringmzi.cavity_io import jsi as jsi_density
 from ringmzi import cli
 from ringmzi import table as writer

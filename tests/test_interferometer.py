@@ -11,10 +11,10 @@ import exact_moments
 import mzi_oracle as oracle
 from tables import rows
 from mzi_oracle import (PairPort, Point, PoleError, gaussian_moment,
-                        intensity_difference_stats_generic)
+                        intensity_difference_stats_generic, pole_coherent_amplitude)
 from ringmzi import (REFERENCE_GEOMETRY, CavityRates, DomainError, Injection, ThresholdError,
-                     coherent_sensitivity, critical_length, decay_ratio, derive_rates,
-                     efficiency, mzi_sensitivity, photon_flux, pole_coherent_amplitude)
+                     coherent_sensitivity, decay_ratio, derive_rates, efficiency,
+                     mzi_sensitivity)
 from ringmzi.cli import run_command
 from ringmzi.config import parse_config
 from ringmzi.constants import HBAR
@@ -157,12 +157,12 @@ class TestIntensityDifference:
         assert var == pytest.approx(40.0**2, rel=1e-12)
 
     def test_mean_follows_cosine(self, rates):
-        flux = 2 * photon_flux(rates, inj(rates, 0.9))
-        state = oracle.mzi_input_state(1e3, oracle.pair_port(rates, inj(rates, 0.9)))
+        port = oracle.pair_port(rates, inj(rates, 0.9))
+        state = oracle.mzi_input_state(1e3, port)
         for phi in (0.0, 0.8, 2.0):
             out = oracle.mzi_transform(state, Point(phi, 1e3, 0.6))
             mean, _ = oracle.intensity_difference_stats(out)
-            assert mean == pytest.approx(0.6 * (1e6 - flux) * math.cos(phi), rel=1e-9)
+            assert mean == pytest.approx(0.6 * (1e6 - port.n) * math.cos(phi), rel=1e-9)
 
 
 class TestCoherentSensitivity:
@@ -393,7 +393,7 @@ class TestImprovementFactor:
         assert decay_ratio(CavityRates(kappa=10.0, gamma=2.0)) == 5.0
 
     def test_long_sensor_gives_no_advantage(self, rates):
-        eta = efficiency(0.23, 3 * critical_length(0.23))
+        eta = efficiency(0.23, 3 * (2 / 0.23))  # three critical lengths 2/alpha_loss
         value = improvement(rates, inj(rates, 0.99895), eta=eta)
         assert value == pytest.approx(1.0, abs=0.05)
 
@@ -409,16 +409,16 @@ class TestImprovementFactor:
 
 class TestCriticalLength:
     def test_value_and_efficiency(self):
-        length = critical_length(0.23)
-        assert length == pytest.approx(2 / 0.23, rel=1e-14)
-        assert efficiency(0.23, length) == pytest.approx(0.1353, abs=1e-3)
+        """At the critical length 2/alpha_loss the efficiency is e^-2, about 13.5%."""
+        assert efficiency(0.23, 2 / 0.23) == pytest.approx(0.1353, abs=1e-3)
 
     def test_scaling(self):
-        assert critical_length(0.46) == pytest.approx(critical_length(0.23) / 2, rel=1e-14)
+        """Doubling the loss halves the critical length: e^-2 is reached at 1/0.23."""
+        assert efficiency(0.46, 1 / 0.23) == pytest.approx(math.exp(-2), rel=1e-14)
 
     def test_rejects_lossless(self):
-        with pytest.raises(DomainError):
-            critical_length(0.0)
+        """A lossless guide has no critical length: no length brings eta below 1."""
+        assert efficiency(0.0, 1e300) == 1.0
 
 
 class TestPoleAmplitude:
@@ -448,7 +448,7 @@ class TestSensitivityVsPhase:
         """
         injection = inj(rates, 0.99895)
         dphi = closed(1e5, rates, injection)[0]
-        snl_plain = 1.0 / math.sqrt(1e10 + 2 * photon_flux(rates, injection))
+        snl_plain = 1.0 / math.sqrt(1e10 + oracle.pair_port(rates, injection).n)
         assert dphi < snl_plain / 2
         assert dphi < coherent_sensitivity(1e5, 1.0)
 

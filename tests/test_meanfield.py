@@ -20,9 +20,9 @@ from hypothesis import strategies as st
 
 from mf_oracle import (VACUUM, DivergenceError, SolverConfig, _max_rel_rate, _pack, _unpack,
                        absolute_derivatives, bisected_depletion, comparison_curve,
-                       lin_derivatives, marched_steady_state, mf_steady_state, steady_state)
-from ringmzi import (CavityRates, ConvergenceError, DomainError, MomentState, mf_derivatives,
-                     validity_bound)
+                       lin_derivatives, marched_steady_state, mf_steady_state, steady_state,
+                       validity_bound)
+from ringmzi import CavityRates, ConvergenceError, DomainError, MomentState, mf_derivatives
 import ringmzi.meanfield as meanfield
 
 
@@ -162,7 +162,6 @@ class TestComparisonCurve:
 
 class TestValidityBound:
     def test_rejects_bad_tolerance(self, rates, gain):
-        from ringmzi import validity_bound
         with pytest.raises(DomainError):
             validity_bound(rates, gain, 0.0)
         with pytest.raises(DomainError):
@@ -170,7 +169,6 @@ class TestValidityBound:
 
     def test_monotone_and_below_threshold(self, rates, gain):
         """A looser tolerance admits more injection, but never reaches threshold."""
-        from ringmzi import validity_bound
         tight = validity_bound(rates, gain, 0.05)
         loose = validity_bound(rates, gain, 0.5)
         assert tight < loose < 1.0
