@@ -5,12 +5,12 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
-from .params import REFERENCE_GEOMETRY, RingGeometry, efficiency
+from .errors import ConfigError
+from .params import REFERENCE_GEOMETRY, RingGeometry, efficiency, within
 
 # A sweep table is held whole. At 1e6 points its peak RSS rises above the post-import baseline
 # by about 178 MB (meanfield), 95-102 MB (the sensitivity sweeps) and 49-72 MB (squeezing, pole,
@@ -18,12 +18,13 @@ from .params import REFERENCE_GEOMETRY, RingGeometry, efficiency
 MAX_SWEEP_POINTS = 1_000_000
 _POINTS = f"an integer in [2, {MAX_SWEEP_POINTS}]"
 
-# Each number key of the pump, sensor, jsi, improvement and sweep sections: its RunConfig field
-# (a sweep key's is of RunConfig.sweep), its default (None: unset; a sweep key's is its
-# command's, in _SWEEPS, and sensor.alpha_loss's is geometry.alpha_loss) and the values it
-# accepts, where a square bracket includes its end and a round one excludes it. The
-# geometry.* keys are the fields of RingGeometry, which checks them.
+# Each number key: its field (of RingGeometry for a geometry key, of RunConfig.sweep for a sweep
+# key, else of RunConfig), its default (None: unset; a sweep key's is its command's, in _SWEEPS,
+# and sensor.alpha_loss's is geometry.alpha_loss) and the values it accepts, where a square
+# bracket includes its end and a round one excludes it. The geometry rules are RingGeometry's.
 _NUMBERS = {
+    **{f"geometry.{name}": (name, getattr(REFERENCE_GEOMETRY, name), rule)
+       for name, rule in RingGeometry.RULES.items()},
     "pump.sigma_n": ("sigma_n", 0.99895, "in [0, inf)"),
     "pump.p_l": ("p_l", None, "in [0, inf)"),
     "pump.p_c": ("p_c", None, "in [0, inf)"),
@@ -103,8 +104,7 @@ class SweepSpec:
         return grid
 
 
-KNOWN_KEYS = (tuple(f"geometry.{f.name}" for f in fields(RingGeometry)) + tuple(_NUMBERS)
-              + ("sweep.variable", "sweep.scale"))
+KNOWN_KEYS = tuple(_NUMBERS) + ("sweep.variable", "sweep.scale")
 
 
 @dataclass
@@ -174,26 +174,15 @@ def parse_config(text: str, command: str = "") -> RunConfig:
             value = math.nan
         if math.isnan(value):
             raise fail(key, "expects a number")
-        if key not in _NUMBERS:  # a geometry key: RingGeometry checks it
-            return value
         accepted = _NUMBERS[key][2]
-        interval, integer = accepted.rpartition("in ")[2], "integer" in accepted
-        low, high = map(float, interval[1:-1].split(","))
-        if not ((low <= value if interval[0] == "[" else low < value)
-                and (value <= high if interval[-1] == "]" else value < high)
-                and (not integer or value == int(value))):
+        if not within(value, accepted):
             raise fail(key, f"must be {accepted}")
-        return int(value) if integer else value
-
-    try:
-        geometry = RingGeometry(**{name: number(f"geometry.{name}", default)
-                                   for name, default in vars(REFERENCE_GEOMETRY).items()})
-    except DomainError as exc:  # each message starts with the field it checks, a key that is set
-        key = f"geometry.{exc}".split()[0]
-        raise ConfigError(f"line {values[key][1]}: geometry.{exc}") from exc
+        return int(value) if "integer" in accepted else value
 
     setting = {key: number(key, default) for key, (_, default, _) in _NUMBERS.items()
                if not key.startswith("sweep.")}
+    geometry = RingGeometry(**{name: setting.pop(f"geometry.{name}")
+                               for name in RingGeometry.RULES})
     for first, second in _EXCLUSIVE:
         if second in values:
             if first in values:

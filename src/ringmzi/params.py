@@ -17,6 +17,7 @@ P_th = Gamma^3·hbar·omega_p/(8·g·kappa) on resonance.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -26,15 +27,34 @@ from .constants import C_VACUUM, HBAR
 from .errors import DomainError
 
 
-def require_finite(fields) -> None:
-    """Raise DomainError naming the first non-finite field of a dataclass (None passes)."""
-    for name, value in vars(fields).items():
-        if value is not None and not math.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value}")
+@functools.cache
+def _interval(rule: str):
+    """(low, includes low, high, includes high, integers only) of a rule: 'in (0, inf)' or
+    'an integer in [2, 9]', where a square bracket includes its end and a round one excludes it."""
+    interval = rule.rpartition("in ")[2]
+    low, high = map(float, interval[1:-1].split(","))
+    return low, interval[0] == "[", high, interval[-1] == "]", "integer" in rule
+
+
+def within(value: float, rule: str) -> bool:
+    """Whether value lies in the interval of rule; nan lies in none."""
+    low, closed_low, high, closed_high, integer = _interval(rule)
+    return ((low <= value if closed_low else low < value)
+            and (value <= high if closed_high else value < high)
+            and (not integer or value == int(value)))
+
+
+class _Checked:
+    """A dataclass whose class attribute RULES gives the rule each checked field must meet."""
+
+    def __post_init__(self) -> None:
+        for name, rule in self.RULES.items():
+            if not within(value := getattr(self, name), rule):
+                raise DomainError(f"{name} must be {rule}, got {value}")
 
 
 @dataclass(frozen=True)
-class RingGeometry:
+class RingGeometry(_Checked):
     """Physical description of the microring and its bus waveguide.
 
     Parameters
@@ -42,11 +62,11 @@ class RingGeometry:
     ring_length : float
         Ring circumference L [m].
     n_eff : float
-        Effective refractive index (>= 1).
+        Effective refractive index.
     n_g : float
-        Group index (>= 1).
+        Group index.
     cross_coupling : float
-        Power fraction X coupled bus<->ring per round trip, in [0, 1].
+        Power fraction X coupled bus<->ring per round trip.
     alpha_loss : float
         Propagation loss [1/m].
     n2 : float
@@ -66,24 +86,10 @@ class RingGeometry:
     a_eff: float
     lambda_p: float
 
-    def __post_init__(self) -> None:
-        require_finite(self)
-        if self.ring_length <= 0:
-            raise DomainError(f"ring_length must be positive, got {self.ring_length}")
-        if not 0.0 <= self.cross_coupling <= 1.0:
-            raise DomainError(f"cross_coupling out of range [0, 1]: {self.cross_coupling}")
-        if self.alpha_loss < 0:
-            raise DomainError(f"alpha_loss must be non-negative, got {self.alpha_loss}")
-        if self.n_eff < 1:
-            raise DomainError(f"n_eff must be >= 1, got {self.n_eff}")
-        if self.n_g < 1:
-            raise DomainError(f"n_g must be >= 1, got {self.n_g}")
-        if self.a_eff <= 0:
-            raise DomainError(f"a_eff must be positive, got {self.a_eff}")
-        if self.lambda_p <= 0:
-            raise DomainError(f"lambda_p must be positive, got {self.lambda_p}")
-        if self.n2 < 0:
-            raise DomainError(f"n2 must be non-negative, got {self.n2}")
+    # The values each field accepts, and each geometry.* key; a class attribute, not a field.
+    RULES = {"ring_length": "in (0, inf)", "n_eff": "in [1, inf)", "n_g": "in [1, inf)",
+             "cross_coupling": "in [0, 1]", "alpha_loss": "in [0, inf)", "n2": "in [0, inf)",
+             "a_eff": "in (0, inf)", "lambda_p": "in (0, inf)"}
 
     def pump_frequency(self) -> float:
         """Pump angular frequency 2*pi*c/lambda_p [rad/s]."""
@@ -105,7 +111,7 @@ REFERENCE_GEOMETRY = RingGeometry(
 
 
 @dataclass(frozen=True)
-class CavityRates:
+class CavityRates(_Checked):
     """Coupling/loss rates of the driven ring cavity.
 
     Parameters
@@ -125,10 +131,8 @@ class CavityRates:
     t_round: float = 0.0
     t_trans: float = 0.0
 
-    def __post_init__(self) -> None:
-        require_finite(self)
-        if self.kappa < 0 or self.gamma < 0:
-            raise DomainError(f"rates must be non-negative, got kappa={self.kappa}, gamma={self.gamma}")
+    RULES = {"kappa": "in [0, inf)", "gamma": "in [0, inf)", "t_round": "in (-inf, inf)",
+             "t_trans": "in (-inf, inf)"}
 
     @property
     def gamma_total(self) -> float:
@@ -153,7 +157,7 @@ class FwmStrength:
 
 
 @dataclass(frozen=True)
-class Injection:
+class Injection(_Checked):
     """Pair-generation drive sigma = 2*g*alpha_p^2 as a fraction of threshold.
 
     sigma_n = |sigma|/Gamma is 1 exactly at threshold; phi_sigma is the drive
@@ -163,10 +167,7 @@ class Injection:
     sigma_n: float
     phi_sigma: float = 0.0
 
-    def __post_init__(self) -> None:
-        require_finite(self)
-        if self.sigma_n < 0:
-            raise DomainError(f"sigma_n must be non-negative, got {self.sigma_n}")
+    RULES = {"sigma_n": "in [0, inf)", "phi_sigma": "in (-inf, inf)"}
 
 
 def derive_rates(geom: RingGeometry) -> CavityRates:

@@ -28,7 +28,7 @@ from ringmzi.cavity_io import jsi as jsi_density
 from ringmzi import cli
 from ringmzi import table as writer
 from ringmzi.cli import _resolve_drive, main, run_command
-from ringmzi.config import KNOWN_KEYS, parse_config
+from ringmzi.config import _NUMBERS, KNOWN_KEYS, parse_config
 from ringmzi.errors import ConfigError
 from ringmzi.table import Cells, ResultTable, format_e17, write_table
 from ringmzi.constants import HBAR
@@ -76,7 +76,8 @@ class TestParseConfig:
     def test_range_error_names_field(self):
         with pytest.raises(ConfigError, match="cross_coupling"):
             parse_config("geometry.cross_coupling = 1.5", command="rates")
-        with pytest.raises(ConfigError, match="line 2: geometry.ring_length must be finite"):
+        with pytest.raises(ConfigError, match=r"line 2: geometry.ring_length must be in \(0, inf\), "
+                                              r"got 'inf'"):
             parse_config("geometry.n_eff = 2\ngeometry.ring_length = inf", command="rates")
 
     def test_pump_conflict(self):
@@ -141,6 +142,24 @@ class TestParseConfig:
             assert main([command, "--set", f"{key}={value!r}"]) == 2
             assert (f"line 2: {key} must be {accepted}, got '{value!r}'"
                     in capsys.readouterr().err)
+
+    def test_docs_give_each_number_key_its_rule(self):
+        """Each row of a key table of docs/formats.md gives the values its key accepts as the
+        key's row of _NUMBERS does, and each number key outside sweep.* has one row."""
+        docs = Path(__file__).resolve().parent.parent / "docs" / "formats.md"
+        rows, column = [], None  # column: that of 'accepts' in the table being read
+        for line in docs.read_text(encoding="utf-8").splitlines():
+            cells = [cell.strip() for cell in line.strip("|").split("|")]
+            if not line.startswith("|"):
+                column = None
+            elif "accepts" in cells:
+                column = cells.index("accepts")
+            elif column is not None and cells[0].startswith("`"):
+                rows.append((cells[0].strip("`"), cells[column]))
+        assert sorted(key for key, _ in rows) == sorted(
+            key for key in _NUMBERS if not key.startswith("sweep."))
+        for key, accepts in rows:
+            assert accepts == _NUMBERS[key][2].removeprefix("in "), key
 
     @pytest.mark.parametrize("command,text,digest", [
         ("squeezing", "", "e3e5a2a462a7a99519a9b1ba30d8d56c645cfa27ce2807fb383372c9535600d2"),

@@ -1,11 +1,15 @@
 import cmath
 import math
+import re
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from ringmzi import (CavityRates, DomainError, Injection, REFERENCE_GEOMETRY, RingGeometry,
-                     derive_rates, efficiency, fwm_gain, sigma_from_power, threshold_power)
+from ringmzi import (CavityRates, ConfigError, DomainError, Injection, REFERENCE_GEOMETRY,
+                     RingGeometry, derive_rates, efficiency, fwm_gain, sigma_from_power,
+                     threshold_power)
+from ringmzi.config import parse_config
 from ringmzi.constants import C_VACUUM, HBAR, PLANCK_H
 
 RING_LENGTH = 2 * math.pi * 220e-6
@@ -201,25 +205,95 @@ def test_reference_geometry_is_validated():
     assert REFERENCE_GEOMETRY.ring_length == pytest.approx(RING_LENGTH)
 
 
+# The values each field of RingGeometry, CavityRates and Injection accepts, as docs/formats.md
+# gives the geometry keys': a square bracket includes its end, a round one excludes it.
+RULES = {"ring_length": "in (0, inf)", "n_eff": "in [1, inf)", "n_g": "in [1, inf)",
+         "cross_coupling": "in [0, 1]", "alpha_loss": "in [0, inf)", "n2": "in [0, inf)",
+         "a_eff": "in (0, inf)", "lambda_p": "in (0, inf)",
+         "kappa": "in [0, inf)", "gamma": "in [0, inf)", "t_round": "in (-inf, inf)",
+         "t_trans": "in (-inf, inf)", "sigma_n": "in [0, inf)", "phi_sigma": "in (-inf, inf)"}
+
+
 class TestNonFiniteFields:
-    """NaN passes every range comparison, so each field is also required to be finite."""
+    """NaN lies in no interval, and no field's interval includes inf or -inf."""
+
+    @staticmethod
+    def message(fields):
+        """The error of the first non-finite field, as a regex."""
+        name, value = next((k, v) for k, v in fields.items() if not math.isfinite(v))
+        return re.escape(f"{name} must be {RULES[name]}, got {value}")
 
     @pytest.mark.parametrize("field", ["ring_length", "alpha_loss", "n_eff", "cross_coupling"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_ring_geometry(self, field, value):
-        with pytest.raises(DomainError, match=f"{field} must be finite"):
+        with pytest.raises(DomainError, match=self.message({field: value})):
             make_geometry(**{field: value})
 
     @pytest.mark.parametrize("fields", [dict(kappa=math.nan, gamma=1.0),
                                         dict(kappa=1.0, gamma=math.inf),
                                         dict(kappa=1.0, gamma=1.0, t_round=math.nan)])
     def test_cavity_rates(self, fields):
-        with pytest.raises(DomainError, match="must be finite"):
+        with pytest.raises(DomainError, match=self.message(fields)):
             CavityRates(**fields)
 
     @pytest.mark.parametrize("fields", [dict(sigma_n=math.nan),
                                         dict(sigma_n=math.inf),
                                         dict(sigma_n=0.5, phi_sigma=math.nan)])
     def test_injection(self, fields):
-        with pytest.raises(DomainError, match="must be finite"):
+        with pytest.raises(DomainError, match=self.message(fields)):
             Injection(**fields)
+
+
+def interval_ends(rule):
+    """(accepted, rejected) values at the ends of a rule 'in [a, b)': each closed end and the
+    nearest float inside each open end are accepted; nan, inf, -inf, each open finite end and
+    the nearest float outside each finite end are rejected."""
+    interval = rule.removeprefix("in ")
+    ends = [float(end) for end in interval[1:-1].split(", ")]
+    accepted, rejected = [], [math.nan, math.inf, -math.inf]
+    for end, closed, inward, outward in zip(ends, (interval[0] == "[", interval[-1] == "]"),
+                                            (math.inf, -math.inf), (-math.inf, math.inf)):
+        accepted.append(end if closed else math.nextafter(end, inward))
+        if math.isfinite(end):
+            rejected += [math.nextafter(end, outward)] + ([] if closed else [end])
+    return accepted, rejected
+
+
+# A valid instance of each checked dataclass, to vary one field of, and its fields.
+CHECKED = [REFERENCE_GEOMETRY, CavityRates(kappa=1.0, gamma=1.0), Injection(sigma_n=0.5)]
+FIELDS = [pytest.param(base, field.name, id=f"{type(base).__name__}.{field.name}")
+          for base in CHECKED for field in fields(base)]
+
+
+class TestFieldRules:
+    """Each field of RingGeometry, CavityRates and Injection, and each geometry key, accepts
+    exactly the interval of its rule."""
+
+    @pytest.mark.parametrize("base", CHECKED, ids=lambda base: type(base).__name__)
+    def test_every_field_has_its_rule(self, base):
+        assert type(base).RULES == {field.name: RULES[field.name] for field in fields(base)}
+
+    @pytest.mark.parametrize("base,name", FIELDS)
+    def test_field_at_the_ends_of_its_interval(self, base, name):
+        rule = RULES[name]
+        accepted, rejected = interval_ends(rule)
+        for value in accepted:
+            assert getattr(replace(base, **{name: value}), name) == value
+        for value in rejected:
+            with pytest.raises(DomainError) as error:
+                replace(base, **{name: value})
+            assert str(error.value) == f"{name} must be {rule}, got {value}"
+
+    @pytest.mark.parametrize("name", [field.name for field in fields(RingGeometry)])
+    def test_geometry_key_at_the_ends_of_its_interval(self, name):
+        """Through parse_config: the key, its line and its rule; nan is not a number."""
+        key, rule = f"geometry.{name}", RULES[name]
+        accepted, rejected = interval_ends(rule)
+        for value in accepted:
+            geometry = parse_config(f"{key} = {value!r}", command="rates").geometry
+            assert getattr(geometry, name) == value
+        for value in rejected:
+            with pytest.raises(ConfigError) as error:
+                parse_config(f"{key} = {value!r}", command="rates")
+            problem = "expects a number" if math.isnan(value) else f"must be {rule}"
+            assert str(error.value) == f"line 1: {key} {problem}, got '{value!r}'"
