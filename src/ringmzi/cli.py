@@ -22,7 +22,7 @@ from .cavity_io import quadrature_variance, to_db
 from .config import RunConfig, parse_config
 from .constants import HBAR
 from .errors import ConfigError, ConvergenceError, DomainError, ThresholdError
-from .interferometer import POLE_TOLERANCE, coherent_sensitivity, decay_ratio, mzi_sensitivity
+from .interferometer import coherent_sensitivity, decay_ratio, mzi_sensitivity
 from .meanfield import comparison_columns
 from .params import (CavityRates, FwmStrength, Injection, derive_rates, efficiency, fwm_gain,
                      sigma_from_power, threshold_power)
@@ -195,22 +195,16 @@ def _run_sensitivity(cfg: RunConfig, rates: CavityRates, strength: FwmStrength, 
     except ThresholdError:  # the drive, and so the flag, is fixed per table
         infinite = np.full(grid.size, math.inf)
         return columns, leading + [infinite] * 3 + [flags(threshold=True)]
-    # The coherent reference needs a probe: no probe is a domain row. A coherent probe with
-    # a vacuum port reads 1/(sqrt(eta) alpha_c |sin phi|), a pole where its slope
-    # eta N |sin phi| is within POLE_TOLERANCE eta N of zero; sin(pi/2) is exactly 1.
+    # The coherent reference needs a probe: no probe is a domain row, where it is inf.
     domain = np.asarray(alpha_c) <= 0
-    sine = np.abs(np.sin(phi))
-    with np.errstate(divide="ignore", over="ignore"):  # both only where the row is inf
-        coherent = np.where(sine > POLE_TOLERANCE, coherent_sensitivity(alpha_c, cfg.eta) / sine,
-                            math.inf)
+    coherent = coherent_sensitivity(alpha_c, cfg.eta, phi)
     _check_coherent(coherent, domain | pole, alpha_c, cfg)
     quantum = HBAR * omega_p
     with np.errstate(divide="ignore"):  # no photons at all: a domain row
         snl = 1.0 / np.sqrt(photons + pump_power / quantum)
     if pump_power / quantum == math.inf:  # a pump flux beyond the float range; P is finite
         snl = math.sqrt(quantum) / np.sqrt(photons * quantum + pump_power)
-    return columns, leading + [np.where(domain | pole, math.inf, squeezed),
-                               np.where(domain, math.inf, coherent),
+    return columns, leading + [np.where(domain | pole, math.inf, squeezed), coherent,
                                np.where(domain, math.inf, snl), flags(domain=domain, pole=pole)]
 
 

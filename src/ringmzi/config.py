@@ -31,7 +31,7 @@ _NUMBERS = {
     "pump.alpha_c": ("alpha_c", 1e5, "in [0, inf)"),
     "pump.delta_p": ("delta_p", 0.0, "in (-inf, inf)"),
     "sensor.eta": ("eta", 1.0, "in (0, 1]"),
-    "sensor.length": ("sensor_length", None, "in [0, inf)"),
+    "sensor.length": (None, None, "in [0, inf)"),  # no field: the run reads only its eta
     "sensor.alpha_loss": ("sensor_alpha_loss", None, "in [0, inf)"),
     "jsi.span": ("jsi_span", None, "in (0, inf)"),
     "jsi.points": ("jsi_points", 200, _POINTS),
@@ -119,7 +119,6 @@ class RunConfig:
     alpha_c: float | None
     delta_p: float
     eta: float  # sensor.eta, or e^(-alpha_loss * length) where sensor.length is set
-    sensor_length: float | None
     sensor_alpha_loss: float
     sweep: SweepSpec | None
     jsi_span: float | None
@@ -228,5 +227,6 @@ def parse_config(text: str, command: str = "") -> RunConfig:
     if sweep_set:
         resolved.update((f"sweep.{name}", value) for name, value in vars(sweep).items())
     setting["sensor.eta"] = eta  # resolved keeps None where sensor.length is set
+    del setting["sensor.length"]  # and keeps the length, which has no field
     return RunConfig(command=command, geometry=geometry, sweep=sweep, resolved=resolved,
                      **{_NUMBERS[key][0]: value for key, value in setting.items()})

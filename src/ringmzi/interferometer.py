@@ -32,21 +32,10 @@ import math
 import numpy as np
 
 from .cavity_io import _pair_moments
-from .errors import DomainError
 from .params import CavityRates, Injection
 
-_PHYSICALITY_SLACK = 1e-9
 # Relative gap |a^2 - N| |sin phi|/(a^2 + N) at or below which a point is a pole.
 POLE_TOLERANCE = 1e-9
-
-
-def _check_pair_port(n: float, m: float) -> None:
-    """Raise DomainError unless the pair port (population N, anomalous moment M,
-    commutator weight 2) is finite with N >= 0 and M^2 <= N (N + 2), each with a
-    small slack."""
-    if not (math.isfinite(n) and math.isfinite(m)) or n < -_PHYSICALITY_SLACK or (
-            m * m > n * (n + 2.0) * (1 + 1e-6) + _PHYSICALITY_SLACK):
-        raise DomainError(f"pair port is not finite or violates physicality: N={n!r}, M={m!r}")
 
 
 def mzi_sensitivity(alpha_c, phi, eta, rates: CavityRates, injection: Injection):
@@ -57,8 +46,7 @@ def mzi_sensitivity(alpha_c, phi, eta, rates: CavityRates, injection: Injection)
     the module docstring, the detected photons eta (a^2 + N), and the pole mask
     |(a^2 - N) sin phi| <= POLE_TOLERANCE (a^2 + N), where dphi is inf. N, M and
     V_min are those of cavity_io at zero detuning, M for a drive phase aligned
-    with the readout; ThresholdError at sigma_n >= 1 and the DomainError of
-    _check_pair_port hold for every point alike.
+    with the readout; ThresholdError at sigma_n >= 1 holds for every point alike.
     """
     alpha_c, phi, eta = (np.asarray(x, dtype=float) for x in (alpha_c, phi, eta))
     # N = n scale^2 and M = m scale: n and m keep every digit where a tiny drive's N is subnormal;
@@ -67,7 +55,6 @@ def mzi_sensitivity(alpha_c, phi, eta, rates: CavityRates, injection: Injection)
     _, n_s, m_si, v_min = _pair_moments(rates, injection, scale=scale)
     n, m = 2 * n_s, 2 * m_si.real
     big_n = n * scale * scale
-    _check_pair_port(big_n, m * scale)
     root = np.where(alpha_c * alpha_c < 2.0 ** -600, np.ldexp(1.0, np.minimum(-np.frexp(np.maximum(
         np.abs(alpha_c), scale * math.sqrt(n)))[1], 1023)), 1.0) if big_n < 2.0 ** -600 else 1.0
     unit = scale * root  # N root^2 = n unit^2 and M root = m unit
@@ -85,13 +72,18 @@ def mzi_sensitivity(alpha_c, phi, eta, rates: CavityRates, injection: Injection)
     return dphi, eta * (a2 + scaled_n) / root / root, pole
 
 
-def coherent_sensitivity(alpha_c, eta):
-    """Coherent-probe sensitivity 1/(sqrt(eta)*alpha_c) at phi = pi/2.
+def coherent_sensitivity(alpha_c, eta, phi=math.pi / 2):
+    """Coherent-probe sensitivity 1/(sqrt(eta) |alpha_c| |sin phi|), with a vacuum port.
 
-    Broadcasts over alpha_c and eta arrays; inf where alpha_c is zero.
+    Broadcasts over alpha_c, eta and phi arrays; inf where alpha_c is zero, and on the pole
+    |sin phi| <= POLE_TOLERANCE, where the slope eta alpha_c^2 |sin phi| is at most
+    POLE_TOLERANCE times the photons eta alpha_c^2. sin(pi/2) is exactly 1.
     """
-    with np.errstate(divide="ignore", over="ignore"):
-        value = 1.0 / (np.sqrt(eta) * np.asarray(alpha_c, dtype=float))
+    sine = np.abs(np.sin(phi))
+    with np.errstate(divide="ignore", over="ignore"):  # both only where the value is inf
+        value = np.where(sine > POLE_TOLERANCE,
+                         1.0 / (np.sqrt(eta) * np.abs(np.asarray(alpha_c, dtype=float))) / sine,
+                         math.inf)
     return float(value) if value.ndim == 0 else value
 
 

@@ -299,12 +299,14 @@ def closed_form(point: Point, rates, injection) -> tuple[float, float, bool]:
 
 
 def coherent_reference(point: Point) -> float:
-    """Coherent probe with a vacuum port at phi = pi/2, 1/(sqrt(eta) alpha_c)."""
+    """Coherent probe with a vacuum port, 1/(sqrt(eta) alpha_c |sin phi|): inf on the pole
+    |sin phi| <= 1e-9, and 1/(sqrt(eta) alpha_c) at phi = pi/2, where the sine is exactly 1."""
     if point.alpha_c <= 0:
         raise DomainError("alpha_c must be positive for the coherent sensitivity")
     product = math.sqrt(point.eta) * point.alpha_c
+    sine = abs(float(np.sin(point.phi)))
     # A product that rounds to 0 is below 2.5e-324, so its reciprocal overflows.
-    return 1.0 / product if product else math.inf
+    return (1.0 / product if product else math.inf) / sine if sine > _POLE_TOLERANCE else math.inf
 
 
 def sensitivity_rows(cfg, rates, injection, alpha_c: float, pump_power: float,
@@ -333,8 +335,7 @@ def sensitivity_rows(cfg, rates, injection, alpha_c: float, pump_power: float,
         point = Point(phi, alpha_c, eta)
         try:
             dphi, photons, pole = closed_form(point, rates, injection)
-            sine = abs(float(np.sin(phi)))
-            coherent = coherent_reference(point) / sine if sine > 1e-9 else math.inf
+            coherent = coherent_reference(point)
         except (ThresholdError, DomainError) as exc:
             flag = "threshold" if isinstance(exc, ThresholdError) else "domain"
             return [phi, math.inf, math.inf, math.inf, flag]

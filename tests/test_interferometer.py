@@ -15,11 +15,12 @@ from mzi_oracle import (PairPort, Point, PoleError, gaussian_moment,
 from ringmzi import (REFERENCE_GEOMETRY, CavityRates, DomainError, Injection, ThresholdError,
                      coherent_sensitivity, decay_ratio, derive_rates, efficiency,
                      mzi_sensitivity)
+from ringmzi.cavity_io import _pair_moments
 from ringmzi.cli import run_command
 from ringmzi.config import parse_config
 from ringmzi.constants import HBAR
 from ringmzi.errors import ConfigError
-from ringmzi.interferometer import POLE_TOLERANCE, _check_pair_port
+from ringmzi.interferometer import POLE_TOLERANCE
 
 HALF_PI = math.pi / 2
 
@@ -181,9 +182,23 @@ class TestCoherentSensitivity:
                 coherent_sensitivity(point.alpha_c, point.eta), rel=1e-9)
 
     def test_rejects_zero_amplitude(self):
-        """No probe, no coherent reference: inf, which the tables flag as a domain row."""
+        """No probe, no coherent reference: inf, which the tables flag as a domain row; a
+        probe of -0.0 (which pump.alpha_c = -0.0 gives) too."""
         assert math.isinf(coherent_sensitivity(0.0, 1.0))
+        assert coherent_sensitivity(-0.0, 1.0, 1.0) == math.inf
         assert list(coherent_sensitivity(np.array([0.0, 1e5]), 1.0)) == [math.inf, 1e-5]
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(alpha_c=st.floats(1e-3, 1e6), eta=st.floats(1e-3, 1.0),
+           phases=st.lists(st.sampled_from([0.0, HALF_PI, math.pi]) | st.floats(-7.0, 7.0),
+                           min_size=1, max_size=6))
+    @example(alpha_c=1e5, eta=1.0, phases=[0.0, HALF_PI, math.pi, 1e-9, -1e-9 * (1 + 1e-6)])
+    def test_phase_reference_equals_oracle(self, alpha_c, eta, phases):
+        """1/(sqrt(eta) alpha_c |sin phi|) at each phase, element by element, inf where
+        |sin phi| <= POLE_TOLERANCE: 0 and float pi, whose sine is 1.2e-16, are poles."""
+        expected = [oracle.coherent_reference(Point(phi, alpha_c, eta)) for phi in phases]
+        assert list(coherent_sensitivity(alpha_c, eta, np.array(phases))) == expected
+        assert [coherent_sensitivity(alpha_c, eta, phi) for phi in phases] == expected
 
 
 class TestNumericSensitivity:
@@ -562,7 +577,7 @@ class TestArrayPath:
         injection = inj(rates, sigma_n)
         amplitudes = amplitudes + [near_pole * pole_coherent_amplitude(rates, injection)]
         dphi, photons, pole = mzi_sensitivity(np.array(amplitudes), phi, eta, rates, injection)
-        coherent = coherent_sensitivity(np.array(amplitudes), eta)
+        coherent = coherent_sensitivity(np.array(amplitudes), eta, phi)
         for k, a_c in enumerate(amplitudes):
             point = Point(phi, a_c, eta)
             self.assert_matches(dphi[k], photons[k], pole[k], point, rates, injection)
@@ -571,36 +586,23 @@ class TestArrayPath:
             if a_c > 0:
                 assert coherent[k] == oracle.coherent_reference(point)
 
-    @settings(max_examples=100, deadline=None)
-    @given(n_pair=st.floats(0.0, 1e8), excess=st.floats(0.5, 2.0), phi=st.floats(-7.0, 7.0),
-           eta=st.floats(1e-3, 1.0))
-    def test_domain_mask_equals_state_exceptions(self, n_pair, excess, phi, eta):
-        """An anomalous moment beyond |M|^2 <= N (N + 2) is rejected by the array form's port
-        check exactly where the oracle's port state raises."""
-        n = 2 * n_pair
-        m = excess * math.sqrt(n * (n + 2))
-        try:
-            oracle.mzi_input_state(1e4, PairPort(n=n, m=m))
-        except DomainError:
-            with pytest.raises(DomainError):
-                _check_pair_port(n, m)
-        else:
-            _check_pair_port(n, m)
-
-    @settings(max_examples=100, deadline=None)
-    @given(n=st.sampled_from([0.0, -1e-3, -2e-9, math.nan, math.inf, -math.inf])
-           | st.floats(-10.0, 1e6),
-           m=st.sampled_from([0.0, -1e-3, math.nan, math.inf, -math.inf]) | st.floats(-1e6, 1e6))
-    def test_unphysical_mask_equals_constructor_exceptions(self, n, m):
-        """Non-finite, negative and oversized port moments: the port check raises exactly
-        where the oracle's state constructor does."""
-        try:
-            oracle.mzi_input_state(1.0, PairPort(n=n, m=m))
-        except DomainError:
-            with pytest.raises(DomainError):
-                _check_pair_port(n, m)
-        else:
-            _check_pair_port(n, m)
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(kappa=st.floats(5e-324, 1e308), gamma=st.floats(0.0, 1e308),
+           sigma_n=st.floats(0.0, 1.0, exclude_max=True))
+    @example(kappa=1e9, gamma=0.0, sigma_n=0.5)  # x = 1: M^2 = N (N + 2)
+    @example(kappa=1e9, gamma=1e8, sigma_n=1 - 2.0 ** -53)  # D = 4.9e-32
+    @example(kappa=1e9, gamma=1e8, sigma_n=5e-324)
+    @example(kappa=1e308, gamma=1e308, sigma_n=0.5)  # Gamma overflows: x = 0
+    def test_pair_port_is_physical(self, kappa, gamma, sigma_n):
+        """Every ring and drive below threshold gives a pair port the oracle's state accepts,
+        unscaled and as mzi_sensitivity scales it, so the array form checks no port: at zero
+        detuning M^2 = N^2 + 2 x N <= N (N + 2), as x = kappa/Gamma <= 1 (Gamma = kappa + gamma
+        rounds to at least kappa), and N and M are finite, as D >= 1.2e-32."""
+        rates, injection = CavityRates(kappa=kappa, gamma=gamma), Injection(sigma_n)
+        oracle.mzi_input_state(0.0, oracle.pair_port(rates, injection))
+        scale = math.ldexp(1.0, min(math.frexp(sigma_n)[1], 0))  # as mzi_sensitivity's
+        _, n_s, m_si, _ = _pair_moments(rates, injection, scale=scale)
+        oracle.mzi_input_state(0.0, PairPort(n=2 * n_s * scale * scale, m=2 * m_si.real * scale))
 
     @settings(max_examples=200, deadline=None)
     @given(**GEOMETRIES, sigma_n=st.floats(0.0, 0.9999), eta=st.floats(1e-3, 1.0),
